@@ -24,8 +24,9 @@
 #include "common/parallel.h"
 #include "corpus/sharded.h"
 #include "harness/harness.h"
-#include "ir/passes.h"
+#include "ir/ir.h"
 #include "loader/image.h"
+#include "serve/analysis.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -90,22 +91,19 @@ void BM_VoteVariable(benchmark::State& state) {
 BENCHMARK(BM_VoteVariable)->Unit(benchmark::kMicrosecond);
 
 void BM_AnalyzeBinaryEndToEnd(benchmark::State& state) {
-  // The headline number: one stripped binary through variable recovery,
-  // VUC extraction, six-stage prediction and voting.
+  // The headline number: one stripped binary image through cati-infer's
+  // serve::analyzeImage — disassembly, variable recovery, VUC extraction,
+  // six-stage prediction, voting and the rendered report.
   Engine& e = bundle().engine();
   const synth::Binary bin = testBinary();
-  size_t vars = 0;
+  loader::Image img = loader::buildImage(bin);
+  loader::strip(img);
   const obs::Snapshot base = bench::metricsBaseline();
   for (auto _ : state) {
-    vars = 0;
-    for (const synth::FunctionCode& fn : bin.funcs) {
-      const auto out = e.analyzeFunction(fn.insns);
-      vars += out.size();
-      benchmark::DoNotOptimize(out);
-    }
+    const serve::AnalyzeResult res = serve::analyzeImage(e, img, nullptr, 0);
+    benchmark::DoNotOptimize(res);
   }
   exportMetricsColumns(state, base);
-  state.counters["variables"] = static_cast<double>(vars);
   state.counters["instructions"] =
       static_cast<double>(bin.totalInstructions());
 }
@@ -146,15 +144,14 @@ BENCHMARK(BM_VariableRecovery)->Unit(benchmark::kMillisecond);
 
 void BM_LowerIr(benchmark::State& state) {
   // IR lowering throughput: instruction stream -> typed ops, basic blocks,
-  // CFG edges, block passes. This is the per-miss cost the decode cache
-  // amortizes; items_per_second counts source instructions.
+  // CFG edges. This is the per-miss cost the decode cache amortizes;
+  // items_per_second counts source instructions.
   const synth::Binary bin = testBinary();
   size_t insns = 0;
   for (auto _ : state) {
     insns = 0;
     for (const synth::FunctionCode& fn : bin.funcs) {
       ir::FunctionGraph g = ir::lower(fn.insns);
-      ir::runBlockPasses(g);
       insns += fn.insns.size();
       benchmark::DoNotOptimize(g);
     }

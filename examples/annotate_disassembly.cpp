@@ -42,7 +42,10 @@ std::string fmtConf(float v) {
 
 void annotate(Engine& engine, std::span<const asmx::Instruction> insns,
               const char* title) {
-  const auto vars = engine.analyzeFunction(insns);
+  const Engine::FunctionWork work =
+      engine.prepareFunction(insns, dataflow::recoverVariables(insns));
+  const auto vars =
+      engine.finishFunction(work, engine.predictVucs(work.ds.vucs));
 
   // instruction index -> annotation
   std::map<uint32_t, std::string> notes;

@@ -44,7 +44,11 @@ int main() {
 
   std::printf("\nanalyzing stripped function '%s' (%zu instructions)\n",
               fn.name.c_str(), fn.insns.size());
-  const auto inferred = engine.analyzeFunction(fn.insns);
+  // Recovery, VUC extraction, one batched six-stage prediction, voting.
+  const Engine::FunctionWork work =
+      engine.prepareFunction(fn.insns, dataflow::recoverVariables(fn.insns));
+  const auto inferred =
+      engine.finishFunction(work, engine.predictVucs(work.ds.vucs));
 
   // --- 4. compare with ground truth ---
   std::printf("\n%-12s %-24s %-24s %s\n", "location", "inferred",

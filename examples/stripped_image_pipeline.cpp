@@ -12,6 +12,7 @@
 #include "cati/engine.h"
 #include "corpus/corpus.h"
 #include "loader/image.h"
+#include "serve/analysis.h"
 #include "synth/synth.h"
 
 int main() {
@@ -45,20 +46,10 @@ int main() {
               "survive (.dynsym)\n",
               received.stripped() ? "yes" : "no", received.symbols.size());
 
-  // Disassemble the bytes and run inference per function.
-  size_t typed = 0;
-  for (const loader::LoadedFunction& fn : loader::disassemble(received)) {
-    const auto vars = engine.analyzeFunction(fn.insns);
-    std::printf("\n%s (%zu instructions):\n", fn.name.c_str(),
-                fn.insns.size());
-    for (const AnalyzedVariable& av : vars) {
-      std::printf("  rsp%+-6lld -> %-22s conf %.2f (%zu VUCs)\n",
-                  static_cast<long long>(av.location.offset),
-                  std::string(typeName(av.type)).c_str(), av.confidence,
-                  av.numVucs);
-      ++typed;
-    }
-  }
-  std::printf("\n%zu variables typed from raw bytes\n", typed);
+  // Disassemble the bytes, recover and type every function: the analysis
+  // cati-infer runs, returning the report it prints.
+  const serve::AnalyzeResult result =
+      serve::analyzeImage(engine, received, /*pool=*/nullptr, /*batch=*/0);
+  std::printf("\n%s", result.report.c_str());
   return 0;
 }

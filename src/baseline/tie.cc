@@ -2,14 +2,6 @@
 
 namespace cati::baseline {
 
-namespace {
-
-bool contains(const std::string& s, const char* sub) {
-  return s.find(sub) != std::string::npos;
-}
-
-}  // namespace
-
 TieEvidence TieBaseline::gather(std::span<const corpus::Vuc> vucs) {
   TieEvidence ev;
   for (const corpus::Vuc& vuc : vucs) {

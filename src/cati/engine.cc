@@ -454,10 +454,6 @@ void Engine::predictRange(std::span<const corpus::Vuc> vucs, size_t b,
                           StageProbs* out) {
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
-  // Tail sub-batches run short rather than padded; this counter records the
-  // slots a padded design would have wasted (it depends only on the VUC
-  // count and the batch size, so it is jobs-invariant).
-  static obs::Counter& batchPad = obs::counter("engine.infer.batch_pad");
   const auto inSize = static_cast<size_t>(inputShape().size());
   const auto bs = static_cast<size_t>(std::max(1, batch));
   for (size_t sb = b; sb < e; sb += bs) {
@@ -488,7 +484,6 @@ void Engine::predictRange(std::span<const corpus::Vuc> vucs, size_t b,
                                probs);
       }
     }
-    if (nb < bs) batchPad.add(bs - nb);
   }
 }
 
@@ -637,11 +632,6 @@ double Engine::occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u) {
 }
 
 Engine::FunctionWork Engine::prepareFunction(
-    std::span<const asmx::Instruction> insns) const {
-  return prepareFunction(insns, dataflow::recoverVariables(insns));
-}
-
-Engine::FunctionWork Engine::prepareFunction(
     std::span<const asmx::Instruction> insns,
     dataflow::RecoveryResult rec) const {
   if (!trained()) throw std::logic_error("prepareFunction: not trained");
@@ -649,6 +639,7 @@ Engine::FunctionWork Engine::prepareFunction(
   static obs::Counter& vucCount = obs::counter("engine.analyze.vucs");
   fnCount.add();
   checkDeadline();
+  fault::failPoint("engine.prepare");
   FunctionWork work;
   work.rec = std::move(rec);
 
@@ -713,26 +704,6 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
   }
   varCount.add(out.size());
   return out;
-}
-
-std::vector<AnalyzedVariable> Engine::analyzeFunction(
-    std::span<const asmx::Instruction> insns, par::ThreadPool* pool,
-    int batch, DiagList* diags) {
-  return analyzeFunction(insns, dataflow::recoverVariables(insns), pool,
-                         batch, diags);
-}
-
-std::vector<AnalyzedVariable> Engine::analyzeFunction(
-    std::span<const asmx::Instruction> insns, dataflow::RecoveryResult rec,
-    par::ThreadPool* pool, int batch, DiagList* diags) {
-  static obs::Histogram& analyzeNs = obs::timer("engine.analyze_ns");
-  const obs::ScopedTimer timing(analyzeNs);
-  const FunctionWork work = prepareFunction(insns, std::move(rec));
-  // Every VUC of the function is predicted in one batched fan-out, then
-  // votes gather per variable — same per-VUC results as the serial loop.
-  const std::vector<StageProbs> allProbs =
-      predictVucs(work.ds.vucs, pool, batch);
-  return finishFunction(work, allProbs, diags);
 }
 
 // --- training checkpoints (DESIGN.md §9) ------------------------------------
@@ -870,7 +841,10 @@ bool Engine::loadTrainCheckpoint(const TrainCheckpointing& ck,
 
 void Engine::checkDeadline() const {
   if (!deadline_) return;
-  if (std::chrono::steady_clock::now() <= *deadline_) return;
+  if (fault::hit("engine.deadline") == fault::Action::kNone &&
+      std::chrono::steady_clock::now() <= *deadline_) {
+    return;
+  }
   static obs::Counter& timeouts = obs::counter("engine.analyze.timeout");
   timeouts.add();
   throw TimeoutError("engine: analysis deadline exceeded (--timeout-ms)");

@@ -120,8 +120,8 @@ class Engine {
 
   bool trained() const { return encoder_.has_value(); }
 
-  /// Wall-clock deadline for analysis (--timeout-ms): predictVucs /
-  /// analyzeFunction check it between NN sub-batches and throw
+  /// Wall-clock deadline for analysis (--timeout-ms): prepareFunction checks
+  /// it per function and predictVucs between NN sub-batches, throwing
   /// cati::TimeoutError on expiry, so a caller always gets back with the
   /// partial results it accumulated so far. nullopt (default) disables.
   void setDeadline(std::optional<std::chrono::steady_clock::time_point> d) {
@@ -158,52 +158,34 @@ class Engine {
   /// confidence. Values < 1 mean instruction k supported the prediction.
   double occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u);
 
-  // --- end-to-end stripped-binary analysis ---
-  /// Recovers variables from one function's instructions, extracts VUCs,
-  /// predicts and votes. The full §III pipeline with src/dataflow standing
-  /// in for IDA Pro. One poisoned variable degrades (a Diag in `diags` +
-  /// the engine.analyze.degraded counter) instead of aborting the function;
-  /// only TimeoutError escapes, after the deadline set by setDeadline.
-  std::vector<AnalyzedVariable> analyzeFunction(
-      std::span<const asmx::Instruction> insns,
-      par::ThreadPool* pool = nullptr, int batch = 0,
-      DiagList* diags = nullptr);
-  /// Same pipeline with the recovery supplied by the caller (loader graph
-  /// and/or interprocedural facts); skips the internal recoverVariables.
-  std::vector<AnalyzedVariable> analyzeFunction(
-      std::span<const asmx::Instruction> insns, dataflow::RecoveryResult rec,
-      par::ThreadPool* pool = nullptr, int batch = 0,
-      DiagList* diags = nullptr);
+  // --- end-to-end stripped-binary analysis (DESIGN.md §10) ---
+  // The full §III pipeline with src/dataflow standing in for IDA Pro runs in
+  // three phases: prepareFunction per function, one predictVucs over the
+  // VUCs of many functions, finishFunction per function.
+  // serve::ImageAnalysis drives them for both cati-infer and cati-serve.
+  // Kernels preserve per-sample accumulation order, so how the prepared
+  // functions are grouped into predictVucs calls never changes the votes.
 
-  // --- request-scoped analysis (the cati-serve split, DESIGN.md §10) ---
-  // analyzeFunction is prepareFunction -> predictVucs -> finishFunction.
-  // cati-serve runs the same three phases but shares ONE predictVucs call
-  // across the prepared functions of many requests, so queued work from
-  // different clients fills common batch lanes. Kernels preserve per-sample
-  // accumulation order, so the coalesced probabilities — and therefore the
-  // votes and the rendered report — are bit-identical to the per-function
-  // path.
-
-  /// The deterministic, model-independent share of analyzeFunction:
-  /// recovered variables plus this function's extracted (unlabeled) VUCs.
+  /// The deterministic, model-independent share of the analysis: recovered
+  /// variables plus this function's extracted (unlabeled) VUCs.
   struct FunctionWork {
     dataflow::RecoveryResult rec;
     corpus::Dataset ds;  ///< function-local var ids; vucs in extraction order
   };
 
-  /// Phase 1: recovery + VUC extraction. Counts the function toward the
-  /// engine.analyze.* metrics and honours the analysis deadline.
-  FunctionWork prepareFunction(std::span<const asmx::Instruction> insns) const;
-  /// Phase 1 with the recovery supplied by the caller — e.g. computed from
-  /// a loader FunctionGraph (decode-cache hits skip relowering), possibly
-  /// decorated with interprocedural facts. Extraction still runs here.
+  /// Phase 1: VUC extraction from the caller's recovery — e.g.
+  /// dataflow::recoverVariables over a loader FunctionGraph (decode-cache
+  /// hits skip relowering) or over `insns`. Counts the function toward the
+  /// engine.analyze.* metrics, honours the analysis deadline, and is the
+  /// `engine.prepare` fault-injection site.
   FunctionWork prepareFunction(std::span<const asmx::Instruction> insns,
                                dataflow::RecoveryResult rec) const;
 
   /// Phase 3: voting + confidence over `probs`, which must hold one
   /// StageProbs per work.ds.vucs entry, in order (typically a slice of a
-  /// coalesced predictVucs result). Per-variable degradation behaves exactly
-  /// as in analyzeFunction.
+  /// coalesced predictVucs result). One poisoned variable degrades (a Diag
+  /// in `diags` + the engine.analyze.degraded counter) instead of aborting
+  /// the function.
   std::vector<AnalyzedVariable> finishFunction(
       const FunctionWork& work, std::span<const StageProbs> probs,
       DiagList* diags = nullptr) const;
@@ -243,8 +225,8 @@ class Engine {
 
  private:
   /// Per-worker inference state: one nn::Scratch per stage net plus the
-  /// reusable batch input buffer. Grown lazily, reused across predictVucs /
-  /// analyzeFunction calls so steady-state inference allocates nothing.
+  /// reusable batch input buffer. Grown lazily, reused across predictVucs
+  /// calls so steady-state inference allocates nothing.
   struct WorkerState {
     std::vector<nn::Scratch> stages;
     std::vector<float> input;  // [batch x inputShape]
@@ -298,7 +280,8 @@ class Engine {
                            uint64_t numVucs, int& startStage, int& startEpoch,
                            std::array<uint64_t, kNumStages>& seeds,
                            std::string& adamBlob);
-  /// Throws TimeoutError when the analysis deadline has passed.
+  /// Throws TimeoutError when the analysis deadline has passed, or when an
+  /// armed `engine.deadline` fault rule fires (a deterministic expiry).
   void checkDeadline() const;
   void runStage(Stage s, std::span<const float> input, std::span<float> probs);
   /// The lazily-created scratch for worker `w`. Must be called outside any

@@ -25,7 +25,7 @@
 //   static obs::Counter& vucs = obs::counter("corpus.vucs");
 //   vucs.add(ds.vucs.size());
 //
-//   static obs::Histogram& t = obs::timer("engine.analyze_ns");
+//   static obs::Histogram& t = obs::timer("engine.infer.batch_ns");
 //   obs::ScopedTimer timer(t);   // observes elapsed ns at scope exit
 #pragma once
 

@@ -7,7 +7,6 @@
 
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "ir/passes.h"
 
 namespace cati::corpus {
 
@@ -181,12 +180,7 @@ Dataset extractRecovered(const synth::Binary& bin, int window) {
   ds.appNames.push_back(bin.name);
   for (size_t f = 0; f < bin.funcs.size(); ++f) {
     const synth::FunctionCode& fn = bin.funcs[f];
-    // Explicit IR path (lower + block passes + graph recovery) — the same
-    // pipeline the loader primes via its decode cache, spelled out so the
-    // corpus extraction stays byte-identical with the analysis path.
-    ir::FunctionGraph g = ir::lower(fn.insns);
-    ir::runBlockPasses(g);
-    const dataflow::RecoveryResult rec = dataflow::recoverVariables(g);
+    const dataflow::RecoveryResult rec = dataflow::recoverVariables(fn.insns);
 
     // Ground-truth slot -> label map for scoring (kCount if unknown slot).
     std::unordered_map<int64_t, TypeLabel> slotLabel;

@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "common/obs.h"
-#include "ir/passes.h"
 
 namespace cati::dataflow {
 
@@ -116,9 +115,7 @@ std::optional<int64_t> rdxImmBefore(const FunctionGraph& g, uint32_t callIdx) {
 }  // namespace
 
 RecoveryResult recoverVariables(std::span<const Instruction> insns) {
-  FunctionGraph g = ir::lower(insns);
-  ir::runBlockPasses(g);
-  return recoverVariables(g);
+  return recoverVariables(ir::lower(insns));
 }
 
 RecoveryResult recoverVariables(const FunctionGraph& g) {

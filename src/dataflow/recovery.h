@@ -4,7 +4,7 @@
 //
 // Given one function's instructions and no debug info, the pass:
 //   1. lowers the stream into the typed IR (src/ir) — basic blocks, explicit
-//      defs/uses, frame-slot/memory effects — and runs the block passes;
+//      defs/uses, frame-slot/memory effects;
 //   2. collects every frame-slot access (including index-register array
 //      accesses, attributed to the base slot) and every address-taken slot;
 //   3. runs a worklist reaching-definitions analysis of frame-slot addresses
@@ -17,8 +17,6 @@
 //
 // The result is a set of recovered variables, each with the instruction
 // indices that operate it — exactly the grouping the VUC voting stage needs.
-// A separate binary-level pass (interproc.h) can then decorate recovered
-// parameters with pointer/width facts observed at direct call sites.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +34,6 @@ struct RecoveredVariable {
   int64_t offset = 0;          ///< frame-relative slot offset (base slot)
   bool addressTaken = false;   ///< a lea of this slot exists
   bool indexed = false;        ///< accessed with an index register (array)
-  bool paramPointer = false;   ///< interproc: every caller passes a frame address
-  uint8_t paramWidth = 0;      ///< interproc: agreed argument width in bytes
   std::vector<uint32_t> targetInsns;  ///< instruction indices operating it
 };
 
@@ -49,8 +45,8 @@ struct RecoveryResult {
 /// Recovers variables from one function body (lowers to IR internally).
 RecoveryResult recoverVariables(std::span<const asmx::Instruction> insns);
 
-/// Recovers variables from an already-lowered graph (block passes assumed
-/// run) — the path the loader's decode cache feeds.
+/// Recovers variables from an already-lowered graph — the path the loader's
+/// decode cache feeds.
 RecoveryResult recoverVariables(const ir::FunctionGraph& g);
 
 /// Accuracy of a recovery against the generator's ground truth.

@@ -47,7 +47,7 @@ class DecodeCache {
     std::vector<asmx::Instruction> insns;  ///< symbolized for the keyed table
     std::vector<uint64_t> insnAddrs;
     DiagList decodeDiags;  ///< decoder diagnostics, replayed on every hit
-    std::shared_ptr<const ir::FunctionGraph> graph;  ///< block passes run
+    std::shared_ptr<const ir::FunctionGraph> graph;  ///< lowered once
   };
 
   /// Read-only lookup (safe from parallel workers; no LRU mutation).

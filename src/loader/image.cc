@@ -12,7 +12,6 @@
 #include "common/obs.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
-#include "ir/passes.h"
 
 namespace cati::loader {
 
@@ -323,10 +322,8 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
               ins.ops[1] = asmx::Operand::func(sym->second->name);
             }
           }
-          auto g = std::make_shared<ir::FunctionGraph>(
+          fn.graph = std::make_shared<ir::FunctionGraph>(
               ir::lower(fn.insns, fn.insnAddrs));
-          ir::runBlockPasses(*g);
-          fn.graph = std::move(g);
           if (useCache) {
             auto entry = std::make_shared<DecodeCache::Entry>();
             entry->insns = fn.insns;

@@ -94,7 +94,7 @@ std::optional<Image> readFile(const std::filesystem::path& p,
 /// the function symbol and call instructions carry re-attached `<func>`
 /// operands; in a stripped image names are synthesized (`fun_401020`).
 /// Every function carries its per-instruction virtual addresses and the
-/// lowered FunctionGraph (block passes run) — shared by pointer, so a
+/// lowered FunctionGraph — shared by pointer, so a
 /// decode-cache hit costs no relowering.
 struct LoadedFunction {
   std::string name;

@@ -48,7 +48,6 @@ QWeights quantizeWeights(std::span<const float> w, std::span<const float> b,
       b.size() != static_cast<size_t>(outF)) {
     throw std::invalid_argument("quantizeWeights: bad weight shape");
   }
-  const int groups = kern::qGroups(inF);
   const int oPad = kern::qOutPad(outF);
   const size_t blockBytes = qBlockBytes(inF, outF);
 

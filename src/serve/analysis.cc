@@ -3,12 +3,12 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
 #include "common/errors.h"
 #include "common/obs.h"
-#include "dataflow/interproc.h"
 
 namespace cati::serve {
 
@@ -35,79 +35,16 @@ __attribute__((format(printf, 2, 3))) void appendf(std::string& out,
   out.append(big);
 }
 
-struct ReportStats {
-  size_t total = 0;
-  size_t withTruth = 0;
-  size_t correct = 0;
-};
-
-/// One function's section of the report: header, then one row per variable
-/// above the confidence floor, with ground truth when debug info survives.
-/// Must be called only when `vars` is non-empty (the header prints even if
-/// every variable is filtered out — the historical cati-infer behaviour).
-void appendFunctionReport(std::string& out, const loader::Image& img,
-                          const loader::LoadedFunction& fn,
-                          std::span<const AnalyzedVariable> vars,
-                          float confMin, ReportStats& stats) {
-  appendf(out, "%s:\n", fn.name.c_str());
-
-  // Ground truth by frame offset, when debug info survives.
-  std::unordered_map<int64_t, TypeLabel> truth;
-  if (img.debug) {
-    for (const debuginfo::FunctionDie& die : img.debug->functions) {
-      // Match by address range (lowPc is an instruction index in the
-      // original binary; match by name instead).
-      if (die.name != fn.name) continue;
-      for (const debuginfo::VariableDie& v : die.variables) {
-        const auto cls = debuginfo::classify(*img.debug, v.typeIndex);
-        if (cls) truth[v.frameOffset] = *cls;
-      }
-    }
-  }
-
-  for (const AnalyzedVariable& av : vars) {
-    if (av.confidence < confMin) continue;
-    ++stats.total;
-    const char* truthName = "";
-    const auto it = truth.find(av.location.offset);
-    if (it != truth.end()) {
-      ++stats.withTruth;
-      if (it->second == av.type) ++stats.correct;
-      truthName = typeName(it->second).data();
-    }
-    appendf(out, "  %s%+-6lld %-22s conf %.2f  (%zu VUCs)   %s\n",
-            av.location.rbpFrame ? "rbp" : "rsp",
-            static_cast<long long>(av.location.offset),
-            std::string(typeName(av.type)).c_str(), av.confidence, av.numVucs,
-            truthName);
-  }
-}
-
-void appendSummary(std::string& out, const ReportStats& stats, long timeoutMs,
-                   bool timedOut, size_t fnsDone, size_t fnsTotal,
-                   DiagList* diags) {
-  appendf(out, "\n%zu variables typed", stats.total);
-  if (stats.withTruth > 0) {
-    appendf(out, "; accuracy vs surviving debug info: %.1f%% (%zu/%zu)",
-            100.0 * static_cast<double>(stats.correct) /
-                static_cast<double>(stats.withTruth),
-            stats.correct, stats.withTruth);
-  }
-  if (timedOut) {
-    appendf(out, "; TIMEOUT after %ldms: %zu/%zu functions analyzed",
-            timeoutMs, fnsDone, fnsTotal);
-    addDiag(diags, Severity::Warning, DiagStage::Engine, 0,
-            "analysis deadline exceeded: partial results (" +
-                std::to_string(fnsDone) + "/" + std::to_string(fnsTotal) +
-                " functions)");
-  }
-  appendf(out, "\n");
-}
+// Function-aligned prediction chunk of the offline path: functions are
+// prepared until the chunk holds this many VUCs, then predicted in one call.
+// Large enough that predictVucs fans out over the pool, small enough that
+// the chunk's VUCs and probabilities stay a small share of peak memory.
+constexpr size_t kChunkVucs = 512;
 
 void addDegradedFnDiag(DiagList* diags, const loader::LoadedFunction& fn,
                        const std::exception& e) {
   // Per-function isolation: one poisoned function must not abort the
-  // binary. Record it and move on — same counter and text on both paths.
+  // binary. Record it and move on.
   obs::counter("engine.analyze.degraded").add();
   addDiag(diags, Severity::Warning, DiagStage::Engine, fn.addr,
           "function " + fn.name + " skipped (degraded): " + e.what());
@@ -129,126 +66,151 @@ std::vector<loader::LoadedFunction> disassembleFor(const loader::Image& img,
                          : loader::disassemble(img, diags);
 }
 
-/// Shared front half of both analysis paths: recover every function off its
-/// loader FunctionGraph (decode-cache hits skip relowering), then run the
-/// binary-level interprocedural pass so parameter hints decorate the
-/// recoveries before any per-function work begins.
-std::vector<dataflow::RecoveryResult> recoverAll(
-    const std::vector<loader::LoadedFunction>& fns) {
-  std::vector<dataflow::RecoveryResult> recs(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) {
-    recs[i] = fns[i].graph != nullptr
-                  ? dataflow::recoverVariables(*fns[i].graph)
-                  : dataflow::recoverVariables(fns[i].insns);
-  }
-  std::vector<dataflow::FunctionView> views(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) {
-    views[i] = {fns[i].name,      fns[i].addr,        fns[i].insns,
-                fns[i].insnAddrs, fns[i].graph.get(), &recs[i]};
-  }
-  dataflow::propagateCallFacts(views);
-  return recs;
-}
-
 }  // namespace
 
 AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
                            par::ThreadPool* pool, int batch,
                            const AnalyzeOptions& opts) {
-  AnalyzeResult res;
   if (opts.timeoutMs > 0) {
     engine.setDeadline(std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(opts.timeoutMs));
   }
-  const std::vector<loader::LoadedFunction> fns =
-      disassembleFor(img, res.diags, pool, opts.cache);
-  std::vector<dataflow::RecoveryResult> recs = recoverAll(fns);
-  ReportStats stats;
-  size_t fnsDone = 0;
+  ImageAnalysis analysis(img, pool, opts.confMin, opts.cache);
   bool timedOut = false;
-  for (size_t i = 0; i < fns.size(); ++i) {
-    const loader::LoadedFunction& fn = fns[i];
-    std::vector<AnalyzedVariable> vars;
+  try {
+    while (analysis.prepareChunk(engine, kChunkVucs)) {
+      const std::vector<corpus::Vuc>& vucs = analysis.vucs();
+      analysis.finishChunk(engine,
+                           vucs.empty() ? std::vector<StageProbs>{}
+                                        : engine.predictVucs(vucs, pool, batch));
+    }
+  } catch (const TimeoutError&) {
+    // Clean partial output: every finished chunk stays in the report.
+    timedOut = true;
+  }
+  engine.setDeadline(std::nullopt);
+  return std::move(analysis).result(timedOut, opts.timeoutMs);
+}
+
+ImageAnalysis::ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
+                             float confMin, loader::DecodeCache* cache)
+    : img_(img),
+      confMin_(confMin),
+      fns_(disassembleFor(img, res_.diags, pool, cache)) {}
+
+bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxVucs) {
+  if (next_ == fns_.size()) return false;
+  while (next_ < fns_.size() && vucs_.size() < maxVucs) {
+    const loader::LoadedFunction& fn = fns_[next_++];
+    dataflow::RecoveryResult rec = fn.graph != nullptr
+                                       ? dataflow::recoverVariables(*fn.graph)
+                                       : dataflow::recoverVariables(fn.insns);
+    PreparedFn& pf = chunk_.emplace_back();
     try {
-      vars = engine.analyzeFunction(fn.insns, std::move(recs[i]), pool, batch,
-                                    &res.diags);
+      pf.work = engine.prepareFunction(fn.insns, std::move(rec));
     } catch (const TimeoutError&) {
-      // Clean partial output: everything analyzed so far stays valid.
-      timedOut = true;
-      break;
+      throw;
     } catch (const std::exception& e) {
-      addDegradedFnDiag(&res.diags, fn, e);
+      addDegradedFnDiag(&pf.frag, fn, e);
       continue;
     }
-    ++fnsDone;
-    if (vars.empty()) continue;
-    appendFunctionReport(res.report, img, fn, vars, opts.confMin, stats);
+    // Moved, not copied: finishFunction reads only the count and the varIds
+    // of work.ds.vucs, which moved-from VUCs keep.
+    std::vector<corpus::Vuc>& own = pf.work->ds.vucs;
+    pf.vucBegin = vucs_.size();
+    vucs_.insert(vucs_.end(), std::make_move_iterator(own.begin()),
+                 std::make_move_iterator(own.end()));
+    pf.vucEnd = vucs_.size();
   }
-  appendSummary(res.report, stats, opts.timeoutMs, timedOut, fnsDone,
-                fns.size(), &res.diags);
-  engine.setDeadline(std::nullopt);
-  return res;
+  return true;
 }
 
-PreparedRequest::PreparedRequest(const Engine& engine, loader::Image img,
-                                 par::ThreadPool* pool, float confMin,
-                                 loader::DecodeCache* cache)
-    : img_(std::move(img)), confMin_(confMin) {
-  std::vector<loader::LoadedFunction> fns =
-      disassembleFor(img_, preDiags_, pool, cache);
-  std::vector<dataflow::RecoveryResult> recs = recoverAll(fns);
-  fns_.reserve(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) {
-    PreparedFn pf;
-    pf.fn = std::move(fns[i]);
-    try {
-      Engine::FunctionWork work =
-          engine.prepareFunction(pf.fn.insns, std::move(recs[i]));
-      pf.vucBegin = vucs_.size();
-      vucs_.insert(vucs_.end(), work.ds.vucs.begin(), work.ds.vucs.end());
-      pf.vucEnd = vucs_.size();
-      pf.work = std::move(work);
-    } catch (const std::exception& e) {
-      addDegradedFnDiag(&pf.frag, pf.fn, e);
-    }
-    fns_.push_back(std::move(pf));
-  }
-}
-
-AnalyzeResult PreparedRequest::finish(const Engine& engine,
-                                      std::span<const StageProbs> probs) const {
-  AnalyzeResult res;
-  res.diags = preDiags_;
-  ReportStats stats;
-  size_t fnsDone = 0;
-  for (const PreparedFn& pf : fns_) {
-    // Diagnostics assemble per function so a prepare-phase degradation in a
-    // later function cannot jump ahead of an earlier function's vote-phase
-    // diagnostics — the offline loop emits strictly in function order.
-    DiagList frag = pf.frag;
+void ImageAnalysis::finishChunk(const Engine& engine,
+                                std::span<const StageProbs> probs) {
+  const size_t first = next_ - chunk_.size();
+  for (size_t k = 0; k < chunk_.size(); ++k) {
+    PreparedFn& pf = chunk_[k];
+    const loader::LoadedFunction& fn = fns_[first + k];
     bool ok = pf.work.has_value();
     std::vector<AnalyzedVariable> vars;
     if (ok) {
       try {
         vars = engine.finishFunction(
             *pf.work, probs.subspan(pf.vucBegin, pf.vucEnd - pf.vucBegin),
-            &frag);
+            &pf.frag);
       } catch (const std::exception& e) {
         ok = false;
-        addDegradedFnDiag(&frag, pf.fn, e);
+        addDegradedFnDiag(&pf.frag, fn, e);
       }
     }
     if (ok) {
-      ++fnsDone;
-      if (!vars.empty()) {
-        appendFunctionReport(res.report, img_, pf.fn, vars, confMin_, stats);
+      ++fnsDone_;
+      if (!vars.empty()) render(fn, vars);
+    }
+    res_.diags.insert(res_.diags.end(), pf.frag.begin(), pf.frag.end());
+  }
+  chunk_.clear();
+  vucs_.clear();
+}
+
+void ImageAnalysis::render(const loader::LoadedFunction& fn,
+                           std::span<const AnalyzedVariable> vars) {
+  std::string& out = res_.report;
+  // The header prints even if every variable is filtered out — the
+  // historical cati-infer behaviour.
+  appendf(out, "%s:\n", fn.name.c_str());
+
+  // Ground truth by frame offset, when debug info survives.
+  std::unordered_map<int64_t, TypeLabel> truth;
+  if (img_.debug) {
+    for (const debuginfo::FunctionDie& die : img_.debug->functions) {
+      // Match by address range (lowPc is an instruction index in the
+      // original binary; match by name instead).
+      if (die.name != fn.name) continue;
+      for (const debuginfo::VariableDie& v : die.variables) {
+        const auto cls = debuginfo::classify(*img_.debug, v.typeIndex);
+        if (cls) truth[v.frameOffset] = *cls;
       }
     }
-    res.diags.insert(res.diags.end(), frag.begin(), frag.end());
   }
-  appendSummary(res.report, stats, /*timeoutMs=*/0, /*timedOut=*/false,
-                fnsDone, fns_.size(), nullptr);
-  return res;
+
+  for (const AnalyzedVariable& av : vars) {
+    if (av.confidence < confMin_) continue;
+    ++tally_.typed;
+    const char* truthName = "";
+    const auto it = truth.find(av.location.offset);
+    if (it != truth.end()) {
+      ++tally_.withTruth;
+      if (it->second == av.type) ++tally_.correct;
+      truthName = typeName(it->second).data();
+    }
+    appendf(out, "  %s%+-6lld %-22s conf %.2f  (%zu VUCs)   %s\n",
+            av.location.rbpFrame ? "rbp" : "rsp",
+            static_cast<long long>(av.location.offset),
+            std::string(typeName(av.type)).c_str(), av.confidence, av.numVucs,
+            truthName);
+  }
+}
+
+AnalyzeResult ImageAnalysis::result(bool timedOut, long timeoutMs) && {
+  std::string& out = res_.report;
+  appendf(out, "\n%zu variables typed", tally_.typed);
+  if (tally_.withTruth > 0) {
+    appendf(out, "; accuracy vs surviving debug info: %.1f%% (%zu/%zu)",
+            100.0 * static_cast<double>(tally_.correct) /
+                static_cast<double>(tally_.withTruth),
+            tally_.correct, tally_.withTruth);
+  }
+  if (timedOut) {
+    appendf(out, "; TIMEOUT after %ldms: %zu/%zu functions analyzed",
+            timeoutMs, fnsDone_, fns_.size());
+    addDiag(&res_.diags, Severity::Warning, DiagStage::Engine, 0,
+            "analysis deadline exceeded: partial results (" +
+                std::to_string(fnsDone_) + "/" + std::to_string(fns_.size()) +
+                " functions)");
+  }
+  appendf(out, "\n");
+  return std::move(res_);
 }
 
 }  // namespace cati::serve

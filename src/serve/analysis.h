@@ -1,26 +1,26 @@
 // Request-scoped analysis shared by cati-infer and cati-serve
-// (DESIGN.md §10). One renderer produces the typed-variable report for both
-// the offline tool and the daemon, which is what makes the serving
-// equivalence guarantee structural: there is no second formatting path to
-// drift.
+// (DESIGN.md §10). One analysis path and one renderer produce the
+// typed-variable report for both the offline tool and the daemon, which is
+// what makes the serving equivalence guarantee structural: there is no
+// second path to drift.
 //
-// Two entry points:
+// ImageAnalysis disassembles one image, then runs the engine's three phases
+// over function-aligned chunks: prepare (recovery + VUC extraction) for the
+// next functions in order, one predictVucs over the chunk's VUCs, then vote
+// and render those functions. CATI classifies every VUC on its own and joins
+// VUCs only when it votes per variable, and the batch-major kernels keep
+// per-sample accumulation order (DESIGN.md §7), so where a chunk starts
+// never changes a byte of output:
 //
-//   * analyzeImage — the offline path: the exact cati-infer loop (one
-//     analyzeFunction per function, per-function degradation, optional
-//     deadline with clean partial output). cati-infer prints the returned
-//     report verbatim.
-//
-//   * PreparedRequest — the serving path: phase 1 (recovery + VUC
-//     extraction) for every function of one request up front, exposing the
-//     concatenated VUCs so the daemon can run ONE batched predictVucs over
-//     many requests; phase 3 (voting + rendering) from this request's slice
-//     of the coalesced probabilities. Because the batch-major kernels
-//     preserve per-sample accumulation order (DESIGN.md §7), the slice is
-//     bit-identical to what per-function predicts would have produced, so
-//     finish() renders byte-identical output to analyzeImage.
+//   * analyzeImage (cati-infer) predicts in chunks of a fixed VUC count,
+//     which keeps the pool busy, bounds memory, and lets a deadline cut the
+//     report at a whole function;
+//   * the daemon (cati-serve) prepares each request as one chunk and
+//     concatenates the chunks of many requests into one predictVucs call.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -49,54 +49,77 @@ struct AnalyzeResult {
   DiagList diags;      ///< disassembly + degradation diagnostics, tool order
 };
 
-/// The full offline analysis of one image: disassemble, analyze every
-/// function (per-function isolation: a poisoned function degrades to a
-/// Warning diag), render the report. With timeoutMs > 0 a deadline is set on
-/// the engine and expiry yields clean partial output, exactly as cati-infer
-/// documents. The engine's deadline is cleared before returning.
+/// The full offline analysis of one image through ImageAnalysis, chunk by
+/// chunk. With timeoutMs > 0 a deadline is set on the engine; on expiry the
+/// report holds the functions of every finished chunk, closes with the
+/// TIMEOUT summary and carries a Warning diag. The engine's deadline is
+/// cleared before returning.
 AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
                            par::ThreadPool* pool, int batch,
                            const AnalyzeOptions& opts = {});
 
-class PreparedRequest {
+class ImageAnalysis {
  public:
-  /// Phase 1 for every function of `img`: disassemble (recovering, via
-  /// `pool`, through `cache` when given), recover every function off its
-  /// FunctionGraph, run the interprocedural call-fact pass over the whole
-  /// binary, then Engine::prepareFunction per function. A function whose
-  /// preparation throws degrades exactly like the offline loop (same diag
-  /// text, same engine.analyze.degraded counter) and contributes no VUCs.
-  PreparedRequest(const Engine& engine, loader::Image img,
-                  par::ThreadPool* pool, float confMin,
-                  loader::DecodeCache* cache = nullptr);
+  /// Disassembles `img` (recovering, via `pool`, through `cache` when
+  /// given). `img` must outlive this object.
+  ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
+                float confMin, loader::DecodeCache* cache = nullptr);
 
-  /// Every VUC of every surviving function, concatenated in function order —
-  /// the daemon's unit of cross-request coalescing.
+  /// Phase 1 for the next functions in order — recovery off the loader
+  /// FunctionGraph, then Engine::prepareFunction — until the chunk holds at
+  /// least `maxVucs` VUCs or no function is left; by default the chunk is
+  /// the rest of the image. Returns false when no function was left. A
+  /// function whose preparation throws degrades to a Warning diag plus the
+  /// engine.analyze.degraded counter and contributes no VUCs; a
+  /// TimeoutError propagates and stops the analysis.
+  bool prepareChunk(const Engine& engine,
+                    size_t maxVucs = std::numeric_limits<size_t>::max());
+
+  /// The chunk's VUCs, concatenated in function order.
   const std::vector<corpus::Vuc>& vucs() const { return vucs_; }
 
-  /// Phase 3: votes, per-variable degradation and report rendering from this
-  /// request's probabilities (probs.size() must equal vucs().size()).
-  /// Diagnostics are assembled in offline order: disassembly first, then
-  /// each function's fragment in function order regardless of which phase
-  /// produced it.
-  AnalyzeResult finish(const Engine& engine,
-                       std::span<const StageProbs> probs) const;
+  /// Phase 3 for the chunk from its probabilities (probs.size() must equal
+  /// vucs().size()): votes, per-variable degradation, report sections and
+  /// diagnostics in function order. Then drops the chunk.
+  void finishChunk(const Engine& engine, std::span<const StageProbs> probs);
+
+  /// The report of every finished function closed by the summary line, and
+  /// the diagnostics: disassembly first, then each function's in order.
+  /// With `timedOut` the summary reads `TIMEOUT after <timeoutMs>ms: k/N
+  /// functions analyzed` and a Warning diag says the same.
+  AnalyzeResult result(bool timedOut = false, long timeoutMs = 0) &&;
 
  private:
   struct PreparedFn {
-    loader::LoadedFunction fn;
     /// nullopt when preparation degraded (diag already in `frag`).
     std::optional<Engine::FunctionWork> work;
     size_t vucBegin = 0;
     size_t vucEnd = 0;
-    DiagList frag;  ///< this function's prepare-phase diagnostics
+    DiagList frag;  ///< this function's diagnostics, both phases
+  };
+  struct Tally {
+    size_t typed = 0;
+    size_t withTruth = 0;
+    size_t correct = 0;
   };
 
-  loader::Image img_;
+  /// One function's report section: header, then one row per variable
+  /// above the confidence floor, with ground truth when debug info survives.
+  void render(const loader::LoadedFunction& fn,
+              std::span<const AnalyzedVariable> vars);
+
+  const loader::Image& img_;
   float confMin_;
-  DiagList preDiags_;  ///< disassembly diagnostics
-  std::vector<PreparedFn> fns_;
+  /// Finished output so far; declared before fns_, whose initializer
+  /// writes the disassembly diagnostics into it.
+  AnalyzeResult res_;
+  std::vector<loader::LoadedFunction> fns_;
+  size_t next_ = 0;  ///< first function not yet prepared
+  /// Prepared, not yet finished: chunk_[k] is fns_[next_ - chunk_.size() + k].
+  std::vector<PreparedFn> chunk_;
   std::vector<corpus::Vuc> vucs_;
+  Tally tally_;
+  size_t fnsDone_ = 0;
 };
 
 }  // namespace cati::serve

@@ -348,10 +348,11 @@ void Server::processGroup(std::vector<Job>& group) {
                        encodeErrorReply(ErrorReply{code, msg}));
   };
 
-  // Phase 1 per job: cache lookup, decode, prepare. Misses record their
-  // slice of the coalesced VUC buffer.
+  // Phase 1 per job: cache lookup, decode, prepare the whole request as one
+  // chunk. Misses record their slice of the coalesced VUC buffer.
   std::vector<std::string> replies(group.size());
-  std::vector<std::optional<PreparedRequest>> preps(group.size());
+  std::vector<std::optional<loader::Image>> imgs(group.size());
+  std::vector<std::optional<ImageAnalysis>> preps(group.size());
   std::vector<DiagList> imgDiags(group.size());
   std::vector<size_t> sliceBegin(group.size(), 0);
   std::vector<corpus::Vuc> allVucs;
@@ -372,8 +373,8 @@ void Server::processGroup(std::vector<Job>& group) {
       continue;
     }
     std::istringstream is(req.image);
-    std::optional<loader::Image> img = loader::tryRead(is, imgDiags[i]);
-    if (!img) {
+    imgs[i] = loader::tryRead(is, imgDiags[i]);
+    if (!imgs[i]) {
       badReqs.add();
       std::ostringstream ds;
       print(imgDiags[i], ds);
@@ -382,8 +383,9 @@ void Server::processGroup(std::vector<Job>& group) {
       continue;
     }
     try {
-      preps[i].emplace(engine_, std::move(*img), &pool_, req.confMin,
+      preps[i].emplace(*imgs[i], &pool_, req.confMin,
                        decodeCache_ ? &*decodeCache_ : nullptr);
+      preps[i]->prepareChunk(engine_);
       sliceBegin[i] = allVucs.size();
       allVucs.insert(allVucs.end(), preps[i]->vucs().begin(),
                      preps[i]->vucs().end());
@@ -407,9 +409,10 @@ void Server::processGroup(std::vector<Job>& group) {
   for (size_t i = 0; i < group.size(); ++i) {
     if (!preps[i]) continue;
     try {
-      const AnalyzeResult result = preps[i]->finish(
-          engine_, std::span<const StageProbs>(probs).subspan(
-                       sliceBegin[i], preps[i]->vucs().size()));
+      preps[i]->finishChunk(engine_,
+                            std::span<const StageProbs>(probs).subspan(
+                                sliceBegin[i], preps[i]->vucs().size()));
+      const AnalyzeResult result = std::move(*preps[i]).result();
       // Validation diagnostics precede analysis diagnostics, exactly the
       // order the offline tool prints them in.
       std::ostringstream ds;

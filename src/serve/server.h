@@ -167,7 +167,7 @@ class Server {
   par::ThreadPool pool_;
   sock::Listener listener_;
   ResultCache cache_;
-  /// Owned by the server, threaded through every PreparedRequest of the
+  /// Owned by the server, threaded through every ImageAnalysis of the
   /// batch loop; nullopt when decodeCacheBytes == 0.
   std::optional<loader::DecodeCache> decodeCache_;
 

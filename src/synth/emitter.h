@@ -74,8 +74,7 @@ class Emitter {
     ins({std::string("j") + cc, asmx::Operand::addr(fakeAddr())});
   }
   void call(const std::string& name) {
-    ins({dialect_ == Dialect::Gcc ? "callq" : "callq",
-         asmx::Operand::addr(fakeAddr()), asmx::Operand::func(name)});
+    ins({"callq", asmx::Operand::addr(fakeAddr()), asmx::Operand::func(name)});
   }
   /// Dialect-specific register zeroing: GCC emits `movl $0x0,%r`, Clang
   /// emits `xorl %r,%r`.

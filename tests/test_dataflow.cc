@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "asmx/instruction.h"
-#include "dataflow/interproc.h"
 #include "ir/ir.h"
-#include "ir/passes.h"
 #include "synth/synth.h"
 
 namespace cati::dataflow {
@@ -179,56 +177,6 @@ TEST(Recovery, MemcpyExtentBoundsCoalescing) {
   EXPECT_EQ(r.vars[0].offset, 0x10);
   EXPECT_EQ(r.vars[0].targetInsns, (std::vector<uint32_t>{1, 4}));
   EXPECT_EQ(r.vars[1].offset, 0x20);
-}
-
-TEST(Interproc, CallSiteFactsReachCalleeParams) {
-  // Caller passes &local in rdi and a 4-byte load in esi; the callee spills
-  // both in its prologue. The binary-level pass must mark the rdi spill
-  // slot as a pointer parameter and record the esi width.
-  const auto callerInsns = listing(
-      "push %rbp\n"
-      "mov %rsp,%rbp\n"
-      "sub $0x20,%rsp\n"
-      "lea -0x18(%rbp),%rdi\n"
-      "mov -0x4(%rbp),%esi\n"
-      "callq 1100 <helper>\n"
-      "leave\n"
-      "ret\n");
-  const auto calleeInsns = listing(
-      "push %rbp\n"
-      "mov %rsp,%rbp\n"
-      "mov %rdi,-0x18(%rbp)\n"
-      "mov %esi,-0x1c(%rbp)\n"
-      "leave\n"
-      "ret\n");
-
-  ir::FunctionGraph callerG = ir::lower(callerInsns);
-  ir::runBlockPasses(callerG);
-  ir::FunctionGraph calleeG = ir::lower(calleeInsns);
-  ir::runBlockPasses(calleeG);
-  RecoveryResult callerRec = recoverVariables(callerG);
-  RecoveryResult calleeRec = recoverVariables(calleeG);
-
-  std::vector<FunctionView> fns(2);
-  fns[0] = {"main", 0x1000, callerInsns, {}, &callerG, &callerRec};
-  fns[1] = {"helper", 0x1100, calleeInsns, {}, &calleeG, &calleeRec};
-  const InterprocStats stats = propagateCallFacts(fns);
-  EXPECT_EQ(stats.callSites, 1U);
-  EXPECT_EQ(stats.resolvedSites, 1U);
-  EXPECT_EQ(stats.paramFacts, 2U);
-
-  const RecoveredVariable* ptrVar = nullptr;
-  const RecoveredVariable* widthVar = nullptr;
-  for (const RecoveredVariable& v : calleeRec.vars) {
-    if (v.offset == -0x18) ptrVar = &v;
-    if (v.offset == -0x1c) widthVar = &v;
-  }
-  ASSERT_NE(ptrVar, nullptr);
-  EXPECT_TRUE(ptrVar->paramPointer);
-  EXPECT_EQ(ptrVar->paramWidth, 8);
-  ASSERT_NE(widthVar, nullptr);
-  EXPECT_FALSE(widthVar->paramPointer);
-  EXPECT_EQ(widthVar->paramWidth, 4);
 }
 
 TEST(Recovery, EmptyFunction) {

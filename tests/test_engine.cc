@@ -211,11 +211,15 @@ TEST_F(EngineTest, SaveLoadPreservesPredictions) {
   }
 }
 
-TEST_F(EngineTest, AnalyzeFunctionEndToEnd) {
+TEST_F(EngineTest, AnalysisPhasesEndToEnd) {
+  // prepareFunction -> predictVucs -> finishFunction per function.
   const synth::Binary bin = synth::generateBinary(
       synth::defaultProfile("e2e", 0x5, 3), synth::Dialect::Gcc, 1, 77);
   for (const synth::FunctionCode& fn : bin.funcs) {
-    const auto vars = engine_->analyzeFunction(fn.insns);
+    const Engine::FunctionWork work = engine_->prepareFunction(
+        fn.insns, dataflow::recoverVariables(fn.insns));
+    const auto vars =
+        engine_->finishFunction(work, engine_->predictVucs(work.ds.vucs));
     EXPECT_FALSE(vars.empty());
     for (const AnalyzedVariable& av : vars) {
       EXPECT_GT(av.numVucs, 0U);

@@ -1,5 +1,6 @@
 // Seeded mutation-fuzz harness for the hostile-input contract: no byte
-// sequence may crash the loader -> decoder -> recovery -> engine path.
+// sequence may crash the loader -> decoder -> recovery -> engine path, driven
+// through serve::analyzeImage, the analysis entry point both tools run.
 // Synth-generated images are mutated (bit flips, truncations, splices,
 // garbage blocks) at two levels — the serialized container and the
 // in-memory structure — and the full pipeline must return diagnostics,
@@ -19,7 +20,9 @@
 #include "cati/engine.h"
 #include "common/rng.h"
 #include "corpus/corpus.h"
+#include "loader/cache.h"
 #include "loader/image.h"
+#include "serve/analysis.h"
 #include "support/env.h"
 #include "synth/synth.h"
 
@@ -113,20 +116,22 @@ class FuzzTest : public ::testing::Test {
     cfg.maxTrainPerStage = 300;
     engine_ = new Engine(cfg);
     engine_->train(corpus::extractAll(bins, cfg.window));
+    cache_ = new loader::DecodeCache();
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete engine_;
     delete images_;
     delete bytes_;
     engine_ = nullptr;
+    cache_ = nullptr;
     images_ = nullptr;
     bytes_ = nullptr;
   }
 
   /// The contract under test: load, disassemble, recover and analyze must
   /// be total. Any exception escaping here fails the test with the seed.
-  static void runPipeline(const std::string& bytes, uint64_t seed,
-                          int maxAnalyzedFns) {
+  static void runPipeline(const std::string& bytes, uint64_t seed) {
     DiagList diags;
     std::istringstream is(bytes);
     const auto img = loader::tryRead(is, diags);
@@ -134,30 +139,31 @@ class FuzzTest : public ::testing::Test {
       EXPECT_TRUE(hasErrors(diags)) << "seed " << seed;
       return;
     }
-    analyzeImage(*img, seed, maxAnalyzedFns);
+    analyze(*img, seed);
   }
 
-  static void analyzeImage(const loader::Image& img, uint64_t seed,
-                           int maxAnalyzedFns) {
-    DiagList diags;
-    int analyzed = 0;
-    for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
-      if (analyzed++ >= maxAnalyzedFns) break;
-      const auto vars = engine_->analyzeFunction(fn.insns);
-      for (const AnalyzedVariable& av : vars) {
-        EXPECT_GE(av.confidence, 0.0F) << "seed " << seed;
-      }
-    }
+  /// The entry point both tools run (cati-infer per image, cati-serve per
+  /// request), through a decode cache shared across iterations the way the
+  /// daemon shares one across requests.
+  static void analyze(const loader::Image& img, uint64_t seed) {
+    serve::AnalyzeOptions opts;
+    opts.cache = cache_;
+    const serve::AnalyzeResult res =
+        serve::analyzeImage(*engine_, img, nullptr, 0, opts);
+    EXPECT_NE(res.report.find(" variables typed"), std::string::npos)
+        << "seed " << seed;
   }
 
   static std::vector<loader::Image>* images_;
   static std::vector<std::string>* bytes_;
   static Engine* engine_;
+  static loader::DecodeCache* cache_;
 };
 
 std::vector<loader::Image>* FuzzTest::images_ = nullptr;
 std::vector<std::string>* FuzzTest::bytes_ = nullptr;
 Engine* FuzzTest::engine_ = nullptr;
+loader::DecodeCache* FuzzTest::cache_ = nullptr;
 
 TEST_F(FuzzTest, MutatedContainerBytes) {
   const int iters = scaledIters(6000);
@@ -166,7 +172,7 @@ TEST_F(FuzzTest, MutatedContainerBytes) {
     const std::string& base = (*bytes_)[static_cast<size_t>(i) %
                                         bytes_->size()];
     const std::string m = mutateBytes(base, rng);
-    ASSERT_NO_FATAL_FAILURE(runPipeline(m, rng.next(), /*maxAnalyzedFns=*/2))
+    ASSERT_NO_FATAL_FAILURE(runPipeline(m, rng.next()))
         << "iteration " << i;
   }
 }
@@ -222,8 +228,7 @@ TEST_F(FuzzTest, MutatedImageStructure) {
     }
     DiagList diags;
     loader::validate(img, diags);  // must be total too
-    ASSERT_NO_FATAL_FAILURE(analyzeImage(img, rng.next(),
-                                         /*maxAnalyzedFns=*/2))
+    ASSERT_NO_FATAL_FAILURE(analyze(img, rng.next()))
         << "iteration " << i;
   }
 }
@@ -234,7 +239,7 @@ TEST_F(FuzzTest, RandomBytesNeverCrash) {
   for (int i = 0; i < iters; ++i) {
     std::string buf(static_cast<size_t>(rng.uniformInt(0, 4096)), '\0');
     for (char& c : buf) c = static_cast<char>(rng.uniformInt(0, 255));
-    ASSERT_NO_FATAL_FAILURE(runPipeline(buf, rng.next(), 2))
+    ASSERT_NO_FATAL_FAILURE(runPipeline(buf, rng.next()))
         << "iteration " << i;
   }
 }

@@ -146,12 +146,14 @@ TEST_F(Pipeline, CrossCompilerTransferDegradesGracefully) {
 }
 
 TEST_F(Pipeline, EndToEndMatchesManualPipeline) {
-  // analyzeFunction must agree with manually running recovery + extraction
-  // + predict + vote.
+  // The three analysis phases type exactly the recovered variables that
+  // own at least one VUC.
   const synth::FunctionCode& fn = testBin_->funcs[0];
-  const auto analyzed = engine_->analyzeFunction(fn.insns);
-
   const dataflow::RecoveryResult rec = dataflow::recoverVariables(fn.insns);
+  const Engine::FunctionWork work = engine_->prepareFunction(fn.insns, rec);
+  const auto analyzed =
+      engine_->finishFunction(work, engine_->predictVucs(work.ds.vucs));
+
   ASSERT_EQ(analyzed.size(),
             std::count_if(rec.vars.begin(), rec.vars.end(),
                           [](const auto& rv) {

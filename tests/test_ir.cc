@@ -1,7 +1,6 @@
 // Tests for the typed IR: per-op def/use lowering (including the push/pop
 // semantics the old dataflow got wrong), basic-block construction with
-// jump-target resolution, barrier blocks for quarantined bytes, and the
-// block-local optimizer passes.
+// jump-target resolution and barrier blocks for quarantined bytes.
 #include "ir/ir.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 
 #include "asmx/instruction.h"
 #include "ir/emitter.h"
-#include "ir/passes.h"
 #include "synth/synth.h"
 
 namespace cati::ir {
@@ -251,50 +249,6 @@ TEST(Cfg, EdgesAreSymmetricOnSynthBinaries) {
     }
     EXPECT_EQ(covered, g.ops.size());
   }
-}
-
-// --- block passes ----------------------------------------------------------
-
-TEST(Passes, CopyPropagationRewritesIndirectToSlot) {
-  // lea puts &slot8 in rax; the copy moves it to rbx; the deref through rbx
-  // must be rewritten to a frame-slot effect by propagateCopies.
-  FunctionGraph g = lower(listing(
-      "sub $0x20,%rsp\n"
-      "lea 0x8(%rsp),%rax\n"
-      "mov %rax,%rbx\n"
-      "mov (%rbx),%ecx\n"
-      "ret\n"));
-  runBlockPasses(g);
-  EXPECT_EQ(g.ops[3].mem.kind, MemEffect::Kind::kFrameSlot);
-  EXPECT_EQ(g.ops[3].mem.slot, 0x8);
-}
-
-TEST(Passes, DeadTrackEliminationClearsUnusedLea) {
-  // rax is overwritten before any use: the lea's tracking is dead weight
-  // and must be cleared (the slot itself stays address-taken via MemEffect).
-  FunctionGraph g = lower(listing(
-      "sub $0x20,%rsp\n"
-      "lea 0x8(%rsp),%rax\n"
-      "mov $0x1,%eax\n"
-      "ret\n"));
-  runBlockPasses(g);
-  EXPECT_FALSE(g.ops[1].tracksSlot);
-  EXPECT_EQ(g.ops[1].mem.kind, MemEffect::Kind::kFrameSlot);
-}
-
-TEST(Passes, TrackingLivesAcrossBlockExit) {
-  // The lea's value escapes into another block: liveness at block exit is
-  // conservative (everything live), so the tracking must survive.
-  const auto insns = listing(
-      "sub $0x20,%rsp\n"      // 0x1000
-      "lea 0x8(%rsp),%rax\n"  // 0x1008
-      "je 1020\n"             // 0x1010
-      "mov (%rax),%ecx\n"     // 0x1018
-      "ret\n");               // 0x1020
-  const std::vector<uint64_t> addrs{0x1000, 0x1008, 0x1010, 0x1018, 0x1020};
-  FunctionGraph g = lower(insns, addrs);
-  runBlockPasses(g);
-  EXPECT_TRUE(g.ops[1].tracksSlot);
 }
 
 // --- emitter ---------------------------------------------------------------

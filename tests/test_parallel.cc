@@ -22,6 +22,8 @@
 #include "common/obs.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "loader/image.h"
+#include "serve/analysis.h"
 #include "support/micro_model.h"
 
 namespace cati {
@@ -254,20 +256,18 @@ TEST(JobsInvariance, ModelPredictionAndVoteBytesIdenticalAcrossJobs) {
     EXPECT_TRUE(da.stageClass == db.stageClass) << "var " << v;
   }
 
-  // End-to-end analyze path (recovery + extraction + predict + vote).
+  // End-to-end analysis path (disassembly + recovery + extraction + chunked
+  // predict + vote + render): the report bytes do not depend on the pool.
   const auto bins = testsupport::microBinaries();
   ASSERT_FALSE(bins.empty());
-  ASSERT_FALSE(bins[0].funcs.empty());
-  const auto& insns = bins[0].funcs[0].insns;
-  const auto varsSerial = engine.analyzeFunction(insns);
-  const auto varsPool = engine.analyzeFunction(insns, &pool);
-  ASSERT_EQ(varsSerial.size(), varsPool.size());
-  for (size_t i = 0; i < varsSerial.size(); ++i) {
-    EXPECT_EQ(varsSerial[i].type, varsPool[i].type) << "variable " << i;
-    EXPECT_EQ(varsSerial[i].confidence, varsPool[i].confidence)
-        << "variable " << i;
-    EXPECT_EQ(varsSerial[i].numVucs, varsPool[i].numVucs) << "variable " << i;
-  }
+  loader::Image img = loader::buildImage(bins[0]);
+  loader::strip(img);
+  const serve::AnalyzeResult serial =
+      serve::analyzeImage(engine, img, nullptr, 0);
+  const serve::AnalyzeResult pooled = serve::analyzeImage(engine, img, &pool, 0);
+  EXPECT_NE(serial.report.find("variables typed"), std::string::npos);
+  EXPECT_EQ(serial.report, pooled.report);
+  EXPECT_EQ(serial.diags.size(), pooled.diags.size());
 }
 
 TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
