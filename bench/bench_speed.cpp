@@ -297,6 +297,84 @@ BENCHMARK(BM_PredictBatchSizeQuant)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// One layer of a Stage 1 net shaped like the engine's (makeCnn with the
+// default EngineConfig), forward at batch 32 on one thread, input = the
+// previous layer's output on uniform [-1, 1) samples. GMAC/s counts the
+// layer's multiply-adds, so the rows read as a per-layer ledger of the fp32
+// forward (pooling and ReLU rows report time only).
+struct StageLayers {
+  static constexpr int kBatch = 32;
+  nn::Sequential net;
+  std::vector<std::vector<float>> acts;  // acts[i] = input of layer i
+  std::vector<double> macs;              // per sample
+  std::vector<std::string> names;
+
+  StageLayers() : net(makeNet()) {
+    nn::Shape s = net.inShape();
+    acts.emplace_back(static_cast<size_t>(kBatch) * s.size());
+    Rng rng(0x1A7E);
+    for (float& v : acts.back()) {
+      v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    int conv = 0, fc = 0, pool = 0, relu = 0;
+    for (size_t i = 0; i < net.numLayers(); ++i) {
+      const nn::Layer& l = net.layer(i);
+      const nn::Shape o = l.outShape(s);
+      double m = 0;
+      std::string name = l.kind();
+      if (const auto* c = dynamic_cast<const nn::Conv1d*>(&l)) {
+        m = static_cast<double>(c->inC()) * c->outC() * c->kernel() * o.l;
+        name = "conv" + std::to_string(++conv);
+      } else if (const auto* f = dynamic_cast<const nn::Linear*>(&l)) {
+        m = static_cast<double>(f->inF()) * f->outF();
+        name = "fc" + std::to_string(++fc);
+      } else if (name == "maxpool1d") {
+        name = "pool" + std::to_string(++pool);
+      } else if (name == "relu") {
+        name = "relu" + std::to_string(++relu);
+      }
+      macs.push_back(m);
+      names.push_back(name);
+      nn::LayerScratch ls;
+      acts.emplace_back(static_cast<size_t>(kBatch) * o.size());
+      l.forward(acts[i], acts[i + 1], kBatch, ls, nn::Phase::kInfer);
+      s = o;
+    }
+  }
+
+  static nn::Sequential makeNet() {
+    const EngineConfig cfg;
+    Rng rng(0x57A6E);
+    return nn::makeCnn({3 * cfg.w2v.dim, 2 * cfg.window + 1}, cfg.conv1,
+                       cfg.conv2, cfg.fcHidden, numClasses(Stage::S1),
+                       cfg.dropout, rng);
+  }
+};
+
+StageLayers& stageLayers() {
+  static StageLayers s;
+  return s;
+}
+
+void BM_StageLayerForward(benchmark::State& state, size_t i) {
+  StageLayers& st = stageLayers();
+  const nn::Layer& l = st.net.layer(i);
+  nn::LayerScratch ls;
+  std::vector<float>& out = st.acts[i + 1];
+  for (auto _ : state) {
+    l.forward(st.acts[i], out, StageLayers::kBatch, ls, nn::Phase::kInfer);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(StageLayers::kBatch * state.iterations());
+  if (st.macs[i] > 0) {
+    state.counters["GMAC/s"] = benchmark::Counter(
+        st.macs[i] * StageLayers::kBatch * 1e-9 *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+  }
+}
+
 void BM_ModelLoad(benchmark::State& state) {
   // Cold-start cost of Engine::loadFile. arg0 picks the container (0: fp32
   // CENG, 1: quantized CQNT), arg1 the mode (0: stream — every byte read
@@ -518,6 +596,14 @@ int main(int argc, char** argv) {
   // from different kernels must never be compared without checking this.
   benchmark::AddCustomContext(
       "cati_kernel", std::string(cati::cpu::isaName(cati::cpu::active())));
+  // BM_StageLayerForward/<layer>: one row per layer of a stage net.
+  StageLayers& st = stageLayers();
+  for (size_t i = 0; i < st.net.numLayers(); ++i) {
+    benchmark::RegisterBenchmark(
+        ("BM_StageLayerForward/" + st.names[i]).c_str(),
+        BM_StageLayerForward, i)
+        ->Unit(benchmark::kMicrosecond);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace cati::nn::kern {
 
@@ -106,49 +107,127 @@ void qgemvScalar(const int8_t* w, const int32_t* /*rowSum*/, const int8_t* x,
 
 // --- AVX2 + FMA --------------------------------------------------------------
 
+// One ymm holds one time step of a lane group. A conv tile keeps
+// kConvOutAvx2 output channels x kConvStepsAvx2 time steps of accumulators
+// in registers (12 of the 16 ymm) and runs every (c, kk) tap over them, so
+// each input vector is loaded once per tile instead of once per output.
+constexpr int kConvOutAvx2 = 2;
+constexpr int kConvStepsAvx2 = 6;
+
+/// OB output channels from o0, time steps [t0, t0 + kConvStepsAvx2). An
+/// edge tile (a tap falls outside [0, len), or the tile runs past len)
+/// does not issue the out-of-range taps at all and stores only t < len;
+/// an interior tile needs no checks.
+template <int OB, bool kEdge>
+__attribute__((target("avx2,fma"))) void convTileAvx2(
+    const float* w, const float* bias, const float* x, float* y, int inC,
+    int k, int len, int o0, int t0) {
+  constexpr int TT = kConvStepsAvx2;
+  const int pad = k / 2;
+  const size_t wStride = static_cast<size_t>(inC) * k;
+  const size_t plane = static_cast<size_t>(len) * kLane;
+  __m256 acc[OB][TT];
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    const __m256 vb = _mm256_set1_ps(bias[o0 + o]);
+#pragma GCC unroll 8
+    for (int j = 0; j < TT; ++j) acc[o][j] = vb;
+  }
+  const float* wo = w + static_cast<size_t>(o0) * wStride;
+  for (int c = 0; c < inC; ++c) {
+    const float* xc = x + static_cast<size_t>(c) * plane;
+    const float* wc = wo + static_cast<size_t>(c) * k;
+    for (int kk = 0; kk < k; ++kk) {
+      const int shift = kk - pad;
+      __m256 wv[OB];
+#pragma GCC unroll 8
+      for (int o = 0; o < OB; ++o) {
+        wv[o] =
+            _mm256_broadcast_ss(wc + static_cast<size_t>(o) * wStride + kk);
+      }
+#pragma GCC unroll 8
+      for (int j = 0; j < TT; ++j) {
+        const int src = t0 + j + shift;
+        if (kEdge && (t0 + j >= len || src < 0 || src >= len)) continue;
+        const __m256 xv =
+            _mm256_loadu_ps(xc + static_cast<ptrdiff_t>(src) * kLane);
+#pragma GCC unroll 8
+        for (int o = 0; o < OB; ++o) {
+          acc[o][j] = _mm256_fmadd_ps(wv[o], xv, acc[o][j]);
+        }
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    float* yo = y + static_cast<size_t>(o0 + o) * plane;
+#pragma GCC unroll 8
+    for (int j = 0; j < TT; ++j) {
+      if (kEdge && t0 + j >= len) continue;
+      _mm256_storeu_ps(yo + static_cast<size_t>(t0 + j) * kLane, acc[o][j]);
+    }
+  }
+}
+
+template <int OB>
+__attribute__((target("avx2,fma"))) void convBlockAvx2(
+    const float* w, const float* bias, const float* x, float* y, int inC,
+    int k, int len, int o0) {
+  const int pad = k / 2;
+  for (int t0 = 0; t0 < len; t0 += kConvStepsAvx2) {
+    const bool interior = t0 - pad >= 0 &&
+                          t0 + kConvStepsAvx2 - 1 + (k - 1 - pad) < len;
+    if (interior) {
+      convTileAvx2<OB, false>(w, bias, x, y, inC, k, len, o0, t0);
+    } else {
+      convTileAvx2<OB, true>(w, bias, x, y, inC, k, len, o0, t0);
+    }
+  }
+}
+
 __attribute__((target("avx2,fma"))) void convLaneAvx2(
     const float* w, const float* bias, const float* x, float* y, int inC,
     int outC, int k, int len) {
-  const int pad = k / 2;
-  for (int o = 0; o < outC; ++o) {
-    const float* wRow = w + static_cast<size_t>(o) * inC * k;
-    float* yRow = y + static_cast<size_t>(o) * len * kLane;
-    const __m256 vb = _mm256_set1_ps(bias[o]);
-    const int fillN = len * kLane;
-    int i = 0;
-    for (; i + 8 <= fillN; i += 8) _mm256_storeu_ps(yRow + i, vb);
-    for (; i < fillN; ++i) yRow[i] = bias[o];
-    for (int c = 0; c < inC; ++c) {
-      const float* xRow = x + static_cast<size_t>(c) * len * kLane;
-      const float* wk = wRow + static_cast<size_t>(c) * k;
-      for (int kk = 0; kk < k; ++kk) {
-        const float wv = wk[kk];
-        const int shift = kk - pad;
-        const int lo = shift < 0 ? -shift : 0;
-        const int hi = shift > 0 ? len - shift : len;
-        float* yp = yRow + static_cast<size_t>(lo) * kLane;
-        const float* xp = xRow + static_cast<size_t>(lo + shift) * kLane;
-        const int cnt = (hi - lo) * kLane;
-        const __m256 vw = _mm256_set1_ps(wv);
-        int j = 0;
-        for (; j + 16 <= cnt; j += 16) {
-          const __m256 y0 =
-              _mm256_fmadd_ps(vw, _mm256_loadu_ps(xp + j),
-                              _mm256_loadu_ps(yp + j));
-          const __m256 y1 =
-              _mm256_fmadd_ps(vw, _mm256_loadu_ps(xp + j + 8),
-                              _mm256_loadu_ps(yp + j + 8));
-          _mm256_storeu_ps(yp + j, y0);
-          _mm256_storeu_ps(yp + j + 8, y1);
-        }
-        for (; j + 8 <= cnt; j += 8) {
-          _mm256_storeu_ps(
-              yp + j, _mm256_fmadd_ps(vw, _mm256_loadu_ps(xp + j),
-                                      _mm256_loadu_ps(yp + j)));
-        }
-        for (; j < cnt; ++j) yp[j] = std::fmaf(wv, xp[j], yp[j]);
-      }
+  int o0 = 0;
+  for (; o0 + kConvOutAvx2 <= outC; o0 += kConvOutAvx2) {
+    convBlockAvx2<kConvOutAvx2>(w, bias, x, y, inC, k, len, o0);
+  }
+  for (; o0 < outC; ++o0) convBlockAvx2<1>(w, bias, x, y, inC, k, len, o0);
+}
+
+/// OB outputs from o0 in one pass over x: OB independent accumulator
+/// chains, each in the contract's order (mul-then-add head, fused tail).
+template <int OB>
+__attribute__((target("avx2,fma"))) void denseBlockAvx2(
+    const float* w, const float* bias, const float* x, float* y, int inF,
+    int o0) {
+  const int head = inF - (inF % 4);
+  const float* wo = w + static_cast<size_t>(o0) * inF;
+  __m256 acc[OB];
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) acc[o] = _mm256_set1_ps(bias[o0 + o]);
+  int i = 0;
+  for (; i < head; ++i) {
+    const __m256 xv = _mm256_loadu_ps(x + static_cast<size_t>(i) * kLane);
+#pragma GCC unroll 8
+    for (int o = 0; o < OB; ++o) {
+      const __m256 wv =
+          _mm256_broadcast_ss(wo + static_cast<size_t>(o) * inF + i);
+      acc[o] = _mm256_add_ps(acc[o], _mm256_mul_ps(wv, xv));
     }
+  }
+  for (; i < inF; ++i) {
+    const __m256 xv = _mm256_loadu_ps(x + static_cast<size_t>(i) * kLane);
+#pragma GCC unroll 8
+    for (int o = 0; o < OB; ++o) {
+      const __m256 wv =
+          _mm256_broadcast_ss(wo + static_cast<size_t>(o) * inF + i);
+      acc[o] = _mm256_fmadd_ps(wv, xv, acc[o]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    _mm256_storeu_ps(y + static_cast<size_t>(o0 + o) * kLane, acc[o]);
   }
 }
 
@@ -156,40 +235,19 @@ __attribute__((target("avx2,fma"))) void denseLaneAvx2(
     const float* w, const float* bias, const float* x, float* y, int inF,
     int outF) {
   static_assert(kLane == 8, "denseLaneAvx2 assumes one __m256 per lane group");
-  const int head = inF - (inF % 4);
-  int o = 0;
-  for (; o + 2 <= outF; o += 2) {
-    const float* w0 = w + static_cast<size_t>(o) * inF;
-    const float* w1 = w0 + inF;
-    __m256 a0 = _mm256_set1_ps(bias[o]);
-    __m256 a1 = _mm256_set1_ps(bias[o + 1]);
-    int i = 0;
-    for (; i < head; ++i) {
-      const __m256 xv = _mm256_loadu_ps(x + static_cast<size_t>(i) * kLane);
-      a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(w0[i]), xv));
-      a1 = _mm256_add_ps(a1, _mm256_mul_ps(_mm256_set1_ps(w1[i]), xv));
-    }
-    for (; i < inF; ++i) {
-      const __m256 xv = _mm256_loadu_ps(x + static_cast<size_t>(i) * kLane);
-      a0 = _mm256_fmadd_ps(_mm256_set1_ps(w0[i]), xv, a0);
-      a1 = _mm256_fmadd_ps(_mm256_set1_ps(w1[i]), xv, a1);
-    }
-    _mm256_storeu_ps(y + static_cast<size_t>(o) * kLane, a0);
-    _mm256_storeu_ps(y + static_cast<size_t>(o + 1) * kLane, a1);
-  }
-  for (; o < outF; ++o) {
-    const float* w0 = w + static_cast<size_t>(o) * inF;
-    __m256 a0 = _mm256_set1_ps(bias[o]);
-    int i = 0;
-    for (; i < head; ++i) {
-      const __m256 xv = _mm256_loadu_ps(x + static_cast<size_t>(i) * kLane);
-      a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(w0[i]), xv));
-    }
-    for (; i < inF; ++i) {
-      const __m256 xv = _mm256_loadu_ps(x + static_cast<size_t>(i) * kLane);
-      a0 = _mm256_fmadd_ps(_mm256_set1_ps(w0[i]), xv, a0);
-    }
-    _mm256_storeu_ps(y + static_cast<size_t>(o) * kLane, a0);
+  // Eight chains hide the add latency; the remainder runs as ONE pass of
+  // outF % 8 chains, so a small head (fc2: 2-9 classes) is one or two passes.
+  int o0 = 0;
+  for (; o0 + 8 <= outF; o0 += 8) denseBlockAvx2<8>(w, bias, x, y, inF, o0);
+  switch (outF - o0) {
+    case 7: denseBlockAvx2<7>(w, bias, x, y, inF, o0); break;
+    case 6: denseBlockAvx2<6>(w, bias, x, y, inF, o0); break;
+    case 5: denseBlockAvx2<5>(w, bias, x, y, inF, o0); break;
+    case 4: denseBlockAvx2<4>(w, bias, x, y, inF, o0); break;
+    case 3: denseBlockAvx2<3>(w, bias, x, y, inF, o0); break;
+    case 2: denseBlockAvx2<2>(w, bias, x, y, inF, o0); break;
+    case 1: denseBlockAvx2<1>(w, bias, x, y, inF, o0); break;
+    default: break;
   }
 }
 
@@ -266,62 +324,124 @@ __attribute__((target("avx2"))) void qgemvAvx2(const int8_t* w,
 }
 
 // --- AVX-512 (F+BW+DQ+VL+VNNI) ----------------------------------------------
+// The target lists name every ISA extension the function body uses, so each
+// variant compiles at any optimization level and -march (the baseline build
+// flags add nothing these functions depend on).
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
-convLaneAvx512(const float* w, const float* bias, const float* x, float* y,
-               int inC, int outC, int k, int len) {
+#define CATI_TARGET_AVX512 \
+  __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+#define CATI_TARGET_AVX512_VNNI \
+  __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,avx512vnni")))
+
+// One zmm holds two consecutive time steps of a lane group. A conv tile keeps
+// kConvOutAvx512 output channels x kConvVecsAvx512 zmm (12 time steps) of
+// accumulators in registers (24 of the 32 zmm).
+constexpr int kConvOutAvx512 = 4;
+constexpr int kConvVecsAvx512 = 6;
+constexpr int kStepsPerZmm = 16 / kLane;
+
+/// OB output channels from o0 over the time tile starting at t0. `mask` is
+/// the tile's tap-mask table: row kk (< k) enables, per zmm and per time
+/// step, the taps whose input index lies in [0, len) for an output t < len;
+/// row k enables the stores (t < len). Masked-off taps are not issued: the
+/// load and the FMA both leave their lanes untouched.
+template <int OB>
+CATI_TARGET_AVX512 void convTileAvx512(const float* w, const float* bias,
+                                       const float* x, float* y, int inC,
+                                       int k, int len, int o0, int t0,
+                                       const __mmask16* mask) {
+  constexpr int TV = kConvVecsAvx512;
   const int pad = k / 2;
-  for (int o = 0; o < outC; ++o) {
-    const float* wRow = w + static_cast<size_t>(o) * inC * k;
-    float* yRow = y + static_cast<size_t>(o) * len * kLane;
-    const __m512 vb = _mm512_set1_ps(bias[o]);
-    const int fillN = len * kLane;
-    int i = 0;
-    for (; i + 16 <= fillN; i += 16) _mm512_storeu_ps(yRow + i, vb);
-    for (; i < fillN; ++i) yRow[i] = bias[o];
-    for (int c = 0; c < inC; ++c) {
-      const float* xRow = x + static_cast<size_t>(c) * len * kLane;
-      const float* wk = wRow + static_cast<size_t>(c) * k;
-      for (int kk = 0; kk < k; ++kk) {
-        const float wv = wk[kk];
-        const int shift = kk - pad;
-        const int lo = shift < 0 ? -shift : 0;
-        const int hi = shift > 0 ? len - shift : len;
-        float* yp = yRow + static_cast<size_t>(lo) * kLane;
-        const float* xp = xRow + static_cast<size_t>(lo + shift) * kLane;
-        const int cnt = (hi - lo) * kLane;
-        const __m512 vw = _mm512_set1_ps(wv);
-        int j = 0;
-        for (; j + 32 <= cnt; j += 32) {
-          const __m512 y0 =
-              _mm512_fmadd_ps(vw, _mm512_loadu_ps(xp + j),
-                              _mm512_loadu_ps(yp + j));
-          const __m512 y1 =
-              _mm512_fmadd_ps(vw, _mm512_loadu_ps(xp + j + 16),
-                              _mm512_loadu_ps(yp + j + 16));
-          _mm512_storeu_ps(yp + j, y0);
-          _mm512_storeu_ps(yp + j + 16, y1);
-        }
-        for (; j + 16 <= cnt; j += 16) {
-          _mm512_storeu_ps(
-              yp + j, _mm512_fmadd_ps(vw, _mm512_loadu_ps(xp + j),
-                                      _mm512_loadu_ps(yp + j)));
-        }
-        if (j + 8 <= cnt) {
-          const __m256 vw8 = _mm256_set1_ps(wv);
-          _mm256_storeu_ps(
-              yp + j, _mm256_fmadd_ps(vw8, _mm256_loadu_ps(xp + j),
-                                      _mm256_loadu_ps(yp + j)));
-          j += 8;
-        }
-        for (; j < cnt; ++j) yp[j] = std::fmaf(wv, xp[j], yp[j]);
+  const size_t wStride = static_cast<size_t>(inC) * k;
+  const size_t plane = static_cast<size_t>(len) * kLane;
+  __m512 acc[OB][TV];
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    const __m512 vb = _mm512_set1_ps(bias[o0 + o]);
+#pragma GCC unroll 8
+    for (int j = 0; j < TV; ++j) acc[o][j] = vb;
+  }
+  const float* wo = w + static_cast<size_t>(o0) * wStride;
+  // Input rows are addressed as integers: a border tap's zmm can start
+  // before the pack (first channel) or end past it (last channel). Only
+  // masked-off lanes lie outside, and a masked load never touches them.
+  const auto xBase = reinterpret_cast<uintptr_t>(x);
+  for (int c = 0; c < inC; ++c) {
+    const float* wc = wo + static_cast<size_t>(c) * k;
+    const uintptr_t xc =
+        xBase + static_cast<size_t>(c) * plane * sizeof(float);
+    for (int kk = 0; kk < k; ++kk) {
+      const __mmask16* m = mask + static_cast<size_t>(kk) * TV;
+      const uintptr_t xk = xc + static_cast<ptrdiff_t>(t0 + kk - pad) *
+                                    kLane *
+                                    static_cast<ptrdiff_t>(sizeof(float));
+      __m512 wv[OB];
+#pragma GCC unroll 8
+      for (int o = 0; o < OB; ++o) {
+        wv[o] = _mm512_set1_ps(wc[static_cast<size_t>(o) * wStride + kk]);
       }
+#pragma GCC unroll 8
+      for (int j = 0; j < TV; ++j) {
+        const __mmask16 mj = m[j];
+        const __m512 xv = _mm512_maskz_loadu_ps(
+            mj, reinterpret_cast<const float*>(xk + j * sizeof(__m512)));
+#pragma GCC unroll 8
+        for (int o = 0; o < OB; ++o) {
+          // A masked-off lane keeps acc bit for bit (GCC folds this blend
+          // into one merge-masked FMA).
+          acc[o][j] = _mm512_mask_mov_ps(
+              acc[o][j], mj, _mm512_fmadd_ps(wv[o], xv, acc[o][j]));
+        }
+      }
+    }
+  }
+  const __mmask16* st = mask + static_cast<size_t>(k) * TV;
+#pragma GCC unroll 8
+  for (int o = 0; o < OB; ++o) {
+    float* yo = y + static_cast<size_t>(o0 + o) * plane +
+                static_cast<size_t>(t0) * kLane;
+#pragma GCC unroll 8
+    for (int j = 0; j < TV; ++j) {
+      _mm512_mask_storeu_ps(yo + j * 16, st[j], acc[o][j]);
     }
   }
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) float
-absMaxAvx512(const float* x, int n) {
+CATI_TARGET_AVX512 void convLaneAvx512(const float* w, const float* bias,
+                                       const float* x, float* y, int inC,
+                                       int outC, int k, int len) {
+  static_assert(kStepsPerZmm == 2, "the tap masks below split a zmm in two");
+  constexpr int TV = kConvVecsAvx512;
+  constexpr int kTileSteps = TV * kStepsPerZmm;
+  const int pad = k / 2;
+  std::vector<__mmask16> mask(static_cast<size_t>(k + 1) * TV);
+  const auto stepMask = [len](int t, int src, __mmask16 bits) {
+    return t < len && src >= 0 && src < len ? bits : __mmask16{0};
+  };
+  for (int t0 = 0; t0 < len; t0 += kTileSteps) {
+    for (int j = 0; j < TV; ++j) {
+      const int t = t0 + j * kStepsPerZmm;
+      for (int kk = 0; kk < k; ++kk) {
+        const int src = t + kk - pad;
+        mask[static_cast<size_t>(kk) * TV + j] =
+            stepMask(t, src, 0x00FF) | stepMask(t + 1, src + 1, 0xFF00);
+      }
+      mask[static_cast<size_t>(k) * TV + j] =
+          stepMask(t, t, 0x00FF) | stepMask(t + 1, t + 1, 0xFF00);
+    }
+    int o0 = 0;
+    for (; o0 + kConvOutAvx512 <= outC; o0 += kConvOutAvx512) {
+      convTileAvx512<kConvOutAvx512>(w, bias, x, y, inC, k, len, o0, t0,
+                                     mask.data());
+    }
+    // Production widths (32, 64) leave no remainder.
+    for (; o0 < outC; ++o0) {
+      convTileAvx512<1>(w, bias, x, y, inC, k, len, o0, t0, mask.data());
+    }
+  }
+}
+
+CATI_TARGET_AVX512 float absMaxAvx512(const float* x, int n) {
   const __m512 signMask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
   __m512 vm = _mm512_setzero_ps();
   int i = 0;
@@ -336,8 +456,8 @@ absMaxAvx512(const float* x, int n) {
   return m;
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
-quantizeAvx512(const float* x, int8_t* q, int n, float invScale) {
+CATI_TARGET_AVX512 void quantizeAvx512(const float* x, int8_t* q, int n,
+                                       float invScale) {
   const __m512 vs = _mm512_set1_ps(invScale);
   const __m512i vmin = _mm512_set1_epi32(-127);
   int i = 0;
@@ -351,9 +471,10 @@ quantizeAvx512(const float* x, int8_t* q, int n, float invScale) {
   for (; i < n; ++i) q[i] = quantizeOne(x[i], invScale);
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,avx512vnni"))) void
-qgemvAvx512(const int8_t* w, const int32_t* rowSum, const int8_t* x,
-            int32_t* acc, int groups, int outPad) {
+CATI_TARGET_AVX512_VNNI void qgemvAvx512(const int8_t* w,
+                                         const int32_t* rowSum,
+                                         const int8_t* x, int32_t* acc,
+                                         int groups, int outPad) {
   // vpdpbusd wants unsigned × signed: bias the activations by +128
   // (byte XOR 0x80) and subtract the exact 128 * rowSum correction.
   for (int ob = 0; ob < outPad; ob += 16) {

@@ -6,14 +6,20 @@
 // ISA variant runs:
 //
 //   conv1dLane   y := bias, then for (c, kk) ascending one FUSED
-//                multiply-add per tap: y = fma(w, x, y). Elements of the
-//                [t][lane] plane are independent, so vector width never
-//                matters; only fusion does, and it is always fused.
+//                multiply-add per valid tap: y = fma(w, x, y). A tap whose
+//                input index t + kk - k/2 lies outside [0, len) is SKIPPED,
+//                never zero-padded: fma(w, ±0, -0) can turn a -0 into +0.
+//                Elements of the [t][lane] plane are independent, so the
+//                SIMD variants may tile them freely — they hold a few
+//                output channels x a run of time steps in registers and
+//                loop (c, kk) inside the tile — as long as each element
+//                sees that op sequence.
 //   denseLane    per output: acc := bias, then for i ascending the first
 //                inF - inF%4 taps are a separately-rounded multiply THEN
 //                add, the last inF%4 taps are fused. (This mirrors the
 //                seed's in-order reduction codegen: 4/8-wide multiply with
-//                sequential lane adds, fused scalar tail.)
+//                sequential lane adds, fused scalar tail.) Outputs are
+//                independent chains; SIMD variants run several per pass.
 //   absMax       max of |x[i]| — order-independent, 0 for n == 0.
 //   quantizeI8   q[i] = clamp(round-nearest-even(x[i] * invScale), ±127).
 //                Scalar lrintf and vector cvtps both follow the default

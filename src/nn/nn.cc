@@ -46,6 +46,29 @@ float heInit(Rng& rng, int fanIn) {
   return rng.normal(0.0F, std::sqrt(2.0F / static_cast<float>(fanIn)));
 }
 
+/// Packs samples [0, m) of `x` (rows of `plane` floats) into the
+/// batch-transposed lane group `pack` ([i][kBatchLane]). Lanes m.. of a
+/// partial group are zero-filled: the kernel computes them like any other
+/// lane and unpackLanes drops them. A pure permutation, no FP ops. The
+/// pack is written in order, one lane row at a time: a conv1 pack (64 KB)
+/// outgrows L1, and sweeping it once per sample re-fetches every line.
+void packLanes(const float* x, size_t plane, int m, float* pack) {
+  if (m < kBatchLane) std::fill_n(pack, plane * kBatchLane, 0.0F);
+  for (size_t i = 0; i < plane; ++i) {
+    float* dst = pack + i * kBatchLane;
+    for (int b = 0; b < m; ++b) dst[b] = x[static_cast<size_t>(b) * plane + i];
+  }
+}
+
+/// Copies lanes [0, m) of the lane group `pack` back to sample rows of `y`.
+void unpackLanes(const float* pack, size_t plane, int m, float* y) {
+  for (int b = 0; b < m; ++b) {
+    float* ys = y + static_cast<size_t>(b) * plane;
+    const float* src = pack + b;
+    for (size_t i = 0; i < plane; ++i) ys[i] = src[i * kBatchLane];
+  }
+}
+
 }  // namespace
 
 // --- Conv1d ------------------------------------------------------------------
@@ -74,61 +97,26 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
   checkSize(x, static_cast<size_t>(n) * inC_ * len, "Conv1d::forward x");
   checkSize(y, static_cast<size_t>(n) * outC_ * len, "Conv1d::forward y");
   if (phase != Phase::kInfer) s.cache.assign(x.begin(), x.end());
-  const int pad = k_ / 2;
 
   // Per output element the accumulation order is fixed: bias, then taps in
-  // ascending (c, kk) order, one multiply-add per tap. Both execution paths
-  // below perform exactly that per-element op sequence, so batch size never
-  // changes a single bit of the output (DESIGN.md §7).
-  //
-  // Full lanes of kLane samples run batch-transposed: the input is packed
-  // [c][t][lane] so the innermost loop is a contiguous lane-wide axpy — one
-  // vector FMA covers kLane samples at once. Packing is a pure permutation
-  // (no FP ops). The remainder (and any small batch) takes the historical
-  // per-sample pass structure.
-  int b0 = 0;
-  if (n >= kBatchLane) {
-    const size_t inPlane = static_cast<size_t>(inC_) * len;
-    const size_t outPlane = static_cast<size_t>(outC_) * len;
-    s.laneIn.resize(inPlane * kBatchLane);
-    s.laneOut.resize(outPlane * kBatchLane);
-    for (; b0 + kBatchLane <= n; b0 += kBatchLane) {
-      for (int b = 0; b < kBatchLane; ++b) {
-        const float* xs =
-            x.data() + static_cast<size_t>(b0 + b) * inPlane;
-        float* dst = s.laneIn.data() + b;
-        for (size_t i = 0; i < inPlane; ++i) dst[i * kBatchLane] = xs[i];
-      }
-      kern::kernels().conv1dLane(w_.value.data(), b_.value.data(),
-                                 s.laneIn.data(), s.laneOut.data(), inC_,
-                                 outC_, k_, len);
-      for (int b = 0; b < kBatchLane; ++b) {
-        float* ys = y.data() + static_cast<size_t>(b0 + b) * outPlane;
-        const float* src = s.laneOut.data() + b;
-        for (size_t i = 0; i < outPlane; ++i) ys[i] = src[i * kBatchLane];
-      }
-    }
-  }
-  for (int b = b0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * inC_ * len;
-    float* ys = y.data() + static_cast<size_t>(b) * outC_ * len;
-    for (int o = 0; o < outC_; ++o) {
-      const float* wRow = w_.value.data() + static_cast<size_t>(o) * inC_ * k_;
-      float* yRow = ys + static_cast<size_t>(o) * len;
-      const float bias = b_.value[static_cast<size_t>(o)];
-      for (int t = 0; t < len; ++t) yRow[t] = bias;
-      for (int c = 0; c < inC_; ++c) {
-        const float* xRow = xs + static_cast<size_t>(c) * len;
-        const float* wk = wRow + static_cast<size_t>(c) * k_;
-        for (int kk = 0; kk < k_; ++kk) {
-          const float wv = wk[kk];
-          const int shift = kk - pad;
-          const int lo = std::max(0, -shift);
-          const int hi = std::min(len, len - shift);
-          for (int t = lo; t < hi; ++t) yRow[t] += wv * xRow[t + shift];
-        }
-      }
-    }
+  // ascending (c, kk) order, one fused multiply-add per tap (kernels.h).
+  // Every sample takes that one path, batch-transposed kBatchLane at a time:
+  // the input is packed [c][t][lane] so one vector op covers a lane group,
+  // and the last partial group is zero-padded. Lanes never mix, so batch
+  // size never changes a single bit of the output (DESIGN.md §7).
+  const size_t inPlane = static_cast<size_t>(inC_) * len;
+  const size_t outPlane = static_cast<size_t>(outC_) * len;
+  s.laneIn.resize(inPlane * kBatchLane);
+  s.laneOut.resize(outPlane * kBatchLane);
+  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
+    const int m = std::min(kBatchLane, n - b0);
+    packLanes(x.data() + static_cast<size_t>(b0) * inPlane, inPlane, m,
+              s.laneIn.data());
+    kern::kernels().conv1dLane(w_.value.data(), b_.value.data(),
+                               s.laneIn.data(), s.laneOut.data(), inC_, outC_,
+                               k_, len);
+    unpackLanes(s.laneOut.data(), outPlane, m,
+                y.data() + static_cast<size_t>(b0) * outPlane);
   }
 }
 
@@ -239,22 +227,27 @@ void MaxPool1d::forward(std::span<const float> x, std::span<float> y, int n,
   checkSize(y, static_cast<size_t>(n) * outSize, "MaxPool1d::forward y");
   const bool track = phase != Phase::kInfer;
   if (track) s.argmax.assign(static_cast<size_t>(n) * outSize, 0);
-  for (int b = 0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * inSize;
-    float* ys = y.data() + static_cast<size_t>(b) * outSize;
-    int32_t* as =
-        track ? s.argmax.data() + static_cast<size_t>(b) * outSize : nullptr;
-    for (int c = 0; c < in_.c; ++c) {
-      const float* xRow = xs + static_cast<size_t>(c) * in_.l;
-      float* yRow = ys + static_cast<size_t>(c) * outL;
-      for (int t = 0; t < outL; ++t) {
-        int best = t * k_;
-        for (int j = 1; j < k_; ++j) {
-          if (xRow[t * k_ + j] > xRow[best]) best = t * k_ + j;
-        }
-        yRow[t] = xRow[best];
-        if (track) as[static_cast<size_t>(c) * outL + t] = best;
+  // Branch-free: the running max and its index move together by select
+  // under the same strict `>` as a compare-and-branch, so NaN never wins,
+  // -0 does not replace +0 (or the reverse), and the first max wins ties.
+  const int rows = n * in_.c;
+  for (int r = 0; r < rows; ++r) {
+    const float* xRow = x.data() + static_cast<size_t>(r) * in_.l;
+    float* yRow = y.data() + static_cast<size_t>(r) * outL;
+    int32_t* aRow =
+        track ? s.argmax.data() + static_cast<size_t>(r) * outL : nullptr;
+    for (int t = 0; t < outL; ++t) {
+      const int base = t * k_;
+      float best = xRow[base];
+      int32_t arg = base;
+      for (int j = 1; j < k_; ++j) {
+        const float v = xRow[base + j];
+        const bool gt = v > best;
+        best = gt ? v : best;
+        arg = gt ? base + j : arg;
       }
+      yRow[t] = best;
+      if (track) aRow[t] = arg;
     }
   }
 }
@@ -359,38 +352,21 @@ void Linear::forward(std::span<const float> x, std::span<float> y, int n,
   checkSize(y, static_cast<size_t>(n) * out_, "Linear::forward y");
   if (phase != Phase::kInfer) s.cache.assign(x.begin(), x.end());
 
-  // Full lanes run batch-transposed through the dispatched dense kernel,
-  // which reproduces this scalar loop's per-sample accumulation exactly
-  // (kernels.h: mul-then-add head, fused n%4 tail — the seed's in-order
-  // reduction codegen). The remainder keeps the historical scalar pass.
-  int b0 = 0;
-  if (n >= kBatchLane) {
-    s.laneIn.resize(static_cast<size_t>(in_) * kBatchLane);
-    s.laneOut.resize(static_cast<size_t>(out_) * kBatchLane);
-    for (; b0 + kBatchLane <= n; b0 += kBatchLane) {
-      for (int b = 0; b < kBatchLane; ++b) {
-        const float* xs = x.data() + static_cast<size_t>(b0 + b) * in_;
-        float* dst = s.laneIn.data() + b;
-        for (int i = 0; i < in_; ++i) dst[static_cast<size_t>(i) * kBatchLane] = xs[i];
-      }
-      kern::kernels().denseLane(w_.value.data(), b_.value.data(),
-                                s.laneIn.data(), s.laneOut.data(), in_, out_);
-      for (int b = 0; b < kBatchLane; ++b) {
-        float* ys = y.data() + static_cast<size_t>(b0 + b) * out_;
-        const float* src = s.laneOut.data() + b;
-        for (int o = 0; o < out_; ++o) ys[o] = src[static_cast<size_t>(o) * kBatchLane];
-      }
-    }
-  }
-  for (int b = b0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * in_;
-    float* ys = y.data() + static_cast<size_t>(b) * out_;
-    for (int o = 0; o < out_; ++o) {
-      const float* wRow = w_.value.data() + static_cast<size_t>(o) * in_;
-      float acc = b_.value[static_cast<size_t>(o)];
-      for (int i = 0; i < in_; ++i) acc += wRow[i] * xs[i];
-      ys[o] = acc;
-    }
+  // One path for every sample, as in Conv1d::forward: lane groups run
+  // through the dispatched dense kernel (kernels.h: mul-then-add head, fused
+  // inF%4 tail), the last partial group zero-padded.
+  const auto inPlane = static_cast<size_t>(in_);
+  const auto outPlane = static_cast<size_t>(out_);
+  s.laneIn.resize(inPlane * kBatchLane);
+  s.laneOut.resize(outPlane * kBatchLane);
+  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
+    const int m = std::min(kBatchLane, n - b0);
+    packLanes(x.data() + static_cast<size_t>(b0) * inPlane, inPlane, m,
+              s.laneIn.data());
+    kern::kernels().denseLane(w_.value.data(), b_.value.data(),
+                              s.laneIn.data(), s.laneOut.data(), in_, out_);
+    unpackLanes(s.laneOut.data(), outPlane, m,
+                y.data() + static_cast<size_t>(b0) * outPlane);
   }
 }
 

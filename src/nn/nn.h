@@ -55,11 +55,10 @@ struct Param {
   void zeroGrad() { std::fill(grad.begin(), grad.end(), 0.0F); }
 };
 
-/// Samples per transposed batch lane in the Conv1d fast path: one AVX2
-/// register of floats. Full lanes compute batch-transposed (the innermost
-/// loop runs across samples); remainders use the per-sample kernel. Both
-/// perform the identical per-element op sequence, so results never depend
-/// on which path ran.
+/// Samples per batch-transposed lane group of Conv1d and Linear forward:
+/// one AVX2 register of floats. Every sample runs in a lane group (the
+/// innermost loop runs across samples); a partial last group is zero-padded
+/// and its padding lanes dropped, so results never depend on batch size.
 inline constexpr int kBatchLane = 8;
 
 /// What a forward pass must produce.

@@ -13,6 +13,7 @@
 // reports identical across kernels AND job counts (per-sample activation
 // scales + exact int32 accumulation make batching invisible).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -115,8 +116,8 @@ TEST_P(KernelIsaTest, Conv1dLaneMatchesScalarAcrossShapes) {
 
 TEST_P(KernelIsaTest, DenseLaneMatchesScalarAcrossShapes) {
   Rng rng(0xDE45E);
-  // inF values cover every mod-4 and mod-8 tail class; outF hits the
-  // unroll-by-2 remainder.
+  // inF values cover every mod-4 and mod-8 tail class; outF hits output
+  // blocks with and without a remainder.
   for (const int inF : {1, 2, 3, 4, 5, 7, 8, 9, 31, 96, 320}) {
     for (const int outF : {1, 2, 3, 17, 128}) {
       const auto w = randVec(static_cast<size_t>(outF) * inF, rng);
@@ -131,6 +132,84 @@ TEST_P(KernelIsaTest, DenseLaneMatchesScalarAcrossShapes) {
         EXPECT_TRUE(bitsEqual(ya, yb)) << "dense inF=" << inF
                                        << " outF=" << outF;
       }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, Conv1dLaneTileEdgesMatchScalar) {
+  Rng rng(0x7E1E);
+  // Register tiles are a few output channels x a run of time steps (4 x 12
+  // on AVX-512, 2 x 6 on AVX2): sweep outC through every output-block
+  // remainder, len across both sides of each time-tile width, and every
+  // border width k/2 up to 3 (an even k borders unevenly), so each tile
+  // edge and each skipped tap runs.
+  for (const int k : {1, 2, 3, 5, 7}) {
+    for (const int outC : {1, 2, 3, 4, 5, 33}) {
+      for (const int len : {1, 2, 5, 6, 7, 11, 12, 13, 24, 25}) {
+        const int inC = 3;
+        const auto w = randVec(static_cast<size_t>(outC) * inC * k, rng);
+        const auto bias = randVec(static_cast<size_t>(outC), rng);
+        const auto x =
+            randVec(static_cast<size_t>(inC) * len * kern::kLane, rng);
+        const size_t yn = static_cast<size_t>(outC) * len * kern::kLane;
+        std::vector<float> ya(yn), yb(yn);
+        ref().conv1dLane(w.data(), bias.data(), x.data(), ya.data(), inC,
+                         outC, k, len);
+        dut().conv1dLane(w.data(), bias.data(), x.data(), yb.data(), inC,
+                         outC, k, len);
+        EXPECT_TRUE(bitsEqual(ya, yb))
+            << "conv outC=" << outC << " k=" << k << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, Conv1dLaneSkipsBorderTapsKeepingNegativeZero) {
+  // bias = -0, x = -0, w > 0: every issued tap is fma(w, -0, -0) = -0, so
+  // the exact output is -0 everywhere. A kernel that zero-pads the border
+  // instead of skipping those taps adds w * (+0) = +0 there and turns the
+  // first and last time steps into +0.
+  for (const int k : {3, 5}) {
+    for (const int len : {1, 2, 7, 12, 13, 25}) {
+      const int inC = 2, outC = 5;
+      const std::vector<float> w(static_cast<size_t>(outC) * inC * k, 0.5F);
+      const std::vector<float> bias(static_cast<size_t>(outC), -0.0F);
+      const std::vector<float> x(static_cast<size_t>(inC) * len * kern::kLane,
+                                 -0.0F);
+      std::vector<float> y(static_cast<size_t>(outC) * len * kern::kLane,
+                           1.0F);
+      dut().conv1dLane(w.data(), bias.data(), x.data(), y.data(), inC, outC,
+                       k, len);
+      for (int o = 0; o < outC; ++o) {
+        for (const int t : {0, len - 1}) {
+          for (int l = 0; l < kern::kLane; ++l) {
+            const float v =
+                y[(static_cast<size_t>(o) * len + t) * kern::kLane + l];
+            EXPECT_TRUE(v == 0.0F && std::signbit(v))
+                << "o=" << o << " t=" << t << " lane=" << l << " k=" << k
+                << " len=" << len << ": " << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, DenseLaneOutputBlocksMatchScalar) {
+  Rng rng(0xB10C);
+  // Dense runs 8 independent output chains per pass and the remainder as
+  // one pass: every remainder 1-7, one block plus one (9), and the
+  // production widths (fc2 heads of 2-9 classes, fc1's 128).
+  for (const int inF : {5, 128, 320}) {
+    for (const int outF : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 128}) {
+      const auto w = randVec(static_cast<size_t>(outF) * inF, rng);
+      const auto bias = randVec(static_cast<size_t>(outF), rng);
+      const auto x = randVec(static_cast<size_t>(inF) * kern::kLane, rng);
+      const size_t yn = static_cast<size_t>(outF) * kern::kLane;
+      std::vector<float> ya(yn), yb(yn);
+      ref().denseLane(w.data(), bias.data(), x.data(), ya.data(), inF, outF);
+      dut().denseLane(w.data(), bias.data(), x.data(), yb.data(), inF, outF);
+      EXPECT_TRUE(bitsEqual(ya, yb)) << "dense inF=" << inF << " outF=" << outF;
     }
   }
 }

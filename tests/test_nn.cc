@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace cati::nn {
@@ -140,6 +143,52 @@ TEST(Layers, MaxPoolForwardBackward) {
   EXPECT_EQ(dx[4], 1.0F);
 }
 
+TEST(Layers, MaxPoolBranchFreeKeepsCompareSemantics) {
+  // The pooled value and argmax follow a strict `x > best` scan that starts
+  // at the window's first element: NaN never wins (and a leading NaN is
+  // kept), -0 and +0 tie so the first one is kept, the first of equal maxima
+  // wins. kInfer (value only) must be byte-equal to kEval.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float special[] = {nan, -0.0F, 0.0F, inf, -inf, 1.0F, 1.0F, -2.0F};
+  Rng rng(41);
+  for (const int k : {2, 3, 4}) {
+    const int c = 3, l = 4 * k + 1;  // + 1: a trailing element no window uses
+    MaxPool1d p(k);
+    p.setInShape({c, l});
+    const int n = 5;
+    std::vector<float> x(static_cast<size_t>(n) * c * l);
+    for (float& v : x) {
+      v = special[rng.uniformInt(0, std::ssize(special) - 1)];
+    }
+    const int outL = l / k;
+    std::vector<float> yInfer(static_cast<size_t>(n) * c * outL);
+    std::vector<float> yEval(yInfer.size());
+    LayerScratch si, se;
+    p.forward(x, yInfer, n, si, Phase::kInfer);
+    p.forward(x, yEval, n, se, Phase::kEval);
+    ASSERT_EQ(std::memcmp(yInfer.data(), yEval.data(),
+                          yInfer.size() * sizeof(float)),
+              0)
+        << "k=" << k;
+    ASSERT_EQ(se.argmax.size(), yEval.size());
+    for (int r = 0; r < n * c; ++r) {
+      const float* row = x.data() + static_cast<size_t>(r) * l;
+      for (int t = 0; t < outL; ++t) {
+        int best = t * k;  // the compare-and-branch reference scan
+        for (int j = 1; j < k; ++j) {
+          if (row[t * k + j] > row[best]) best = t * k + j;
+        }
+        const size_t at = static_cast<size_t>(r) * outL + t;
+        EXPECT_EQ(se.argmax[at], best) << "k=" << k << " row=" << r
+                                       << " t=" << t;
+        EXPECT_EQ(std::memcmp(&yEval[at], &row[best], sizeof(float)), 0)
+            << "k=" << k << " row=" << r << " t=" << t;
+      }
+    }
+  }
+}
+
 TEST(Layers, DropoutInferenceIsIdentity) {
   Dropout d(0.5F, 7);
   LayerScratch s;
@@ -249,8 +298,8 @@ TEST(Layers, SizeMismatchThrows) {
 TEST(Batch, ForwardMatchesPerSampleBitExact) {
   Rng rng(21);
   Sequential net = makeCnn({6, 9}, 4, 4, 8, 3, 0.0F, rng);
-  // 13 = one full conv batch lane (kBatchLane) plus a remainder, so this
-  // pins the transposed lane kernel against the per-sample kernel.
+  // 13 = one full lane group (kBatchLane) plus a zero-padded partial one,
+  // and batch 1 pads seven lanes: the padding never reaches a real sample.
   constexpr int kN = kBatchLane + 5;
   const auto inSize = static_cast<size_t>(net.inShape().size());
   const auto outSize = static_cast<size_t>(net.outShape().size());
