@@ -376,11 +376,11 @@ void BM_StageLayerForward(benchmark::State& state, size_t i) {
 }
 
 void BM_ModelLoad(benchmark::State& state) {
-  // Cold-start cost of Engine::loadFile. arg0 picks the container (0: fp32
-  // CENG, 1: quantized CQNT), arg1 the mode (0: stream — every byte read
-  // and CRC-verified; 1: mmap — CQNT weights used in place, metadata-only
-  // verification, O(pages touched)). The CQNT/mmap row is cati-serve's
-  // --mmap cold start; CENG under kMap still copies (fp32 keeps full CRC).
+  // Cold-start cost of Engine::loadFile. arg0 picks the stages (0: fp32,
+  // 1: int8 — the same CENG container either way), arg1 the mode (0: read
+  // through an ifstream, 1: through an mmap). Every mode verifies every
+  // byte: the CRC covers the whole payload, and every count is
+  // range-checked.
   const bool quantized = state.range(0) != 0;
   const auto mode = state.range(1) != 0 ? Engine::LoadMode::kMap
                                         : Engine::LoadMode::kStream;

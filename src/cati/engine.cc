@@ -850,62 +850,7 @@ void Engine::checkDeadline() const {
   throw TimeoutError("engine: analysis deadline exceeded (--timeout-ms)");
 }
 
-// --- int8 quantization + the CQNT container (DESIGN.md §11) -----------------
-
-namespace {
-
-constexpr uint32_t kQuantMagic = 0x43514e54;  // "CQNT"
-constexpr uint32_t kQuantVersion = 1;
-/// The heap and every blob inside it start on this boundary, so mmapped
-/// weight pointers are cache-line aligned (mmap bases are page aligned).
-constexpr size_t kHeapAlign = 64;
-
-constexpr size_t alignUp(size_t n, size_t a) { return (n + a - 1) / a * a; }
-
-/// A quantized layer's heap reference inside the CQNT metadata.
-struct QBlobRef {
-  uint64_t off = 0;
-  uint64_t len = 0;
-};
-
-void writeQWeights(io::Writer& w, const nn::QWeights& q, uint64_t off) {
-  w.vec(q.scale);
-  w.vec(q.bias);
-  w.vec(q.rowSum);
-  w.pod<uint64_t>(off);
-  w.pod<uint64_t>(static_cast<uint64_t>(q.w.size()));
-}
-
-nn::QWeights readQWeights(io::Reader& r, QBlobRef& ref) {
-  nn::QWeights q;
-  q.scale = r.vec<float>();
-  q.bias = r.vec<float>();
-  q.rowSum = r.vec<int32_t>();
-  ref.off = r.pod<uint64_t>();
-  ref.len = r.pod<uint64_t>();
-  return q;
-}
-
-/// One parsed CQNT layer descriptor; `q.w` is patched in once the heap's
-/// whereabouts are known.
-struct QLayerDesc {
-  std::string kind;
-  int a = 0;  // inC / inF
-  int b = 0;  // outC / outF
-  int k = 1;  // conv taps / maxpool kernel
-  nn::QWeights q;
-  QBlobRef blob;
-};
-
-int readQDim(io::Reader& r, const char* what) {
-  const auto v = r.pod<int32_t>();
-  if (v <= 0 || v > (1 << 20)) {
-    throw CorruptError(std::string("quantized engine: corrupt ") + what);
-  }
-  return v;
-}
-
-}  // namespace
+// --- int8 quantization (DESIGN.md §11) + persistence ------------------------
 
 Engine Engine::quantize() const {
   if (!trained()) throw std::logic_error("Engine::quantize: not trained");
@@ -917,224 +862,12 @@ Engine Engine::quantize() const {
   return e;
 }
 
-void Engine::saveQuantized(std::ostream& os) const {
-  // Pass 1: lay the weight blobs out in a contiguous heap, each on a
-  // kHeapAlign boundary, in stage/layer traversal order.
-  std::vector<int8_t> heap;
-  std::vector<uint64_t> offs;
-  for (const auto& st : stages_) {
-    for (size_t i = 0; i < st.numLayers(); ++i) {
-      const nn::Layer& l = st.layer(i);
-      std::span<const int8_t> bytes;
-      if (const auto* qc = dynamic_cast<const nn::QConv1d*>(&l)) {
-        bytes = qc->qweights().w;
-      } else if (const auto* ql = dynamic_cast<const nn::QLinear*>(&l)) {
-        bytes = ql->qweights().w;
-      } else {
-        continue;
-      }
-      const size_t off = alignUp(heap.size(), kHeapAlign);
-      heap.resize(off, 0);
-      offs.push_back(off);
-      heap.insert(heap.end(), bytes.begin(), bytes.end());
-    }
-  }
-
-  // Pass 2: the checksummed metadata frame. Buffered separately so the
-  // frame's exact length is known — the heap is placed at the next
-  // kHeapAlign boundary after it.
-  std::ostringstream metaBuf;
-  {
-    io::Writer w(metaBuf);
-    w.pod(cfg_.window);
-    w.pod(cfg_.w2v.dim);
-    w.pod(cfg_.conv1);
-    w.pod(cfg_.conv2);
-    w.pod(cfg_.fcHidden);
-    w.pod(cfg_.voteClip);
-    w.pod(static_cast<uint8_t>(cfg_.clipEnabled ? 1 : 0));
-    encoder_->save(metaBuf);
-    w.pod<uint64_t>(heap.size());
-    w.pod<uint32_t>(io::crc32(heap.data(), heap.size()));
-    size_t qi = 0;
-    for (const auto& st : stages_) {
-      w.pod<int32_t>(st.inShape().c);
-      w.pod<int32_t>(st.inShape().l);
-      w.pod<uint64_t>(st.numLayers());
-      for (size_t i = 0; i < st.numLayers(); ++i) {
-        const nn::Layer& l = st.layer(i);
-        w.str(l.kind());
-        if (const auto* qc = dynamic_cast<const nn::QConv1d*>(&l)) {
-          w.pod<int32_t>(qc->inC());
-          w.pod<int32_t>(qc->outC());
-          w.pod<int32_t>(qc->kernel());
-          writeQWeights(w, qc->qweights(), offs[qi++]);
-        } else if (const auto* ql = dynamic_cast<const nn::QLinear*>(&l)) {
-          w.pod<int32_t>(ql->inF());
-          w.pod<int32_t>(ql->outF());
-          writeQWeights(w, ql->qweights(), offs[qi++]);
-        } else if (const auto* mp = dynamic_cast<const nn::MaxPool1d*>(&l)) {
-          w.pod<int32_t>(mp->kernel());
-        } else if (l.kind() == "relu" || l.kind() == "globalmaxpool") {
-          // no extra state
-        } else {
-          throw std::logic_error(
-              "Engine::save: unexpected layer in quantized net: " + l.kind());
-        }
-      }
-    }
-  }
-  const std::string meta = std::move(metaBuf).str();
-  io::writeChecksummed(os, kQuantMagic, kQuantVersion,
-                       [&](std::ostream& body) {
-                         body.write(meta.data(),
-                                    static_cast<std::streamsize>(meta.size()));
-                         if (!body) throw IoError("Engine::save: write failed");
-                       });
-  // Frame = magic + version + payload length + payload + CRC trailer.
-  const size_t frameLen = 16 + meta.size() + 4;
-  const std::array<char, kHeapAlign> zeros{};
-  os.write(zeros.data(),
-           static_cast<std::streamsize>(alignUp(frameLen, kHeapAlign) -
-                                        frameLen));
-  os.write(reinterpret_cast<const char*>(heap.data()),
-           static_cast<std::streamsize>(heap.size()));
-  if (!os) throw IoError("Engine::save: write failed");
-}
-
-Engine Engine::loadQuantized(std::istream& is, const char* mapBase,
-                             size_t mapSize,
-                             std::shared_ptr<const void> hold) {
-  const std::streampos start = is.tellg();
-  uint64_t heapLen = 0;
-  uint32_t heapCrc = 0;
-  std::vector<std::pair<nn::Shape, std::vector<QLayerDesc>>> stageDescs;
-  Engine e = io::readChecksummed(
-      is, kQuantMagic, kQuantVersion, "quantized engine",
-      [&](std::istream& body) {
-        io::Reader r(body);
-        EngineConfig cfg;
-        cfg.window = r.pod<int>();
-        cfg.w2v.dim = r.pod<int>();
-        cfg.conv1 = r.pod<int>();
-        cfg.conv2 = r.pod<int>();
-        cfg.fcHidden = r.pod<int>();
-        cfg.voteClip = r.pod<float>();
-        cfg.clipEnabled = r.pod<uint8_t>() != 0;
-        Engine eng(cfg);
-        eng.encoder_.emplace(embed::VucEncoder::load(body));
-        heapLen = r.pod<uint64_t>();
-        heapCrc = r.pod<uint32_t>();
-        for (int s = 0; s < kNumStages; ++s) {
-          nn::Shape in{};
-          in.c = readQDim(r, "stage input shape");
-          in.l = readQDim(r, "stage input shape");
-          const auto nl = r.pod<uint64_t>();
-          if (nl > 64) {
-            throw CorruptError("quantized engine: corrupt layer count");
-          }
-          std::vector<QLayerDesc> ls(nl);
-          for (auto& d : ls) {
-            d.kind = r.str();
-            if (d.kind == "qconv1d") {
-              d.a = readQDim(r, "conv channels");
-              d.b = readQDim(r, "conv channels");
-              d.k = readQDim(r, "conv kernel");
-              d.q = readQWeights(r, d.blob);
-            } else if (d.kind == "qlinear") {
-              d.a = readQDim(r, "linear features");
-              d.b = readQDim(r, "linear features");
-              d.k = 1;
-              d.q = readQWeights(r, d.blob);
-            } else if (d.kind == "maxpool1d") {
-              d.k = readQDim(r, "pool kernel");
-            } else if (d.kind != "relu" && d.kind != "globalmaxpool") {
-              throw CorruptError("quantized engine: unknown layer kind '" +
-                                 d.kind + "'");
-            }
-          }
-          stageDescs.emplace_back(in, std::move(ls));
-        }
-        return eng;
-      });
-  const auto frameLen = static_cast<size_t>(is.tellg() - start);
-  const size_t padded = alignUp(frameLen, kHeapAlign);
-
-  const int8_t* heapPtr = nullptr;
-  if (mapBase != nullptr) {
-    // Zero-copy path: weights stay in the mapping. The metadata (and its
-    // CRC) above already vouches for shapes, scales and the heap CRC field;
-    // the heap bytes themselves are NOT checksummed here — that is the
-    // deal that makes cold start O(pages touched) instead of O(model size).
-    if (heapLen > mapSize || padded > mapSize - heapLen) {
-      throw CorruptError(
-          "quantized engine: truncated input (heap extends past end of "
-          "file)");
-    }
-    heapPtr = reinterpret_cast<const int8_t*>(mapBase) + padded;
-    e.heapHold_ = std::move(hold);
-  } else {
-    if (heapLen > (1ULL << 34)) {
-      throw CorruptError("quantized engine: corrupt heap length");
-    }
-    is.ignore(static_cast<std::streamsize>(padded - frameLen));
-    auto owned = std::make_shared<std::vector<int8_t>>(heapLen);
-    is.read(reinterpret_cast<char*>(owned->data()),
-            static_cast<std::streamsize>(heapLen));
-    if (static_cast<uint64_t>(is.gcount()) != heapLen) {
-      throw CorruptError("quantized engine: truncated input (heap cut "
-                         "short)");
-    }
-    if (io::crc32(owned->data(), owned->size()) != heapCrc) {
-      throw CorruptError(
-          "quantized engine: heap checksum mismatch (corrupt file)");
-    }
-    heapPtr = owned->data();
-    e.heapHold_ = std::move(owned);
-  }
-
-  for (auto& [in, ls] : stageDescs) {
-    nn::Sequential net(in);
-    for (auto& d : ls) {
-      if (d.kind == "qconv1d" || d.kind == "qlinear") {
-        const size_t want =
-            static_cast<size_t>(d.k) * nn::qBlockBytes(d.a, d.b);
-        if (d.blob.len != want || d.blob.off % kHeapAlign != 0 ||
-            d.blob.off > heapLen || d.blob.len > heapLen - d.blob.off) {
-          throw CorruptError(
-              "quantized engine: weight blob out of bounds");
-        }
-        d.q.w = {heapPtr + d.blob.off, static_cast<size_t>(d.blob.len)};
-        if (d.kind == "qconv1d") {
-          net.add(std::make_unique<nn::QConv1d>(d.a, d.b, d.k,
-                                                std::move(d.q)));
-        } else {
-          net.add(std::make_unique<nn::QLinear>(d.a, d.b, std::move(d.q)));
-        }
-      } else if (d.kind == "maxpool1d") {
-        net.add(std::make_unique<nn::MaxPool1d>(d.k));
-      } else if (d.kind == "relu") {
-        net.add(std::make_unique<nn::ReLU>());
-      } else {
-        net.add(std::make_unique<nn::GlobalMaxPool>());
-      }
-    }
-    e.stages_.push_back(std::move(net));
-  }
-  e.quantized_ = true;
-  return e;
-}
-
 // v2: payload carried under a CRC32 trailer (io::writeChecksummed), so a
 // bit-flipped model file fails deterministically at load instead of
-// predicting from corrupt weights. Quantized engines write the CQNT
-// container instead (saveQuantized above).
+// predicting from corrupt weights. Quantized engines write the same
+// container; their stage nets just hold qconv1d/qlinear layers.
 void Engine::save(std::ostream& os) const {
   if (!trained()) throw std::logic_error("Engine::save: not trained");
-  if (quantized_) {
-    saveQuantized(os);
-    return;
-  }
   io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2, [&](std::ostream& body) {
     io::Writer w(body);
     w.pod(cfg_.window);
@@ -1150,13 +883,6 @@ void Engine::save(std::ostream& os) const {
 }
 
 Engine Engine::load(std::istream& is) {
-  // Peek the container magic to route: CQNT -> quantized, CENG -> fp32.
-  const std::streampos pos = is.tellg();
-  uint32_t magic = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!is) throw CorruptError("engine: truncated input (missing magic)");
-  is.seekg(pos);
-  if (magic == kQuantMagic) return loadQuantized(is, nullptr, 0, nullptr);
   return io::readChecksummed(
       is, 0x43454e47, 2, "engine", [](std::istream& body) {
         io::Reader r(body);
@@ -1170,8 +896,36 @@ Engine Engine::load(std::istream& is) {
         cfg.clipEnabled = r.pod<uint8_t>() != 0;
         Engine e(cfg);
         e.encoder_.emplace(embed::VucEncoder::load(body));
+        if (e.encoder_->w2v().dim() != cfg.w2v.dim) {
+          throw CorruptError("engine: encoder dimension disagrees with the "
+                             "config");
+        }
+        // Each stage net must take inputShape() — in 64 bits, so a hostile
+        // window cannot overflow — and emit one logit per class.
+        const int64_t channels = 3 * static_cast<int64_t>(cfg.w2v.dim);
+        const int64_t rows = 2 * static_cast<int64_t>(cfg.window) + 1;
+        bool fp32 = false;
         for (int s = 0; s < kNumStages; ++s) {
-          e.stages_.push_back(nn::Sequential::load(body));
+          nn::Sequential net = nn::Sequential::load(body);
+          if (net.inShape().c != channels || net.inShape().l != rows ||
+              net.outShape().size() != numClasses(static_cast<Stage>(s))) {
+            throw CorruptError("engine: stage " +
+                               std::string(stageName(static_cast<Stage>(s))) +
+                               " does not fit the config's input shape and "
+                               "class count");
+          }
+          for (size_t i = 0; i < net.numLayers(); ++i) {
+            const std::string kind = net.layer(i).kind();
+            fp32 |= kind == "conv1d" || kind == "linear";
+            e.quantized_ |= kind == "qconv1d" || kind == "qlinear";
+          }
+          e.stages_.push_back(std::move(net));
+        }
+        if (fp32 && e.quantized_) {
+          throw CorruptError("engine: mixes fp32 and int8 layers");
+        }
+        if (body.peek() != std::char_traits<char>::eof()) {
+          throw CorruptError("engine: trailing bytes after the last stage");
         }
         return e;
       });
@@ -1185,17 +939,8 @@ void Engine::saveFile(const std::filesystem::path& p) const {
 
 Engine Engine::loadFile(const std::filesystem::path& p, LoadMode mode) {
   if (mode == LoadMode::kMap) {
-    auto mf = std::make_shared<fs::MappedFile>(p);
-    io::ImemStream is(mf->data(), mf->size());
-    uint32_t magic = 0;
-    is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!is) throw CorruptError("engine: truncated input (missing magic)");
-    is.seekg(0);
-    if (magic == kQuantMagic) {
-      return loadQuantized(is, mf->data(), mf->size(), mf);
-    }
-    // fp32 container out of the mapping: weights are copied into the usual
-    // Param vectors (and fully CRC-checked); the mapping is then released.
+    const fs::MappedFile mf(p);
+    io::ImemStream is(mf.data(), mf.size());
     return load(is);
   }
   std::ifstream is(p, std::ios::binary);

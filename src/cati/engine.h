@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <istream>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -201,22 +200,22 @@ class Engine {
   bool quantized() const { return quantized_; }
 
   // --- persistence ---
-  /// fp32 engines write the CENG v2 container (unchanged bytes vs the
-  /// seed); quantized engines write CQNT v1: a CRC-framed metadata block
-  /// (config echo, encoder, per-layer scales/biases/row sums and heap
-  /// references) followed by a 64-byte-aligned raw int8 weight heap whose
-  /// CRC is recorded in the metadata.
+  /// Writes the CENG v2 container: config echo, encoder and the six stage
+  /// nets under one CRC32 trailer. fp32 and quantized engines share it —
+  /// int8 layers serialize through Layer::saveExtra like any other layer.
   void save(std::ostream& os) const;
-  /// Auto-detects the container by magic (CENG -> fp32, CQNT -> quantized).
+  /// Reads a container written by save(), verifying every byte (CRC) and
+  /// range-checking every count: the encoder must match the config's
+  /// embedding size, each stage net the input shape and its class count,
+  /// and the stages must be all fp32 or all int8. Throws CorruptError.
   static Engine load(std::istream& is);
   void saveFile(const std::filesystem::path& p) const;
 
   enum class LoadMode {
-    kStream,  ///< read everything, verify every byte (heap CRC included)
-    kMap,     ///< mmap the file; CQNT weights are used in place (zero-copy)
-              ///< and only the metadata CRC + bounds are verified, so cold
-              ///< start costs O(pages touched), not O(model size)
+    kStream,  ///< read the file through an ifstream
+    kMap,     ///< read the file through an mmap of it
   };
+  /// Both modes run the same fully verified parse as load().
   static Engine loadFile(const std::filesystem::path& p,
                          LoadMode mode = LoadMode::kStream);
 
@@ -292,23 +291,11 @@ class Engine {
   void predictRange(std::span<const corpus::Vuc> vucs, size_t b, size_t e,
                     int batch, WorkerState& ws, StageProbs* out);
 
-  void saveQuantized(std::ostream& os) const;
-  /// Parses a CQNT container positioned at `is`. With mapBase == nullptr the
-  /// heap is read from the stream and CRC-verified; otherwise the weights
-  /// are used in place inside [mapBase, mapBase+mapSize) and `hold` (the
-  /// mapping) is retained for the engine's lifetime.
-  static Engine loadQuantized(std::istream& is, const char* mapBase,
-                              size_t mapSize, std::shared_ptr<const void> hold);
-
   EngineConfig cfg_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   std::optional<embed::VucEncoder> encoder_;
   std::vector<nn::Sequential> stages_;  // kNumStages entries once trained
-  bool quantized_ = false;
-  /// Keeps the quantized weight bytes alive: the owned heap vector
-  /// (stream load) or the mmapped container (kMap). Fresh quantize()
-  /// results own their bytes inside the layers and leave this empty.
-  std::shared_ptr<const void> heapHold_;
+  bool quantized_ = false;  ///< the stages hold int8 (nn/qnn.h) layers
   /// Per-worker inference scratch (index = pool worker id; worker 0 also
   /// serves the single-sample paths). Never serialized.
   std::vector<WorkerState> workers_;

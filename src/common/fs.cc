@@ -83,23 +83,6 @@ MappedFile::~MappedFile() {
   }
 }
 
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_), size_(other.size_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(const_cast<std::byte*>(data_), size_);
-    data_ = other.data_;
-    size_ = other.size_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
 bool isTempName(const std::filesystem::path& name) {
   const std::string s = name.filename().string();
   const size_t pos = s.find(kTempInfix);

@@ -25,31 +25,25 @@
 #include <filesystem>
 #include <functional>
 #include <ostream>
-#include <span>
 
 #include "common/errors.h"
 
 namespace cati::fs {
 
-/// A read-only mmap(2) of a whole file. Used for zero-copy model loading:
-/// the kernel pages bytes in on first touch, so opening a large container
-/// costs O(pages actually read), not O(file size). Move-only; the mapping
-/// lives until destruction, so spans handed out from data() must not
-/// outlive the MappedFile (the engine keeps it alive alongside the model).
+/// A read-only mmap(2) of a whole file, unmapped on destruction — how
+/// Engine::loadFile(kMap) reads a model. Pointers from data() must not
+/// outlive the MappedFile.
 ///
 /// Open failures throw cati::IoError (exit 3 — environment); an empty file
-/// maps as an empty span, which container readers then reject as truncated.
+/// maps as zero bytes, which container readers then reject as truncated.
 class MappedFile {
  public:
   explicit MappedFile(const std::filesystem::path& p);
   ~MappedFile();
 
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  std::span<const std::byte> bytes() const { return {data_, size_}; }
   const char* data() const { return reinterpret_cast<const char*>(data_); }
   size_t size() const { return size_; }
 

@@ -13,6 +13,7 @@
 // "checksum mismatch" error instead of a model deserialized into nonsense.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <istream>
@@ -55,35 +56,13 @@ inline uint32_t crc32(const void* data, size_t n, uint32_t crc = 0) {
 }
 
 /// An istream over caller-owned bytes, without copying them — used to parse
-/// container framing straight out of an mmapped model file. The buffer must
-/// outlive the stream. Seekable (tellg/seekg), read-only.
+/// container framing straight out of an mmapped file. The buffer must
+/// outlive the stream. Read-only.
 class ImemStream : private std::streambuf, public std::istream {
  public:
   ImemStream(const char* data, size_t n) : std::istream(this) {
     auto* p = const_cast<char*>(data);
     setg(p, p, p + n);
-  }
-
- protected:
-  // tellg()/seekg() support; streambuf's defaults return -1 (fail).
-  // (pos_type/off_type must be qualified: both bases define them.)
-  std::streambuf::pos_type seekoff(std::streambuf::off_type off,
-                                   std::ios_base::seekdir dir,
-                                   std::ios_base::openmode which) override {
-    using pos_type = std::streambuf::pos_type;
-    using off_type = std::streambuf::off_type;
-    if ((which & std::ios_base::in) == 0) return pos_type(off_type(-1));
-    char* base = eback();
-    off_type target = off;
-    if (dir == std::ios_base::cur) target += gptr() - base;
-    if (dir == std::ios_base::end) target += egptr() - base;
-    if (target < 0 || target > egptr() - base) return pos_type(off_type(-1));
-    setg(base, base + target, egptr());
-    return pos_type(target);
-  }
-  std::streambuf::pos_type seekpos(std::streambuf::pos_type pos,
-                                   std::ios_base::openmode which) override {
-    return seekoff(std::streambuf::off_type(pos), std::ios_base::beg, which);
   }
 };
 
@@ -136,9 +115,8 @@ class Reader {
   std::string str() {
     const auto n = pod<uint64_t>();
     guardSize(n);
-    std::string s(n, '\0');
-    is_.read(s.data(), static_cast<std::streamsize>(n));
-    check();
+    std::string s;
+    readChunked(s, n);
     return s;
   }
 
@@ -148,16 +126,52 @@ class Reader {
     const auto n = pod<uint64_t>();
     guardSize(n);  // element count first: n * sizeof(T) must not overflow
     guardSize(n * sizeof(T));
-    std::vector<T> v(n);
-    is_.read(reinterpret_cast<char*>(v.data()),
-             static_cast<std::streamsize>(n * sizeof(T)));
-    check();
+    std::vector<T> v;
+    readChunked(v, n);
+    return v;
+  }
+
+  /// A dimension field: an int in [1, max], else CorruptError naming `what`.
+  int dim(int max, const std::string& what) {
+    const auto v = pod<int>();
+    if (v < 1 || v > max) {
+      throw CorruptError(what + ": dimension " + std::to_string(v) +
+                         " out of range");
+    }
+    return v;
+  }
+
+  /// A length-prefixed vector that must hold exactly `n` elements.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  std::vector<T> vec(size_t n, const std::string& what) {
+    std::vector<T> v = vec<T>();
+    if (v.size() != n) {
+      throw CorruptError(what + ": " + std::to_string(v.size()) +
+                         " values where the dimensions need " +
+                         std::to_string(n));
+    }
     return v;
   }
 
  private:
   void check() {
     if (!is_) throw CorruptError("serialize: truncated input");
+  }
+  /// Reads `n` elements into `out`, growing it one chunk at a time: a
+  /// hostile length prefix costs at most one chunk of memory beyond the
+  /// bytes actually in the stream, not the gigabytes it claims.
+  template <typename C>
+  void readChunked(C& out, uint64_t n) {
+    using T = typename C::value_type;
+    constexpr uint64_t kChunk = (uint64_t{1} << 20) / sizeof(T);
+    while (out.size() < n) {
+      const size_t old = out.size();
+      out.resize(old + static_cast<size_t>(std::min(kChunk, n - old)));
+      is_.read(reinterpret_cast<char*>(out.data() + old),
+               static_cast<std::streamsize>((out.size() - old) * sizeof(T)));
+      check();
+    }
   }
   // Rejects absurd length prefixes before allocating, so a corrupt file
   // fails with a clear error instead of bad_alloc.

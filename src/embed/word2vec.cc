@@ -337,11 +337,11 @@ Word2Vec Word2Vec::load(std::istream& is) {
   io::Reader r(is);
   io::expectHeader(r, 0x43573256, 1, "word2vec");
   Word2Vec v;
-  v.dim_ = r.pod<int32_t>();
+  v.dim_ = r.dim(1 << 20, "word2vec");
   v.vectors_ = r.vec<float>();
-  v.context_ = r.vec<float>();
-  if (v.dim_ <= 0 || v.vectors_.size() % static_cast<size_t>(v.dim_) != 0) {
-    throw std::runtime_error("word2vec: corrupt model");
+  v.context_ = r.vec<float>(v.vectors_.size(), "word2vec context");
+  if (v.vectors_.size() % static_cast<size_t>(v.dim_) != 0) {
+    throw CorruptError("word2vec: corrupt model");
   }
   return v;
 }
@@ -403,6 +403,12 @@ void VucEncoder::save(std::ostream& os) const {
 VucEncoder VucEncoder::load(std::istream& is) {
   Vocab vocab = Vocab::load(is);
   Word2Vec w2v = Word2Vec::load(is);
+  // Every token id the vocab can return must have a vector.
+  if (vocab.size() != w2v.vocabSize()) {
+    throw CorruptError("encoder: vocab has " + std::to_string(vocab.size()) +
+                       " tokens but word2vec has " +
+                       std::to_string(w2v.vocabSize()) + " vectors");
+  }
   return VucEncoder(std::move(vocab), std::move(w2v));
 }
 

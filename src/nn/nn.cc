@@ -9,6 +9,7 @@
 #include "common/obs.h"
 #include "common/serialize.h"
 #include "nn/kernels.h"
+#include "nn/qnn.h"
 
 // Determinism note (DESIGN.md §7): every batched kernel below iterates
 // samples in ascending order and keeps the per-element accumulation order of
@@ -179,12 +180,12 @@ void Conv1d::saveExtra(std::ostream& os) const {
 
 void Conv1d::loadExtra(std::istream& is) {
   io::Reader r(is);
-  inC_ = r.pod<int>();
-  outC_ = r.pod<int>();
-  k_ = r.pod<int>();
-  w_.value = r.vec<float>();
+  inC_ = r.dim(kMaxDim, "conv1d");
+  outC_ = r.dim(kMaxDim, "conv1d");
+  k_ = r.dim(kMaxDim, "conv1d");
+  w_.value = r.vec<float>(static_cast<size_t>(outC_) * inC_ * k_, "conv1d");
   w_.grad.assign(w_.value.size(), 0.0F);
-  b_.value = r.vec<float>();
+  b_.value = r.vec<float>(static_cast<size_t>(outC_), "conv1d");
   b_.grad.assign(b_.value.size(), 0.0F);
 }
 
@@ -281,7 +282,7 @@ void MaxPool1d::saveExtra(std::ostream& os) const {
 
 void MaxPool1d::loadExtra(std::istream& is) {
   io::Reader r(is);
-  k_ = r.pod<int>();
+  k_ = r.dim(kMaxDim, "maxpool1d");
 }
 
 // --- GlobalMaxPool -------------------------------------------------------------
@@ -409,11 +410,11 @@ void Linear::saveExtra(std::ostream& os) const {
 
 void Linear::loadExtra(std::istream& is) {
   io::Reader r(is);
-  in_ = r.pod<int>();
-  out_ = r.pod<int>();
-  w_.value = r.vec<float>();
+  in_ = r.dim(kMaxDim, "linear");
+  out_ = r.dim(kMaxDim, "linear");
+  w_.value = r.vec<float>(static_cast<size_t>(out_) * in_, "linear");
   w_.grad.assign(w_.value.size(), 0.0F);
-  b_.value = r.vec<float>();
+  b_.value = r.vec<float>(static_cast<size_t>(out_), "linear");
   b_.grad.assign(b_.value.size(), 0.0F);
 }
 
@@ -461,6 +462,10 @@ void Dropout::saveExtra(std::ostream& os) const {
 void Dropout::loadExtra(std::istream& is) {
   io::Reader r(is);
   p_ = r.pod<float>();
+  if (!(p_ >= 0.0F && p_ < 1.0F)) {  // NaN fails too
+    throw CorruptError("dropout: rate " + std::to_string(p_) +
+                       " outside [0, 1)");
+  }
 }
 
 // --- Scratch -------------------------------------------------------------------
@@ -627,9 +632,19 @@ void Sequential::save(std::ostream& os) const {
 Sequential Sequential::load(std::istream& is) {
   io::Reader r(is);
   io::expectHeader(r, 0x434e4e31, 1, "sequential");
+  // Every shape in the net — the input and each layer's output — must be
+  // non-empty and within kMaxDim per sample, so no forward pass can index
+  // outside its buffers.
+  const auto checkShape = [](Shape s, const std::string& what) {
+    if (s.c < 1 || s.l < 1 ||
+        static_cast<int64_t>(s.c) * s.l > static_cast<int64_t>(kMaxDim)) {
+      throw CorruptError("sequential: " + what + " shape out of range");
+    }
+  };
   Shape in{};
   in.c = r.pod<int>();
   in.l = r.pod<int>();
+  checkShape(in, "input");
   Sequential seq(in);
   const auto n = r.pod<uint64_t>();
   for (uint64_t i = 0; i < n; ++i) {
@@ -647,11 +662,20 @@ Sequential Sequential::load(std::istream& is) {
       layer = std::make_unique<Linear>(1, 1, nullptr);
     } else if (kind == "dropout") {
       layer = std::make_unique<Dropout>(0.0F, 0);
+    } else if (kind == "qconv1d") {
+      layer = std::make_unique<QConv1d>();
+    } else if (kind == "qlinear") {
+      layer = std::make_unique<QLinear>();
     } else {
-      throw std::runtime_error("sequential: unknown layer kind " + kind);
+      throw CorruptError("sequential: unknown layer kind " + kind);
     }
     layer->loadExtra(is);
-    seq.add(std::move(layer));
+    try {
+      seq.add(std::move(layer));
+    } catch (const std::invalid_argument& e) {
+      throw CorruptError("sequential: " + std::string(e.what()));
+    }
+    checkShape(seq.outShape(), kind + " output");
   }
   return seq;
 }

@@ -61,6 +61,12 @@ struct Param {
 /// and its padding lanes dropped, so results never depend on batch size.
 inline constexpr int kBatchLane = 8;
 
+/// Bound on every dimension a model file declares — layer sizes, kernel
+/// widths, each shape axis and each per-sample activation size (c * l).
+/// Loaders reject anything outside [1, kMaxDim] with cati::CorruptError
+/// (DESIGN.md §6), so no product of dimensions can overflow.
+inline constexpr int kMaxDim = 1 << 20;
+
 /// What a forward pass must produce.
 enum class Phase {
   kInfer,  ///< outputs only: no backward caches, dropout is identity
@@ -130,6 +136,8 @@ class Layer {
 
   virtual std::string kind() const = 0;
   virtual void saveExtra(std::ostream& os) const;
+  /// Reads what saveExtra wrote. Throws cati::CorruptError when a count or
+  /// parameter is out of range or disagrees with the layer's dimensions.
   virtual void loadExtra(std::istream& is);
 };
 
@@ -340,7 +348,11 @@ class Sequential {
   Layer& layer(size_t i) { return *layers_[i]; }
   const Layer& layer(size_t i) const { return *layers_[i]; }
 
+  /// Input shape, then each layer's kind and saveExtra bytes.
   void save(std::ostream& os) const;
+  /// Reads a net written by save(), fp32 or int8 (nn/qnn.h) layers alike.
+  /// Throws cati::CorruptError on an unknown kind, a layer whose loadExtra
+  /// rejects its bytes, or a layer that does not fit the shape before it.
   static Sequential load(std::istream& is);
 
  private:

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/serialize.h"
 #include "nn/kernels.h"
 
 namespace cati::nn {
@@ -16,23 +17,44 @@ namespace {
                          ": quantized layers are inference-only");
 }
 
-[[noreturn]] void noLayerIo(const char* what) {
-  throw std::logic_error(std::string(what) +
-                         ": quantized layers serialize via the CQNT "
-                         "container, not Sequential::save");
+/// rowSum[kk * oPad + o]: the sum of output o's int8 weights in tap block
+/// kk, over the whole zero-padded group row — exactly what kern::qgemvI8's
+/// VNNI bias correction subtracts. A pure function of `w`, so it is derived
+/// here at quantize and load time and never persisted.
+std::vector<int32_t> rowSums(const std::vector<int8_t>& w, int inF, int outF,
+                             int k) {
+  const int oPad = kern::qOutPad(outF);
+  const int groups = kern::qGroups(inF);
+  std::vector<int32_t> sums(static_cast<size_t>(k) * oPad, 0);
+  const int8_t* v = w.data();
+  for (int kk = 0; kk < k; ++kk) {
+    int32_t* blockSums = sums.data() + static_cast<size_t>(kk) * oPad;
+    for (int g = 0; g < groups; ++g) {
+      for (int o = 0; o < oPad; ++o, v += kern::kQGroup) {
+        for (int j = 0; j < kern::kQGroup; ++j) blockSums[o] += v[j];
+      }
+    }
+  }
+  return sums;
 }
 
-void checkQWeights(const QWeights& q, int inF, int outF, int k,
-                   const char* what) {
-  const auto oPad = static_cast<size_t>(kern::qOutPad(outF));
-  if (q.scale.size() != static_cast<size_t>(outF) ||
-      q.bias.size() != static_cast<size_t>(outF) ||
-      q.rowSum.size() != static_cast<size_t>(k) * oPad ||
-      q.w.size() != static_cast<size_t>(k) * qBlockBytes(inF, outF)) {
-    throw std::invalid_argument(std::string(what) +
-                                ": quantized weight sizes do not match the "
-                                "layer dimensions");
-  }
+void saveQWeights(std::ostream& os, const QWeights& q) {
+  io::Writer w(os);
+  w.vec(q.scale);
+  w.vec(q.bias);
+  w.vec(q.w);
+}
+
+/// Reads what saveQWeights wrote for an inF -> outF layer with k taps;
+/// every count must match the dims.
+QWeights loadQWeights(io::Reader& r, int inF, int outF, int k,
+                      const std::string& what) {
+  QWeights q;
+  q.scale = r.vec<float>(static_cast<size_t>(outF), what);
+  q.bias = r.vec<float>(static_cast<size_t>(outF), what);
+  q.w = r.vec<int8_t>(static_cast<size_t>(k) * qBlockBytes(inF, outF), what);
+  q.rowSum = rowSums(q.w, inF, outF, k);
+  return q;
 }
 
 }  // namespace
@@ -54,8 +76,7 @@ QWeights quantizeWeights(std::span<const float> w, std::span<const float> b,
   QWeights q;
   q.scale.resize(outF);
   q.bias.assign(b.begin(), b.end());
-  q.rowSum.assign(static_cast<size_t>(k) * oPad, 0);
-  q.owned.assign(static_cast<size_t>(k) * blockBytes, 0);
+  q.w.assign(static_cast<size_t>(k) * blockBytes, 0);
 
   // Per-output-channel symmetric scale over the row's inF*k taps.
   std::vector<int8_t> row(static_cast<size_t>(inF) * k);
@@ -72,21 +93,18 @@ QWeights quantizeWeights(std::span<const float> w, std::span<const float> b,
       if (v < -127) v = -127;
       row[static_cast<size_t>(i)] = static_cast<int8_t>(v);
     }
-    // Scatter the row into the k grouped blocks and fold the row sums.
+    // Scatter the row into the k grouped blocks.
     for (int kk = 0; kk < k; ++kk) {
-      int8_t* block = q.owned.data() + static_cast<size_t>(kk) * blockBytes;
-      int32_t sum = 0;
+      int8_t* block = q.w.data() + static_cast<size_t>(kk) * blockBytes;
       for (int c = 0; c < inF; ++c) {
-        const int8_t v = row[static_cast<size_t>(c) * k + kk];
         const int g = c / kern::kQGroup;
         const int j = c % kern::kQGroup;
-        block[(static_cast<size_t>(g) * oPad + o) * kern::kQGroup + j] = v;
-        sum += v;
+        block[(static_cast<size_t>(g) * oPad + o) * kern::kQGroup + j] =
+            row[static_cast<size_t>(c) * k + kk];
       }
-      q.rowSum[static_cast<size_t>(kk) * oPad + o] = sum;
     }
   }
-  q.w = q.owned;
+  q.rowSum = rowSums(q.w, inF, outF, k);
   return q;
 }
 
@@ -98,9 +116,11 @@ QConv1d::QConv1d(const Conv1d& src)
   q_ = quantizeWeights(ps[0]->value, ps[1]->value, inC_, outC_, k_);
 }
 
-QConv1d::QConv1d(int inC, int outC, int kernel, QWeights q)
-    : inC_(inC), outC_(outC), k_(kernel), q_(std::move(q)) {
-  checkQWeights(q_, inC_, outC_, k_, "QConv1d");
+Shape QConv1d::outShape(Shape in) const {
+  if (in.c != inC_) {
+    throw std::invalid_argument("QConv1d: channel mismatch");
+  }
+  return {outC_, in.l};
 }
 
 void QConv1d::forward(std::span<const float> x, std::span<float> y, int n,
@@ -157,19 +177,27 @@ void QConv1d::backward(std::span<const float>, std::span<float>, int,
   inferenceOnly("QConv1d::backward");
 }
 
-void QConv1d::saveExtra(std::ostream&) const { noLayerIo("QConv1d::saveExtra"); }
-void QConv1d::loadExtra(std::istream&) { noLayerIo("QConv1d::loadExtra"); }
+void QConv1d::saveExtra(std::ostream& os) const {
+  io::Writer w(os);
+  w.pod(inC_);
+  w.pod(outC_);
+  w.pod(k_);
+  saveQWeights(os, q_);
+}
+
+void QConv1d::loadExtra(std::istream& is) {
+  io::Reader r(is);
+  inC_ = r.dim(kMaxDim, "qconv1d");
+  outC_ = r.dim(kMaxDim, "qconv1d");
+  k_ = r.dim(kMaxDim, "qconv1d");
+  q_ = loadQWeights(r, inC_, outC_, k_, "qconv1d");
+}
 
 // --- QLinear ----------------------------------------------------------------
 
 QLinear::QLinear(const Linear& src) : in_(src.inF()), out_(src.outF()) {
   const auto ps = static_cast<const Layer&>(src).params();
   q_ = quantizeWeights(ps[0]->value, ps[1]->value, in_, out_, 1);
-}
-
-QLinear::QLinear(int inF, int outF, QWeights q)
-    : in_(inF), out_(outF), q_(std::move(q)) {
-  checkQWeights(q_, in_, out_, 1, "QLinear");
 }
 
 Shape QLinear::outShape(Shape in) const {
@@ -212,8 +240,19 @@ void QLinear::backward(std::span<const float>, std::span<float>, int,
   inferenceOnly("QLinear::backward");
 }
 
-void QLinear::saveExtra(std::ostream&) const { noLayerIo("QLinear::saveExtra"); }
-void QLinear::loadExtra(std::istream&) { noLayerIo("QLinear::loadExtra"); }
+void QLinear::saveExtra(std::ostream& os) const {
+  io::Writer w(os);
+  w.pod(in_);
+  w.pod(out_);
+  saveQWeights(os, q_);
+}
+
+void QLinear::loadExtra(std::istream& is) {
+  io::Reader r(is);
+  in_ = r.dim(kMaxDim, "qlinear");
+  out_ = r.dim(kMaxDim, "qlinear");
+  q_ = loadQWeights(r, in_, out_, 1, "qlinear");
+}
 
 // --- quantizeNet ------------------------------------------------------------
 

@@ -7,7 +7,7 @@
 //   weights      symmetric per-output-channel: sW[o] = absMax(w[o])/127
 //                (1.0 when the row is all-zero), q = clamp(nearest-even
 //                (w/sW), ±127). Quantized ONCE at Engine::quantize() time;
-//                the int8 bytes are what the CQNT container persists.
+//                the int8 bytes are what the layer's saveExtra persists.
 //   activations  symmetric per-SAMPLE dynamic: amax over the layer input of
 //                one sample, invScale = 127/amax (0 when amax == 0),
 //                sx = amax/127. Per-sample scales make every sample's
@@ -21,9 +21,11 @@
 // The only inexactness vs fp32 is the quantization itself; the accuracy
 // cost is gated (≤ 0.5 pp) by tests/test_quant.cc and bench harness.
 //
-// Q layers are inference-only: forward outside Phase::kInfer, backward, and
-// Sequential-style (de)serialization all throw (the CQNT container in
-// cati/engine.cc is the one serialized form).
+// Q layers are inference-only: forward outside Phase::kInfer and backward
+// throw. They persist like any layer — Sequential::save writes their kind
+// and saveExtra bytes (dims, scale, bias, the grouped int8 w) into the same
+// CRC-verified engine container as fp32 layers; loadExtra range-checks every
+// count and recomputes the row sums from w.
 #pragma once
 
 #include <cstdint>
@@ -37,23 +39,19 @@ namespace cati::nn {
 /// One layer's quantized parameters. `w` is the kernel-grouped int8 layout
 /// (kern::qgemvI8): k back-to-back blocks (one per conv tap; Linear has
 /// k = 1), each [g][o][j] with g = i/kQGroup, o < qOutPad(outC),
-/// j = i%kQGroup, zero-padded. It points into `owned` when built in memory
-/// (Engine::quantize) or into an engine-held heap / mmapped container when
-/// loaded — the layer never copies the bytes.
+/// j = i%kQGroup, zero-padded.
 struct QWeights {
   std::vector<float> scale;     ///< [outC] per-output-channel weight scale
   std::vector<float> bias;      ///< [outC] fp32 bias (not quantized)
-  std::vector<int32_t> rowSum;  ///< [k * qOutPad(outC)] per-block w row sums
-  std::span<const int8_t> w;    ///< k blocks of qGroups(inF)*qOutPad(outC)*4
-  std::vector<int8_t> owned;    ///< backs `w` for in-memory quantization
+  std::vector<int32_t> rowSum;  ///< [k * qOutPad(outC)] row sums of w (derived)
+  std::vector<int8_t> w;        ///< k blocks of qGroups(inF)*qOutPad(outC)*4
 };
 
 /// Bytes of one grouped weight block (one conv tap / the whole Linear).
 size_t qBlockBytes(int inF, int outF);
 
 /// Quantizes an fp32 weight matrix into the grouped layout. `w` is
-/// [outF][inF][k] row-major (Linear passes k = 1); returns an owning
-/// QWeights (w points into owned).
+/// [outF][inF][k] row-major (Linear passes k = 1).
 QWeights quantizeWeights(std::span<const float> w, std::span<const float> b,
                          int inF, int outF, int k);
 
@@ -62,10 +60,10 @@ class QConv1d final : public Layer {
  public:
   /// Quantizes a trained fp32 layer.
   explicit QConv1d(const Conv1d& src);
-  /// Adopts pre-quantized parameters (CQNT load path).
-  QConv1d(int inC, int outC, int kernel, QWeights q);
+  /// An empty layer for Sequential::load to fill through loadExtra.
+  QConv1d() = default;
 
-  Shape outShape(Shape in) const override { return {outC_, in.l}; }
+  Shape outShape(Shape in) const override;
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
@@ -74,15 +72,12 @@ class QConv1d final : public Layer {
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
 
-  int inC() const { return inC_; }
-  int outC() const { return outC_; }
-  int kernel() const { return k_; }
   const QWeights& qweights() const { return q_; }
 
  private:
-  int inC_;
-  int outC_;
-  int k_;
+  int inC_ = 0;
+  int outC_ = 0;
+  int k_ = 0;
   QWeights q_;
 };
 
@@ -90,7 +85,8 @@ class QConv1d final : public Layer {
 class QLinear final : public Layer {
  public:
   explicit QLinear(const Linear& src);
-  QLinear(int inF, int outF, QWeights q);
+  /// An empty layer for Sequential::load to fill through loadExtra.
+  QLinear() = default;
 
   Shape outShape(Shape in) const override;
   void forward(std::span<const float> x, std::span<float> y, int n,
@@ -101,13 +97,11 @@ class QLinear final : public Layer {
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
 
-  int inF() const { return in_; }
-  int outF() const { return out_; }
   const QWeights& qweights() const { return q_; }
 
  private:
-  int in_;
-  int out_;
+  int in_ = 0;
+  int out_ = 0;
   QWeights q_;
 };
 

@@ -10,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <sstream>
 
+#include "common/serialize.h"
+#include "nn/qnn.h"
 #include "synth/synth.h"
 
 namespace cati {
@@ -263,6 +267,144 @@ TEST_F(EngineTest, CorruptModelFilesAreRejectedCleanly) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
         << e.what();
+  }
+}
+
+// --- hostile model contents (DESIGN.md §6) ---------------------------------
+// A CRC only proves the bytes arrived as written: anyone can recompute it.
+// These models are assembled from parts and framed with a valid checksum, so
+// Engine::load must reject them on their contents.
+
+/// Frames a CENG v2 payload — config echo, encoder, stage nets — exactly as
+/// Engine::save lays it out, under a valid CRC.
+std::string frameModel(const EngineConfig& cfg, const embed::VucEncoder& enc,
+                       const std::vector<nn::Sequential>& stages,
+                       const std::string& tail = "") {
+  std::ostringstream os;
+  io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2, [&](std::ostream& body) {
+    io::Writer w(body);
+    w.pod(cfg.window);
+    w.pod(cfg.w2v.dim);
+    w.pod(cfg.conv1);
+    w.pod(cfg.conv2);
+    w.pod(cfg.fcHidden);
+    w.pod(cfg.voteClip);
+    w.pod(static_cast<uint8_t>(cfg.clipEnabled ? 1 : 0));
+    enc.save(body);
+    for (const auto& net : stages) net.save(body);
+    body << tail;
+  });
+  return std::move(os).str();
+}
+
+/// Six freshly initialized stage nets for `cfg`; stage `wrongStage` gets
+/// one class too many when set.
+std::vector<nn::Sequential> stageNets(const EngineConfig& cfg,
+                                      int wrongStage = -1) {
+  Rng rng(5);
+  std::vector<nn::Sequential> nets;
+  for (int s = 0; s < kNumStages; ++s) {
+    const int classes =
+        numClasses(static_cast<Stage>(s)) + (s == wrongStage ? 1 : 0);
+    nets.push_back(nn::makeCnn({3 * cfg.w2v.dim, 2 * cfg.window + 1},
+                               cfg.conv1, cfg.conv2, cfg.fcHidden, classes,
+                               cfg.dropout, rng));
+  }
+  return nets;
+}
+
+Engine loadBytes(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return Engine::load(is);
+}
+
+/// Loading `bytes` must fail with a CorruptError whose message names `why`.
+void expectCorrupt(const std::string& bytes, const std::string& why) {
+  try {
+    loadBytes(bytes);
+    ADD_FAILURE() << "model loaded; expected a rejection for: " << why;
+  } catch (const CorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(EngineTest, FramedPartsLoad) {
+  // The baseline the hostile cases below perturb one field of.
+  const EngineConfig& cfg = engine_->config();
+  const Engine e =
+      loadBytes(frameModel(cfg, engine_->encoder(), stageNets(cfg)));
+  EXPECT_FALSE(e.quantized());
+}
+
+TEST_F(EngineTest, EncoderVocabMustMatchWord2VecRows) {
+  const EngineConfig& cfg = engine_->config();
+  embed::Vocab vocab = engine_->encoder().vocab();
+  vocab.add("token-without-a-vector");
+  const embed::VucEncoder enc(std::move(vocab), engine_->encoder().w2v());
+  expectCorrupt(frameModel(cfg, enc, stageNets(cfg)), "word2vec has");
+}
+
+TEST_F(EngineTest, EncoderDimMustMatchConfig) {
+  EngineConfig cfg = engine_->config();
+  const auto nets = stageNets(cfg);
+  cfg.w2v.dim += 1;
+  expectCorrupt(frameModel(cfg, engine_->encoder(), nets),
+                "encoder dimension");
+}
+
+TEST_F(EngineTest, StageInputShapeMustMatchConfigWindow) {
+  EngineConfig cfg = engine_->config();
+  const auto nets = stageNets(cfg);
+  for (const int window : {cfg.window - 1, -1, 1 << 30}) {
+    SCOPED_TRACE(window);
+    cfg.window = window;
+    expectCorrupt(frameModel(cfg, engine_->encoder(), nets), "input shape");
+  }
+}
+
+TEST_F(EngineTest, StageClassCountMustMatch) {
+  const EngineConfig& cfg = engine_->config();
+  expectCorrupt(frameModel(cfg, engine_->encoder(), stageNets(cfg, 3)),
+                "class count");
+}
+
+TEST_F(EngineTest, MixedFp32AndInt8StagesRejected) {
+  const EngineConfig& cfg = engine_->config();
+  std::vector<nn::Sequential> nets = stageNets(cfg);
+  nets[2] = nn::quantizeNet(nets[2]);
+  expectCorrupt(frameModel(cfg, engine_->encoder(), nets),
+                "mixes fp32 and int8");
+  // All six quantized is a valid int8 engine.
+  for (auto& net : nets) {
+    if (net.layer(0).kind() == "conv1d") net = nn::quantizeNet(net);
+  }
+  EXPECT_TRUE(
+      loadBytes(frameModel(cfg, engine_->encoder(), nets)).quantized());
+}
+
+TEST_F(EngineTest, TrailingPayloadBytesRejected) {
+  const EngineConfig& cfg = engine_->config();
+  expectCorrupt(frameModel(cfg, engine_->encoder(), stageNets(cfg), "junk"),
+                "trailing bytes");
+}
+
+TEST_F(EngineTest, StreamAndMapLoadsAgree) {
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() / "cati_engine_modes.bin";
+  engine_->saveFile(file);
+  Engine streamed = Engine::loadFile(file, Engine::LoadMode::kStream);
+  Engine mapped = Engine::loadFile(file, Engine::LoadMode::kMap);
+  std::filesystem::remove(file);
+  const std::span<const corpus::Vuc> vucs(train_->vucs.data(), 16);
+  const auto a = streamed.predictVucs(vucs);
+  const auto b = mapped.predictVucs(vucs);
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t s = 0; s < a[i].probs.size(); ++s) {
+      ASSERT_EQ(a[i].probs[s].size(), b[i].probs[s].size());
+      EXPECT_EQ(std::memcmp(a[i].probs[s].data(), b[i].probs[s].data(),
+                            a[i].probs[s].size() * sizeof(float)),
+                0);
+    }
   }
 }
 

@@ -4,13 +4,16 @@
 // Synth-generated images are mutated (bit flips, truncations, splices,
 // garbage blocks) at two levels — the serialized container and the
 // in-memory structure — and the full pipeline must return diagnostics,
-// never throw, never UB. Run under -DCATI_SANITIZE=ON in CI so "never UB"
-// is checked by ASan+UBSan, not just by not-crashing.
+// never throw, never UB. The model reader gets the same treatment: mutated
+// engine payloads under a recomputed CRC must be rejected or analyze
+// cleanly. Run under -DCATI_SANITIZE=ON in CI so "never UB" is checked by
+// ASan+UBSan, not just by not-crashing.
 //
 // Self-contained (common/rng.h, no libFuzzer). Deterministic: every
 // mutation derives from fixed seeds. CATI_FUZZ_ITERS scales the iteration
-// count (default 10500 across the three tests).
+// counts (each test's default is its share of 10500).
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -19,6 +22,7 @@
 #include "asmx/encode.h"
 #include "cati/engine.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "corpus/corpus.h"
 #include "loader/cache.h"
 #include "loader/image.h"
@@ -175,6 +179,61 @@ TEST_F(FuzzTest, MutatedContainerBytes) {
     ASSERT_NO_FATAL_FAILURE(runPipeline(m, rng.next()))
         << "iteration " << i;
   }
+}
+
+TEST_F(FuzzTest, MutatedModelPayload) {
+  // Structure-level fuzz of the one model reader: the payloads of the micro
+  // engine and its int8 twin are mutated and re-framed under a valid CRC,
+  // so the bytes reach the layer and encoder parsers (the CRC alone would
+  // stop almost all of them). Engine::load must throw, or return an engine
+  // that analyzes an image cleanly.
+  const auto payloadOf = [](const Engine& e) {
+    std::ostringstream os;
+    e.save(os);
+    const std::string framed = std::move(os).str();
+    // magic u32 | version u32 | length u64 | payload | crc32 u32
+    return framed.substr(16, framed.size() - 20);
+  };
+  const std::string payloads[] = {payloadOf(*engine_),
+                                  payloadOf(engine_->quantize())};
+  // Every other mutant leaves the config echo (5 ints, a float, a byte)
+  // and the encoder alone and hits only the stage nets, where the layer
+  // dims and counts live: the encoder's word2vec rows are most of the
+  // payload and would otherwise soak up most mutations.
+  std::ostringstream encoder;
+  engine_->encoder().save(encoder);
+  const size_t netsAt = 25 + encoder.str().size();
+  const int iters = scaledIters(1000);
+  Rng rng(0xF0220005);
+  int loaded = 0;
+  for (int i = 0; i < iters; ++i) {
+    const std::string& base = payloads[i % 2];
+    const std::string m =
+        (i / 2) % 2 == 0
+            ? mutateBytes(base, rng)
+            : base.substr(0, netsAt) + mutateBytes(base.substr(netsAt), rng);
+    std::ostringstream framed;
+    io::writeChecksummed(framed, 0x43454e47 /*"CENG"*/, 2,
+                         [&](std::ostream& body) { body << m; });
+    std::istringstream is(std::move(framed).str());
+    std::optional<Engine> e;
+    try {
+      e.emplace(Engine::load(is));
+    } catch (const std::runtime_error&) {
+      continue;  // CorruptError, or a truncated stream
+    }
+    ++loaded;
+    serve::AnalyzeOptions opts;
+    opts.cache = cache_;
+    const serve::AnalyzeResult res = serve::analyzeImage(
+        *e, (*images_)[static_cast<size_t>(i / 2) % images_->size()], nullptr,
+        0, opts);
+    EXPECT_NE(res.report.find(" variables typed"), std::string::npos)
+        << "iteration " << i;
+  }
+  // Flips inside weights, biases and vectors keep every count valid, so a
+  // share of the mutants must get as far as inference.
+  EXPECT_GT(loaded, 0);
 }
 
 TEST_F(FuzzTest, MutatedImageStructure) {

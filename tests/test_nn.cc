@@ -1,15 +1,21 @@
 // Tests for the NN library: shape propagation, numeric gradient checks for
 // every layer (the backprop correctness proof), softmax invariants, Adam
-// convergence on a toy problem, and model serialization.
+// convergence on a toy problem, and model serialization — including the
+// range checks that keep a CRC-valid but hostile model from loading.
 #include "nn/nn.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
+
+#include "common/errors.h"
+#include "common/serialize.h"
+#include "nn/qnn.h"
 
 namespace cati::nn {
 namespace {
@@ -276,6 +282,211 @@ TEST(Serialize, SequentialRoundTrip) {
 TEST(Serialize, CorruptModelThrows) {
   std::stringstream ss("this is not a model");
   EXPECT_THROW(Sequential::load(ss), std::runtime_error);
+}
+
+// --- hostile layer fields (DESIGN.md §6) -------------------------------------
+// Each stream below is what an attacker who recomputes the container CRC can
+// hand Sequential::load: a well-formed header and layer kind followed by
+// saveExtra bytes of their choosing.
+
+/// A Sequential stream with input shape `in` and one layer of `kind` whose
+/// saveExtra bytes `extra` writes.
+std::string oneLayerNet(Shape in, const std::string& kind,
+                        const std::function<void(io::Writer&)>& extra) {
+  std::ostringstream os;
+  io::Writer w(os);
+  io::writeHeader(w, 0x434e4e31 /*"CNN1"*/, 1);
+  w.pod(in.c);
+  w.pod(in.l);
+  w.pod<uint64_t>(1);
+  w.str(kind);
+  extra(w);
+  return std::move(os).str();
+}
+
+Sequential loadNet(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return Sequential::load(is);
+}
+
+/// Conv1d / QConv1d-style dims: inC, outC, k.
+std::function<void(io::Writer&)> convDims(int inC, int outC, int k,
+                                          size_t weights, size_t biases) {
+  return [=](io::Writer& w) {
+    w.pod(inC);
+    w.pod(outC);
+    w.pod(k);
+    w.vec(std::vector<float>(weights, 0.5F));
+    w.vec(std::vector<float>(biases, 0.0F));
+  };
+}
+
+TEST(SerializeHostile, Conv1dWeightCountMustMatchDims) {
+  // 96 -> 32, k = 3 needs 9216 weights; forward would read past 10.
+  EXPECT_THROW(loadNet(oneLayerNet({96, 21}, "conv1d",
+                                   convDims(96, 32, 3, 10, 32))),
+               CorruptError);
+  EXPECT_THROW(loadNet(oneLayerNet({96, 21}, "conv1d",
+                                   convDims(96, 32, 3, 96 * 32 * 3, 31))),
+               CorruptError);
+  EXPECT_NO_THROW(loadNet(oneLayerNet({96, 21}, "conv1d",
+                                      convDims(96, 32, 3, 96 * 32 * 3, 32))));
+}
+
+TEST(SerializeHostile, LinearWeightCountMustMatchDims) {
+  const auto linear = [](size_t weights, size_t biases) {
+    return [=](io::Writer& w) {
+      w.pod(8);
+      w.pod(3);
+      w.vec(std::vector<float>(weights, 0.5F));
+      w.vec(std::vector<float>(biases, 0.0F));
+    };
+  };
+  EXPECT_THROW(loadNet(oneLayerNet({8, 1}, "linear", linear(23, 3))),
+               CorruptError);
+  EXPECT_THROW(loadNet(oneLayerNet({8, 1}, "linear", linear(24, 4))),
+               CorruptError);
+  EXPECT_NO_THROW(loadNet(oneLayerNet({8, 1}, "linear", linear(24, 3))));
+}
+
+TEST(SerializeHostile, LayerDimsMustBePositiveAndBounded) {
+  for (const int bad : {0, -1, kMaxDim + 1}) {
+    EXPECT_THROW(loadNet(oneLayerNet({4, 5}, "conv1d",
+                                     convDims(4, bad, 3, 0, 0))),
+                 CorruptError)
+        << bad;
+    EXPECT_THROW(loadNet(oneLayerNet({4, 5}, "conv1d",
+                                     convDims(4, 2, bad, 0, 0))),
+                 CorruptError)
+        << bad;
+  }
+}
+
+TEST(SerializeHostile, MaxPoolKernelMustBePositive) {
+  // k = 0 would divide by zero in MaxPool1d::outShape (SIGFPE).
+  for (const int k : {0, -2}) {
+    EXPECT_THROW(loadNet(oneLayerNet({4, 6}, "maxpool1d",
+                                     [k](io::Writer& w) { w.pod(k); })),
+                 CorruptError)
+        << k;
+  }
+}
+
+TEST(SerializeHostile, EmptyOutputShapeRejected) {
+  // A pool wider than the input leaves zero positions for the next layer.
+  EXPECT_THROW(loadNet(oneLayerNet({4, 6}, "maxpool1d",
+                                   [](io::Writer& w) { w.pod(7); })),
+               CorruptError);
+  EXPECT_NO_THROW(loadNet(oneLayerNet({4, 6}, "maxpool1d",
+                                      [](io::Writer& w) { w.pod(6); })));
+}
+
+TEST(SerializeHostile, DropoutRateMustBeInUnitInterval) {
+  for (const float p : {1.0F, -0.25F, 7.0F,
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    EXPECT_THROW(loadNet(oneLayerNet({4, 6}, "dropout",
+                                     [p](io::Writer& w) { w.pod(p); })),
+                 CorruptError)
+        << p;
+  }
+  EXPECT_NO_THROW(loadNet(oneLayerNet({4, 6}, "dropout",
+                                      [](io::Writer& w) { w.pod(0.0F); })));
+}
+
+TEST(SerializeHostile, InputShapeMustBeNonEmptyAndBounded) {
+  const auto relu = [](io::Writer&) {};
+  for (const Shape in : {Shape{0, 5}, Shape{4, -1}, Shape{kMaxDim, 2}}) {
+    EXPECT_THROW(loadNet(oneLayerNet(in, "relu", relu)), CorruptError)
+        << in.c << "x" << in.l;
+  }
+}
+
+TEST(SerializeHostile, LayerMustFitThePreviousShape) {
+  // A well-formed 5 -> 2 conv behind a 4-channel input.
+  EXPECT_THROW(loadNet(oneLayerNet({4, 6}, "conv1d",
+                                   convDims(5, 2, 3, 30, 2))),
+               CorruptError);
+}
+
+TEST(SerializeHostile, UnknownLayerKindRejected) {
+  EXPECT_THROW(loadNet(oneLayerNet({4, 6}, "conv3d", [](io::Writer&) {})),
+               CorruptError);
+}
+
+// --- int8 layers persist like fp32 ones ------------------------------------
+
+TEST(SerializeQuant, QuantizedNetRoundTripsByteIdentically) {
+  Rng rng(31);
+  const Sequential net = makeCnn({6, 9}, 4, 5, 8, 3, 0.3F, rng);
+  const Sequential q = quantizeNet(net);
+  std::ostringstream os;
+  q.save(os);
+  const std::string bytes = std::move(os).str();
+  Sequential back = loadNet(bytes);
+  ASSERT_EQ(back.numLayers(), q.numLayers());
+  for (size_t i = 0; i < q.numLayers(); ++i) {
+    EXPECT_EQ(back.layer(i).kind(), q.layer(i).kind());
+  }
+  // Row sums are recomputed on load, not stored: they must come back equal.
+  const auto& a = dynamic_cast<const QConv1d&>(q.layer(0)).qweights();
+  const auto& b = dynamic_cast<const QConv1d&>(back.layer(0)).qweights();
+  EXPECT_EQ(a.rowSum, b.rowSum);
+  EXPECT_EQ(a.w, b.w);
+
+  std::vector<float> x(2 * 54);
+  for (float& v : x) v = rng.normal();
+  Scratch sa = q.makeScratch();
+  Scratch sb = back.makeScratch();
+  const auto ya = q.forward(x, 2, sa, Phase::kInfer);
+  const std::vector<float> outA(ya.begin(), ya.end());
+  const auto yb = back.forward(x, 2, sb, Phase::kInfer);
+  ASSERT_EQ(yb.size(), outA.size());
+  EXPECT_EQ(std::memcmp(yb.data(), outA.data(), outA.size() * sizeof(float)),
+            0);
+
+  std::ostringstream again;
+  back.save(again);
+  EXPECT_EQ(std::move(again).str(), bytes);
+}
+
+TEST(SerializeQuant, QuantizedCountsMustMatchDims) {
+  // A 6 -> 5, k = 3 qconv1d: scale/bias of 5, w of 3 blocks.
+  const size_t wBytes = 3 * qBlockBytes(6, 5);
+  const auto qconv = [](int inC, size_t scales, size_t w) {
+    return [=](io::Writer& wr) {
+      wr.pod(inC);
+      wr.pod(5);
+      wr.pod(3);
+      wr.vec(std::vector<float>(scales, 0.01F));
+      wr.vec(std::vector<float>(5, 0.0F));
+      wr.vec(std::vector<int8_t>(w, 1));
+    };
+  };
+  EXPECT_NO_THROW(loadNet(oneLayerNet({6, 9}, "qconv1d", qconv(6, 5, wBytes))));
+  EXPECT_THROW(loadNet(oneLayerNet({6, 9}, "qconv1d", qconv(6, 4, wBytes))),
+               CorruptError);
+  EXPECT_THROW(
+      loadNet(oneLayerNet({6, 9}, "qconv1d", qconv(6, 5, wBytes - 1))),
+      CorruptError);
+  // Counts consistent with inC = 7, but the input has 6 channels.
+  EXPECT_THROW(loadNet(oneLayerNet({6, 9}, "qconv1d",
+                                   qconv(7, 5, 3 * qBlockBytes(7, 5)))),
+               CorruptError);
+
+  const auto qlinear = [](size_t w) {
+    return [=](io::Writer& wr) {
+      wr.pod(6);
+      wr.pod(2);
+      wr.vec(std::vector<float>(2, 0.01F));
+      wr.vec(std::vector<float>(2, 0.0F));
+      wr.vec(std::vector<int8_t>(w, 1));
+    };
+  };
+  EXPECT_NO_THROW(
+      loadNet(oneLayerNet({6, 1}, "qlinear", qlinear(qBlockBytes(6, 2)))));
+  EXPECT_THROW(
+      loadNet(oneLayerNet({6, 1}, "qlinear", qlinear(qBlockBytes(6, 2) + 4))),
+      CorruptError);
 }
 
 TEST(Layers, SizeMismatchThrows) {

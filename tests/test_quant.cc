@@ -2,11 +2,11 @@
 //
 //   - quantize -> dequantize error is bounded by half a quantization step
 //     per weight (symmetric per-output-channel scales);
-//   - the CQNT container rejects corruption the same way every other
-//     checksummed container does: bad magic, truncation, flipped bits in
-//     metadata or heap are deterministic CorruptError, never a model that
-//     predicts from garbage — while the mmap path's documented deal
-//     (metadata verified, heap trusted to the filesystem) also holds;
+//   - a quantized engine saves into the same CENG container as an fp32
+//     one and is rejected on corruption the same way: bad magic,
+//     truncation and flipped bits anywhere — int8 weights included, under
+//     either load mode — are deterministic CorruptError, never a model
+//     that predicts from garbage;
 //   - quantized inference is bit-identical across batch sizes and job
 //     counts (per-sample activation scales, exact int32 accumulation);
 //   - the accuracy cost vs fp32 on the seeded micro-model is at most
@@ -69,9 +69,8 @@ TEST(QuantWeights, RoundTripBoundedByHalfStep) {
         }
       }
     }
-    // Row sums in the metadata must equal the stored int8 rows: the VNNI
-    // kernel's bias correction depends on them and they are never
-    // recomputed at load time.
+    // Row sums must equal the int8 rows: the VNNI kernel's bias correction
+    // depends on them (loadExtra recomputes them from w the same way).
     for (int kk = 0; kk < k; ++kk) {
       for (int o = 0; o < outF; ++o) {
         int32_t sum = 0;
@@ -191,19 +190,19 @@ TEST_F(QuantEngineTest, CorruptionIsRejectedDeterministically) {
     b[0] ^= 0x40;
     EXPECT_THROW(loadFrom(b), CorruptError);
   }
-  // A flipped bit early in the metadata payload.
+  // A flipped bit early in the payload (config echo / encoder).
   {
     std::string b = bytes;
     b[60] ^= 0x01;
     EXPECT_THROW(loadFrom(b), CorruptError);
   }
-  // A flipped bit in the weight heap (stream load verifies the heap CRC).
+  // A flipped bit near the end: the last stage's int8 weights.
   {
     std::string b = bytes;
     b[b.size() - 40] ^= 0x01;
     EXPECT_THROW(loadFrom(b), CorruptError);
   }
-  // Truncations: inside the metadata frame and inside the heap.
+  // Truncations: in the header and at three points of the payload.
   for (const size_t keep : {size_t{3}, size_t{200}, bytes.size() / 2,
                             bytes.size() - 33}) {
     EXPECT_THROW(loadFrom(bytes.substr(0, keep)), CorruptError) << keep;
@@ -216,20 +215,25 @@ TEST_F(QuantEngineTest, MmapLoadMatchesStreamLoadAndChecksMeta) {
   const stdfs::path file = dir / "model.q.bin";
   quant_->saveFile(file);
 
+  // Both modes run the same fully verified parse; kMap only reads the bytes
+  // through a mapping.
   Engine mapped = Engine::loadFile(file, Engine::LoadMode::kMap);
+  Engine streamed = Engine::loadFile(file, Engine::LoadMode::kStream);
   EXPECT_TRUE(mapped.quantized());
   EXPECT_EQ(probeBytes(mapped, 32, nullptr, 8),
             probeBytes(*quant_, 32, nullptr, 8));
+  EXPECT_EQ(probeBytes(streamed, 32, nullptr, 8),
+            probeBytes(mapped, 32, nullptr, 8));
 
   const std::string bytes = quantBytes();
-  // Truncated heap: caught by bounds checks even without a heap CRC pass.
+  // Truncated payload.
   {
     std::ofstream os(dir / "trunc.bin", std::ios::binary);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 33));
   }
   EXPECT_THROW(Engine::loadFile(dir / "trunc.bin", Engine::LoadMode::kMap),
                CorruptError);
-  // Metadata corruption: caught by the frame CRC.
+  // A flip in the config echo / encoder: caught by the CRC.
   {
     std::string b = bytes;
     b[60] ^= 0x01;
@@ -238,15 +242,15 @@ TEST_F(QuantEngineTest, MmapLoadMatchesStreamLoadAndChecksMeta) {
   }
   EXPECT_THROW(Engine::loadFile(dir / "meta.bin", Engine::LoadMode::kMap),
                CorruptError);
-  // The documented kMap deal: heap bytes are NOT re-checksummed (that is
-  // what makes cold start O(pages touched)) — a heap flip loads fine.
+  // A flip in the int8 weights: caught by the CRC too, mapped or not.
   {
     std::string b = bytes;
     b[b.size() - 40] ^= 0x01;
     std::ofstream os(dir / "heap.bin", std::ios::binary);
     os.write(b.data(), static_cast<std::streamsize>(b.size()));
   }
-  EXPECT_NO_THROW(Engine::loadFile(dir / "heap.bin", Engine::LoadMode::kMap));
+  EXPECT_THROW(Engine::loadFile(dir / "heap.bin", Engine::LoadMode::kMap),
+               CorruptError);
   stdfs::remove_all(dir);
 }
 

@@ -31,6 +31,7 @@
 #include "common/errors.h"
 #include "common/fault.h"
 #include "common/obs.h"
+#include "common/serialize.h"
 #include "loader/image.h"
 #include "serve/analysis.h"
 #include "serve/cache.h"
@@ -1026,6 +1027,29 @@ TEST_F(ServeTest, CliUsageErrors) {
   EXPECT_EQ(runTool(serve + " " + model + sockArg), 4);
   // Missing model: generic failure (exit 1), matching the other tools.
   EXPECT_EQ(runTool(serve + " " + (dir_ / "nope.bin").string() + sockArg), 1);
+}
+
+TEST_F(ServeTest, InferRejectsCraftedModelWithExit4) {
+  // A model whose CRC is valid but whose first pool has kernel 0 — what an
+  // attacker who recomputes the checksum can write. cati-infer must report
+  // it as a corrupt model (exit 4), not die of a division by zero.
+  const std::string good =
+      testsupport::serializeEngine(testsupport::cachedMicroEngine());
+  // magic u32 | version u32 | length u64 | payload | crc32 u32
+  std::string payload = good.substr(16, good.size() - 20);
+  const std::string pool = std::string("\x09\0\0\0\0\0\0\0", 8) + "maxpool1d";
+  const size_t at = payload.find(pool);
+  ASSERT_NE(at, std::string::npos);
+  std::memset(payload.data() + at + pool.size(), 0, sizeof(int32_t));
+  const std::string model = (dir_ / "crafted.bin").string();
+  {
+    std::ofstream os(model, std::ios::binary);
+    io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2,
+                         [&](std::ostream& body) { body << payload; });
+  }
+  const std::string img = (dir_ / "img.img").string();
+  std::ofstream(img, std::ios::binary) << microImageBytes(0, /*stripped=*/true);
+  EXPECT_EQ(runTool(toolPath("cati-infer") + " " + model + " " + img), 4);
 }
 
 TEST_F(ServeTest, ServeBinaryMatchesInferBinary) {

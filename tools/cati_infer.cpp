@@ -31,7 +31,7 @@ namespace {
 
 constexpr const char* kUsagePrefix =
     "usage: cati-infer MODEL.bin IMAGE.img [--confidence-min X] [--jobs N] "
-    "[--timeout-ms T] [--quant] [--mmap]";
+    "[--timeout-ms T] [--quant]";
 
 std::string usageLine() {
   return std::string(kUsagePrefix) + cati::cli::kCommonUsage + "\n";
@@ -46,7 +46,6 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   serve::AnalyzeOptions opts;
   int jobs = 0;  // 0: CATI_JOBS env or hardware concurrency
   bool quant = false;
-  bool useMmap = false;
   cli::SeenFlags seen;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -75,19 +74,14 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     } else if (arg == "--quant") {
       seen.note(arg);
       quant = true;
-    } else if (arg == "--mmap") {
-      seen.note(arg);
-      useMmap = true;
     } else {
       cli::unknownArg(arg);
     }
   }
 
-  // --mmap: zero-copy model load (quantized containers keep their weights
-  // in the mapping). --quant: run int8 inference — a quantized model file
-  // is used as-is, an fp32 one is quantized in-process after loading.
-  Engine engine = Engine::loadFile(
-      argv[1], useMmap ? Engine::LoadMode::kMap : Engine::LoadMode::kStream);
+  // --quant: run int8 inference — a quantized model file is used as-is, an
+  // fp32 one is quantized in-process after loading.
+  Engine engine = Engine::loadFile(argv[1]);
   if (quant && !engine.quantized()) engine = engine.quantize();
   DiagList diags;
   const auto img = loader::readFile(argv[2], diags);

@@ -30,7 +30,7 @@ namespace {
 constexpr const char* kUsagePrefix =
     "usage: cati-serve MODEL.bin --listen ADDR [--jobs N] [--max-queue N] "
     "[--max-group N] [--cache-bytes SIZE] [--cache-dir DIR] "
-    "[--decode-cache SIZE] [--max-requests N] [--quant] [--mmap]";
+    "[--decode-cache SIZE] [--max-requests N] [--quant]";
 
 std::string usageLine() {
   return std::string(kUsagePrefix) + cati::cli::kCommonUsage +
@@ -51,7 +51,6 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   cfg.batch = common.batch;
   bool haveListen = false;
   bool quant = false;
-  bool useMmap = false;
   cli::SeenFlags seen;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -99,9 +98,6 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     } else if (arg == "--quant") {
       seen.note(arg);
       quant = true;
-    } else if (arg == "--mmap") {
-      seen.note(arg);
-      useMmap = true;
     } else {
       cli::unknownArg(arg);
     }
@@ -112,10 +108,7 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   // the protocol, not an opt-in debugging aid.
   obs::setEnabled(true);
 
-  // --mmap makes cold start O(pages touched) for quantized containers: the
-  // daemon starts answering before the whole model has been paged in.
-  Engine engine = Engine::loadFile(
-      argv[1], useMmap ? Engine::LoadMode::kMap : Engine::LoadMode::kStream);
+  Engine engine = Engine::loadFile(argv[1]);
   if (quant && !engine.quantized()) engine = engine.quantize();
   serve::Server server(engine, cfg);
   std::signal(SIGINT, onSignal);

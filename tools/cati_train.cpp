@@ -175,7 +175,7 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     std::printf("model written to %s\n", out.c_str());
     if (!quantizeOut.empty()) {
       // Post-training int8 quantization: the fp32 model above stays the
-      // source of truth; FILE gets the inference-only CQNT container.
+      // source of truth; FILE gets the same container with int8 stages.
       engine.quantize().saveFile(quantizeOut);
       std::printf("quantized model written to %s\n", quantizeOut.c_str());
     }
