@@ -376,14 +376,11 @@ void BM_StageLayerForward(benchmark::State& state, size_t i) {
 }
 
 void BM_ModelLoad(benchmark::State& state) {
-  // Cold-start cost of Engine::loadFile. arg0 picks the stages (0: fp32,
-  // 1: int8 — the same CENG container either way), arg1 the mode (0: read
-  // through an ifstream, 1: through an mmap). Every mode verifies every
-  // byte: the CRC covers the whole payload, and every count is
+  // Cold-start cost of Engine::loadFile. The arg picks the stages (0: fp32,
+  // 1: int8 — the same CENG container either way). Every load verifies
+  // every byte: the CRC covers the whole payload, and every count is
   // range-checked.
   const bool quantized = state.range(0) != 0;
-  const auto mode = state.range(1) != 0 ? Engine::LoadMode::kMap
-                                        : Engine::LoadMode::kStream;
   const std::filesystem::path file =
       std::filesystem::temp_directory_path() /
       (quantized ? "cati_bench_load.q.bin" : "cati_bench_load.bin");
@@ -393,7 +390,7 @@ void BM_ModelLoad(benchmark::State& state) {
     bundle().engine().saveFile(file);
   }
   for (auto _ : state) {
-    Engine e = Engine::loadFile(file, mode);
+    Engine e = Engine::loadFile(file);
     benchmark::DoNotOptimize(e);
   }
   std::error_code ec;
@@ -402,10 +399,8 @@ void BM_ModelLoad(benchmark::State& state) {
   std::filesystem::remove(file, ec);
 }
 BENCHMARK(BM_ModelLoad)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_DisassembleRecoverJobs(benchmark::State& state) {

@@ -937,12 +937,8 @@ void Engine::saveFile(const std::filesystem::path& p) const {
   fs::atomicWrite(p, [this](std::ostream& os) { save(os); });
 }
 
-Engine Engine::loadFile(const std::filesystem::path& p, LoadMode mode) {
-  if (mode == LoadMode::kMap) {
-    const fs::MappedFile mf(p);
-    io::ImemStream is(mf.data(), mf.size());
-    return load(is);
-  }
+Engine Engine::loadFile(const std::filesystem::path& p,
+                        LoadMode /*mode*/) {
   std::ifstream is(p, std::ios::binary);
   if (!is) throw std::runtime_error("Engine::loadFile: cannot open " + p.string());
   return load(is);

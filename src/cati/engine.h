@@ -211,11 +211,10 @@ class Engine {
   static Engine load(std::istream& is);
   void saveFile(const std::filesystem::path& p) const;
 
-  enum class LoadMode {
-    kStream,  ///< read the file through an ifstream
-    kMap,     ///< read the file through an mmap of it
-  };
-  /// Both modes run the same fully verified parse as load().
+  /// Has no effect: every load reads the file through an ifstream and runs
+  /// load(). The name stays only because the benchmark harness still passes
+  /// kMap; it goes once that caller stops naming it (ROADMAP item 1).
+  enum class LoadMode { kStream, kMap };
   static Engine loadFile(const std::filesystem::path& p,
                          LoadMode mode = LoadMode::kStream);
 

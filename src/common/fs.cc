@@ -1,7 +1,6 @@
 #include "common/fs.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -50,38 +49,6 @@ void writeAll(int fd, const char* data, size_t n,
 }
 
 }  // namespace
-
-MappedFile::MappedFile(const std::filesystem::path& p) {
-  if (fault::failPoint("fs.open")) {
-    errno = EMFILE;
-    throwErrno("open (mmap)", p);
-  }
-  const int fd = ::open(p.c_str(), O_RDONLY);
-  if (fd < 0) throwErrno("open (mmap)", p);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throwErrno("fstat", p);
-  }
-  if (st.st_size > 0) {
-    void* m = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
-                     MAP_PRIVATE, fd, 0);
-    if (m == MAP_FAILED) {
-      ::close(fd);
-      throwErrno("mmap", p);
-    }
-    data_ = static_cast<const std::byte*>(m);
-    size_ = static_cast<size_t>(st.st_size);
-  }
-  // The mapping keeps its own reference to the file; the fd is not needed.
-  ::close(fd);
-}
-
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<std::byte*>(data_), size_);
-  }
-}
 
 bool isTempName(const std::filesystem::path& name) {
   const std::string s = name.filename().string();

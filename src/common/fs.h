@@ -21,7 +21,6 @@
 // "fs.dirsync") are planted at each seam; see common/fault.h.
 #pragma once
 
-#include <cstddef>
 #include <filesystem>
 #include <functional>
 #include <ostream>
@@ -29,28 +28,6 @@
 #include "common/errors.h"
 
 namespace cati::fs {
-
-/// A read-only mmap(2) of a whole file, unmapped on destruction — how
-/// Engine::loadFile(kMap) reads a model. Pointers from data() must not
-/// outlive the MappedFile.
-///
-/// Open failures throw cati::IoError (exit 3 — environment); an empty file
-/// maps as zero bytes, which container readers then reject as truncated.
-class MappedFile {
- public:
-  explicit MappedFile(const std::filesystem::path& p);
-  ~MappedFile();
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  const char* data() const { return reinterpret_cast<const char*>(data_); }
-  size_t size() const { return size_; }
-
- private:
-  const std::byte* data_ = nullptr;
-  size_t size_ = 0;
-};
 
 /// Serializes `body(os)` and publishes it at `target` with the write-temp /
 /// fsync / rename / fsync-dir protocol above. Throws cati::IoError when the

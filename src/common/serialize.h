@@ -28,6 +28,12 @@
 
 namespace cati::io {
 
+/// Bound on every dimension a model file declares — layer sizes, kernel
+/// widths, embedding sizes, each shape axis and a net's per-sample
+/// activations. Reader::dim rejects anything outside [1, kMaxDim] with
+/// CorruptError (DESIGN.md §6), so no product of two dimensions overflows.
+inline constexpr int kMaxDim = 1 << 20;
+
 // --- CRC32 (reflected, poly 0xEDB88320 — the zlib/IEEE one) -----------------
 
 namespace detail {
@@ -56,8 +62,8 @@ inline uint32_t crc32(const void* data, size_t n, uint32_t crc = 0) {
 }
 
 /// An istream over caller-owned bytes, without copying them — used to parse
-/// container framing straight out of an mmapped file. The buffer must
-/// outlive the stream. Read-only.
+/// a shard body already read into memory. The buffer must outlive the
+/// stream. Read-only.
 class ImemStream : private std::streambuf, public std::istream {
  public:
   ImemStream(const char* data, size_t n) : std::istream(this) {
@@ -131,10 +137,11 @@ class Reader {
     return v;
   }
 
-  /// A dimension field: an int in [1, max], else CorruptError naming `what`.
-  int dim(int max, const std::string& what) {
+  /// A dimension field: an int in [1, kMaxDim], else CorruptError naming
+  /// `what`.
+  int dim(const std::string& what) {
     const auto v = pod<int>();
-    if (v < 1 || v > max) {
+    if (v < 1 || v > kMaxDim) {
       throw CorruptError(what + ": dimension " + std::to_string(v) +
                          " out of range");
     }

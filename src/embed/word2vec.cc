@@ -337,7 +337,7 @@ Word2Vec Word2Vec::load(std::istream& is) {
   io::Reader r(is);
   io::expectHeader(r, 0x43573256, 1, "word2vec");
   Word2Vec v;
-  v.dim_ = r.dim(1 << 20, "word2vec");
+  v.dim_ = r.dim("word2vec");
   v.vectors_ = r.vec<float>();
   v.context_ = r.vec<float>(v.vectors_.size(), "word2vec context");
   if (v.vectors_.size() % static_cast<size_t>(v.dim_) != 0) {

@@ -180,9 +180,9 @@ void Conv1d::saveExtra(std::ostream& os) const {
 
 void Conv1d::loadExtra(std::istream& is) {
   io::Reader r(is);
-  inC_ = r.dim(kMaxDim, "conv1d");
-  outC_ = r.dim(kMaxDim, "conv1d");
-  k_ = r.dim(kMaxDim, "conv1d");
+  inC_ = r.dim("conv1d");
+  outC_ = r.dim("conv1d");
+  k_ = r.dim("conv1d");
   w_.value = r.vec<float>(static_cast<size_t>(outC_) * inC_ * k_, "conv1d");
   w_.grad.assign(w_.value.size(), 0.0F);
   b_.value = r.vec<float>(static_cast<size_t>(outC_), "conv1d");
@@ -282,7 +282,7 @@ void MaxPool1d::saveExtra(std::ostream& os) const {
 
 void MaxPool1d::loadExtra(std::istream& is) {
   io::Reader r(is);
-  k_ = r.dim(kMaxDim, "maxpool1d");
+  k_ = r.dim("maxpool1d");
 }
 
 // --- GlobalMaxPool -------------------------------------------------------------
@@ -410,8 +410,8 @@ void Linear::saveExtra(std::ostream& os) const {
 
 void Linear::loadExtra(std::istream& is) {
   io::Reader r(is);
-  in_ = r.dim(kMaxDim, "linear");
-  out_ = r.dim(kMaxDim, "linear");
+  in_ = r.dim("linear");
+  out_ = r.dim("linear");
   w_.value = r.vec<float>(static_cast<size_t>(out_) * in_, "linear");
   w_.grad.assign(w_.value.size(), 0.0F);
   b_.value = r.vec<float>(static_cast<size_t>(out_), "linear");
@@ -633,12 +633,19 @@ Sequential Sequential::load(std::istream& is) {
   io::Reader r(is);
   io::expectHeader(r, 0x434e4e31, 1, "sequential");
   // Every shape in the net — the input and each layer's output — must be
-  // non-empty and within kMaxDim per sample, so no forward pass can index
-  // outside its buffers.
-  const auto checkShape = [](Shape s, const std::string& what) {
-    if (s.c < 1 || s.l < 1 ||
-        static_cast<int64_t>(s.c) * s.l > static_cast<int64_t>(kMaxDim)) {
+  // non-empty, so no forward pass can index outside its buffers, and all of
+  // them together must fit io::kMaxDim floats per sample, which bounds the
+  // activation buffers a forward pass sizes from them.
+  int64_t floats = 0;
+  const auto checkShape = [&floats](Shape s, const std::string& what) {
+    if (s.c < 1 || s.l < 1) {
       throw CorruptError("sequential: " + what + " shape out of range");
+    }
+    floats += static_cast<int64_t>(s.c) * s.l;
+    if (floats > io::kMaxDim) {
+      throw CorruptError("sequential: activations exceed " +
+                         std::to_string(io::kMaxDim) +
+                         " floats per sample at the " + what);
     }
   };
   Shape in{};
@@ -647,6 +654,10 @@ Sequential Sequential::load(std::istream& is) {
   checkShape(in, "input");
   Sequential seq(in);
   const auto n = r.pod<uint64_t>();
+  if (n > kMaxLayers) {
+    throw CorruptError("sequential: " + std::to_string(n) +
+                       " layers, more than " + std::to_string(kMaxLayers));
+  }
   for (uint64_t i = 0; i < n; ++i) {
     const std::string kind = r.str();
     std::unique_ptr<Layer> layer;

@@ -61,11 +61,10 @@ struct Param {
 /// and its padding lanes dropped, so results never depend on batch size.
 inline constexpr int kBatchLane = 8;
 
-/// Bound on every dimension a model file declares — layer sizes, kernel
-/// widths, each shape axis and each per-sample activation size (c * l).
-/// Loaders reject anything outside [1, kMaxDim] with cati::CorruptError
-/// (DESIGN.md §6), so no product of dimensions can overflow.
-inline constexpr int kMaxDim = 1 << 20;
+/// Bound on the layer count of a loaded net. The stage CNNs have at most
+/// ten layers; Sequential::load rejects more with cati::CorruptError
+/// (DESIGN.md §6). Dimensions are bounded by io::kMaxDim.
+inline constexpr uint64_t kMaxLayers = 64;
 
 /// What a forward pass must produce.
 enum class Phase {

@@ -187,9 +187,9 @@ void QConv1d::saveExtra(std::ostream& os) const {
 
 void QConv1d::loadExtra(std::istream& is) {
   io::Reader r(is);
-  inC_ = r.dim(kMaxDim, "qconv1d");
-  outC_ = r.dim(kMaxDim, "qconv1d");
-  k_ = r.dim(kMaxDim, "qconv1d");
+  inC_ = r.dim("qconv1d");
+  outC_ = r.dim("qconv1d");
+  k_ = r.dim("qconv1d");
   q_ = loadQWeights(r, inC_, outC_, k_, "qconv1d");
 }
 
@@ -249,8 +249,8 @@ void QLinear::saveExtra(std::ostream& os) const {
 
 void QLinear::loadExtra(std::istream& is) {
   io::Reader r(is);
-  in_ = r.dim(kMaxDim, "qlinear");
-  out_ = r.dim(kMaxDim, "qlinear");
+  in_ = r.dim("qlinear");
+  out_ = r.dim("qlinear");
   q_ = loadQWeights(r, in_, out_, 1, "qlinear");
 }
 

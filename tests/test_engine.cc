@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <sstream>
@@ -386,26 +385,6 @@ TEST_F(EngineTest, TrailingPayloadBytesRejected) {
   const EngineConfig& cfg = engine_->config();
   expectCorrupt(frameModel(cfg, engine_->encoder(), stageNets(cfg), "junk"),
                 "trailing bytes");
-}
-
-TEST_F(EngineTest, StreamAndMapLoadsAgree) {
-  const std::filesystem::path file =
-      std::filesystem::temp_directory_path() / "cati_engine_modes.bin";
-  engine_->saveFile(file);
-  Engine streamed = Engine::loadFile(file, Engine::LoadMode::kStream);
-  Engine mapped = Engine::loadFile(file, Engine::LoadMode::kMap);
-  std::filesystem::remove(file);
-  const std::span<const corpus::Vuc> vucs(train_->vucs.data(), 16);
-  const auto a = streamed.predictVucs(vucs);
-  const auto b = mapped.predictVucs(vucs);
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t s = 0; s < a[i].probs.size(); ++s) {
-      ASSERT_EQ(a[i].probs[s].size(), b[i].probs[s].size());
-      EXPECT_EQ(std::memcmp(a[i].probs[s].data(), b[i].probs[s].data(),
-                            a[i].probs[s].size() * sizeof(float)),
-                0);
-    }
-  }
 }
 
 TEST(EngineErrors, UntrainedThrows) {

@@ -350,7 +350,7 @@ TEST(SerializeHostile, LinearWeightCountMustMatchDims) {
 }
 
 TEST(SerializeHostile, LayerDimsMustBePositiveAndBounded) {
-  for (const int bad : {0, -1, kMaxDim + 1}) {
+  for (const int bad : {0, -1, io::kMaxDim + 1}) {
     EXPECT_THROW(loadNet(oneLayerNet({4, 5}, "conv1d",
                                      convDims(4, bad, 3, 0, 0))),
                  CorruptError)
@@ -395,10 +395,42 @@ TEST(SerializeHostile, DropoutRateMustBeInUnitInterval) {
 
 TEST(SerializeHostile, InputShapeMustBeNonEmptyAndBounded) {
   const auto relu = [](io::Writer&) {};
-  for (const Shape in : {Shape{0, 5}, Shape{4, -1}, Shape{kMaxDim, 2}}) {
+  for (const Shape in : {Shape{0, 5}, Shape{4, -1}, Shape{io::kMaxDim, 2}}) {
     EXPECT_THROW(loadNet(oneLayerNet(in, "relu", relu)), CorruptError)
         << in.c << "x" << in.l;
   }
+}
+
+/// A Sequential stream with input shape `in` followed by `layers` relu
+/// records (12 bytes each).
+std::string reluNet(Shape in, uint64_t layers) {
+  std::ostringstream os;
+  io::Writer w(os);
+  io::writeHeader(w, 0x434e4e31 /*"CNN1"*/, 1);
+  w.pod(in.c);
+  w.pod(in.l);
+  w.pod<uint64_t>(layers);
+  for (uint64_t i = 0; i < layers; ++i) w.str("relu");
+  return std::move(os).str();
+}
+
+TEST(SerializeHostile, LayerCountIsBounded) {
+  EXPECT_NO_THROW(loadNet(reluNet({4, 6}, kMaxLayers)));
+  EXPECT_THROW(loadNet(reluNet({4, 6}, kMaxLayers + 1)), CorruptError);
+  // A huge count is rejected before any layer record is read.
+  std::string huge = reluNet({4, 6}, 0);
+  huge.replace(huge.size() - sizeof(uint64_t), sizeof(uint64_t),
+               std::string(sizeof(uint64_t), '\xff'));
+  EXPECT_THROW(loadNet(huge), CorruptError);
+}
+
+TEST(SerializeHostile, NetActivationsAreBounded) {
+  // Each shape alone fits io::kMaxDim, but a forward pass would size one
+  // activation buffer per layer: seven 171,000-float shapes exceed the
+  // per-sample budget, six do not.
+  const Shape wide{1000, 171};
+  EXPECT_NO_THROW(loadNet(reluNet(wide, 5)));
+  EXPECT_THROW(loadNet(reluNet(wide, 6)), CorruptError);
 }
 
 TEST(SerializeHostile, LayerMustFitThePreviousShape) {

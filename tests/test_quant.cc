@@ -209,48 +209,35 @@ TEST_F(QuantEngineTest, CorruptionIsRejectedDeterministically) {
   }
 }
 
-TEST_F(QuantEngineTest, MmapLoadMatchesStreamLoadAndChecksMeta) {
-  const stdfs::path dir = stdfs::temp_directory_path() / "cati_quant_mmap";
+TEST_F(QuantEngineTest, FileLoadMatchesMemoryAndChecksEveryByte) {
+  const stdfs::path dir = stdfs::temp_directory_path() / "cati_quant_file";
   stdfs::create_directories(dir);
   const stdfs::path file = dir / "model.q.bin";
   quant_->saveFile(file);
 
-  // Both modes run the same fully verified parse; kMap only reads the bytes
-  // through a mapping.
-  Engine mapped = Engine::loadFile(file, Engine::LoadMode::kMap);
-  Engine streamed = Engine::loadFile(file, Engine::LoadMode::kStream);
-  EXPECT_TRUE(mapped.quantized());
-  EXPECT_EQ(probeBytes(mapped, 32, nullptr, 8),
+  Engine loaded = Engine::loadFile(file);
+  EXPECT_TRUE(loaded.quantized());
+  EXPECT_EQ(probeBytes(loaded, 32, nullptr, 8),
             probeBytes(*quant_, 32, nullptr, 8));
-  EXPECT_EQ(probeBytes(streamed, 32, nullptr, 8),
-            probeBytes(mapped, 32, nullptr, 8));
 
   const std::string bytes = quantBytes();
+  const auto loadWritten = [&dir](const std::string& b) {
+    const stdfs::path p = dir / "bad.bin";
+    {
+      std::ofstream os(p, std::ios::binary);
+      os.write(b.data(), static_cast<std::streamsize>(b.size()));
+    }
+    return Engine::loadFile(p);
+  };
   // Truncated payload.
-  {
-    std::ofstream os(dir / "trunc.bin", std::ios::binary);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 33));
-  }
-  EXPECT_THROW(Engine::loadFile(dir / "trunc.bin", Engine::LoadMode::kMap),
-               CorruptError);
-  // A flip in the config echo / encoder: caught by the CRC.
-  {
+  EXPECT_THROW(loadWritten(bytes.substr(0, bytes.size() - 33)), CorruptError);
+  // A flip in the config echo / encoder, and one in the int8 weights: the
+  // CRC covers both.
+  for (const size_t at : {size_t{60}, bytes.size() - 40}) {
     std::string b = bytes;
-    b[60] ^= 0x01;
-    std::ofstream os(dir / "meta.bin", std::ios::binary);
-    os.write(b.data(), static_cast<std::streamsize>(b.size()));
+    b[at] ^= 0x01;
+    EXPECT_THROW(loadWritten(b), CorruptError) << at;
   }
-  EXPECT_THROW(Engine::loadFile(dir / "meta.bin", Engine::LoadMode::kMap),
-               CorruptError);
-  // A flip in the int8 weights: caught by the CRC too, mapped or not.
-  {
-    std::string b = bytes;
-    b[b.size() - 40] ^= 0x01;
-    std::ofstream os(dir / "heap.bin", std::ios::binary);
-    os.write(b.data(), static_cast<std::streamsize>(b.size()));
-  }
-  EXPECT_THROW(Engine::loadFile(dir / "heap.bin", Engine::LoadMode::kMap),
-               CorruptError);
   stdfs::remove_all(dir);
 }
 
