@@ -74,13 +74,13 @@ int main() {
               "with epsilon < 0.1 .. < 0.9)\n\n", sampled);
   std::vector<std::string> header = {"pos"};
   for (int t = 1; t <= kThresholds; ++t) {
-    header.push_back("<0." + std::to_string(t));
+    header.push_back(std::string("<0.").append(std::to_string(t)));
   }
   eval::Table table(header);
   for (int k = 0; k < positions; ++k) {
     std::vector<std::string> row = {
-        (k == positions / 2 ? ">" : "") +
-        std::to_string(k - positions / 2)};
+        std::string(k == positions / 2 ? ">" : "")
+            .append(std::to_string(k - positions / 2))};
     for (int t = 0; t < kThresholds; ++t) {
       char buf[16];
       std::snprintf(buf, sizeof buf, "%.2f%%",

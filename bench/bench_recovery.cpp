@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
       const synth::Binary bin = synth::generateBinary(
           synth::defaultProfile("rec", 0x4242, 80), d, opt, 1000 + opt);
       const dataflow::RecoveryScore s = dataflow::scoreBinary(bin);
-      t.addRow({std::string(synth::dialectName(d)), "O" + std::to_string(opt),
+      t.addRow({std::string(synth::dialectName(d)),
+                std::string("O").append(std::to_string(opt)),
                 std::to_string(s.trueVars), std::to_string(s.recoveredVars),
                 eval::fmt2(s.varRecall()), eval::fmt2(s.varPrecision()),
                 eval::fmt2(s.insnRecall())});

@@ -375,6 +375,40 @@ void BM_StageLayerForward(benchmark::State& state, size_t i) {
   }
 }
 
+// One layer's backward at batch 8 — the engine's training chunk
+// (kGradChunk) — after a training forward of the same samples, as
+// Sequential::backward runs it: the first layer skips its input gradient.
+// GMAC/s counts 2x the forward MACs (weight and input gradient), 1x for the
+// first layer.
+void BM_StageLayerBackward(benchmark::State& state, size_t i) {
+  constexpr int kChunk = 8;
+  StageLayers& st = stageLayers();
+  const nn::Layer& l = st.net.layer(i);
+  nn::LayerScratch ls;
+  const std::vector<float>& in = st.acts[i];
+  const size_t inSize = in.size() / StageLayers::kBatch;
+  const size_t outSize = st.acts[i + 1].size() / StageLayers::kBatch;
+  std::vector<float> out(kChunk * outSize);
+  l.forward(std::span(in).first(kChunk * inSize), out, kChunk, ls,
+            nn::Phase::kTrain);
+  Rng rng(0xBAC4);
+  std::vector<float> dy(out.size());
+  for (float& v : dy) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<float> dx(i == 0 ? 0 : kChunk * inSize);
+  for (auto _ : state) {
+    l.backward(dy, dx, kChunk, ls);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(kChunk * state.iterations());
+  if (st.macs[i] > 0) {
+    state.counters["GMAC/s"] = benchmark::Counter(
+        (i == 0 ? 1 : 2) * st.macs[i] * kChunk * 1e-9 *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+  }
+}
+
 void BM_ModelLoad(benchmark::State& state) {
   // Cold-start cost of Engine::loadFile. The arg picks the stages (0: fp32,
   // 1: int8 — the same CENG container either way). Every load verifies
@@ -591,12 +625,19 @@ int main(int argc, char** argv) {
   // from different kernels must never be compared without checking this.
   benchmark::AddCustomContext(
       "cati_kernel", std::string(cati::cpu::isaName(cati::cpu::active())));
-  // BM_StageLayerForward/<layer>: one row per layer of a stage net.
+  // BM_StageLayer{Forward,Backward}/<layer>: one row per layer of a stage
+  // net.
   StageLayers& st = stageLayers();
   for (size_t i = 0; i < st.net.numLayers(); ++i) {
     benchmark::RegisterBenchmark(
         ("BM_StageLayerForward/" + st.names[i]).c_str(),
         BM_StageLayerForward, i)
+        ->Unit(benchmark::kMicrosecond);
+  }
+  for (size_t i = 0; i < st.net.numLayers(); ++i) {
+    benchmark::RegisterBenchmark(
+        ("BM_StageLayerBackward/" + st.names[i]).c_str(),
+        BM_StageLayerBackward, i)
         ->Unit(benchmark::kMicrosecond);
   }
   benchmark::Initialize(&argc, argv);

@@ -212,8 +212,11 @@ std::string Snapshot::toJson() const {
     out += ", \"buckets\": [";
     for (size_t i = 0; i < h.buckets.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "[" + std::to_string(h.buckets[i].first) + ", " +
-             std::to_string(h.buckets[i].second) + "]";
+      out.append("[")
+          .append(std::to_string(h.buckets[i].first))
+          .append(", ")
+          .append(std::to_string(h.buckets[i].second))
+          .append("]");
     }
     out += "]}";
   }

@@ -2,8 +2,8 @@
 //
 // Every KernelSet member has a PINNED per-element floating-point contract,
 // chosen to reproduce — bit for bit — what the seed's autovectorized loops
-// computed, so the checked-in goldens stay byte-identical no matter which
-// ISA variant runs:
+// computed, so the checked-in goldens and trained models stay byte-identical
+// no matter which ISA variant runs:
 //
 //   conv1dLane   y := bias, then for (c, kk) ascending one FUSED
 //                multiply-add per valid tap: y = fma(w, x, y). A tap whose
@@ -26,6 +26,37 @@
 //                MXCSR rounding mode, so results agree exactly.
 //   qgemvI8      exact int32 arithmetic — any evaluation order is the same
 //                value, so all variants agree trivially.
+//
+// Backward (training). Gradients accumulate over samples in ascending order,
+// so a chunk of n samples gives the bits of n single-sample calls:
+//
+//   conv1dGrad   per sample and per (o, c, kk): chain := +0, then over the
+//                n valid t ascending (t + kk - k/2 in [0, len)) the first
+//                n - n%4 terms are chain = chain + dy*x (two roundings) and
+//                the last n%4 are fused, chain = fma(dy, x, chain) — the
+//                denseLane rule; then gw += chain. db: per sample an
+//                in-order sum over t from +0, then gb += sum. Chains of
+//                different (o, c, kk) are independent, so the SIMD variants
+//                run a tile of outputs x input channels (one vector of
+//                channels) per pass, and folding a sample in is one vector
+//                add.
+//   conv1dLaneDx dx[c][j] := +0, then for (o, kk) ascending one fused
+//                dx = fma(dy[o][j - (kk - k/2)], w[o][c][kk], dx) per valid
+//                tap — the transposed conv1dLane. Border taps are skipped,
+//                never padded.
+//   denseGrad    per sample ascending, per output o with g = dy[o] != 0:
+//                gb[o] += g; gw[o][i] = fma(g, x[i], gw[o][i]). A g == 0
+//                (either sign) sample leaves row o untouched, so a -0
+//                accumulator stays -0.
+//   denseDx      per sample: dx[i] := +0, then for o ascending with
+//                g = dy[o] != 0: dx[i] = fma(g, w[o][i], dx[i]).
+//
+// These are what GCC 12 generated from the seed's scalar backward loops at
+// -O3 -march=x86-64-v3 (4/8-wide in-order reduction with a fused scalar tail
+// for the conv dW chain, contracted multiply-adds everywhere else). Pinning
+// them here makes the gradients independent of the build type: the old
+// loops computed different bits at -O2. The Adam update (nn.cc) and
+// word2vec are not kernels and still contract at the compiler's discretion.
 //
 // kernels.cc is compiled with -ffp-contract=off: fusion happens only where
 // an explicit fma/fmaf (or _mm*_fmadd) is written, never at the compiler's
@@ -72,6 +103,28 @@ struct KernelSet {
   /// [i][kLane] input pack, `y` the [o][kLane] output pack, `w` is [o][i].
   void (*denseLane)(const float* w, const float* bias, const float* x,
                     float* y, int inF, int outF);
+
+  /// Conv1d weight and bias gradients of n samples, accumulated into `gw`
+  /// ([o][c][kk]) and `gb` ([o]). `xt` is the forward input time-major per
+  /// sample ([n][len][inC]), `dy` the sample-major output gradient
+  /// ([n][outC][len]).
+  void (*conv1dGrad)(const float* xt, const float* dy, float* gw, float* gb,
+                     int inC, int outC, int k, int len, int n);
+
+  /// Conv1d input gradient of one full lane group: `dy` is the [o][t][kLane]
+  /// pack, `dx` the [c][t][kLane] pack it overwrites, `w` is [o][c][kk].
+  void (*conv1dLaneDx)(const float* w, const float* dy, float* dx, int inC,
+                       int outC, int k, int len);
+
+  /// Linear weight and bias gradients of n sample-major rows: `x` is
+  /// [n][inF], `dy` [n][outF]; accumulates into `gw` ([o][i]) and `gb`.
+  void (*denseGrad)(const float* x, const float* dy, float* gw, float* gb,
+                    int n, int inF, int outF);
+
+  /// Linear input gradient of n sample-major rows: overwrites `dx`
+  /// ([n][inF]) from `dy` ([n][outF]) and `w` ([o][i]).
+  void (*denseDx)(const float* w, const float* dy, float* dx, int n, int inF,
+                  int outF);
 
   /// max over i of |x[i]|; 0 when n == 0.
   float (*absMax)(const float* x, int n);

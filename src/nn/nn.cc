@@ -61,6 +61,16 @@ void packLanes(const float* x, size_t plane, int m, float* pack) {
   }
 }
 
+/// out[t][c] = x[c][t] for one [rows x cols] sample plane. A permutation.
+void transposePlane(const float* x, int rows, int cols, float* out) {
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      out[static_cast<size_t>(c) * rows + r] =
+          x[static_cast<size_t>(r) * cols + c];
+    }
+  }
+}
+
 /// Copies lanes [0, m) of the lane group `pack` back to sample rows of `y`.
 void unpackLanes(const float* pack, size_t plane, int m, float* y) {
   for (int b = 0; b < m; ++b) {
@@ -97,7 +107,6 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
       static_cast<int>(x.size() / (static_cast<size_t>(n) * inC_));
   checkSize(x, static_cast<size_t>(n) * inC_ * len, "Conv1d::forward x");
   checkSize(y, static_cast<size_t>(n) * outC_ * len, "Conv1d::forward y");
-  if (phase != Phase::kInfer) s.cache.assign(x.begin(), x.end());
 
   // Per output element the accumulation order is fixed: bias, then taps in
   // ascending (c, kk) order, one fused multiply-add per tap (kernels.h).
@@ -119,53 +128,48 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
     unpackLanes(s.laneOut.data(), outPlane, m,
                 y.data() + static_cast<size_t>(b0) * outPlane);
   }
+  // The weight gradient runs along input channels, so backward gets each
+  // sample's input time-major ([t][c]).
+  if (phase == Phase::kInfer) return;
+  s.cache.resize(x.size());
+  for (int b = 0; b < n; ++b) {
+    const size_t off = static_cast<size_t>(b) * inPlane;
+    transposePlane(x.data() + off, inC_, len, s.cache.data() + off);
+  }
 }
 
 void Conv1d::backward(std::span<const float> dy, std::span<float> dx, int n,
                       LayerScratch& s) const {
   checkBatch(n, "Conv1d::backward");
   const int len =
-      static_cast<int>(dx.size() / (static_cast<size_t>(n) * inC_));
-  checkSize(dy, static_cast<size_t>(n) * outC_ * len, "Conv1d::backward dy");
-  checkSize(dx, static_cast<size_t>(n) * inC_ * len, "Conv1d::backward dx");
-  checkSize(s.cache, static_cast<size_t>(n) * inC_ * len,
+      static_cast<int>(dy.size() / (static_cast<size_t>(n) * outC_));
+  const size_t inPlane = static_cast<size_t>(inC_) * len;
+  const size_t outPlane = static_cast<size_t>(outC_) * len;
+  checkSize(dy, static_cast<size_t>(n) * outPlane, "Conv1d::backward dy");
+  if (!dx.empty()) {
+    checkSize(dx, static_cast<size_t>(n) * inPlane, "Conv1d::backward dx");
+  }
+  checkSize(s.cache, static_cast<size_t>(n) * inPlane,
             "Conv1d::backward cache");
-  std::fill(dx.begin(), dx.end(), 0.0F);
   // Highest index first: growing the accumulator list reallocates it, which
   // would invalidate a reference taken from an earlier grad() call.
-  std::vector<float>& gbv = s.grad(1, b_.value.size());
+  std::vector<float>& gb = s.grad(1, b_.value.size());
   std::vector<float>& gw = s.grad(0, w_.value.size());
-  const int pad = k_ / 2;
-  for (int b = 0; b < n; ++b) {
-    const float* xs = s.cache.data() + static_cast<size_t>(b) * inC_ * len;
-    const float* dys = dy.data() + static_cast<size_t>(b) * outC_ * len;
-    float* dxs = dx.data() + static_cast<size_t>(b) * inC_ * len;
-    for (int o = 0; o < outC_; ++o) {
-      const float* dyRow = dys + static_cast<size_t>(o) * len;
-      float* gwRow = gw.data() + static_cast<size_t>(o) * inC_ * k_;
-      const float* wRow = w_.value.data() + static_cast<size_t>(o) * inC_ * k_;
-      float gb = 0.0F;
-      for (int t = 0; t < len; ++t) gb += dyRow[t];
-      gbv[static_cast<size_t>(o)] += gb;
-      for (int c = 0; c < inC_; ++c) {
-        const float* xRow = xs + static_cast<size_t>(c) * len;
-        float* dxRow = dxs + static_cast<size_t>(c) * len;
-        float* gwk = gwRow + static_cast<size_t>(c) * k_;
-        const float* wk = wRow + static_cast<size_t>(c) * k_;
-        for (int kk = 0; kk < k_; ++kk) {
-          const int shift = kk - pad;
-          const int lo = std::max(0, -shift);
-          const int hi = std::min(len, len - shift);
-          float gwAcc = 0.0F;
-          const float wv = wk[kk];
-          for (int t = lo; t < hi; ++t) {
-            gwAcc += dyRow[t] * xRow[t + shift];
-            dxRow[t + shift] += dyRow[t] * wv;
-          }
-          gwk[kk] += gwAcc;
-        }
-      }
-    }
+  const kern::KernelSet& ks = kern::kernels();
+  ks.conv1dGrad(s.cache.data(), dy.data(), gw.data(), gb.data(), inC_, outC_,
+                k_, len, n);
+  if (dx.empty()) return;
+  // The input gradient is the transposed conv, on the forward's lane path.
+  s.laneOut.resize(outPlane * kBatchLane);
+  s.laneIn.resize(inPlane * kBatchLane);
+  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
+    const int m = std::min(kBatchLane, n - b0);
+    packLanes(dy.data() + static_cast<size_t>(b0) * outPlane, outPlane, m,
+              s.laneOut.data());
+    ks.conv1dLaneDx(w_.value.data(), s.laneOut.data(), s.laneIn.data(), inC_,
+                    outC_, k_, len);
+    unpackLanes(s.laneIn.data(), inPlane, m,
+                dx.data() + static_cast<size_t>(b0) * inPlane);
   }
 }
 
@@ -210,6 +214,7 @@ void ReLU::forward(std::span<const float> x, std::span<float> y, int n,
 void ReLU::backward(std::span<const float> dy, std::span<float> dx, int n,
                     LayerScratch& s) const {
   checkBatch(n, "ReLU::backward");
+  if (dx.empty()) return;  // input gradient not wanted
   checkSize(dy, s.mask.size(), "ReLU::backward");
   for (size_t i = 0; i < dy.size(); ++i) {
     dx[i] = s.mask[i] != 0 ? dy[i] : 0.0F;
@@ -256,6 +261,7 @@ void MaxPool1d::forward(std::span<const float> x, std::span<float> y, int n,
 void MaxPool1d::backward(std::span<const float> dy, std::span<float> dx,
                          int n, LayerScratch& s) const {
   checkBatch(n, "MaxPool1d::backward");
+  if (dx.empty()) return;  // input gradient not wanted
   const int outL = in_.l / k_;
   const size_t inSize = static_cast<size_t>(in_.c) * in_.l;
   const size_t outSize = static_cast<size_t>(in_.c) * outL;
@@ -315,6 +321,7 @@ void GlobalMaxPool::forward(std::span<const float> x, std::span<float> y,
 void GlobalMaxPool::backward(std::span<const float> dy, std::span<float> dx,
                              int n, LayerScratch& s) const {
   checkBatch(n, "GlobalMaxPool::backward");
+  if (dx.empty()) return;  // input gradient not wanted
   const size_t inSize = static_cast<size_t>(in_.c) * in_.l;
   checkSize(dy, static_cast<size_t>(n) * in_.c, "GlobalMaxPool dy");
   checkSize(dx, static_cast<size_t>(n) * inSize, "GlobalMaxPool dx");
@@ -375,29 +382,18 @@ void Linear::backward(std::span<const float> dy, std::span<float> dx, int n,
                       LayerScratch& s) const {
   checkBatch(n, "Linear::backward");
   checkSize(dy, static_cast<size_t>(n) * out_, "Linear::backward dy");
-  checkSize(dx, static_cast<size_t>(n) * in_, "Linear::backward dx");
   checkSize(s.cache, static_cast<size_t>(n) * in_, "Linear::backward cache");
-  std::fill(dx.begin(), dx.end(), 0.0F);
   // Highest index first so the second grad() call cannot reallocate the
   // accumulator list out from under the first reference.
   std::vector<float>& gb = s.grad(1, b_.value.size());
   std::vector<float>& gw = s.grad(0, w_.value.size());
-  for (int b = 0; b < n; ++b) {
-    const float* xs = s.cache.data() + static_cast<size_t>(b) * in_;
-    const float* dys = dy.data() + static_cast<size_t>(b) * out_;
-    float* dxs = dx.data() + static_cast<size_t>(b) * in_;
-    for (int o = 0; o < out_; ++o) {
-      const float g = dys[o];
-      if (g == 0.0F) continue;
-      float* gwRow = gw.data() + static_cast<size_t>(o) * in_;
-      const float* wRow = w_.value.data() + static_cast<size_t>(o) * in_;
-      gb[static_cast<size_t>(o)] += g;
-      for (int i = 0; i < in_; ++i) {
-        gwRow[i] += g * xs[i];
-        dxs[i] += g * wRow[i];
-      }
-    }
-  }
+  // Sample-major rows: each weight's chain runs across samples, so the
+  // kernels vectorize along a weight row instead of across lanes.
+  const kern::KernelSet& ks = kern::kernels();
+  ks.denseGrad(s.cache.data(), dy.data(), gw.data(), gb.data(), n, in_, out_);
+  if (dx.empty()) return;
+  checkSize(dx, static_cast<size_t>(n) * in_, "Linear::backward dx");
+  ks.denseDx(w_.value.data(), dy.data(), dx.data(), n, in_, out_);
 }
 
 void Linear::saveExtra(std::ostream& os) const {
@@ -450,6 +446,7 @@ void Dropout::forward(std::span<const float> x, std::span<float> y, int n,
 void Dropout::backward(std::span<const float> dy, std::span<float> dx, int n,
                        LayerScratch& s) const {
   checkBatch(n, "Dropout::backward");
+  if (dx.empty()) return;  // input gradient not wanted
   checkSize(dy, s.cache.size(), "Dropout::backward");
   for (size_t i = 0; i < dy.size(); ++i) dx[i] = dy[i] * s.cache[i];
 }
@@ -554,14 +551,14 @@ void Sequential::backward(std::span<const float> dOut, int n,
   std::vector<float>* cur = &s.dPing_;
   std::vector<float>* next = &s.dPong_;
   cur->assign(dOut.begin(), dOut.end());
-  for (size_t i = layers_.size(); i-- > 0;) {
-    const size_t inSize =
-        i == 0 ? static_cast<size_t>(inShape_.size())
-               : static_cast<size_t>(shapes_[i - 1].size());
-    next->resize(static_cast<size_t>(n) * inSize);
+  // Nothing reads the gradient of the net's input (the embedding is not
+  // fine-tuned), so the first layer gets an empty dx and skips it.
+  for (size_t i = layers_.size(); i-- > 1;) {
+    next->resize(static_cast<size_t>(n) * shapes_[i - 1].size());
     layers_[i]->backward(*cur, *next, n, s.layers_[i]);
     std::swap(cur, next);
   }
+  if (!layers_.empty()) layers_[0]->backward(*cur, {}, n, s.layers_[0]);
 }
 
 Scratch& Sequential::ownScratch() {

@@ -77,11 +77,12 @@ enum class Phase {
 /// caches, the dropout RNG stream and parameter-gradient accumulators.
 /// Reused across passes; buffers only ever grow.
 struct LayerScratch {
-  std::vector<float> cache;    ///< Conv1d/Linear: input copy; Dropout: scale
+  std::vector<float> cache;    ///< Conv1d: time-major input; Linear: input
+                               ///< copy; Dropout: scale
   std::vector<uint8_t> mask;   ///< ReLU sign mask
   std::vector<int32_t> argmax; ///< pooling argmax indices
-  std::vector<float> laneIn;   ///< Conv1d/Linear: batch-transposed input lane
-  std::vector<float> laneOut;  ///< Conv1d/Linear: batch-transposed output lane
+  std::vector<float> laneIn;   ///< Conv1d/Linear: input (Conv1d dx) lane pack
+  std::vector<float> laneOut;  ///< Conv1d/Linear: output (Conv1d dy) lane pack
   std::vector<int8_t> qx;      ///< quantized layers: per-sample int8 input
   std::vector<int8_t> qt;      ///< quantized conv: [t][c] transposed int8
   std::vector<int32_t> qacc;   ///< quantized layers: int32 dot accumulators
@@ -121,7 +122,8 @@ class Layer {
 
   /// Batch backward: accumulates parameter gradients into `s` (ascending
   /// sample order — the same element-wise accumulation order as n calls at
-  /// batch 1) and writes dL/dx. Must follow a non-kInfer forward of the
+  /// batch 1) and writes dL/dx, unless `dx` is empty (the caller does not
+  /// want the input gradient). Must follow a non-kInfer forward of the
   /// same batch on the same scratch.
   virtual void backward(std::span<const float> dy, std::span<float> dx, int n,
                         LayerScratch& s) const = 0;
@@ -322,8 +324,9 @@ class Sequential {
                                  Phase phase) const;
 
   /// Batch backward from dL/d(output) [n x outShape]; parameter gradients
-  /// accumulate into `s` (ascending sample order). Must follow a non-kInfer
-  /// forward of the same batch on `s`.
+  /// accumulate into `s` (ascending sample order). The gradient of the
+  /// net's input is not computed. Must follow a non-kInfer forward of the
+  /// same batch on `s`.
   void backward(std::span<const float> dOut, int n, Scratch& s) const;
 
   /// Single-sample convenience on the internal scratch (train ? kTrain :

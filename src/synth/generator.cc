@@ -121,7 +121,7 @@ FunctionCode generateFunction(const std::string& name, Dialect dialect,
     Variable v;
     v.label = static_cast<TypeLabel>(rng.weightedIndex(typeWeights));
     v.byteSize = sizeOf(v.label, rng);
-    v.name = "v" + std::to_string(i);
+    v.name = std::string("v").append(std::to_string(i));
     const int64_t align = std::min<int64_t>(8, v.byteSize);
     if (fn.rbpFrame) {
       offset += v.byteSize;

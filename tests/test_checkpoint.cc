@@ -87,7 +87,10 @@ TEST_F(CheckpointTest, StopSweepEveryBoundaryResumesBitIdentical) {
   for (const int jobs : {1, 2}) {
     for (int boundary = 1; boundary <= kBoundaries; ++boundary) {
       const stdfs::path d =
-          dir_ / ("j" + std::to_string(jobs) + "_b" + std::to_string(boundary));
+          dir_ / std::string("j")
+                     .append(std::to_string(jobs))
+                     .append("_b")
+                     .append(std::to_string(boundary));
       const TrainCheckpointing ck{d, 1, false};
       fault::configureForTest("stop@train.checkpoint:" +
                               std::to_string(boundary));

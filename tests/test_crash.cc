@@ -88,7 +88,8 @@ TEST_F(CrashSweepTest, KilledAtEveryBoundaryResumesToIdenticalModelFile) {
   for (int boundary = 1; boundary <= kBoundaries; ++boundary) {
     const stdfs::path ck = dir_ / ("ck" + std::to_string(boundary));
     const std::string ckFlag = " --checkpoint " + ck.string();
-    const std::string model = "m" + std::to_string(boundary) + ".bin";
+    const std::string model =
+        std::string("m").append(std::to_string(boundary)).append(".bin");
 
     train(model, ckFlag, rc,
           "CATI_FAULT_SPEC=kill@train.checkpoint:" + std::to_string(boundary));

@@ -7,6 +7,10 @@
 // DAZ/FTZ stay off and denormals must survive every tier). Tiers the CPU
 // lacks are skipped with a note, never silently passed.
 //
+// The backward kernels are held to the same rule (including -0 accumulators
+// that a zero-gradient step must not touch), and a pinned FNV of a stage
+// net's gradients ties the whole backward pass to the historical bits.
+//
 // The CLI property leg drives the real cati-infer binary under
 // CATI_KERNEL={scalar,avx2,avx512} x --jobs and byte-compares the reports:
 // fp32 reports must be identical across kernels, and quantized (--quant)
@@ -296,6 +300,179 @@ TEST_P(KernelIsaTest, QgemvI8MatchesScalarAndExactReference) {
   }
 }
 
+// --- backward kernels --------------------------------------------------------
+
+/// Random values with -0, +0, denormals and tiny products mixed in: the
+/// gradient chains must agree on every signed zero and subnormal.
+std::vector<float> gradVec(size_t n, Rng& rng) {
+  std::vector<float> v = randVec(n, rng);
+  for (float& x : v) {
+    switch (rng.uniformInt(0, 11)) {
+      case 0: x = -0.0F; break;
+      case 1: x = 0.0F; break;
+      case 2: x *= 1e-39F; break;  // denormal
+      case 3: x *= 1e-30F; break;  // products underflow to ±0
+      default: break;
+    }
+  }
+  return v;
+}
+
+/// Gradient accumulators as training leaves them: mostly values, some -0.
+std::vector<float> accVec(size_t n, Rng& rng) {
+  std::vector<float> v = randVec(n, rng);
+  for (float& x : v) {
+    if (rng.uniformInt(0, 3) == 0) x = -0.0F;
+  }
+  return v;
+}
+
+/// Zeroes whole rows of `row` floats (either sign): a ReLU-masked sample.
+void zeroRows(std::vector<float>& v, size_t row, Rng& rng) {
+  for (size_t r = 0; r + row <= v.size(); r += row) {
+    if (rng.uniformInt(0, 2) != 0) continue;
+    const float z = rng.uniformInt(0, 1) == 0 ? 0.0F : -0.0F;
+    std::fill_n(v.begin() + static_cast<ptrdiff_t>(r), row, z);
+  }
+}
+
+TEST_P(KernelIsaTest, Conv1dGradMatchesScalarAcrossTapCounts) {
+  Rng rng(0x6AD1);
+  // len 1-9, 20 and 21 with k = 1, 3, 5 give every valid-tap count n from
+  // 1 to 9 plus 18-21, so every n % 4 head/tail split runs; inC crosses
+  // each channel-vector width (8, 16) and its tails; outC each output-tile
+  // remainder; 1, 5 and 8 samples.
+  for (const int k : {1, 3, 5}) {
+    for (const int len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 21}) {
+      for (const auto& [inC, outC] : {std::pair{1, 1}, {7, 3}, {16, 5},
+                                     {33, 4}, {96, 6}}) {
+        for (const int n : {1, 5, 8}) {
+          const size_t xn = static_cast<size_t>(n) * inC * len;
+          const size_t dyn = static_cast<size_t>(n) * outC * len;
+          const auto xt = gradVec(xn, rng);
+          auto dy = gradVec(dyn, rng);
+          zeroRows(dy, static_cast<size_t>(len), rng);
+          const auto gw0 = accVec(static_cast<size_t>(outC) * inC * k, rng);
+          const auto gb0 = accVec(static_cast<size_t>(outC), rng);
+          auto gwa = gw0, gwb = gw0, gba = gb0, gbb = gb0;
+          ref().conv1dGrad(xt.data(), dy.data(), gwa.data(), gba.data(), inC,
+                           outC, k, len, n);
+          dut().conv1dGrad(xt.data(), dy.data(), gwb.data(), gbb.data(), inC,
+                           outC, k, len, n);
+          EXPECT_TRUE(bitsEqual(gwa, gwb))
+              << "dW inC=" << inC << " outC=" << outC << " k=" << k
+              << " len=" << len << " n=" << n;
+          EXPECT_TRUE(bitsEqual(gba, gbb))
+              << "db outC=" << outC << " len=" << len << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, Conv1dLaneDxMatchesScalarAcrossShapes) {
+  Rng rng(0xD0C1);
+  // The transposed conv tiles input channels x time steps like the forward
+  // tiles outputs: sweep inC through every block remainder, len across the
+  // time-tile widths and k through every border width.
+  for (const int k : {1, 2, 3, 5}) {
+    for (const auto& [inC, outC] : {std::pair{1, 1}, {3, 2}, {5, 7}, {32, 64},
+                                   {96, 32}}) {
+      for (const int len : {1, 2, 5, 7, 10, 12, 13, 21, 25}) {
+        const auto w = randVec(static_cast<size_t>(outC) * inC * k, rng);
+        const auto dy =
+            gradVec(static_cast<size_t>(outC) * len * kern::kLane, rng);
+        const size_t dxn = static_cast<size_t>(inC) * len * kern::kLane;
+        std::vector<float> dxa(dxn, 7.0F), dxb(dxn, 7.0F);
+        ref().conv1dLaneDx(w.data(), dy.data(), dxa.data(), inC, outC, k,
+                           len);
+        dut().conv1dLaneDx(w.data(), dy.data(), dxb.data(), inC, outC, k,
+                           len);
+        EXPECT_TRUE(bitsEqual(dxa, dxb))
+            << "dX inC=" << inC << " outC=" << outC << " k=" << k
+            << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, Conv1dLaneDxSkipsBorderTaps) {
+  // w = +inf, dy = 1: every issued tap adds +inf, so the exact input
+  // gradient is +inf everywhere. A kernel that zero-pads the border issues
+  // fma(inf, 0, acc) = NaN there instead.
+  for (const int k : {3, 5}) {
+    for (const int len : {1, 2, 7, 12, 13, 25}) {
+      const int inC = 5, outC = 2;
+      const std::vector<float> w(static_cast<size_t>(outC) * inC * k,
+                                 INFINITY);
+      const std::vector<float> dy(static_cast<size_t>(outC) * len * kern::kLane,
+                                  1.0F);
+      std::vector<float> dx(static_cast<size_t>(inC) * len * kern::kLane);
+      dut().conv1dLaneDx(w.data(), dy.data(), dx.data(), inC, outC, k, len);
+      for (size_t i = 0; i < dx.size(); ++i) {
+        ASSERT_TRUE(std::isinf(dx[i]) && dx[i] > 0)
+            << "k=" << k << " len=" << len << " [" << i << "]: " << dx[i];
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, DenseGradAndDxMatchScalar) {
+  Rng rng(0xDE6A);
+  // inF crosses every vector width (8, 16) and tile span (32, 64) with
+  // tails; outF every output-tile remainder; 1, 5 and 8 samples, some of
+  // whose gradient rows are all zero.
+  for (const int inF : {1, 3, 8, 9, 16, 17, 33, 64, 65, 320}) {
+    for (const int outF : {1, 2, 3, 5, 7, 9, 128}) {
+      for (const int n : {1, 5, 8}) {
+        const auto w = gradVec(static_cast<size_t>(outF) * inF, rng);
+        const auto x = gradVec(static_cast<size_t>(n) * inF, rng);
+        auto dy = gradVec(static_cast<size_t>(n) * outF, rng);
+        zeroRows(dy, static_cast<size_t>(outF), rng);
+        const auto gw0 = accVec(static_cast<size_t>(outF) * inF, rng);
+        const auto gb0 = accVec(static_cast<size_t>(outF), rng);
+        auto gwa = gw0, gwb = gw0, gba = gb0, gbb = gb0;
+        ref().denseGrad(x.data(), dy.data(), gwa.data(), gba.data(), n, inF,
+                        outF);
+        dut().denseGrad(x.data(), dy.data(), gwb.data(), gbb.data(), n, inF,
+                        outF);
+        EXPECT_TRUE(bitsEqual(gwa, gwb))
+            << "dW inF=" << inF << " outF=" << outF << " n=" << n;
+        EXPECT_TRUE(bitsEqual(gba, gbb))
+            << "db outF=" << outF << " n=" << n;
+        std::vector<float> dxa(x.size(), 7.0F), dxb(x.size(), 7.0F);
+        ref().denseDx(w.data(), dy.data(), dxa.data(), n, inF, outF);
+        dut().denseDx(w.data(), dy.data(), dxb.data(), n, inF, outF);
+        EXPECT_TRUE(bitsEqual(dxa, dxb))
+            << "dX inF=" << inF << " outF=" << outF << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, DenseZeroGradientSkipsKeepingNegativeZero) {
+  // Every dy is ±0 and every x and w is +inf: a step that is skipped leaves
+  // gw = gb = -0 and dx = +0, while one that is issued would make NaN
+  // (0 * inf) or turn -0 into +0.
+  for (const int inF : {5, 16, 320}) {
+    for (const int outF : {3, 128}) {
+      const int n = 8;
+      std::vector<float> dy(static_cast<size_t>(n) * outF);
+      for (size_t i = 0; i < dy.size(); ++i) dy[i] = i % 2 ? -0.0F : 0.0F;
+      const std::vector<float> x(static_cast<size_t>(n) * inF, INFINITY);
+      const std::vector<float> w(static_cast<size_t>(outF) * inF, INFINITY);
+      std::vector<float> gw(w.size(), -0.0F), gb(static_cast<size_t>(outF),
+                                                 -0.0F);
+      std::vector<float> dx(x.size(), 7.0F);
+      dut().denseGrad(x.data(), dy.data(), gw.data(), gb.data(), n, inF, outF);
+      dut().denseDx(w.data(), dy.data(), dx.data(), n, inF, outF);
+      for (const float v : gw) ASSERT_TRUE(v == 0.0F && std::signbit(v)) << v;
+      for (const float v : gb) ASSERT_TRUE(v == 0.0F && std::signbit(v)) << v;
+      for (const float v : dx) ASSERT_TRUE(v == 0.0F && !std::signbit(v)) << v;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelIsaTest,
                          testing::Values(cpu::Isa::kScalar, cpu::Isa::kAvx2,
                                          cpu::Isa::kAvx512),
@@ -348,6 +525,58 @@ TEST(KernelBatch, ForwardBitIdenticalAcrossBatchSizes) {
       EXPECT_TRUE(bitsEqual(y1, y32)) << "c=" << sh.c << " l=" << sh.l;
     }
   }
+}
+
+// --- pinned gradient bits ---------------------------------------------------
+
+TEST(KernelGradients, StageNetGradientBitsArePinned) {
+  // A default-shaped stage net with integer-derived weights, inputs and
+  // output gradients: the FNV-1a of every parameter gradient after one
+  // batched backward must equal the constant the historical scalar loops
+  // computed in a Release build. kernels.h pins each op, so the same bits
+  // come out of every ISA tier and every build type (-O2 included).
+  const auto iv = [](uint32_t i, uint32_t salt) {
+    const uint32_t h = (i + salt) * 2654435761U;
+    return static_cast<float>(static_cast<int>(h >> 21) % 2001 - 1000) /
+           997.0F;
+  };
+  Rng rng(1);
+  Sequential net = makeCnn({96, 21}, 32, 64, 128, 7, 0.0F, rng);
+  uint32_t salt = 1;
+  for (Param* p : net.params()) {
+    for (size_t i = 0; i < p->value.size(); ++i) {
+      p->value[i] = iv(static_cast<uint32_t>(i), salt) * 0.125F;
+    }
+    ++salt;
+  }
+  // 13 samples: one full lane group and a partial one.
+  constexpr int kN = 13;
+  std::vector<float> x(static_cast<size_t>(kN) * 96 * 21);
+  std::vector<float> dOut(static_cast<size_t>(kN) * 7);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = iv(static_cast<uint32_t>(i), 101);
+  }
+  for (size_t i = 0; i < dOut.size(); ++i) {
+    dOut[i] = iv(static_cast<uint32_t>(i), 202);
+  }
+  Scratch s = net.makeScratch();
+  net.forward(x, kN, s, Phase::kTrain);
+  net.backward(dOut, kN, s);
+  std::vector<float> grads;
+  s.appendGrads(grads);
+  ASSERT_EQ(grads.size(), 57447U);
+  uint64_t h = 1469598103934665603ULL;
+  for (const float g : grads) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &g, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(h, 0x3641b2dbd777378aULL)
+      << "gradient FNV " << std::hex << h << " under "
+      << cpu::isaName(cpu::active());
 }
 
 // --- CLI property: CATI_KERNEL matrix through the real cati-infer -----------

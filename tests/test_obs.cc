@@ -191,8 +191,8 @@ TEST(ObsRegistry, HandlesAreStableAcrossRegistrations) {
   obs::Histogram& h = reg.histogram("h");
   // Registering more names never invalidates earlier handles.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.histogram("g" + std::to_string(i));
+    reg.counter(std::string("c").append(std::to_string(i)));
+    reg.histogram(std::string("g").append(std::to_string(i)));
   }
   EXPECT_EQ(&a, &reg.counter("a"));
   EXPECT_EQ(&h, &reg.histogram("h"));
