@@ -267,6 +267,64 @@ BENCHMARK(BM_PredictBatchSize)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+/// The first prediction chunk cati-infer forms on the speed binary, stripped:
+/// whole functions through Engine::prepareFunction until 512 VUCs, as
+/// serve::ImageAnalysis prepares them — once as the chunk stream, once as
+/// the VUCs' own windows.
+struct Chunk {
+  ChunkStream stream;
+  std::vector<corpus::Vuc> windows;
+};
+
+Chunk speedChunk(Engine& e) {
+  loader::Image img = loader::buildImage(testBinary());
+  loader::strip(img);
+  DiagList diags;
+  Chunk chunk;
+  for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
+    if (chunk.windows.size() >= 512) break;
+    Engine::FunctionWork w =
+        e.prepareFunction(fn.insns, dataflow::recoverVariables(fn.insns));
+    chunk.stream.append(w.stream);
+    chunk.windows.insert(chunk.windows.end(), w.ds.vucs.begin(),
+                         w.ds.vucs.end());
+  }
+  return chunk;
+}
+
+void BM_PredictChunk(benchmark::State& state) {
+  // One real cati-infer chunk at jobs=1 and the default batch, through the
+  // window adapter (/0: predictVucs, every VUC's own 21-row window) or the
+  // chunk stream (/1: predictStream, conv1 once per stream row, DESIGN.md
+  // §7). Both give bit-identical probabilities; items_per_second is VUC/s
+  // and conv1_cols_per_vuc the engine.infer.conv1_cols one predict adds
+  // per VUC.
+  Engine& e = bundle().engine();
+  const Chunk chunk = speedChunk(e);
+  par::ThreadPool pool(1);
+  const bool stream = state.range(0) == 1;
+  const auto predict = [&] {
+    return stream ? e.predictStream(chunk.stream, &pool)
+                  : e.predictVucs(chunk.windows, &pool);
+  };
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  obs::Counter& cols = obs::counter("engine.infer.conv1_cols");
+  const uint64_t cols0 = cols.value();
+  (void)predict();
+  state.counters["conv1_cols_per_vuc"] =
+      static_cast<double>(cols.value() - cols0) /
+      static_cast<double>(chunk.windows.size());
+  obs::setEnabled(wasEnabled);
+  for (auto _ : state) {
+    const auto out = predict();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(chunk.windows.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_PredictChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 Engine& quantEngine() {
   static Engine q = bundle().engine().quantize();
   return q;

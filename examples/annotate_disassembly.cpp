@@ -45,7 +45,7 @@ void annotate(Engine& engine, std::span<const asmx::Instruction> insns,
   const Engine::FunctionWork work =
       engine.prepareFunction(insns, dataflow::recoverVariables(insns));
   const auto vars =
-      engine.finishFunction(work, engine.predictVucs(work.ds.vucs));
+      engine.finishFunction(work, engine.predictStream(work.stream));
 
   // instruction index -> annotation
   std::map<uint32_t, std::string> notes;

@@ -48,7 +48,7 @@ int main() {
   const Engine::FunctionWork work =
       engine.prepareFunction(fn.insns, dataflow::recoverVariables(fn.insns));
   const auto inferred =
-      engine.finishFunction(work, engine.predictVucs(work.ds.vucs));
+      engine.finishFunction(work, engine.predictStream(work.stream));
 
   // --- 4. compare with ground truth ---
   std::printf("\n%-12s %-24s %-24s %s\n", "location", "inferred",

@@ -449,42 +449,46 @@ Engine::WorkerState& Engine::worker(int w) {
   return ws;
 }
 
-void Engine::predictRange(std::span<const corpus::Vuc> vucs, size_t b,
-                          size_t e, int batch, WorkerState& ws,
-                          StageProbs* out) {
-  static const std::array<obs::Counter*, kNumStages> samples =
-      stageCounters("engine.infer.samples");
-  const auto inSize = static_cast<size_t>(inputShape().size());
-  const auto bs = static_cast<size_t>(std::max(1, batch));
-  for (size_t sb = b; sb < e; sb += bs) {
-    // Deadline check once per sub-batch: cheap (a clock read, only when a
-    // deadline is set) and bounds how late a timeout can fire by one batch.
-    checkDeadline();
-    const size_t nb = std::min(bs, e - sb);
-    ws.input.resize(nb * inSize);
-    for (size_t k = 0; k < nb; ++k) {
-      encodeInput(vucs[sb + k], -1,
-                  std::span(ws.input).subspan(k * inSize, inSize));
+// --- chunk streams and the one predict path (DESIGN.md §7) -----------------
+
+ChunkStream::ChunkStream(int window, std::span<const embed::TokenRow> insns,
+                         std::span<const uint32_t> targets)
+    : window_(window) {
+  if (window < 0) throw std::invalid_argument("ChunkStream: negative window");
+  const embed::TokenRow blank{embed::Vocab::kBlankId, embed::Vocab::kBlankId,
+                              embed::Vocab::kBlankId};
+  const auto pad = static_cast<size_t>(window);
+  rows_.reserve(insns.size() + 2 * pad);
+  rows_.assign(pad, blank);
+  rows_.insert(rows_.end(), insns.begin(), insns.end());
+  rows_.resize(rows_.size() + pad, blank);
+  centres_.reserve(targets.size());
+  for (const uint32_t t : targets) {
+    if (t >= insns.size() ||
+        (!centres_.empty() && t + pad <= centres_.back())) {
+      throw std::invalid_argument(
+          "ChunkStream: VUC targets must be ascending instruction indices");
     }
-    for (int s = 0; s < kNumStages; ++s) {
-      samples[static_cast<size_t>(s)]->add(nb);
-      const auto classes =
-          static_cast<size_t>(numClasses(static_cast<Stage>(s)));
-      // One shared-const forward over the whole sub-batch, caches skipped
-      // (Phase::kInfer).
-      const auto logits =
-          stages_[static_cast<size_t>(s)].forward(ws.input,
-                                                  static_cast<int>(nb),
-                                                  ws.stages[static_cast<size_t>(s)],
-                                                  nn::Phase::kInfer);
-      for (size_t k = 0; k < nb; ++k) {
-        auto& probs = out[sb + k].probs[static_cast<size_t>(s)];
-        probs.resize(classes);
-        nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1,
-                               probs);
-      }
-    }
+    centres_.push_back(static_cast<uint32_t>(t + pad));
   }
+}
+
+void ChunkStream::append(const ChunkStream& other) {
+  if (other.rows_.empty()) return;
+  if (rows_.empty()) {
+    *this = other;
+    return;
+  }
+  if (other.window_ != window_ || seg_ != 0 || other.seg_ != 0) {
+    throw std::invalid_argument("ChunkStream::append: window mismatch");
+  }
+  // This stream ends with a pad and `other` starts with one: keep one.
+  const auto pad = static_cast<size_t>(window_);
+  const auto shift = static_cast<uint32_t>(rows_.size() - pad);
+  rows_.insert(rows_.end(),
+               other.rows_.begin() + static_cast<ptrdiff_t>(pad),
+               other.rows_.end());
+  for (const uint32_t c : other.centres_) centres_.push_back(c + shift);
 }
 
 void Engine::runStage(Stage s, std::span<const float> input,
@@ -497,52 +501,331 @@ void Engine::runStage(Stage s, std::span<const float> input,
   nn::SoftmaxCE::forward(logits, -1, probs);
 }
 
-StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
-  if (!trained()) throw std::logic_error("Engine::predictVuc: not trained");
-  StageProbs out;
-  predictRange(std::span<const corpus::Vuc>(&vuc, 1), 0, 1, 1, worker(0),
-               &out);
-  return out;
-}
-
 namespace {
 
-// Prediction fan-out grain: small enough to balance uneven VUC batches,
-// large enough that chunk dispatch is amortized. Chunk boundaries don't
-// affect results here (each VUC is independent), but keep them fixed anyway.
+// Fan-out grain of the whole-net branch: small enough to balance uneven VUC
+// batches, large enough that chunk dispatch is amortized.
 constexpr size_t kPredictGrain = 16;
+
+// VUCs per range of the shared-prefix branch. A range's rows (about 2.3 per
+// VUC) run through conv1 as one 8-lane call of about 30 time steps, and its
+// left-border pairs as one of exactly 24, two full 12-step AVX-512 tiles;
+// (range, stage) items still keep 4 workers busy on small images. Ranges
+// of 32 leave much of each tile empty.
+constexpr size_t kStreamRange = 96;
 
 // Default inference batch when neither the caller nor CATI_BATCH asks for a
 // specific size: big enough to amortize per-layer dispatch, small enough
 // that a worker's activation arena stays cache-resident.
 constexpr int kDefaultInferBatch = 32;
 
+/// ReLU::forward's select.
+float reluOf(float x) { return x > 0.0F ? x : 0.0F; }
+
+/// MaxPool1d::forward's select over (a, b): b wins only when strictly
+/// greater, so the first max wins ties and NaN never wins.
+float poolOf(float a, float b) { return b > a ? b : a; }
+
+/// The first layer of `net` when the net starts Conv1d(k=3) -> ReLU ->
+/// MaxPool1d(2), else null.
+const nn::Conv1d* sharedConv1(const nn::Sequential& net) {
+  if (net.numLayers() < 3) return nullptr;
+  const auto* conv = dynamic_cast<const nn::Conv1d*>(&net.layer(0));
+  const auto* pool = dynamic_cast<const nn::MaxPool1d*>(&net.layer(2));
+  const bool prefix = conv != nullptr && conv->kernel() == 3 &&
+                      dynamic_cast<const nn::ReLU*>(&net.layer(1)) != nullptr &&
+                      pool != nullptr && pool->kernel() == 2;
+  return prefix ? conv : nullptr;
+}
+
+size_t ceilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
+
 }  // namespace
+
+bool Engine::sharedPrefix() const {
+  return std::all_of(stages_.begin(), stages_.end(),
+                     [](const nn::Sequential& net) {
+                       return sharedConv1(net) != nullptr;
+                     });
+}
+
+ChunkStream Engine::windowStream(std::span<const corpus::Vuc> vucs) const {
+  const int span = 2 * cfg_.window + 1;
+  ChunkStream st;
+  st.window_ = cfg_.window;
+  st.seg_ = span;
+  st.rows_.reserve(vucs.size() * static_cast<size_t>(span));
+  st.centres_.reserve(vucs.size());
+  for (const corpus::Vuc& v : vucs) {
+    if (static_cast<int>(v.window.size()) != span) {
+      throw std::invalid_argument(
+          "Engine: VUC window length does not match the engine's window "
+          "configuration");
+    }
+    const size_t centre = st.rows_.size() + static_cast<size_t>(cfg_.window);
+    st.centres_.push_back(static_cast<uint32_t>(centre));
+    for (const corpus::GenInstr& g : v.window) {
+      st.rows_.push_back(encoder_->tokenize(g));
+    }
+  }
+  return st;
+}
+
+void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
+                         bool shared, WorkerState& ws) const {
+  const embed::VucEncoder& enc = *encoder_;
+  const size_t w = static_cast<size_t>(st.window_);
+  const size_t span = 2 * w + 1;
+  const size_t channels = static_cast<size_t>(enc.cols());
+  const size_t m = e - b;
+  const std::vector<embed::TokenRow>& rows = st.rows_;
+  const std::vector<uint32_t>& centres = st.centres_;
+  if (!shared) {
+    // Each VUC's own window, channel-major, as the net's input.
+    const size_t inSize = channels * span;
+    ws.input.resize(m * inSize);
+    for (size_t k = 0; k < m; ++k) {
+      for (size_t r = 0; r < span; ++r) {
+        enc.encodeRow(rows[centres[b + k] - w + r],
+                      ws.input.data() + k * inSize + r, span);
+      }
+    }
+    return;
+  }
+  // Packed positions: the union of the range's windows, each run of
+  // overlapping or touching windows once, runs end to end.
+  ws.flatRow.clear();
+  ws.start.clear();
+  size_t runRow = 0;  // stream row and packed position of the run's start
+  size_t runPos = 0;
+  for (size_t k = b; k < e; ++k) {
+    const size_t lo = centres[k] - w;
+    const size_t hi = centres[k] + w + 1;
+    size_t next = ws.flatRow.empty() ? lo : ws.flatRow.back() + 1;
+    if (lo > next || ws.flatRow.empty()) {
+      runRow = next = lo;
+      runPos = ws.flatRow.size();
+    }
+    for (size_t row = next; row < hi; ++row) {
+      ws.flatRow.push_back(static_cast<uint32_t>(row));
+    }
+    ws.start.push_back(static_cast<uint32_t>(runPos + (lo - runRow)));
+  }
+  // Lane l holds packed positions [l*step, l*step + len). A continuous
+  // stream's lanes overlap by two rows, so every position but the ends has
+  // all three taps in some lane; back-to-back windows split at window edges
+  // and run with seg = span, so no tap leaves its window.
+  const size_t total = ws.flatRow.size();
+  if (st.seg_ > 0) {
+    ws.step = static_cast<int>(ceilDiv(m, nn::kBatchLane) * span);
+    ws.len = ws.step;
+  } else {
+    ws.step = static_cast<int>(ceilDiv(total - 2, nn::kBatchLane));
+    ws.len = ws.step + 2;
+  }
+  const auto len = static_cast<size_t>(ws.len);
+  const auto step = static_cast<size_t>(ws.step);
+  ws.input.assign(channels * len * nn::kBatchLane, 0.0F);
+  for (size_t l = 0; l < nn::kBatchLane; ++l) {
+    for (size_t t = 0; t < len && l * step + t < total; ++t) {
+      enc.encodeRow(rows[ws.flatRow[l * step + t]],
+                    ws.input.data() + t * nn::kBatchLane + l,
+                    len * nn::kBatchLane);
+    }
+  }
+  // A window's first column skips its left tap, which the stream conv does
+  // not: it comes from the pair (first row, second row) run with seg = 2.
+  // VUC k's pair sits in lane k % 8 at time step 2 * (k / 8).
+  ws.pairLen = 0;
+  if (st.seg_ > 0) return;
+  ws.pairLen = static_cast<int>(2 * ceilDiv(m, nn::kBatchLane));
+  const size_t pairStride = static_cast<size_t>(ws.pairLen) * nn::kBatchLane;
+  ws.pairs.assign(channels * pairStride, 0.0F);
+  for (size_t k = 0; k < m; ++k) {
+    float* dst = ws.pairs.data() + 2 * (k / nn::kBatchLane) * nn::kBatchLane +
+                 k % nn::kBatchLane;
+    enc.encodeRow(rows[centres[b + k] - w], dst, pairStride);
+    enc.encodeRow(rows[centres[b + k] - w + 1], dst + nn::kBatchLane,
+                  pairStride);
+  }
+}
+
+void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
+                               size_t e, int batch, bool shared,
+                               WorkerState& ws, StageProbs* out) {
+  static const std::array<obs::Counter*, kNumStages> samples =
+      stageCounters("engine.infer.samples");
+  static obs::Counter& conv1Cols = obs::counter("engine.infer.conv1_cols");
+  const auto si = static_cast<size_t>(s);
+  const bool firstStage = si == 0;
+  const nn::Sequential& net = stages_[si];
+  const size_t m = e - b;
+  const auto w = static_cast<size_t>(st.window_);
+  std::span<const float> x = ws.input;  // layer `first`'s input, all VUCs
+  size_t first = 0;
+  if (shared) {
+    // conv1 once over the packed rows, ReLU per position.
+    const nn::Conv1d& conv = *sharedConv1(net);
+    const auto c1 = static_cast<size_t>(conv.outC());
+    const auto len = static_cast<size_t>(ws.len);
+    const auto step = static_cast<size_t>(ws.step);
+    const size_t total = ws.flatRow.size();
+    ws.conv.resize(c1 * len * nn::kBatchLane);
+    conv.forwardLanes(ws.input.data(), ws.conv.data(), ws.len,
+                      st.seg_ > 0 ? st.seg_ : ws.len);
+    const size_t halo = st.seg_ > 0 ? 0 : 1;
+    ws.relu.resize(c1 * total);
+    for (size_t o = 0; o < c1; ++o) {
+      const float* y = ws.conv.data() + o * len * nn::kBatchLane;
+      float* r = ws.relu.data() + o * total;
+      for (size_t l = 0; l < nn::kBatchLane; ++l) {
+        for (size_t t = halo; t + halo < len && l * step + t < total; ++t) {
+          r[l * step + t] = reluOf(y[t * nn::kBatchLane + l]);
+        }
+      }
+    }
+    const auto pairLen = static_cast<size_t>(ws.pairLen);
+    if (pairLen > 0) {
+      ws.convB.resize(c1 * pairLen * nn::kBatchLane);
+      conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
+    }
+    if (firstStage) conv1Cols.add((len + pairLen) * nn::kBatchLane);
+    // Each VUC's pooled [c1][w] map: column j pools window columns 2j and
+    // 2j + 1; column 2w is dropped, as MaxPool1d drops it.
+    const size_t pooled = c1 * w;
+    ws.pooled.resize(m * pooled);
+    for (size_t k = 0; k < m; ++k) {
+      for (size_t o = 0; o < c1; ++o) {
+        const float* r = ws.relu.data() + o * total + ws.start[k];
+        const float col0 =
+            pairLen > 0
+                ? reluOf(ws.convB[(o * pairLen + 2 * (k / nn::kBatchLane)) *
+                                      nn::kBatchLane +
+                                  k % nn::kBatchLane])
+                : r[0];
+        float* d = ws.pooled.data() + k * pooled + o * w;
+        d[0] = poolOf(col0, r[1]);
+        for (size_t j = 1; j < w; ++j) d[j] = poolOf(r[2 * j], r[2 * j + 1]);
+      }
+    }
+    x = ws.pooled;
+    first = 3;
+  }
+  const auto inSize = static_cast<size_t>(net.layerInShape(first).size());
+  const auto classes = static_cast<size_t>(numClasses(s));
+  const auto bs = static_cast<size_t>(std::max(1, batch));
+  for (size_t sb = 0; sb < m; sb += bs) {
+    const size_t nb = std::min(bs, m - sb);
+    if (firstStage) {
+      // Deadline check once per sub-batch of VUCs, in the first stage
+      // only, which the six stages of a range follow: cheap (a clock read,
+      // only when a deadline is set) and bounds how late a timeout fires.
+      checkDeadline();
+      if (!shared) {
+        conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
+                      (2 * w + 1));
+      }
+    }
+    samples[si]->add(nb);
+    // Caches skipped (Phase::kInfer).
+    const auto logits =
+        net.forwardFrom(first, x.subspan(sb * inSize, nb * inSize),
+                        static_cast<int>(nb), ws.stages[si], nn::Phase::kInfer);
+    for (size_t k = 0; k < nb; ++k) {
+      auto& probs = out[b + sb + k].probs[si];
+      probs.resize(classes);
+      nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1, probs);
+    }
+  }
+}
+
+void Engine::predictInto(const ChunkStream& st, par::ThreadPool& tp,
+                         int batch, StageProbs* out) {
+  const size_t n = st.numVucs();
+  if (n == 0) return;
+  if (st.window_ != cfg_.window) {
+    throw std::invalid_argument(
+        "Engine: chunk stream window does not match the engine's window "
+        "configuration");
+  }
+  const int32_t vocab = encoder_->vocab().size();
+  for (const embed::TokenRow& row : st.rows_) {
+    for (const int32_t id : row) {
+      if (id < 0 || id >= vocab) {
+        throw std::invalid_argument("Engine: chunk stream token out of range");
+      }
+    }
+  }
+  const auto w = static_cast<uint32_t>(st.window_);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t c = st.centres_[i];
+    if (c < w || c + w >= st.rows_.size() ||
+        (i > 0 && c <= st.centres_[i - 1]) ||
+        (st.seg_ > 0 && c % static_cast<uint32_t>(st.seg_) != w)) {
+      throw std::invalid_argument("Engine: chunk stream centre out of range");
+    }
+  }
+  // Items are (range, stage) on the shared-prefix branch and whole ranges
+  // on the other; either way a worker encodes a range once and keeps it
+  // for the next item of the same range.
+  const bool shared = sharedPrefix();
+  const size_t grain =
+      shared ? kStreamRange
+             : std::max(kPredictGrain, static_cast<size_t>(batch));
+  const size_t itemsPerRange = shared ? kNumStages : 1;
+  const uint64_t call = ++predictCalls_;
+  // Worker scratches are created outside the parallel region (worker() may
+  // grow the vector); the fan-out then only touches disjoint entries.
+  for (int wk = 0; wk < tp.jobs(); ++wk) worker(wk);
+  tp.run(par::numChunks(n, grain) * itemsPerRange, [&](size_t item, int wk) {
+    const size_t r = item / itemsPerRange;
+    const par::ChunkRange cr = par::chunkRange(n, grain, r);
+    WorkerState& ws = workers_[static_cast<size_t>(wk)];
+    if (ws.call != call || ws.range != r) {
+      encodeRange(st, cr.begin, cr.end, shared, ws);
+      ws.call = call;
+      ws.range = r;
+    }
+    if (shared) {
+      predictRangeStage(static_cast<Stage>(item % kNumStages), st, cr.begin,
+                        cr.end, batch, true, ws, out);
+      return;
+    }
+    for (int s = 0; s < kNumStages; ++s) {
+      predictRangeStage(static_cast<Stage>(s), st, cr.begin, cr.end, batch,
+                        false, ws, out);
+    }
+  });
+}
+
+StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
+  if (!trained()) throw std::logic_error("Engine::predictVuc: not trained");
+  StageProbs out;
+  par::ThreadPool inlinePool(1);
+  predictInto(windowStream(std::span(&vuc, 1)), inlinePool, 1, &out);
+  return out;
+}
+
+std::vector<StageProbs> Engine::predictStream(const ChunkStream& stream,
+                                              par::ThreadPool* pool,
+                                              int batch) {
+  if (!trained()) throw std::logic_error("Engine::predict: not trained");
+  static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
+  static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
+  const obs::ScopedTimer timing(batchNs);
+  inferVucs.add(stream.numVucs());
+  par::ThreadPool inlinePool(1);
+  std::vector<StageProbs> out(stream.numVucs());
+  predictInto(stream, pool ? *pool : inlinePool,
+              par::resolveBatch(batch, kDefaultInferBatch), out.data());
+  return out;
+}
 
 std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
                                             par::ThreadPool* pool,
                                             int batch) {
   if (!trained()) throw std::logic_error("Engine::predictVucs: not trained");
-  static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
-  static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
-  const obs::ScopedTimer timing(batchNs);
-  inferVucs.add(vucs.size());
-  par::ThreadPool inlinePool(1);
-  par::ThreadPool& tp = pool ? *pool : inlinePool;
-  const int bs = par::resolveBatch(batch, kDefaultInferBatch);
-  // Worker scratches are created outside the parallel region (worker() may
-  // grow the vector); the fan-out then only touches disjoint entries.
-  for (int w = 0; w < tp.jobs(); ++w) worker(w);
-  // Grain grows with the batch size so a full chunk feeds at least one full
-  // forward pass; boundaries stay fixed for a given (n, batch).
-  const size_t grain = std::max(kPredictGrain, static_cast<size_t>(bs));
-  std::vector<StageProbs> out(vucs.size());
-  par::parallelChunks(
-      tp, vucs.size(), grain, [&](size_t b, size_t e, size_t, int w) {
-        predictRange(vucs, b, e, bs, workers_[static_cast<size_t>(w)],
-                     out.data());
-      });
-  return out;
+  return predictStream(windowStream(vucs), pool, batch);
 }
 
 TypeLabel Engine::routeVuc(const StageProbs& p) const {
@@ -650,7 +933,18 @@ Engine::FunctionWork Engine::prepareFunction(
     }
   }
   const std::vector<TypeLabel> labels(work.rec.vars.size(), TypeLabel::kCount);
-  work.ds = corpus::extractFromFunction(insns, varOfInsn, labels, cfg_.window);
+  const std::vector<corpus::GenInstr> gen = corpus::generalizeAll(insns);
+  work.ds = corpus::extractFromFunction(gen, varOfInsn, labels, cfg_.window);
+  // The same VUCs as a stream: one per variable-operating instruction, in
+  // instruction order, as extraction emits them.
+  std::vector<embed::TokenRow> tokens(gen.size());
+  std::vector<uint32_t> targets;
+  targets.reserve(work.ds.vucs.size());
+  for (size_t i = 0; i < gen.size(); ++i) {
+    tokens[i] = encoder_->tokenize(gen[i]);
+    if (varOfInsn[i] >= 0) targets.push_back(static_cast<uint32_t>(i));
+  }
+  work.stream = ChunkStream(cfg_.window, tokens, targets);
   vucCount.add(work.ds.vucs.size());
   return work;
 }

@@ -86,6 +86,44 @@ struct TrainCheckpointing {
   bool resume = false;
 };
 
+/// The input of Engine::predictStream (DESIGN.md §7): the generalized
+/// instructions of one or more functions as token rows, laid out
+/// BLANK^w f1 BLANK^w f2 ... BLANK^w, plus the row of every VUC's target
+/// instruction, ascending. A VUC's window is the 2w+1 rows around its
+/// centre — the pads supply the BLANK rows past a function's edges — so
+/// the VUCs of a function share all but a few rows of their windows, and
+/// the stage nets' first conv runs once per row instead of once per window.
+class ChunkStream {
+ public:
+  ChunkStream() = default;
+  /// One function: BLANK^window, `insns`, BLANK^window, with one VUC
+  /// centred on each of `targets` (instruction indices, ascending).
+  ChunkStream(int window, std::span<const embed::TokenRow> insns,
+              std::span<const uint32_t> targets);
+
+  /// Appends the functions of `other` after this stream's, keeping the pad
+  /// between them once — how a chunk, and the daemon's coalesced batch, is
+  /// built. An empty stream takes `other`'s window; otherwise the windows
+  /// must match (std::invalid_argument).
+  void append(const ChunkStream& other);
+  void clear() { *this = ChunkStream(); }
+
+  int window() const { return window_; }
+  const std::vector<embed::TokenRow>& rows() const { return rows_; }
+  const std::vector<uint32_t>& centres() const { return centres_; }
+  size_t numVucs() const { return centres_.size(); }
+
+ private:
+  friend class Engine;
+  int window_ = 0;
+  /// 0: one continuous stream. Otherwise every VUC's window is its own
+  /// seg = 2w+1 rows that no conv tap leaves — predictVucs' windows laid
+  /// back to back.
+  int seg_ = 0;
+  std::vector<embed::TokenRow> rows_;
+  std::vector<uint32_t> centres_;
+};
+
 /// A recovered-and-typed variable from the end-to-end stripped path.
 struct AnalyzedVariable {
   dataflow::RecoveredVariable location;
@@ -131,14 +169,24 @@ class Engine {
   // (Model weights are shared-const during inference; all mutable state is
   // per-worker scratch owned by this Engine, so one Engine must not be used
   // from multiple threads concurrently — fan-out happens *inside*
-  // predictVucs, where each pool worker gets its own scratch arena.)
+  // predictStream, where each pool worker gets its own scratch arena.)
   StageProbs predictVuc(const corpus::Vuc& vuc);
-  /// Batched prediction; out[i] corresponds to vucs[i]. Workers run forward
-  /// passes on the one shared set of weights with per-worker scratch;
-  /// kernels preserve per-sample accumulation order, so results are
-  /// bit-identical to a serial predictVuc loop at any job count and any
-  /// batch size. batch <= 0 resolves via par::resolveBatch (CATI_BATCH env,
-  /// then a default of 32).
+  /// The one prediction path; out[i] belongs to the VUC centred on
+  /// stream.centres()[i]. When every stage net starts Conv1d(k=3) -> ReLU ->
+  /// MaxPool1d(2), that prefix runs once per stream row for a range of
+  /// VUCs and each VUC gathers its pooled map from it (DESIGN.md §7);
+  /// other nets (int8, window 0) gather encoded windows from the stream
+  /// and run whole. Fan-out is over (VUC range x stage) on the one shared
+  /// set of weights with per-worker scratch. The kernels keep every
+  /// output's op sequence, so results are bit-identical to a serial
+  /// per-window forward at any job count and any batch size. batch <= 0
+  /// resolves via par::resolveBatch (CATI_BATCH env, then a default of 32).
+  std::vector<StageProbs> predictStream(const ChunkStream& stream,
+                                        par::ThreadPool* pool = nullptr,
+                                        int batch = 0);
+  /// predictStream over the VUCs' own windows laid back to back, each a
+  /// segment no conv tap leaves — the per-window math; out[i] corresponds
+  /// to vucs[i].
   std::vector<StageProbs> predictVucs(std::span<const corpus::Vuc> vucs,
                                       par::ThreadPool* pool = nullptr,
                                       int batch = 0);
@@ -159,17 +207,21 @@ class Engine {
 
   // --- end-to-end stripped-binary analysis (DESIGN.md §10) ---
   // The full §III pipeline with src/dataflow standing in for IDA Pro runs in
-  // three phases: prepareFunction per function, one predictVucs over the
-  // VUCs of many functions, finishFunction per function.
+  // three phases: prepareFunction per function, one predictStream over the
+  // concatenated streams of many functions, finishFunction per function.
   // serve::ImageAnalysis drives them for both cati-infer and cati-serve.
   // Kernels preserve per-sample accumulation order, so how the prepared
-  // functions are grouped into predictVucs calls never changes the votes.
+  // functions are grouped into predict calls never changes the votes.
 
-  /// The deterministic, model-independent share of the analysis: recovered
-  /// variables plus this function's extracted (unlabeled) VUCs.
+  /// The deterministic share of the analysis: recovered variables plus
+  /// this function's extracted (unlabeled) VUCs, both as windows and as a
+  /// chunk stream.
   struct FunctionWork {
     dataflow::RecoveryResult rec;
     corpus::Dataset ds;  ///< function-local var ids; vucs in extraction order
+    /// The function alone as a chunk stream, one centre per ds.vucs entry
+    /// in the same order.
+    ChunkStream stream;
   };
 
   /// Phase 1: VUC extraction from the caller's recovery — e.g.
@@ -182,7 +234,7 @@ class Engine {
 
   /// Phase 3: voting + confidence over `probs`, which must hold one
   /// StageProbs per work.ds.vucs entry, in order (typically a slice of a
-  /// coalesced predictVucs result). One poisoned variable degrades (a Diag
+  /// coalesced predictStream result). One poisoned variable degrades (a Diag
   /// in `diags` + the engine.analyze.degraded counter) instead of aborting
   /// the function.
   std::vector<AnalyzedVariable> finishFunction(
@@ -220,14 +272,33 @@ class Engine {
 
   const EngineConfig& config() const { return cfg_; }
   const embed::VucEncoder& encoder() const { return *encoder_; }
+  /// Stage `s`'s classifier net (trained engines only).
+  const nn::Sequential& stageNet(Stage s) const {
+    return stages_.at(static_cast<size_t>(s));
+  }
 
  private:
   /// Per-worker inference state: one nn::Scratch per stage net plus the
-  /// reusable batch input buffer. Grown lazily, reused across predictVucs
-  /// calls so steady-state inference allocates nothing.
+  /// encoded VUC range and the shared-prefix buffers. Grown lazily and
+  /// reused across predict calls, so steady-state passes do not reallocate.
   struct WorkerState {
     std::vector<nn::Scratch> stages;
-    std::vector<float> input;  // [batch x inputShape]
+    /// The range `input` holds: (predict call, range index).
+    uint64_t call = 0;
+    size_t range = 0;
+    /// Shared prefix: the range's rows as the conv lane pack
+    /// [C][len][kLane]. Otherwise: its windows, [m x inputShape].
+    std::vector<float> input;
+    std::vector<float> pairs;     ///< left-border pairs [C][2P][kLane]
+    std::vector<uint32_t> flatRow;  ///< packed position -> stream row
+    std::vector<uint32_t> start;    ///< per VUC: packed window start
+    int len = 0;       ///< lane length of `input`
+    int step = 0;      ///< packed positions between lane starts
+    int pairLen = 0;   ///< lane length of `pairs` (0: no pairs)
+    std::vector<float> conv;    ///< conv1 output pack
+    std::vector<float> convB;   ///< conv1 output of the pairs
+    std::vector<float> relu;    ///< [c1][packed position] ReLU of conv
+    std::vector<float> pooled;  ///< [m x c1 x w] conv2 input
   };
 
   nn::Shape inputShape() const;
@@ -285,10 +356,23 @@ class Engine {
   /// The lazily-created scratch for worker `w`. Must be called outside any
   /// parallel region (it may grow workers_); train() invalidates all states.
   WorkerState& worker(int w);
-  /// Predicts vucs[b, e) into out[b, e) in sub-batches of `batch` samples
-  /// on one worker's scratch.
-  void predictRange(std::span<const corpus::Vuc> vucs, size_t b, size_t e,
-                    int batch, WorkerState& ws, StageProbs* out);
+  /// True when every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2),
+  /// the prefix predictStream runs once per stream row.
+  bool sharedPrefix() const;
+  /// The VUCs' own windows laid back to back, one segment each.
+  ChunkStream windowStream(std::span<const corpus::Vuc> vucs) const;
+  /// predictStream without the engine.infer.{vucs,batch_ns} tallies.
+  void predictInto(const ChunkStream& stream, par::ThreadPool& tp, int batch,
+                   StageProbs* out);
+  /// Encodes the VUCs [b, e) of `stream` into ws (see WorkerState).
+  void encodeRange(const ChunkStream& stream, size_t b, size_t e,
+                   bool shared, WorkerState& ws) const;
+  /// Stage `s` of the VUCs [b, e) encoded in ws, into out[b, e), in
+  /// sub-batches of `batch` through the net after its shared prefix
+  /// (`shared`) or through the whole net.
+  void predictRangeStage(Stage s, const ChunkStream& stream, size_t b,
+                         size_t e, int batch, bool shared, WorkerState& ws,
+                         StageProbs* out);
 
   EngineConfig cfg_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
@@ -298,6 +382,7 @@ class Engine {
   /// Per-worker inference scratch (index = pool worker id; worker 0 also
   /// serves the single-sample paths). Never serialized.
   std::vector<WorkerState> workers_;
+  uint64_t predictCalls_ = 0;  ///< keys WorkerState::call
 };
 
 }  // namespace cati

@@ -56,6 +56,12 @@ GenInstr generalize(const Instruction& ins) {
   return g;
 }
 
+std::vector<GenInstr> generalizeAll(std::span<const Instruction> insns) {
+  std::vector<GenInstr> gen(insns.size());
+  for (size_t i = 0; i < insns.size(); ++i) gen[i] = generalize(insns[i]);
+  return gen;
+}
+
 void Dataset::append(Dataset other) {
   if (other.window != window) {
     throw std::invalid_argument("Dataset::append: window mismatch");
@@ -93,15 +99,11 @@ namespace {
 
 /// Builds the VUCs of one function from (instruction -> variable) tags.
 /// `labels` gives each local variable's type (kCount allowed = unlabeled).
-void extractFunction(std::span<const Instruction> insns,
+void extractFunction(std::span<const GenInstr> gen,
                      std::span<const int32_t> varOfInsn,
                      std::span<const TypeLabel> labels, uint32_t varBase,
                      int w, uint32_t appId, Dataset& out) {
-  const auto n = static_cast<int>(insns.size());
-  // Pre-generalize the whole function once.
-  std::vector<GenInstr> gen(insns.size());
-  for (size_t i = 0; i < insns.size(); ++i) gen[i] = generalize(insns[i]);
-
+  const auto n = static_cast<int>(gen.size());
   for (int i = 0; i < n; ++i) {
     const int32_t var = varOfInsn[static_cast<size_t>(i)];
     if (var < 0) continue;
@@ -166,7 +168,7 @@ Dataset extractGroundTruth(const synth::Binary& bin, int window) {
       const auto cls = debuginfo::classify(bin.debug, die.variables[v].typeIndex);
       labels[v] = cls.value_or(TypeLabel::kCount);
     }
-    extractFunction(fn.insns, fn.varOfInsn,
+    extractFunction(generalizeAll(fn.insns), fn.varOfInsn,
                     labels, static_cast<uint32_t>(ds.vars.size()), window,
                     /*appId=*/0, ds);
   }
@@ -200,7 +202,7 @@ Dataset extractRecovered(const synth::Binary& bin, int window) {
       labels.push_back(it == slotLabel.end() ? TypeLabel::kCount : it->second);
       for (const uint32_t idx : rv.targetInsns) varOfInsn[idx] = id;
     }
-    extractFunction(fn.insns, varOfInsn, labels,
+    extractFunction(generalizeAll(fn.insns), varOfInsn, labels,
                     static_cast<uint32_t>(ds.vars.size()), window,
                     /*appId=*/0, ds);
   }
@@ -208,13 +210,13 @@ Dataset extractRecovered(const synth::Binary& bin, int window) {
   return ds;
 }
 
-Dataset extractFromFunction(std::span<const Instruction> insns,
+Dataset extractFromFunction(std::span<const GenInstr> gen,
                             std::span<const int32_t> varOfInsn,
                             std::span<const TypeLabel> labels, int window) {
   Dataset ds;
   ds.window = window;
   ds.appNames.emplace_back("function");
-  extractFunction(insns, varOfInsn, labels, 0, window, 0, ds);
+  extractFunction(gen, varOfInsn, labels, 0, window, 0, ds);
   countVucsPerVar(ds);
   return ds;
 }

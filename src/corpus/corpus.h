@@ -42,6 +42,9 @@ struct GenInstr {
 /// targets -> ADDR, function names -> FUNC, missing operands -> BLANK.
 GenInstr generalize(const asmx::Instruction& ins);
 
+/// generalize() over a whole function, in instruction order.
+std::vector<GenInstr> generalizeAll(std::span<const asmx::Instruction> insns);
+
 /// Generalization keyed on operands only; idempotent by construction.
 std::string generalizeOperand(const asmx::Operand& op);
 
@@ -93,10 +96,11 @@ Dataset extractRecovered(const synth::Binary& bin, int window = 10);
 Dataset extractAll(const std::vector<synth::Binary>& bins, int window = 10,
                    bool groundTruth = true, par::ThreadPool* pool = nullptr);
 
-/// Low-level building block: extracts the VUCs of one function given an
-/// instruction->variable map and per-variable labels (TypeLabel::kCount for
-/// unlabeled). Used by the end-to-end engine on freshly recovered variables.
-Dataset extractFromFunction(std::span<const asmx::Instruction> insns,
+/// Low-level building block: extracts the VUCs of one function, given as
+/// its generalizeAll() rows, from an instruction->variable map and
+/// per-variable labels (TypeLabel::kCount for unlabeled). Used by the
+/// end-to-end engine on freshly recovered variables.
+Dataset extractFromFunction(std::span<const GenInstr> gen,
                             std::span<const int32_t> varOfInsn,
                             std::span<const TypeLabel> labels, int window);
 

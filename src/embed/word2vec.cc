@@ -382,16 +382,22 @@ void VucEncoder::encodeChannelMajor(const corpus::Vuc& v, int k,
   std::fill(out.begin(), out.end(), 0.0F);
   for (size_t r = 0; r < rows; ++r) {
     if (static_cast<int>(r) == k) continue;  // occluded row stays zero=BLANK
-    const corpus::GenInstr& g = v.window[r];
-    const std::string* toks[3] = {&g.mnem, &g.op1, &g.op2};
-    for (int p = 0; p < 3; ++p) {
-      const int32_t id = vocab_.lookup(*toks[p]);
-      const auto src = w2v_.vec(id);
-      // Channel c = p*dim + d is a row of length `rows`; this instruction
-      // fills column r of each.
-      float* dst = out.data() + static_cast<size_t>(p) * dim * rows + r;
-      for (int d = 0; d < dim; ++d) dst[static_cast<size_t>(d) * rows] = src[d];
-    }
+    // Channel c is a row of length `rows`; this instruction fills column r.
+    encodeRow(tokenize(v.window[r]), out.data() + r, rows);
+  }
+}
+
+TokenRow VucEncoder::tokenize(const corpus::GenInstr& g) const {
+  return {vocab_.lookup(g.mnem), vocab_.lookup(g.op1), vocab_.lookup(g.op2)};
+}
+
+void VucEncoder::encodeRow(const TokenRow& row, float* out,
+                           size_t stride) const {
+  const int dim = w2v_.dim();
+  for (int p = 0; p < 3; ++p) {
+    const auto src = w2v_.vec(row[static_cast<size_t>(p)]);
+    float* dst = out + static_cast<size_t>(p) * dim * stride;
+    for (int d = 0; d < dim; ++d) dst[static_cast<size_t>(d) * stride] = src[d];
   }
 }
 

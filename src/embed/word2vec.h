@@ -5,6 +5,7 @@
 // §IV-C / Fig. 4).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -105,6 +106,9 @@ class Word2Vec {
   std::vector<float> context_;   // output vectors
 };
 
+/// One generalized instruction as vocabulary ids: [mnem, op1, op2].
+using TokenRow = std::array<int32_t, 3>;
+
 /// Encodes VUCs to CNN input matrices. Layout: row per instruction
 /// (2w+1 rows), 3*dim columns = [mnem | op1 | op2] embeddings.
 class VucEncoder {
@@ -129,6 +133,15 @@ class VucEncoder {
   /// be a slice of a larger batch buffer.
   void encodeChannelMajor(const corpus::Vuc& v, int k,
                           std::span<float> out) const;
+
+  /// The vocabulary ids of one generalized instruction (UNK for unseen
+  /// tokens) — the row encodeChannelMajor looks up for it.
+  TokenRow tokenize(const corpus::GenInstr& g) const;
+
+  /// Writes the embedding of one token row as one time step of the
+  /// channel-major layout: channel c = p*dim + d lands at out[c * stride].
+  /// The same values encodeChannelMajor writes for that instruction.
+  void encodeRow(const TokenRow& row, float* out, size_t stride) const;
 
   const Vocab& vocab() const { return vocab_; }
   const Word2Vec& w2v() const { return w2v_; }

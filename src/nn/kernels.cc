@@ -26,10 +26,11 @@ static_assert(kQOutPad % 16 == 0);
 /// Outputs o < nOut each reduce over nRed channels and k taps; the weight
 /// of (o, r, kk) is w[o * outStride + r * redStride + kk]. Forward: tap kk
 /// reads x[t + kk - pad] and y starts at bias. kBack: tap kk reads
-/// x[t - (kk - pad)] and y starts at +0.
+/// x[t - (kk - pad)] and y starts at +0. A tap is issued only when its
+/// input index lies in the output's own `seg`-long segment (kernels.h).
 template <bool kBack>
 void convLaneScalarT(const float* w, const float* bias, const float* x,
-                     float* y, int nRed, int nOut, int k, int len,
+                     float* y, int nRed, int nOut, int k, int len, int seg,
                      size_t outStride, size_t redStride) {
   const int pad = k / 2;
   for (int o = 0; o < nOut; ++o) {
@@ -43,20 +44,25 @@ void convLaneScalarT(const float* w, const float* bias, const float* x,
       for (int kk = 0; kk < k; ++kk) {
         const float wv = wk[kk];
         const int shift = kBack ? pad - kk : kk - pad;
-        const int lo = shift < 0 ? -shift : 0;
-        const int hi = shift > 0 ? len - shift : len;
-        float* yp = yRow + static_cast<size_t>(lo) * kLane;
-        const float* xp = xRow + static_cast<size_t>(lo + shift) * kLane;
-        const int cnt = (hi - lo) * kLane;
-        for (int i = 0; i < cnt; ++i) yp[i] = std::fmaf(wv, xp[i], yp[i]);
+        for (int s0 = 0; s0 < len; s0 += seg) {
+          // Outputs t and inputs t + shift both inside [s0, s1).
+          const int s1 = std::min(len, s0 + seg);
+          const int lo = shift < 0 ? s0 - shift : s0;
+          const int hi = shift > 0 ? s1 - shift : s1;
+          if (lo >= hi) continue;
+          float* yp = yRow + static_cast<size_t>(lo) * kLane;
+          const float* xp = xRow + static_cast<size_t>(lo + shift) * kLane;
+          const int cnt = (hi - lo) * kLane;
+          for (int i = 0; i < cnt; ++i) yp[i] = std::fmaf(wv, xp[i], yp[i]);
+        }
       }
     }
   }
 }
 
 void convLaneScalar(const float* w, const float* bias, const float* x,
-                    float* y, int inC, int outC, int k, int len) {
-  convLaneScalarT<false>(w, bias, x, y, inC, outC, k, len,
+                    float* y, int inC, int outC, int k, int len, int seg) {
+  convLaneScalarT<false>(w, bias, x, y, inC, outC, k, len, seg,
                          static_cast<size_t>(inC) * k, k);
 }
 
@@ -86,7 +92,7 @@ void denseLaneScalar(const float* w, const float* bias, const float* x,
 
 void convDxScalar(const float* w, const float* dy, float* dx, int inC,
                   int outC, int k, int len) {
-  convLaneScalarT<true>(w, nullptr, dy, dx, outC, inC, k, len, k,
+  convLaneScalarT<true>(w, nullptr, dy, dx, outC, inC, k, len, len, k,
                         static_cast<size_t>(inC) * k);
 }
 
@@ -252,17 +258,27 @@ constexpr int kConvOutAvx2 = 2;
 constexpr int kConvStepsAvx2 = 6;
 
 /// OB output channels from o0, time steps [t0, t0 + kConvStepsAvx2). An
-/// edge tile (a tap falls outside [0, len), or the tile runs past len)
-/// does not issue the out-of-range taps at all and stores only t < len;
-/// an interior tile needs no checks. Weights and tap direction follow
-/// convLaneScalarT (kBack = the transposed conv of the input gradient).
+/// edge tile (a tap falls outside its output's segment, or the tile runs
+/// past len) does not issue the out-of-range taps at all and stores only
+/// t < len; an interior tile needs no checks. Weights and tap direction
+/// follow convLaneScalarT (kBack = the transposed conv of the input
+/// gradient).
 template <int OB, bool kEdge, bool kBack>
 __attribute__((target("avx2,fma"))) void convTileAvx2(
     const float* w, const float* bias, const float* x, float* y, int nRed,
-    int k, int len, int o0, int t0, size_t outStride, size_t redStride) {
+    int k, int len, int seg, int o0, int t0, size_t outStride,
+    size_t redStride) {
   constexpr int TT = kConvStepsAvx2;
   const int pad = k / 2;
   const size_t plane = static_cast<size_t>(len) * kLane;
+  // Per time step, the input indices its taps may read: its segment.
+  int segLo[TT];
+  int segHi[TT];
+#pragma GCC unroll 8
+  for (int j = 0; j < TT; ++j) {
+    segLo[j] = (t0 + j) - (t0 + j) % seg;
+    segHi[j] = std::min(len, segLo[j] + seg);
+  }
   __m256 acc[OB][TT];
 #pragma GCC unroll 8
   for (int o = 0; o < OB; ++o) {
@@ -286,7 +302,9 @@ __attribute__((target("avx2,fma"))) void convTileAvx2(
 #pragma GCC unroll 8
       for (int j = 0; j < TT; ++j) {
         const int src = t0 + j + shift;
-        if (kEdge && (t0 + j >= len || src < 0 || src >= len)) continue;
+        if (kEdge && (t0 + j >= len || src < segLo[j] || src >= segHi[j])) {
+          continue;
+        }
         const __m256 xv =
             _mm256_loadu_ps(xc + static_cast<ptrdiff_t>(src) * kLane);
 #pragma GCC unroll 8
@@ -310,19 +328,22 @@ __attribute__((target("avx2,fma"))) void convTileAvx2(
 template <int OB, bool kBack>
 __attribute__((target("avx2,fma"))) void convBlockAvx2(
     const float* w, const float* bias, const float* x, float* y, int nRed,
-    int k, int len, int o0, size_t outStride, size_t redStride) {
+    int k, int len, int seg, int o0, size_t outStride, size_t redStride) {
   const int pad = k / 2;
   // Tap shifts span [-pad, k-1-pad] forward and the mirror image backward.
   const int before = kBack ? k - 1 - pad : pad;
   const int after = kBack ? pad : k - 1 - pad;
   for (int t0 = 0; t0 < len; t0 += kConvStepsAvx2) {
+    // Interior: every tap of every step stays inside t0's segment.
+    const int segLo = t0 - t0 % seg;
     const bool interior =
-        t0 - before >= 0 && t0 + kConvStepsAvx2 - 1 + after < len;
+        t0 - before >= segLo &&
+        t0 + kConvStepsAvx2 - 1 + after < std::min(len, segLo + seg);
     if (interior) {
-      convTileAvx2<OB, false, kBack>(w, bias, x, y, nRed, k, len, o0, t0,
-                                     outStride, redStride);
+      convTileAvx2<OB, false, kBack>(w, bias, x, y, nRed, k, len, seg, o0,
+                                     t0, outStride, redStride);
     } else {
-      convTileAvx2<OB, true, kBack>(w, bias, x, y, nRed, k, len, o0, t0,
+      convTileAvx2<OB, true, kBack>(w, bias, x, y, nRed, k, len, seg, o0, t0,
                                     outStride, redStride);
     }
   }
@@ -331,22 +352,22 @@ __attribute__((target("avx2,fma"))) void convBlockAvx2(
 template <bool kBack>
 __attribute__((target("avx2,fma"))) void convLaneAvx2T(
     const float* w, const float* bias, const float* x, float* y, int nRed,
-    int nOut, int k, int len, size_t outStride, size_t redStride) {
+    int nOut, int k, int len, int seg, size_t outStride, size_t redStride) {
   int o0 = 0;
   for (; o0 + kConvOutAvx2 <= nOut; o0 += kConvOutAvx2) {
-    convBlockAvx2<kConvOutAvx2, kBack>(w, bias, x, y, nRed, k, len, o0,
+    convBlockAvx2<kConvOutAvx2, kBack>(w, bias, x, y, nRed, k, len, seg, o0,
                                        outStride, redStride);
   }
   for (; o0 < nOut; ++o0) {
-    convBlockAvx2<1, kBack>(w, bias, x, y, nRed, k, len, o0, outStride,
+    convBlockAvx2<1, kBack>(w, bias, x, y, nRed, k, len, seg, o0, outStride,
                             redStride);
   }
 }
 
 __attribute__((target("avx2,fma"))) void convLaneAvx2(
     const float* w, const float* bias, const float* x, float* y, int inC,
-    int outC, int k, int len) {
-  convLaneAvx2T<false>(w, bias, x, y, inC, outC, k, len,
+    int outC, int k, int len, int seg) {
+  convLaneAvx2T<false>(w, bias, x, y, inC, outC, k, len, seg,
                        static_cast<size_t>(inC) * k, k);
 }
 
@@ -354,7 +375,7 @@ __attribute__((target("avx2,fma"))) void convDxAvx2(const float* w,
                                                     const float* dy, float* dx,
                                                     int inC, int outC, int k,
                                                     int len) {
-  convLaneAvx2T<true>(w, nullptr, dy, dx, outC, inC, k, len, k,
+  convLaneAvx2T<true>(w, nullptr, dy, dx, outC, inC, k, len, len, k,
                       static_cast<size_t>(inC) * k);
 }
 
@@ -732,26 +753,35 @@ CATI_TARGET_AVX512 void convTileAvx512(const float* w, const float* bias,
 template <bool kBack>
 CATI_TARGET_AVX512 void convLaneAvx512T(const float* w, const float* bias,
                                         const float* x, float* y, int nRed,
-                                        int nOut, int k, int len,
+                                        int nOut, int k, int len, int seg,
                                         size_t outStride, size_t redStride) {
   static_assert(kStepsPerZmm == 2, "the tap masks below split a zmm in two");
   constexpr int TV = kConvVecsAvx512;
   constexpr int kTileSteps = TV * kStepsPerZmm;
   const int pad = k / 2;
   std::vector<__mmask16> mask(static_cast<size_t>(k + 1) * TV);
-  const auto stepMask = [len](int t, int src, __mmask16 bits) {
-    return t < len && src >= 0 && src < len ? bits : __mmask16{0};
-  };
   for (int t0 = 0; t0 < len; t0 += kTileSteps) {
     for (int j = 0; j < TV; ++j) {
       const int t = t0 + j * kStepsPerZmm;
+      // A tap of step t + h is issued when its input index lies in that
+      // step's segment [lo[h], hi[h]).
+      int lo[kStepsPerZmm];
+      int hi[kStepsPerZmm];
+      for (int h = 0; h < kStepsPerZmm; ++h) {
+        lo[h] = (t + h) - (t + h) % seg;
+        hi[h] = std::min(len, lo[h] + seg);
+      }
+      const auto stepMask = [&](int h, int src, __mmask16 bits) {
+        return t + h < len && src >= lo[h] && src < hi[h] ? bits
+                                                          : __mmask16{0};
+      };
       for (int kk = 0; kk < k; ++kk) {
         const int src = t + (kBack ? pad - kk : kk - pad);
         mask[static_cast<size_t>(kk) * TV + j] =
-            stepMask(t, src, 0x00FF) | stepMask(t + 1, src + 1, 0xFF00);
+            stepMask(0, src, 0x00FF) | stepMask(1, src + 1, 0xFF00);
       }
       mask[static_cast<size_t>(k) * TV + j] =
-          stepMask(t, t, 0x00FF) | stepMask(t + 1, t + 1, 0xFF00);
+          stepMask(0, t, 0x00FF) | stepMask(1, t + 1, 0xFF00);
     }
     int o0 = 0;
     for (; o0 + kConvOutAvx512 <= nOut; o0 += kConvOutAvx512) {
@@ -770,15 +800,15 @@ CATI_TARGET_AVX512 void convLaneAvx512T(const float* w, const float* bias,
 
 CATI_TARGET_AVX512 void convLaneAvx512(const float* w, const float* bias,
                                        const float* x, float* y, int inC,
-                                       int outC, int k, int len) {
-  convLaneAvx512T<false>(w, bias, x, y, inC, outC, k, len,
+                                       int outC, int k, int len, int seg) {
+  convLaneAvx512T<false>(w, bias, x, y, inC, outC, k, len, seg,
                          static_cast<size_t>(inC) * k, k);
 }
 
 CATI_TARGET_AVX512 void convDxAvx512(const float* w, const float* dy,
                                      float* dx, int inC, int outC, int k,
                                      int len) {
-  convLaneAvx512T<true>(w, nullptr, dy, dx, outC, inC, k, len, k,
+  convLaneAvx512T<true>(w, nullptr, dy, dx, outC, inC, k, len, len, k,
                         static_cast<size_t>(inC) * k);
 }
 

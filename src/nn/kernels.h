@@ -6,9 +6,17 @@
 // no matter which ISA variant runs:
 //
 //   conv1dLane   y := bias, then for (c, kk) ascending one FUSED
-//                multiply-add per valid tap: y = fma(w, x, y). A tap whose
-//                input index t + kk - k/2 lies outside [0, len) is SKIPPED,
-//                never zero-padded: fma(w, ±0, -0) can turn a -0 into +0.
+//                multiply-add per valid tap: y = fma(w, x, y). A tap is
+//                valid when its input index t + kk - k/2 lies in the
+//                output's own segment [s, min(s + seg, len)), s =
+//                floor(t/seg)*seg; any other tap is SKIPPED, never
+//                zero-padded: fma(w, ±0, -0) can turn a -0 into +0.
+//                seg == len is the plain same-padded conv over the lane.
+//                A smaller seg runs len/seg independent convs side by side
+//                in one call: seg = 2w+1 is back-to-back VUC windows, and
+//                seg = 2 gives, at even t, the left-border column of a
+//                window from the pair (x[t], x[t+1]) — the shared-context
+//                stream path of Engine's predict (DESIGN.md §7).
 //                Elements of the [t][lane] plane are independent, so the
 //                SIMD variants may tile them freely — they hold a few
 //                output channels x a run of time steps in registers and
@@ -42,8 +50,8 @@
 //                add.
 //   conv1dLaneDx dx[c][j] := +0, then for (o, kk) ascending one fused
 //                dx = fma(dy[o][j - (kk - k/2)], w[o][c][kk], dx) per valid
-//                tap — the transposed conv1dLane. Border taps are skipped,
-//                never padded.
+//                tap — the transposed conv1dLane at seg == len. Border taps
+//                are skipped, never padded.
 //   denseGrad    per sample ascending, per output o with g = dy[o] != 0:
 //                gb[o] += g; gw[o][i] = fma(g, x[i], gw[o][i]). A g == 0
 //                (either sign) sample leaves row o untouched, so a -0
@@ -95,9 +103,10 @@ struct KernelSet {
 
   /// Batch-transposed Conv1d over one full lane group. `x` is the
   /// [c][t][kLane] input pack (inC * len * kLane floats), `y` the
-  /// [o][t][kLane] output pack, `w` is [o][c][kk], same-padding k/2.
+  /// [o][t][kLane] output pack, `w` is [o][c][kk], same-padding k/2 within
+  /// each `seg`-long segment of the time axis (1 <= seg <= len).
   void (*conv1dLane)(const float* w, const float* bias, const float* x,
-                     float* y, int inC, int outC, int k, int len);
+                     float* y, int inC, int outC, int k, int len, int seg);
 
   /// Batch-transposed dense layer over one full lane group. `x` is the
   /// [i][kLane] input pack, `y` the [o][kLane] output pack, `w` is [o][i].

@@ -122,9 +122,7 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
     const int m = std::min(kBatchLane, n - b0);
     packLanes(x.data() + static_cast<size_t>(b0) * inPlane, inPlane, m,
               s.laneIn.data());
-    kern::kernels().conv1dLane(w_.value.data(), b_.value.data(),
-                               s.laneIn.data(), s.laneOut.data(), inC_, outC_,
-                               k_, len);
+    forwardLanes(s.laneIn.data(), s.laneOut.data(), len, len);
     unpackLanes(s.laneOut.data(), outPlane, m,
                 y.data() + static_cast<size_t>(b0) * outPlane);
   }
@@ -136,6 +134,11 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
     const size_t off = static_cast<size_t>(b) * inPlane;
     transposePlane(x.data() + off, inC_, len, s.cache.data() + off);
   }
+}
+
+void Conv1d::forwardLanes(const float* x, float* y, int len, int seg) const {
+  kern::kernels().conv1dLane(w_.value.data(), b_.value.data(), x, y, inC_,
+                             outC_, k_, len, seg);
 }
 
 void Conv1d::backward(std::span<const float> dy, std::span<float> dx, int n,
@@ -520,8 +523,17 @@ Scratch Sequential::makeScratch() const {
 
 std::span<const float> Sequential::forward(std::span<const float> x, int n,
                                            Scratch& s, Phase phase) const {
+  return forwardFrom(0, x, n, s, phase);
+}
+
+std::span<const float> Sequential::forwardFrom(size_t first,
+                                               std::span<const float> x, int n,
+                                               Scratch& s, Phase phase) const {
   checkBatch(n, "Sequential::forward");
-  checkSize(x, static_cast<size_t>(n) * inShape_.size(),
+  if (first > layers_.size()) {
+    throw std::invalid_argument("Sequential::forwardFrom: no such layer");
+  }
+  checkSize(x, static_cast<size_t>(n) * layerInShape(first).size(),
             "Sequential::forward x");
   if (s.layers_.size() != layers_.size()) {
     throw std::invalid_argument(
@@ -529,7 +541,7 @@ std::span<const float> Sequential::forward(std::span<const float> x, int n,
         "(use makeScratch)");
   }
   std::span<const float> cur = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
+  for (size_t i = first; i < layers_.size(); ++i) {
     std::vector<float>& act = s.acts_[i];
     act.resize(static_cast<size_t>(n) * shapes_[i].size());
     layers_[i]->forward(cur, act, n, s.layers_[i], phase);

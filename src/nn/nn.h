@@ -161,6 +161,13 @@ class Conv1d final : public Layer {
   int outC() const { return outC_; }
   int kernel() const { return k_; }
 
+  /// The forward conv of one pre-packed lane group: `x` is
+  /// [inC][len][kBatchLane], `y` [outC][len][kBatchLane], and no tap
+  /// crosses a `seg`-long segment of the time axis (kern::conv1dLane).
+  /// forward() is this at seg == len; Engine's shared-context predict runs
+  /// it over whole instruction streams (DESIGN.md §7).
+  void forwardLanes(const float* x, float* y, int len, int seg) const;
+
  private:
   int inC_;
   int outC_;
@@ -323,6 +330,11 @@ class Sequential {
   std::span<const float> forward(std::span<const float> x, int n, Scratch& s,
                                  Phase phase) const;
 
+  /// forward() of layers [first, numLayers()) only: `x` holds n samples of
+  /// layerInShape(first), e.g. activations computed outside the net.
+  std::span<const float> forwardFrom(size_t first, std::span<const float> x,
+                                     int n, Scratch& s, Phase phase) const;
+
   /// Batch backward from dL/d(output) [n x outShape]; parameter gradients
   /// accumulate into `s` (ascending sample order). The gradient of the
   /// net's input is not computed. Must follow a non-kInfer forward of the
@@ -347,6 +359,10 @@ class Sequential {
   void reseed(uint64_t seed);
 
   size_t numLayers() const { return layers_.size(); }
+  /// The shape layer i consumes (the net's input shape for i == 0).
+  Shape layerInShape(size_t i) const {
+    return i == 0 ? inShape_ : shapes_[i - 1];
+  }
   Layer& layer(size_t i) { return *layers_[i]; }
   const Layer& layer(size_t i) const { return *layers_[i]; }
 
@@ -411,7 +427,11 @@ class Adam {
 };
 
 /// Builds the paper's per-stage architecture: Conv(3,c1)-ReLU-MaxPool(2)-
-/// Conv(3,c2)-ReLU-GlobalMaxPool-FC(hidden)-ReLU-[Dropout]-FC(classes).
+/// Conv(3,c2)-ReLU-MaxPool(2)-Flatten-FC(hidden)-ReLU-[Dropout]-FC(classes).
+/// Flatten is implicit (Linear reads the pooled [c2 x L/4] map as one
+/// vector); a pool is skipped when its input is shorter than 2, so window 0
+/// has neither. Engine's shared-context predict relies on the
+/// Conv(3)-ReLU-MaxPool(2) prefix (DESIGN.md §7).
 Sequential makeCnn(Shape in, int conv1, int conv2, int hidden, int classes,
                    float dropout, Rng& rng);
 

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -37,7 +36,7 @@ __attribute__((format(printf, 2, 3))) void appendf(std::string& out,
 
 // Function-aligned prediction chunk of the offline path: functions are
 // prepared until the chunk holds this many VUCs, then predicted in one call.
-// Large enough that predictVucs fans out over the pool, small enough that
+// Large enough that predictStream fans out over the pool, small enough that
 // the chunk's VUCs and probabilities stay a small share of peak memory.
 constexpr size_t kChunkVucs = 512;
 
@@ -79,10 +78,11 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
   bool timedOut = false;
   try {
     while (analysis.prepareChunk(engine, kChunkVucs)) {
-      const std::vector<corpus::Vuc>& vucs = analysis.vucs();
-      analysis.finishChunk(engine,
-                           vucs.empty() ? std::vector<StageProbs>{}
-                                        : engine.predictVucs(vucs, pool, batch));
+      const ChunkStream& stream = analysis.stream();
+      analysis.finishChunk(engine, stream.numVucs() == 0
+                                       ? std::vector<StageProbs>{}
+                                       : engine.predictStream(stream, pool,
+                                                              batch));
     }
   } catch (const TimeoutError&) {
     // Clean partial output: every finished chunk stays in the report.
@@ -100,7 +100,7 @@ ImageAnalysis::ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
 
 bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxVucs) {
   if (next_ == fns_.size()) return false;
-  while (next_ < fns_.size() && vucs_.size() < maxVucs) {
+  while (next_ < fns_.size() && stream_.numVucs() < maxVucs) {
     const loader::LoadedFunction& fn = fns_[next_++];
     dataflow::RecoveryResult rec = fn.graph != nullptr
                                        ? dataflow::recoverVariables(*fn.graph)
@@ -114,13 +114,9 @@ bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxVucs) {
       addDegradedFnDiag(&pf.frag, fn, e);
       continue;
     }
-    // Moved, not copied: finishFunction reads only the count and the varIds
-    // of work.ds.vucs, which moved-from VUCs keep.
-    std::vector<corpus::Vuc>& own = pf.work->ds.vucs;
-    pf.vucBegin = vucs_.size();
-    vucs_.insert(vucs_.end(), std::make_move_iterator(own.begin()),
-                 std::make_move_iterator(own.end()));
-    pf.vucEnd = vucs_.size();
+    pf.vucBegin = stream_.numVucs();
+    stream_.append(pf.work->stream);
+    pf.vucEnd = stream_.numVucs();
   }
   return true;
 }
@@ -150,7 +146,7 @@ void ImageAnalysis::finishChunk(const Engine& engine,
     res_.diags.insert(res_.diags.end(), pf.frag.begin(), pf.frag.end());
   }
   chunk_.clear();
-  vucs_.clear();
+  stream_.clear();
 }
 
 void ImageAnalysis::render(const loader::LoadedFunction& fn,

@@ -6,17 +6,18 @@
 //
 // ImageAnalysis disassembles one image, then runs the engine's three phases
 // over function-aligned chunks: prepare (recovery + VUC extraction) for the
-// next functions in order, one predictVucs over the chunk's VUCs, then vote
-// and render those functions. CATI classifies every VUC on its own and joins
-// VUCs only when it votes per variable, and the batch-major kernels keep
-// per-sample accumulation order (DESIGN.md §7), so where a chunk starts
-// never changes a byte of output:
+// next functions in order, one predictStream over the chunk's stream, then
+// vote and render those functions. CATI classifies every VUC on its own and
+// joins VUCs only when it votes per variable, and the kernels keep every
+// output's op sequence (DESIGN.md §7), so where a chunk starts never
+// changes a byte of output:
 //
 //   * analyzeImage (cati-infer) predicts in chunks of a fixed VUC count,
 //     which keeps the pool busy, bounds memory, and lets a deadline cut the
 //     report at a whole function;
 //   * the daemon (cati-serve) prepares each request as one chunk and
-//     concatenates the chunks of many requests into one predictVucs call.
+//     concatenates the chunk streams of many requests into one
+//     predictStream call.
 #pragma once
 
 #include <cstddef>
@@ -75,11 +76,11 @@ class ImageAnalysis {
   bool prepareChunk(const Engine& engine,
                     size_t maxVucs = std::numeric_limits<size_t>::max());
 
-  /// The chunk's VUCs, concatenated in function order.
-  const std::vector<corpus::Vuc>& vucs() const { return vucs_; }
+  /// The chunk's functions as one chunk stream, in function order.
+  const ChunkStream& stream() const { return stream_; }
 
-  /// Phase 3 for the chunk from its probabilities (probs.size() must equal
-  /// vucs().size()): votes, per-variable degradation, report sections and
+  /// Phase 3 for the chunk from its probabilities (one per VUC of
+  /// stream()): votes, per-variable degradation, report sections and
   /// diagnostics in function order. Then drops the chunk.
   void finishChunk(const Engine& engine, std::span<const StageProbs> probs);
 
@@ -117,7 +118,7 @@ class ImageAnalysis {
   size_t next_ = 0;  ///< first function not yet prepared
   /// Prepared, not yet finished: chunk_[k] is fns_[next_ - chunk_.size() + k].
   std::vector<PreparedFn> chunk_;
-  std::vector<corpus::Vuc> vucs_;
+  ChunkStream stream_;
   Tally tally_;
   size_t fnsDone_ = 0;
 };

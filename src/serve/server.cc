@@ -349,13 +349,13 @@ void Server::processGroup(std::vector<Job>& group) {
   };
 
   // Phase 1 per job: cache lookup, decode, prepare the whole request as one
-  // chunk. Misses record their slice of the coalesced VUC buffer.
+  // chunk. Misses record their slice of the coalesced chunk stream.
   std::vector<std::string> replies(group.size());
   std::vector<std::optional<loader::Image>> imgs(group.size());
   std::vector<std::optional<ImageAnalysis>> preps(group.size());
   std::vector<DiagList> imgDiags(group.size());
   std::vector<size_t> sliceBegin(group.size(), 0);
-  std::vector<corpus::Vuc> allVucs;
+  ChunkStream all;
   for (size_t i = 0; i < group.size(); ++i) {
     const Job& job = group[i];
     if (auto hit = cache_.lookup(job.payload)) {
@@ -386,23 +386,22 @@ void Server::processGroup(std::vector<Job>& group) {
       preps[i].emplace(*imgs[i], &pool_, req.confMin,
                        decodeCache_ ? &*decodeCache_ : nullptr);
       preps[i]->prepareChunk(engine_);
-      sliceBegin[i] = allVucs.size();
-      allVucs.insert(allVucs.end(), preps[i]->vucs().begin(),
-                     preps[i]->vucs().end());
+      sliceBegin[i] = all.numVucs();
+      all.append(preps[i]->stream());
     } catch (const std::exception& e) {
       preps[i].reset();
       replies[i] = errorFrame(ErrorCode::kInternal, e.what());
     }
   }
 
-  // Phase 2: ONE batched predict over every miss's VUCs — queued work from
-  // different requests shares batch lanes here. Per-sample accumulation
-  // order is preserved by the kernels, so each request's slice is
+  // Phase 2: ONE predict over every miss's stream, concatenated — queued
+  // work from different requests shares conv lanes and batches here. The
+  // kernels keep every output's op sequence, so each request's slice is
   // bit-identical to a per-function predict (DESIGN.md §7/§10).
   std::vector<StageProbs> probs;
-  if (!allVucs.empty()) {
-    coalescedVucs.add(allVucs.size());
-    probs = engine_.predictVucs(allVucs, &pool_, cfg_.batch);
+  if (all.numVucs() > 0) {
+    coalescedVucs.add(all.numVucs());
+    probs = engine_.predictStream(all, &pool_, cfg_.batch);
   }
 
   // Phase 3 per miss: vote, render, cache, reply.
@@ -411,7 +410,7 @@ void Server::processGroup(std::vector<Job>& group) {
     try {
       preps[i]->finishChunk(engine_,
                             std::span<const StageProbs>(probs).subspan(
-                                sliceBegin[i], preps[i]->vucs().size()));
+                                sliceBegin[i], preps[i]->stream().numVucs()));
       const AnalyzeResult result = std::move(*preps[i]).result();
       // Validation diagnostics precede analysis diagnostics, exactly the
       // order the offline tool prints them in.

@@ -9,15 +9,16 @@
 //                           shutting-down errors when the queue rejects)
 //   per-connection writer   drains a bounded outbound queue to the socket
 //   batch loop (ONE thread) pops up to maxGroup queued jobs, serves cache
-//                           hits, prepares misses, runs a single coalesced
-//                           predictVucs over every miss's VUCs (fan-out
-//                           happens inside, on the server's pool), renders
+//                           hits, prepares misses, runs a single
+//                           predictStream over every miss's chunk stream,
+//                           concatenated (fan-out happens inside, on the
+//                           server's pool), renders
 //                           and caches replies, hands them to the writers
 //
 // The engine, the result cache and all analysis state are touched by the
 // batch loop only — no locks around the model, no concurrent-Engine hazards,
 // and deterministic cache accounting. Parallelism comes from the pool inside
-// predictVucs (exactly the offline tool's), so serving inherits the jobs=N
+// predictStream (exactly the offline tool's), so serving inherits the jobs=N
 // determinism contract unchanged.
 //
 // Backpressure, in order of defence:
@@ -141,7 +142,7 @@ class Server {
   void writerLoop(Conn& conn);
   void batchLoop();
   /// One coalesced pass over up to maxGroup jobs (cache hits answered from
-  /// the cache, misses through one predictVucs).
+  /// the cache, misses through one predictStream).
   void processGroup(std::vector<Job>& group);
 
   /// Hands an encoded frame to `conn`'s writer without ever blocking: false

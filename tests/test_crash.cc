@@ -157,6 +157,15 @@ TEST_F(CrashSweepTest, CliHardeningAtTheBinaryLevel) {
   train("m.bin", " --resume", rc);  // --resume without --checkpoint
   EXPECT_EQ(rc, kExitUsage);
   EXPECT_FALSE(stdfs::exists(dir_ / "m.bin"));
+  // A flag where MODEL.bin belongs prints usage; it never trains a model
+  // into a file named after the flag.
+  for (const std::string flag : {"--help", "-h", "--apps"}) {
+    EXPECT_EQ(runCmd("cd " + dir_.string() + " && " + trainBin() + " " +
+                     flag + " >/dev/null 2>&1"),
+              kExitUsage)
+        << flag;
+    EXPECT_FALSE(stdfs::exists(dir_ / flag)) << flag;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "common/serialize.h"
 #include "nn/qnn.h"
+#include "support/framed_model.h"
 #include "synth/synth.h"
 
 namespace cati {
@@ -274,43 +275,8 @@ TEST_F(EngineTest, CorruptModelFilesAreRejectedCleanly) {
 // These models are assembled from parts and framed with a valid checksum, so
 // Engine::load must reject them on their contents.
 
-/// Frames a CENG v2 payload — config echo, encoder, stage nets — exactly as
-/// Engine::save lays it out, under a valid CRC.
-std::string frameModel(const EngineConfig& cfg, const embed::VucEncoder& enc,
-                       const std::vector<nn::Sequential>& stages,
-                       const std::string& tail = "") {
-  std::ostringstream os;
-  io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2, [&](std::ostream& body) {
-    io::Writer w(body);
-    w.pod(cfg.window);
-    w.pod(cfg.w2v.dim);
-    w.pod(cfg.conv1);
-    w.pod(cfg.conv2);
-    w.pod(cfg.fcHidden);
-    w.pod(cfg.voteClip);
-    w.pod(static_cast<uint8_t>(cfg.clipEnabled ? 1 : 0));
-    enc.save(body);
-    for (const auto& net : stages) net.save(body);
-    body << tail;
-  });
-  return std::move(os).str();
-}
-
-/// Six freshly initialized stage nets for `cfg`; stage `wrongStage` gets
-/// one class too many when set.
-std::vector<nn::Sequential> stageNets(const EngineConfig& cfg,
-                                      int wrongStage = -1) {
-  Rng rng(5);
-  std::vector<nn::Sequential> nets;
-  for (int s = 0; s < kNumStages; ++s) {
-    const int classes =
-        numClasses(static_cast<Stage>(s)) + (s == wrongStage ? 1 : 0);
-    nets.push_back(nn::makeCnn({3 * cfg.w2v.dim, 2 * cfg.window + 1},
-                               cfg.conv1, cfg.conv2, cfg.fcHidden, classes,
-                               cfg.dropout, rng));
-  }
-  return nets;
-}
+using testsupport::frameModel;
+using testsupport::stageNets;
 
 Engine loadBytes(const std::string& bytes) {
   std::istringstream is(bytes);

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -108,9 +109,9 @@ TEST_P(KernelIsaTest, Conv1dLaneMatchesScalarAcrossShapes) {
                           denormVec(xn)}) {
       std::vector<float> ya(yn), yb(yn);
       ref().conv1dLane(w.data(), bias.data(), x.data(), ya.data(), sh.inC,
-                       sh.outC, sh.k, sh.len);
+                       sh.outC, sh.k, sh.len, sh.len);
       dut().conv1dLane(w.data(), bias.data(), x.data(), yb.data(), sh.inC,
-                       sh.outC, sh.k, sh.len);
+                       sh.outC, sh.k, sh.len, sh.len);
       EXPECT_TRUE(bitsEqual(ya, yb))
           << "conv inC=" << sh.inC << " outC=" << sh.outC << " k=" << sh.k
           << " len=" << sh.len;
@@ -158,9 +159,9 @@ TEST_P(KernelIsaTest, Conv1dLaneTileEdgesMatchScalar) {
         const size_t yn = static_cast<size_t>(outC) * len * kern::kLane;
         std::vector<float> ya(yn), yb(yn);
         ref().conv1dLane(w.data(), bias.data(), x.data(), ya.data(), inC,
-                         outC, k, len);
+                         outC, k, len, len);
         dut().conv1dLane(w.data(), bias.data(), x.data(), yb.data(), inC,
-                         outC, k, len);
+                         outC, k, len, len);
         EXPECT_TRUE(bitsEqual(ya, yb))
             << "conv outC=" << outC << " k=" << k << " len=" << len;
       }
@@ -183,7 +184,7 @@ TEST_P(KernelIsaTest, Conv1dLaneSkipsBorderTapsKeepingNegativeZero) {
       std::vector<float> y(static_cast<size_t>(outC) * len * kern::kLane,
                            1.0F);
       dut().conv1dLane(w.data(), bias.data(), x.data(), y.data(), inC, outC,
-                       k, len);
+                       k, len, len);
       for (int o = 0; o < outC; ++o) {
         for (const int t : {0, len - 1}) {
           for (int l = 0; l < kern::kLane; ++l) {
@@ -192,6 +193,115 @@ TEST_P(KernelIsaTest, Conv1dLaneSkipsBorderTapsKeepingNegativeZero) {
             EXPECT_TRUE(v == 0.0F && std::signbit(v))
                 << "o=" << o << " t=" << t << " lane=" << l << " k=" << k
                 << " len=" << len << ": " << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// conv1dLane's contract computed naively, one output at a time: bias, then
+/// one std::fma per (c, kk) tap whose input index stays in the output's own
+/// seg-long segment.
+std::vector<float> segmentedConvReference(const std::vector<float>& w,
+                                          const std::vector<float>& bias,
+                                          const std::vector<float>& x, int inC,
+                                          int outC, int k, int len, int seg) {
+  std::vector<float> y(static_cast<size_t>(outC) * len * kern::kLane);
+  for (int o = 0; o < outC; ++o) {
+    for (int t = 0; t < len; ++t) {
+      const int lo = t - t % seg;
+      const int hi = std::min(len, lo + seg);
+      for (int l = 0; l < kern::kLane; ++l) {
+        float acc = bias[static_cast<size_t>(o)];
+        for (int c = 0; c < inC; ++c) {
+          for (int kk = 0; kk < k; ++kk) {
+            const int src = t + kk - k / 2;
+            if (src < lo || src >= hi) continue;
+            acc = std::fma(
+                w[(static_cast<size_t>(o) * inC + c) * k + kk],
+                x[(static_cast<size_t>(c) * len + src) * kern::kLane + l], acc);
+          }
+        }
+        y[(static_cast<size_t>(o) * len + t) * kern::kLane + l] = acc;
+      }
+    }
+  }
+  return y;
+}
+
+TEST_P(KernelIsaTest, Conv1dLaneSegmentsMatchScalarAndReference) {
+  // seg cuts the time axis into independent convs (kernels.h): 1 and 2 are
+  // the stream path's border pairs, 3 a window of one instruction each
+  // side, 21 back-to-back production windows, len the plain conv. Lengths
+  // end mid-segment and mid-tile; outC 6 leaves an output-block remainder
+  // on both SIMD tiers.
+  Rng rng(0x5E65);
+  for (const int k : {1, 3, 5}) {
+    for (const int len : {1, 2, 5, 7, 13, 21, 24, 42, 47}) {
+      for (const int seg : {1, 2, 3, 21, len}) {
+        if (seg > len) continue;
+        const int inC = 5, outC = 6;
+        const auto w = randVec(static_cast<size_t>(outC) * inC * k, rng);
+        const auto bias = randVec(static_cast<size_t>(outC), rng);
+        const auto x =
+            randVec(static_cast<size_t>(inC) * len * kern::kLane, rng);
+        const size_t yn = static_cast<size_t>(outC) * len * kern::kLane;
+        std::vector<float> ya(yn), yb(yn);
+        ref().conv1dLane(w.data(), bias.data(), x.data(), ya.data(), inC,
+                         outC, k, len, seg);
+        dut().conv1dLane(w.data(), bias.data(), x.data(), yb.data(), inC,
+                         outC, k, len, seg);
+        EXPECT_TRUE(bitsEqual(ya, yb))
+            << "conv k=" << k << " len=" << len << " seg=" << seg;
+        EXPECT_TRUE(bitsEqual(ya, segmentedConvReference(w, bias, x, inC,
+                                                         outC, k, len, seg)))
+            << "scalar vs reference k=" << k << " len=" << len
+            << " seg=" << seg;
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, Conv1dLaneSkipsTapsThatLeaveTheirSegment) {
+  // One border tap weighs +inf, the others 0.5, and x > 0: an output that
+  // issues the inf tap is +inf. An output whose inf tap would read the
+  // neighbouring segment must skip it and stay finite; a kernel that lets
+  // the tap cross gets +inf there, and one that zero-pads gets inf * 0 =
+  // NaN.
+  const int inC = 3, outC = 5, k = 3;
+  for (const int infTap : {0, k - 1}) {
+    for (const int len : {2, 5, 21, 24, 42}) {
+      for (const int seg : {1, 2, 3, 21, len}) {
+        if (seg > len) continue;
+        std::vector<float> w(static_cast<size_t>(outC) * inC * k, 0.5F);
+        for (size_t i = static_cast<size_t>(infTap); i < w.size(); i += k) {
+          w[i] = std::numeric_limits<float>::infinity();
+        }
+        const std::vector<float> bias(static_cast<size_t>(outC), 0.25F);
+        const std::vector<float> x(
+            static_cast<size_t>(inC) * len * kern::kLane, 1.5F);
+        const size_t yn = static_cast<size_t>(outC) * len * kern::kLane;
+        std::vector<float> ya(yn), yb(yn);
+        ref().conv1dLane(w.data(), bias.data(), x.data(), ya.data(), inC,
+                         outC, k, len, seg);
+        dut().conv1dLane(w.data(), bias.data(), x.data(), yb.data(), inC,
+                         outC, k, len, seg);
+        EXPECT_TRUE(bitsEqual(ya, yb))
+            << "tap=" << infTap << " len=" << len << " seg=" << seg;
+        for (int t = 0; t < len; ++t) {
+          const int lo = t - t % seg;
+          const int src = t + infTap - k / 2;
+          const bool skipped = src < lo || src >= std::min(len, lo + seg);
+          for (int o = 0; o < outC; ++o) {
+            const float v =
+                yb[(static_cast<size_t>(o) * len + t) * kern::kLane];
+            EXPECT_EQ(std::isfinite(v), skipped)
+                << "tap=" << infTap << " len=" << len << " seg=" << seg
+                << " t=" << t << ": " << v;
+            if (!skipped) {
+              EXPECT_EQ(v, std::numeric_limits<float>::infinity());
+            }
           }
         }
       }

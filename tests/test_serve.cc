@@ -933,11 +933,11 @@ AnalyzeResult analyzeInChunks(Engine& engine, const loader::Image& img,
                               std::vector<size_t>* chunkVucs) {
   ImageAnalysis analysis(img, pool, /*confMin=*/0.0F);
   while (analysis.prepareChunk(engine, maxVucs)) {
-    const std::vector<corpus::Vuc>& vucs = analysis.vucs();
-    chunkVucs->push_back(vucs.size());
-    analysis.finishChunk(engine, vucs.empty()
+    const ChunkStream& stream = analysis.stream();
+    chunkVucs->push_back(stream.numVucs());
+    analysis.finishChunk(engine, stream.numVucs() == 0
                                      ? std::vector<StageProbs>{}
-                                     : engine.predictVucs(vucs, pool, 8));
+                                     : engine.predictStream(stream, pool, 8));
   }
   EXPECT_FALSE(analysis.prepareChunk(engine, maxVucs))
       << "an exhausted analysis prepared another chunk";

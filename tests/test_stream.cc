@@ -1,0 +1,306 @@
+// Differential suite for the shared-context predict path (DESIGN.md §7).
+//
+// Engine::predictStream runs each stage net's Conv1d(k=3) -> ReLU ->
+// MaxPool1d(2) prefix once per row of a chunk stream and gathers every VUC's
+// pooled map from it; nets without that prefix (int8, window 0) gather the
+// encoded windows and run whole. Either way the probabilities must equal,
+// bit for bit, a whole-net forward of each VUC's own encoded window at
+// batch 1 — the reference here — at any batch size and job count, and on
+// whichever kernel tier runs: CI repeats this suite under
+// CATI_KERNEL=scalar and CATI_KERNEL=avx2, next to the native dispatch of
+// the tier-1 run.
+//
+// The streams are built to put every boundary of the path somewhere
+// awkward: functions of 1-3 instructions, functions without VUCs, windows
+// that reach past both edges of their function, and enough VUCs that VUC
+// ranges and conv lanes start and end inside the BLANK pads.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cati/engine.h"
+#include "common/obs.h"
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "loader/image.h"
+#include "support/framed_model.h"
+#include "support/micro_model.h"
+
+namespace cati {
+namespace {
+
+/// The VUC windows of `st`, spelled back from the vocabulary: the rows
+/// around each centre, as corpus extraction would have cut them.
+std::vector<corpus::Vuc> windowsOf(const ChunkStream& st,
+                                   const embed::Vocab& vocab) {
+  const size_t w = static_cast<size_t>(st.window());
+  std::vector<corpus::Vuc> out;
+  for (const uint32_t c : st.centres()) {
+    corpus::Vuc v;
+    for (size_t r = c - w; r <= c + w; ++r) {
+      const embed::TokenRow& t = st.rows()[r];
+      v.window.push_back(
+          {vocab.word(t[0]), vocab.word(t[1]), vocab.word(t[2])});
+    }
+    v.posLabel.assign(v.window.size(), -1);
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+/// The reference: each window encoded on its own and every stage net run
+/// whole, one sample at a time.
+std::vector<StageProbs> perWindow(const Engine& e,
+                                  std::span<const corpus::Vuc> vucs) {
+  const int rows = 2 * e.config().window + 1;
+  std::vector<float> x(static_cast<size_t>(rows * e.encoder().cols()));
+  std::vector<StageProbs> out(vucs.size());
+  for (int s = 0; s < kNumStages; ++s) {
+    const nn::Sequential& net = e.stageNet(static_cast<Stage>(s));
+    nn::Scratch scratch = net.makeScratch();
+    for (size_t i = 0; i < vucs.size(); ++i) {
+      e.encoder().encodeChannelMajor(vucs[i], -1, x);
+      const auto logits = net.forward(x, 1, scratch, nn::Phase::kInfer);
+      auto& probs = out[i].probs[static_cast<size_t>(s)];
+      probs.resize(logits.size());
+      nn::SoftmaxCE::forward(logits, -1, probs);
+    }
+  }
+  return out;
+}
+
+testing::AssertionResult sameBits(const std::vector<StageProbs>& got,
+                                  const std::vector<StageProbs>& want) {
+  if (got.size() != want.size()) {
+    return testing::AssertionFailure()
+           << got.size() << " VUCs predicted, " << want.size() << " expected";
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    for (size_t s = 0; s < kNumStages; ++s) {
+      const auto& a = got[i].probs[s];
+      const auto& b = want[i].probs[s];
+      if (a.size() != b.size() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
+        return testing::AssertionFailure()
+               << "VUC " << i << " stage " << s << " differs";
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+/// `fns` random functions: lengths 0-30 with every third 1-3 instructions,
+/// token ids over the whole vocabulary, and VUCs on no instruction, on
+/// every instruction, or on a random subset.
+ChunkStream randomStream(int window, int32_t vocab, int fns, Rng& rng) {
+  ChunkStream st;
+  for (int f = 0; f < fns; ++f) {
+    const auto len = static_cast<size_t>(
+        f % 3 == 0 ? rng.uniformInt(1, 3) : rng.uniformInt(0, 30));
+    std::vector<embed::TokenRow> insns(len);
+    for (embed::TokenRow& t : insns) {
+      for (int32_t& id : t) {
+        id = static_cast<int32_t>(rng.uniformInt(0, vocab - 1));
+      }
+    }
+    const int mode = static_cast<int>(rng.uniformInt(0, 2));
+    std::vector<uint32_t> targets;
+    for (uint32_t i = 0; i < len; ++i) {
+      if (mode == 1 || (mode == 2 && rng.chance(0.4))) targets.push_back(i);
+    }
+    st.append(ChunkStream(window, insns, targets));
+  }
+  return st;
+}
+
+/// An engine of untrained makeCnn nets at any window and width, on the
+/// micro model's encoder.
+Engine framedEngine(const Engine& base, int window, int conv1, int conv2,
+                    int hidden) {
+  EngineConfig cfg = base.config();
+  cfg.window = window;
+  cfg.conv1 = conv1;
+  cfg.conv2 = conv2;
+  cfg.fcHidden = hidden;
+  std::istringstream is(testsupport::frameModel(
+      cfg, base.encoder(), testsupport::stageNets(cfg, -1, 0x57AE + window)));
+  return Engine::load(is);
+}
+
+/// predictStream over `st` (and predictVucs over its windows) at batch
+/// {1, 8, 32} x jobs {1, 4} against the per-window reference.
+void expectStreamMatchesWindows(Engine& e, const ChunkStream& st,
+                                const std::string& what) {
+  const std::vector<corpus::Vuc> vucs = windowsOf(st, e.encoder().vocab());
+  const std::vector<StageProbs> want = perWindow(e, vucs);
+  for (const int jobs : {1, 4}) {
+    par::ThreadPool pool(jobs);
+    for (const int batch : {1, 8, 32}) {
+      EXPECT_TRUE(sameBits(e.predictStream(st, &pool, batch), want))
+          << what << ": stream, jobs " << jobs << " batch " << batch;
+      EXPECT_TRUE(sameBits(e.predictVucs(vucs, &pool, batch), want))
+          << what << ": windows, jobs " << jobs << " batch " << batch;
+    }
+  }
+}
+
+class StreamPredictTest : public testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    micro_ = new Engine(testsupport::cachedMicroEngine());
+  }
+  static void TearDownTestSuite() {
+    delete micro_;
+    micro_ = nullptr;
+  }
+  static Engine* micro_;
+};
+
+Engine* StreamPredictTest::micro_ = nullptr;
+
+TEST_F(StreamPredictTest, RandomStreamsMatchPerWindowForwards) {
+  // The trained micro model (window 4), its int8 twin (whole-net gather),
+  // and untrained nets at the production window and conv widths, at the
+  // smallest windows, and at window 0 (no pooling: whole-net gather).
+  struct Variant {
+    std::string name;
+    Engine engine;
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"micro", testsupport::cachedMicroEngine()});
+  variants.push_back({"micro-int8", micro_->quantize()});
+  variants.push_back({"window10", framedEngine(*micro_, 10, 32, 64, 32)});
+  variants.push_back({"window1", framedEngine(*micro_, 1, 5, 6, 8)});
+  variants.push_back({"window2", framedEngine(*micro_, 2, 7, 4, 8)});
+  variants.push_back({"window0", framedEngine(*micro_, 0, 4, 4, 8)});
+  Rng rng(0x57EA);
+  for (Variant& v : variants) {
+    const ChunkStream st = randomStream(v.engine.config().window,
+                                        v.engine.encoder().vocab().size(), 90,
+                                        rng);
+    ASSERT_GT(st.numVucs(), 2 * 96U) << v.name;  // several VUC ranges
+    expectStreamMatchesWindows(v.engine, st, v.name);
+  }
+}
+
+TEST_F(StreamPredictTest, TinyFunctionsPutEveryBoundaryInsidePads) {
+  // Functions of n = 1..3 instructions, each with a VUC on every
+  // instruction, so every window reaches past both function edges, and
+  // functions without VUCs in between. 110 such functions hold more than
+  // one 96-VUC range, whose boundary then falls inside a pad.
+  Engine engine = framedEngine(*micro_, 10, 32, 64, 32);
+  for (size_t n = 1; n <= 3; ++n) {
+    ChunkStream st;
+    const std::vector<embed::TokenRow> insns(n, embed::TokenRow{7, 3, 2});
+    std::vector<uint32_t> all(n);
+    for (uint32_t i = 0; i < n; ++i) all[i] = i;
+    for (int f = 0; f < 110; ++f) {
+      st.append(ChunkStream(10, insns, all));
+      st.append(ChunkStream(10, insns, {}));
+    }
+    ASSERT_EQ(st.numVucs(), 110 * n);
+    expectStreamMatchesWindows(engine, st, "n=" + std::to_string(n));
+  }
+}
+
+TEST_F(StreamPredictTest, ImageChunkMatchesPerWindowForwards) {
+  // A real chunk: prepareFunction over a stripped image's functions, their
+  // streams appended as ImageAnalysis appends them.
+  Engine& engine = *micro_;
+  loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
+  loader::strip(img);
+  DiagList diags;
+  ChunkStream st;
+  std::vector<corpus::Vuc> windows;
+  for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
+    Engine::FunctionWork work = engine.prepareFunction(
+        fn.insns, dataflow::recoverVariables(fn.insns));
+    ASSERT_EQ(work.stream.numVucs(), work.ds.vucs.size()) << fn.name;
+    ASSERT_EQ(windowsOf(work.stream, engine.encoder().vocab()).size(),
+              work.ds.vucs.size());
+    st.append(work.stream);
+    windows.insert(windows.end(), work.ds.vucs.begin(), work.ds.vucs.end());
+  }
+  ASSERT_GT(st.numVucs(), 96U);
+  const std::vector<StageProbs> want = perWindow(engine, windows);
+  for (const int jobs : {1, 4}) {
+    par::ThreadPool pool(jobs);
+    for (const int batch : {1, 8, 32}) {
+      EXPECT_TRUE(sameBits(engine.predictStream(st, &pool, batch), want))
+          << "jobs " << jobs << " batch " << batch;
+    }
+  }
+}
+
+TEST_F(StreamPredictTest, Conv1ColumnsPerVuc) {
+  // engine.infer.conv1_cols counts the conv1 output columns one stage
+  // computes: 2w+1 per VUC on back-to-back windows (a multiple of the
+  // 8-lane group here), far fewer when windows share their rows.
+  obs::setEnabled(true);
+  obs::Counter& cols = obs::counter("engine.infer.conv1_cols");
+  Engine engine = framedEngine(*micro_, 10, 32, 64, 32);
+  const std::vector<embed::TokenRow> insns(200, embed::TokenRow{5, 6, 7});
+  std::vector<uint32_t> every(200);
+  for (uint32_t i = 0; i < 200; ++i) every[i] = i;
+  const ChunkStream st(10, insns, every);
+  const std::vector<corpus::Vuc> vucs = windowsOf(st, engine.encoder().vocab());
+  uint64_t before = cols.value();
+  (void)engine.predictVucs(vucs);
+  EXPECT_EQ(cols.value() - before, 200U * 21);
+  before = cols.value();
+  (void)engine.predictStream(st);
+  // Per 96-VUC range: 116 rows over 8 lanes overlapping by two, plus one
+  // left-border pair per VUC.
+  EXPECT_LT(cols.value() - before, 200U * 21 / 4);
+}
+
+TEST(ChunkStream, LaysOutFunctionsBetweenPads) {
+  const embed::TokenRow a{4, 5, 6};
+  const embed::TokenRow b{7, 8, 9};
+  const embed::TokenRow blank{};
+  ChunkStream st(2, std::vector<embed::TokenRow>{a, b},
+                 std::vector<uint32_t>{1});
+  st.append(ChunkStream(2, std::vector<embed::TokenRow>{}, {}));
+  st.append(ChunkStream(2, std::vector<embed::TokenRow>{b},
+                        std::vector<uint32_t>{0}));
+  // BLANK^2 a b BLANK^2 (empty function) BLANK^2 b BLANK^2
+  const std::vector<embed::TokenRow> rows = {blank, blank, a,     b,
+                                             blank, blank, blank, blank,
+                                             b,     blank, blank};
+  EXPECT_EQ(st.rows(), rows);
+  EXPECT_EQ(st.centres(), (std::vector<uint32_t>{3, 8}));
+  EXPECT_THROW(st.append(ChunkStream(3, std::vector<embed::TokenRow>{a}, {})),
+               std::invalid_argument);
+  EXPECT_THROW(ChunkStream(2, std::vector<embed::TokenRow>{a, b},
+                           std::vector<uint32_t>{1, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(ChunkStream(2, std::vector<embed::TokenRow>{a},
+                           std::vector<uint32_t>{1}),
+               std::invalid_argument);
+  st.clear();
+  EXPECT_EQ(st.numVucs(), 0U);
+  EXPECT_TRUE(st.rows().empty());
+}
+
+TEST_F(StreamPredictTest, MalformedStreamsAreRejected) {
+  // A window that does not match the engine's, or a token the vocabulary
+  // does not have, is the caller's error, never an out-of-bounds read.
+  const int w = micro_->config().window;
+  EXPECT_THROW(
+      micro_->predictStream(ChunkStream(
+          w + 1, std::vector<embed::TokenRow>(3), std::vector<uint32_t>{1})),
+      std::invalid_argument);
+  const int32_t vocab = micro_->encoder().vocab().size();
+  EXPECT_THROW(micro_->predictStream(ChunkStream(
+                   w, std::vector<embed::TokenRow>{{0, vocab, 0}},
+                   std::vector<uint32_t>{0})),
+               std::invalid_argument);
+  EXPECT_TRUE(micro_->predictStream(ChunkStream()).empty());
+}
+
+}  // namespace
+}  // namespace cati

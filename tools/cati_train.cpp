@@ -51,7 +51,9 @@ std::string usageLine() {
 
 int run(int argc, char** argv, const cati::cli::Common& common) {
   using namespace cati;
-  if (argc < 2) {
+  // A flag in the MODEL.bin slot (--help, a misplaced option) is a usage
+  // error, not a file name to train into.
+  if (argc < 2 || argv[1][0] == '-') {
     std::fputs(usageLine().c_str(), stderr);
     return 2;
   }
