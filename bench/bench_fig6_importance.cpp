@@ -9,6 +9,7 @@
 // 35.46% under 0.9 vs ~7-9% for neighbours), and influence decays with
 // distance from the centre.
 #include <cstdio>
+#include <vector>
 
 #include "harness/harness.h"
 
@@ -34,14 +35,13 @@ int main() {
   if (demo != nullptr) {
     std::printf("Fig. 6a: importance visualization (epsilon, formula 5; "
                 "smaller = more influence)\n\n");
+    const std::vector<double> eps = engine.occlusionEpsilons(*demo, Stage::S1);
     for (size_t k = 0; k < demo->window.size(); ++k) {
-      const double eps =
-          engine.occlusionEpsilon(*demo, static_cast<int>(k), Stage::S1);
       const char* label =
           demo->posLabel[k] >= 0
               ? typeName(static_cast<TypeLabel>(demo->posLabel[k])).data()
               : "";
-      std::printf("  %.5f %s %-40s %s\n", eps,
+      std::printf("  %.5f %s %-40s %s\n", eps[k],
                   static_cast<int>(k) == demo->centre() ? ">" : " ",
                   demo->window[k].text().c_str(), label);
     }
@@ -60,11 +60,12 @@ int main() {
     const corpus::Vuc& v = test.vucs[i];
     if (v.label == TypeLabel::kCount) continue;
     ++sampled;
+    const std::vector<double> eps = engine.occlusionEpsilons(v, Stage::S1);
     for (int k = 0; k < positions; ++k) {
-      const double eps = engine.occlusionEpsilon(v, k, Stage::S1);
       for (int t = 0; t < kThresholds; ++t) {
-        if (eps < 0.1 * (t + 1)) ++below[static_cast<size_t>(k)][
-            static_cast<size_t>(t)];
+        if (eps[static_cast<size_t>(k)] < 0.1 * (t + 1)) {
+          ++below[static_cast<size_t>(k)][static_cast<size_t>(t)];
+        }
       }
     }
   }

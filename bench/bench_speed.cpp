@@ -294,11 +294,11 @@ Chunk speedChunk(Engine& e) {
 
 void BM_PredictChunk(benchmark::State& state) {
   // One real cati-infer chunk at jobs=1 and the default batch, through the
-  // window adapter (/0: predictVucs, every VUC's own 21-row window) or the
-  // chunk stream (/1: predictStream, conv1 once per stream row, DESIGN.md
-  // §7). Both give bit-identical probabilities; items_per_second is VUC/s
-  // and conv1_cols_per_vuc the engine.infer.conv1_cols one predict adds
-  // per VUC.
+  // window adapter (/0: predictVucs, window adapter = one-VUC functions)
+  // or the chunk stream (/1: predictStream, conv1 once per stream row,
+  // DESIGN.md §7). Both give bit-identical probabilities; items_per_second
+  // is VUC/s and conv1_cols_per_vuc the engine.infer.conv1_cols one predict
+  // adds per VUC.
   Engine& e = bundle().engine();
   const Chunk chunk = speedChunk(e);
   par::ThreadPool pool(1);

@@ -6,6 +6,7 @@
 // instruction (formula 5) — the paper's Fig. 6 view, as a library feature.
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "cati/engine.h"
 #include "synth/synth.h"
@@ -73,10 +74,9 @@ int main() {
   const corpus::Vuc& vuc = test.vucs[byVar[chosen][0]];
   std::printf("occlusion importance of VUC #0 at Stage 1 "
               "(epsilon < 1: instruction supported the prediction):\n");
+  const std::vector<double> eps = engine.occlusionEpsilons(vuc, Stage::S1);
   for (size_t k = 0; k < vuc.window.size(); ++k) {
-    const double eps =
-        engine.occlusionEpsilon(vuc, static_cast<int>(k), Stage::S1);
-    std::printf("  %.4f %s %s\n", eps,
+    std::printf("  %.4f %s %s\n", eps[k],
                 static_cast<int>(k) == vuc.centre() ? ">" : " ",
                 vuc.window[k].text().c_str());
   }

@@ -57,7 +57,7 @@ nn::Shape Engine::inputShape() const {
   return {3 * cfg_.w2v.dim, 2 * cfg_.window + 1};
 }
 
-void Engine::encodeInput(const corpus::Vuc& vuc, int occlude,
+void Engine::encodeInput(const corpus::Vuc& vuc,
                          std::span<float> out) const {
   const int rows = 2 * cfg_.window + 1;
   const int cols = 3 * cfg_.w2v.dim;
@@ -72,7 +72,21 @@ void Engine::encodeInput(const corpus::Vuc& vuc, int occlude,
   // Straight into the [cols x rows] channel-major layout the CNNs consume —
   // no row-major temporary, no transpose pass. `out` is typically a slice
   // of a worker's batch buffer.
-  encoder_->encodeChannelMajor(vuc, occlude, out);
+  encoder_->encodeChannelMajor(vuc, out);
+}
+
+std::vector<embed::TokenRow> Engine::windowRows(const corpus::Vuc& vuc) const {
+  if (static_cast<int>(vuc.window.size()) != 2 * cfg_.window + 1) {
+    throw std::invalid_argument(
+        "Engine: VUC window length does not match the engine's window "
+        "configuration");
+  }
+  std::vector<embed::TokenRow> rows;
+  rows.reserve(vuc.window.size());
+  for (const corpus::GenInstr& g : vuc.window) {
+    rows.push_back(encoder_->tokenize(g));
+  }
+  return rows;
 }
 
 namespace {
@@ -265,7 +279,7 @@ void Engine::trainStage(Stage s, corpus::VucSource& src, uint64_t seed,
         t.dLogits.resize(nb * static_cast<size_t>(classes));
         t.probs.resize(static_cast<size_t>(classes));
         for (size_t k = 0; k < nb; ++k) {
-          encodeInput(src.vuc(train[batch + cb + k]), -1,
+          encodeInput(src.vuc(train[batch + cb + k]),
                       std::span(t.input).subspan(k * inSize, inSize));
         }
         // One batched forward/backward over the chunk. Kernels keep the
@@ -479,7 +493,7 @@ void ChunkStream::append(const ChunkStream& other) {
     *this = other;
     return;
   }
-  if (other.window_ != window_ || seg_ != 0 || other.seg_ != 0) {
+  if (other.window_ != window_) {
     throw std::invalid_argument("ChunkStream::append: window mismatch");
   }
   // This stream ends with a pad and `other` starts with one: keep one.
@@ -489,16 +503,6 @@ void ChunkStream::append(const ChunkStream& other) {
                other.rows_.begin() + static_cast<ptrdiff_t>(pad),
                other.rows_.end());
   for (const uint32_t c : other.centres_) centres_.push_back(c + shift);
-}
-
-void Engine::runStage(Stage s, std::span<const float> input,
-                      std::span<float> probs) {
-  static const std::array<obs::Counter*, kNumStages> samples =
-      stageCounters("engine.infer.samples");
-  samples[static_cast<size_t>(s)]->add();
-  const auto logits = stages_[static_cast<size_t>(s)].forward(
-      input, 1, worker(0).stages[static_cast<size_t>(s)], nn::Phase::kInfer);
-  nn::SoftmaxCE::forward(logits, -1, probs);
 }
 
 namespace {
@@ -549,37 +553,15 @@ bool Engine::sharedPrefix() const {
                      });
 }
 
-ChunkStream Engine::windowStream(std::span<const corpus::Vuc> vucs) const {
-  const int span = 2 * cfg_.window + 1;
-  ChunkStream st;
-  st.window_ = cfg_.window;
-  st.seg_ = span;
-  st.rows_.reserve(vucs.size() * static_cast<size_t>(span));
-  st.centres_.reserve(vucs.size());
-  for (const corpus::Vuc& v : vucs) {
-    if (static_cast<int>(v.window.size()) != span) {
-      throw std::invalid_argument(
-          "Engine: VUC window length does not match the engine's window "
-          "configuration");
-    }
-    const size_t centre = st.rows_.size() + static_cast<size_t>(cfg_.window);
-    st.centres_.push_back(static_cast<uint32_t>(centre));
-    for (const corpus::GenInstr& g : v.window) {
-      st.rows_.push_back(encoder_->tokenize(g));
-    }
-  }
-  return st;
-}
-
 void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
                          bool shared, WorkerState& ws) const {
   const embed::VucEncoder& enc = *encoder_;
-  const size_t w = static_cast<size_t>(st.window_);
+  const size_t w = static_cast<size_t>(st.window());
   const size_t span = 2 * w + 1;
   const size_t channels = static_cast<size_t>(enc.cols());
   const size_t m = e - b;
-  const std::vector<embed::TokenRow>& rows = st.rows_;
-  const std::vector<uint32_t>& centres = st.centres_;
+  const std::vector<embed::TokenRow>& rows = st.rows();
+  const std::vector<uint32_t>& centres = st.centres();
   if (!shared) {
     // Each VUC's own window, channel-major, as the net's input.
     const size_t inSize = channels * span;
@@ -611,18 +593,12 @@ void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
     }
     ws.start.push_back(static_cast<uint32_t>(runPos + (lo - runRow)));
   }
-  // Lane l holds packed positions [l*step, l*step + len). A continuous
-  // stream's lanes overlap by two rows, so every position but the ends has
-  // all three taps in some lane; back-to-back windows split at window edges
-  // and run with seg = span, so no tap leaves its window.
+  // Lane l holds packed positions [l*step, l*step + len). The lanes
+  // overlap by two rows, so every position but the ends has all three taps
+  // in some lane.
   const size_t total = ws.flatRow.size();
-  if (st.seg_ > 0) {
-    ws.step = static_cast<int>(ceilDiv(m, nn::kBatchLane) * span);
-    ws.len = ws.step;
-  } else {
-    ws.step = static_cast<int>(ceilDiv(total - 2, nn::kBatchLane));
-    ws.len = ws.step + 2;
-  }
+  ws.step = static_cast<int>(ceilDiv(total - 2, nn::kBatchLane));
+  ws.len = ws.step + 2;
   const auto len = static_cast<size_t>(ws.len);
   const auto step = static_cast<size_t>(ws.step);
   ws.input.assign(channels * len * nn::kBatchLane, 0.0F);
@@ -636,8 +612,6 @@ void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
   // A window's first column skips its left tap, which the stream conv does
   // not: it comes from the pair (first row, second row) run with seg = 2.
   // VUC k's pair sits in lane k % 8 at time step 2 * (k / 8).
-  ws.pairLen = 0;
-  if (st.seg_ > 0) return;
   ws.pairLen = static_cast<int>(2 * ceilDiv(m, nn::kBatchLane));
   const size_t pairStride = static_cast<size_t>(ws.pairLen) * nn::kBatchLane;
   ws.pairs.assign(channels * pairStride, 0.0F);
@@ -660,7 +634,7 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
   const bool firstStage = si == 0;
   const nn::Sequential& net = stages_[si];
   const size_t m = e - b;
-  const auto w = static_cast<size_t>(st.window_);
+  const auto w = static_cast<size_t>(st.window());
   std::span<const float> x = ws.input;  // layer `first`'s input, all VUCs
   size_t first = 0;
   if (shared) {
@@ -671,24 +645,20 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
     const auto step = static_cast<size_t>(ws.step);
     const size_t total = ws.flatRow.size();
     ws.conv.resize(c1 * len * nn::kBatchLane);
-    conv.forwardLanes(ws.input.data(), ws.conv.data(), ws.len,
-                      st.seg_ > 0 ? st.seg_ : ws.len);
-    const size_t halo = st.seg_ > 0 ? 0 : 1;
+    conv.forwardLanes(ws.input.data(), ws.conv.data(), ws.len, ws.len);
     ws.relu.resize(c1 * total);
     for (size_t o = 0; o < c1; ++o) {
       const float* y = ws.conv.data() + o * len * nn::kBatchLane;
       float* r = ws.relu.data() + o * total;
       for (size_t l = 0; l < nn::kBatchLane; ++l) {
-        for (size_t t = halo; t + halo < len && l * step + t < total; ++t) {
+        for (size_t t = 1; t + 1 < len && l * step + t < total; ++t) {
           r[l * step + t] = reluOf(y[t * nn::kBatchLane + l]);
         }
       }
     }
     const auto pairLen = static_cast<size_t>(ws.pairLen);
-    if (pairLen > 0) {
-      ws.convB.resize(c1 * pairLen * nn::kBatchLane);
-      conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
-    }
+    ws.convB.resize(c1 * pairLen * nn::kBatchLane);
+    conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
     if (firstStage) conv1Cols.add((len + pairLen) * nn::kBatchLane);
     // Each VUC's pooled [c1][w] map: column j pools window columns 2j and
     // 2j + 1; column 2w is dropped, as MaxPool1d drops it.
@@ -698,11 +668,9 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
       for (size_t o = 0; o < c1; ++o) {
         const float* r = ws.relu.data() + o * total + ws.start[k];
         const float col0 =
-            pairLen > 0
-                ? reluOf(ws.convB[(o * pairLen + 2 * (k / nn::kBatchLane)) *
-                                      nn::kBatchLane +
-                                  k % nn::kBatchLane])
-                : r[0];
+            reluOf(ws.convB[(o * pairLen + 2 * (k / nn::kBatchLane)) *
+                                nn::kBatchLane +
+                            k % nn::kBatchLane]);
         float* d = ws.pooled.data() + k * pooled + o * w;
         d[0] = poolOf(col0, r[1]);
         for (size_t j = 1; j < w; ++j) d[j] = poolOf(r[2 * j], r[2 * j + 1]);
@@ -739,32 +707,42 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
   }
 }
 
-void Engine::predictInto(const ChunkStream& st, par::ThreadPool& tp,
-                         int batch, StageProbs* out) {
+std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
+                                              par::ThreadPool* pool,
+                                              int batch) {
+  if (!trained()) throw std::logic_error("Engine::predict: not trained");
+  static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
+  static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
+  const obs::ScopedTimer timing(batchNs);
   const size_t n = st.numVucs();
-  if (n == 0) return;
-  if (st.window_ != cfg_.window) {
+  inferVucs.add(n);
+  std::vector<StageProbs> out(n);
+  if (n == 0) return out;
+  if (st.window() != cfg_.window) {
     throw std::invalid_argument(
         "Engine: chunk stream window does not match the engine's window "
         "configuration");
   }
   const int32_t vocab = encoder_->vocab().size();
-  for (const embed::TokenRow& row : st.rows_) {
+  for (const embed::TokenRow& row : st.rows()) {
     for (const int32_t id : row) {
       if (id < 0 || id >= vocab) {
         throw std::invalid_argument("Engine: chunk stream token out of range");
       }
     }
   }
-  const auto w = static_cast<uint32_t>(st.window_);
+  const auto w = static_cast<uint32_t>(st.window());
+  const std::vector<uint32_t>& centres = st.centres();
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t c = st.centres_[i];
-    if (c < w || c + w >= st.rows_.size() ||
-        (i > 0 && c <= st.centres_[i - 1]) ||
-        (st.seg_ > 0 && c % static_cast<uint32_t>(st.seg_) != w)) {
+    const uint32_t c = centres[i];
+    if (c < w || c + w >= st.rows().size() ||
+        (i > 0 && c <= centres[i - 1])) {
       throw std::invalid_argument("Engine: chunk stream centre out of range");
     }
   }
+  batch = par::resolveBatch(batch, kDefaultInferBatch);
+  par::ThreadPool inlinePool(1);
+  par::ThreadPool& tp = pool ? *pool : inlinePool;
   // Items are (range, stage) on the shared-prefix branch and whole ranges
   // on the other; either way a worker encodes a range once and keeps it
   // for the next item of the same range.
@@ -788,36 +766,14 @@ void Engine::predictInto(const ChunkStream& st, par::ThreadPool& tp,
     }
     if (shared) {
       predictRangeStage(static_cast<Stage>(item % kNumStages), st, cr.begin,
-                        cr.end, batch, true, ws, out);
+                        cr.end, batch, true, ws, out.data());
       return;
     }
     for (int s = 0; s < kNumStages; ++s) {
       predictRangeStage(static_cast<Stage>(s), st, cr.begin, cr.end, batch,
-                        false, ws, out);
+                        false, ws, out.data());
     }
   });
-}
-
-StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
-  if (!trained()) throw std::logic_error("Engine::predictVuc: not trained");
-  StageProbs out;
-  par::ThreadPool inlinePool(1);
-  predictInto(windowStream(std::span(&vuc, 1)), inlinePool, 1, &out);
-  return out;
-}
-
-std::vector<StageProbs> Engine::predictStream(const ChunkStream& stream,
-                                              par::ThreadPool* pool,
-                                              int batch) {
-  if (!trained()) throw std::logic_error("Engine::predict: not trained");
-  static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
-  static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
-  const obs::ScopedTimer timing(batchNs);
-  inferVucs.add(stream.numVucs());
-  par::ThreadPool inlinePool(1);
-  std::vector<StageProbs> out(stream.numVucs());
-  predictInto(stream, pool ? *pool : inlinePool,
-              par::resolveBatch(batch, kDefaultInferBatch), out.data());
   return out;
 }
 
@@ -825,7 +781,17 @@ std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
                                             par::ThreadPool* pool,
                                             int batch) {
   if (!trained()) throw std::logic_error("Engine::predictVucs: not trained");
-  return predictStream(windowStream(vucs), pool, batch);
+  // Each window as its own one-VUC function: BLANK^w window BLANK^w.
+  const std::array<uint32_t, 1> centre{static_cast<uint32_t>(cfg_.window)};
+  ChunkStream st;
+  for (const corpus::Vuc& v : vucs) {
+    st.append(ChunkStream(cfg_.window, windowRows(v), centre));
+  }
+  return predictStream(st, pool, batch);
+}
+
+StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
+  return predictVucs(std::span(&vuc, 1), nullptr, 1).front();
 }
 
 TypeLabel Engine::routeVuc(const StageProbs& p) const {
@@ -897,21 +863,31 @@ VariableDecision Engine::voteVariable(std::span<const StageProbs> vucProbs,
   }
 }
 
-double Engine::occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u) {
-  if (!trained()) throw std::logic_error("occlusionEpsilon: not trained");
-  const auto inSize = static_cast<size_t>(inputShape().size());
-  std::vector<float> input(inSize);
-  std::vector<float> probs(static_cast<size_t>(numClasses(u)));
-
-  encodeInput(vuc, -1, input);
-  runStage(u, input, probs);
-  const int predicted = num::argmax(probs);
-  const double base = probs[static_cast<size_t>(predicted)];
-
-  encodeInput(vuc, k, input);
-  runStage(u, input, probs);
-  const double occluded = probs[static_cast<size_t>(predicted)];
-  return occluded / std::max(base, 1e-9);
+std::vector<double> Engine::occlusionEpsilons(const corpus::Vuc& vuc,
+                                              Stage u) {
+  if (!trained()) throw std::logic_error("occlusionEpsilons: not trained");
+  // The window, then one copy per position k with row k replaced by BLANK,
+  // each a one-VUC function. BLANK's vector is +0 (VucEncoder::load), so an
+  // occluded row encodes as the zero row R(VUC, k) of formula 5.
+  const std::vector<embed::TokenRow> rows = windowRows(vuc);
+  const std::array<uint32_t, 1> centre{static_cast<uint32_t>(cfg_.window)};
+  ChunkStream st(cfg_.window, rows, centre);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    std::vector<embed::TokenRow> occluded = rows;
+    occluded[k].fill(embed::Vocab::kBlankId);
+    st.append(ChunkStream(cfg_.window, occluded, centre));
+  }
+  const std::vector<StageProbs> probs = predictStream(st);
+  const auto ui = static_cast<size_t>(u);
+  const std::vector<float>& original = probs[0].probs[ui];
+  const auto predicted = static_cast<size_t>(num::argmax(original));
+  const double base = std::max<double>(original[predicted], 1e-9);
+  std::vector<double> eps;
+  eps.reserve(rows.size());
+  for (size_t k = 1; k < probs.size(); ++k) {
+    eps.push_back(probs[k].probs[ui][predicted] / base);
+  }
+  return eps;
 }
 
 Engine::FunctionWork Engine::prepareFunction(

@@ -114,12 +114,7 @@ class ChunkStream {
   size_t numVucs() const { return centres_.size(); }
 
  private:
-  friend class Engine;
   int window_ = 0;
-  /// 0: one continuous stream. Otherwise every VUC's window is its own
-  /// seg = 2w+1 rows that no conv tap leaves — predictVucs' windows laid
-  /// back to back.
-  int seg_ = 0;
   std::vector<embed::TokenRow> rows_;
   std::vector<uint32_t> centres_;
 };
@@ -158,7 +153,7 @@ class Engine {
   bool trained() const { return encoder_.has_value(); }
 
   /// Wall-clock deadline for analysis (--timeout-ms): prepareFunction checks
-  /// it per function and predictVucs between NN sub-batches, throwing
+  /// it per function and predictStream between NN sub-batches, throwing
   /// cati::TimeoutError on expiry, so a caller always gets back with the
   /// partial results it accumulated so far. nullopt (default) disables.
   void setDeadline(std::optional<std::chrono::steady_clock::time_point> d) {
@@ -170,7 +165,6 @@ class Engine {
   // per-worker scratch owned by this Engine, so one Engine must not be used
   // from multiple threads concurrently — fan-out happens *inside*
   // predictStream, where each pool worker gets its own scratch arena.)
-  StageProbs predictVuc(const corpus::Vuc& vuc);
   /// The one prediction path; out[i] belongs to the VUC centred on
   /// stream.centres()[i]. When every stage net starts Conv1d(k=3) -> ReLU ->
   /// MaxPool1d(2), that prefix runs once per stream row for a range of
@@ -184,12 +178,14 @@ class Engine {
   std::vector<StageProbs> predictStream(const ChunkStream& stream,
                                         par::ThreadPool* pool = nullptr,
                                         int batch = 0);
-  /// predictStream over the VUCs' own windows laid back to back, each a
-  /// segment no conv tap leaves — the per-window math; out[i] corresponds
-  /// to vucs[i].
+  /// predictStream over the VUCs' own windows, each laid out as a one-VUC
+  /// function (BLANK^w window BLANK^w, centre at its index w); out[i]
+  /// corresponds to vucs[i].
   std::vector<StageProbs> predictVucs(std::span<const corpus::Vuc> vucs,
                                       par::ThreadPool* pool = nullptr,
                                       int batch = 0);
+  /// predictVucs of one VUC.
+  StageProbs predictVuc(const corpus::Vuc& vuc);
   /// Hard routing of one VUC's stage distributions down the tree.
   TypeLabel routeVuc(const StageProbs& p) const;
 
@@ -200,10 +196,12 @@ class Engine {
   VariableDecision voteVariable(std::span<const StageProbs> vucProbs,
                                 float clipThreshold, bool clipEnabled) const;
 
-  /// Occlusion importance (formula 5): the confidence of stage `u`'s
-  /// predicted class with instruction `k` blanked, divided by the original
-  /// confidence. Values < 1 mean instruction k supported the prediction.
-  double occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u);
+  /// Occlusion importance (formula 5) of every window position: entry k is
+  /// the confidence of stage `u`'s predicted class with instruction k
+  /// replaced by BLANK, divided by the original confidence. Values < 1 mean
+  /// instruction k supported the prediction. One predictStream call over
+  /// the window and its 2w+1 occluded copies, each a one-VUC function.
+  std::vector<double> occlusionEpsilons(const corpus::Vuc& vuc, Stage u);
 
   // --- end-to-end stripped-binary analysis (DESIGN.md §10) ---
   // The full §III pipeline with src/dataflow standing in for IDA Pro runs in
@@ -265,7 +263,7 @@ class Engine {
 
   /// Has no effect: every load reads the file through an ifstream and runs
   /// load(). The name stays only because the benchmark harness still passes
-  /// kMap; it goes once that caller stops naming it (ROADMAP item 1).
+  /// kMap; it goes once that caller stops naming it (ROADMAP item 3(c)).
   enum class LoadMode { kStream, kMap };
   static Engine loadFile(const std::filesystem::path& p,
                          LoadMode mode = LoadMode::kStream);
@@ -294,7 +292,7 @@ class Engine {
     std::vector<uint32_t> start;    ///< per VUC: packed window start
     int len = 0;       ///< lane length of `input`
     int step = 0;      ///< packed positions between lane starts
-    int pairLen = 0;   ///< lane length of `pairs` (0: no pairs)
+    int pairLen = 0;   ///< lane length of `pairs`
     std::vector<float> conv;    ///< conv1 output pack
     std::vector<float> convB;   ///< conv1 output of the pairs
     std::vector<float> relu;    ///< [c1][packed position] ReLU of conv
@@ -302,10 +300,11 @@ class Engine {
   };
 
   nn::Shape inputShape() const;
-  /// Encodes a VUC (optionally occluding instruction `k`) into the
-  /// channel-major layout the CNNs consume.
-  void encodeInput(const corpus::Vuc& vuc, int occlude,
-                   std::span<float> out) const;
+  /// Encodes a VUC into the channel-major layout the CNNs consume.
+  void encodeInput(const corpus::Vuc& vuc, std::span<float> out) const;
+  /// The token rows of a VUC's window (std::invalid_argument when its
+  /// length is not the engine's 2w+1).
+  std::vector<embed::TokenRow> windowRows(const corpus::Vuc& vuc) const;
   /// Stage `s`'s training subset: class grouping over the labels (O(1) on
   /// every source) followed by the balanced subsample. A pure function of
   /// (labels, cfg, rng state) — trainStage derives it live, and
@@ -352,18 +351,12 @@ class Engine {
   /// Throws TimeoutError when the analysis deadline has passed, or when an
   /// armed `engine.deadline` fault rule fires (a deterministic expiry).
   void checkDeadline() const;
-  void runStage(Stage s, std::span<const float> input, std::span<float> probs);
   /// The lazily-created scratch for worker `w`. Must be called outside any
   /// parallel region (it may grow workers_); train() invalidates all states.
   WorkerState& worker(int w);
   /// True when every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2),
   /// the prefix predictStream runs once per stream row.
   bool sharedPrefix() const;
-  /// The VUCs' own windows laid back to back, one segment each.
-  ChunkStream windowStream(std::span<const corpus::Vuc> vucs) const;
-  /// predictStream without the engine.infer.{vucs,batch_ns} tallies.
-  void predictInto(const ChunkStream& stream, par::ThreadPool& tp, int batch,
-                   StageProbs* out);
   /// Encodes the VUCs [b, e) of `stream` into ws (see WorkerState).
   void encodeRange(const ChunkStream& stream, size_t b, size_t e,
                    bool shared, WorkerState& ws) const;
@@ -379,8 +372,8 @@ class Engine {
   std::optional<embed::VucEncoder> encoder_;
   std::vector<nn::Sequential> stages_;  // kNumStages entries once trained
   bool quantized_ = false;  ///< the stages hold int8 (nn/qnn.h) layers
-  /// Per-worker inference scratch (index = pool worker id; worker 0 also
-  /// serves the single-sample paths). Never serialized.
+  /// Per-worker inference scratch (index = pool worker id). Never
+  /// serialized.
   std::vector<WorkerState> workers_;
   uint64_t predictCalls_ = 0;  ///< keys WorkerState::call
 };

@@ -1,6 +1,7 @@
 #include "embed/word2vec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -306,7 +307,8 @@ void Word2Vec::train(const TokenizedCorpus& corpus, const W2VConfig& cfg,
       }
     }
   }
-  // Pin BLANK (and UNK) to zero so padding carries no signal.
+  // Pin BLANK to +0 so padding and occlusion carry no signal (UNK keeps its
+  // initial vector).
   std::fill(vectors_.begin(), vectors_.begin() + dim_, 0.0F);
 }
 
@@ -346,42 +348,14 @@ Word2Vec Word2Vec::load(std::istream& is) {
   return v;
 }
 
-void VucEncoder::encode(const corpus::Vuc& v, std::span<float> out) const {
-  encodeOccluded(v, -1, out);
-}
-
-void VucEncoder::encodeOccluded(const corpus::Vuc& v, int k,
-                                std::span<float> out) const {
-  const int dim = w2v_.dim();
-  const auto rowsN = v.window.size();
-  if (out.size() != rowsN * static_cast<size_t>(3 * dim)) {
-    throw std::invalid_argument("VucEncoder::encode: bad output size");
-  }
-  std::fill(out.begin(), out.end(), 0.0F);
-  for (size_t r = 0; r < rowsN; ++r) {
-    if (static_cast<int>(r) == k) continue;  // occluded row stays zero=BLANK
-    const corpus::GenInstr& g = v.window[r];
-    const std::string* toks[3] = {&g.mnem, &g.op1, &g.op2};
-    for (int p = 0; p < 3; ++p) {
-      const int32_t id = vocab_.lookup(*toks[p]);
-      const auto src = w2v_.vec(id);
-      float* dst = out.data() + r * static_cast<size_t>(3 * dim) +
-                   static_cast<size_t>(p * dim);
-      std::copy(src.begin(), src.end(), dst);
-    }
-  }
-}
-
-void VucEncoder::encodeChannelMajor(const corpus::Vuc& v, int k,
+void VucEncoder::encodeChannelMajor(const corpus::Vuc& v,
                                     std::span<float> out) const {
   const int dim = w2v_.dim();
   const size_t rows = v.window.size();
   if (out.size() != rows * static_cast<size_t>(3 * dim)) {
     throw std::invalid_argument("VucEncoder::encodeChannelMajor: bad size");
   }
-  std::fill(out.begin(), out.end(), 0.0F);
   for (size_t r = 0; r < rows; ++r) {
-    if (static_cast<int>(r) == k) continue;  // occluded row stays zero=BLANK
     // Channel c is a row of length `rows`; this instruction fills column r.
     encodeRow(tokenize(v.window[r]), out.data() + r, rows);
   }
@@ -414,6 +388,11 @@ VucEncoder VucEncoder::load(std::istream& is) {
     throw CorruptError("encoder: vocab has " + std::to_string(vocab.size()) +
                        " tokens but word2vec has " +
                        std::to_string(w2v.vocabSize()) + " vectors");
+  }
+  for (const float x : w2v.vec(Vocab::kBlankId)) {
+    if (std::bit_cast<uint32_t>(x) != 0) {
+      throw CorruptError("encoder: BLANK's vector is not +0");
+    }
   }
   return VucEncoder(std::move(vocab), std::move(w2v));
 }

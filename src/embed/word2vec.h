@@ -109,30 +109,20 @@ class Word2Vec {
 /// One generalized instruction as vocabulary ids: [mnem, op1, op2].
 using TokenRow = std::array<int32_t, 3>;
 
-/// Encodes VUCs to CNN input matrices. Layout: row per instruction
-/// (2w+1 rows), 3*dim columns = [mnem | op1 | op2] embeddings.
+/// Encodes instructions as CNN input: each one is the concatenation
+/// [mnem | op1 | op2] of its token embeddings, 3*dim channels, written
+/// channel-major.
 class VucEncoder {
  public:
   VucEncoder(Vocab vocab, Word2Vec w2v)
       : vocab_(std::move(vocab)), w2v_(std::move(w2v)) {}
 
-  int rows(int window) const { return 2 * window + 1; }
   int cols() const { return 3 * w2v_.dim(); }
 
-  /// Writes the [rows x cols] matrix for `v` into `out` (size rows*cols).
-  void encode(const corpus::Vuc& v, std::span<float> out) const;
-
-  /// Encodes with instruction `k` occluded by BLANK — the R(VUC, k) operator
-  /// of paper eq. 5.
-  void encodeOccluded(const corpus::Vuc& v, int k, std::span<float> out) const;
-
-  /// Encodes directly into the channel-major [3*dim x rows] layout the CNNs
-  /// consume (element (r, c) of the row-major matrix lands at c*rows + r),
-  /// with instruction `k` occluded (k < 0: no occlusion). Same values as
-  /// encodeOccluded + transpose, without the row-major temporary — `out` may
-  /// be a slice of a larger batch buffer.
-  void encodeChannelMajor(const corpus::Vuc& v, int k,
-                          std::span<float> out) const;
+  /// Encodes `v` into the channel-major [3*dim x rows] layout the CNNs
+  /// consume: instruction r's channel c = p*dim + d lands at c*rows + r.
+  /// `out` may be a slice of a larger batch buffer.
+  void encodeChannelMajor(const corpus::Vuc& v, std::span<float> out) const;
 
   /// The vocabulary ids of one generalized instruction (UNK for unseen
   /// tokens) — the row encodeChannelMajor looks up for it.
@@ -147,6 +137,8 @@ class VucEncoder {
   const Word2Vec& w2v() const { return w2v_; }
 
   void save(std::ostream& os) const;
+  /// Throws CorruptError unless every vocab token has a vector and BLANK's
+  /// vector is bitwise +0 — the stream pads and occluded rows rely on it.
   static VucEncoder load(std::istream& is);
 
  private:

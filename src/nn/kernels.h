@@ -13,10 +13,11 @@
 //                zero-padded: fma(w, ±0, -0) can turn a -0 into +0.
 //                seg == len is the plain same-padded conv over the lane.
 //                A smaller seg runs len/seg independent convs side by side
-//                in one call: seg = 2w+1 is back-to-back VUC windows, and
-//                seg = 2 gives, at even t, the left-border column of a
-//                window from the pair (x[t], x[t+1]) — the shared-context
-//                stream path of Engine's predict (DESIGN.md §7).
+//                in one call (seg = 2w+1 would be back-to-back VUC
+//                windows; no caller uses it). seg = 2 gives, at even t,
+//                the left-border column of a window from the pair
+//                (x[t], x[t+1]) — the shared-context stream path of
+//                Engine's predict (DESIGN.md §7).
 //                Elements of the [t][lane] plane are independent, so the
 //                SIMD variants may tile them freely — they hold a few
 //                output channels x a run of time steps in registers and

@@ -294,51 +294,6 @@ void MaxPool1d::loadExtra(std::istream& is) {
   k_ = r.dim("maxpool1d");
 }
 
-// --- GlobalMaxPool -------------------------------------------------------------
-
-void GlobalMaxPool::forward(std::span<const float> x, std::span<float> y,
-                            int n, LayerScratch& s, Phase phase) const {
-  checkBatch(n, "GlobalMaxPool::forward");
-  const size_t inSize = static_cast<size_t>(in_.c) * in_.l;
-  checkSize(x, static_cast<size_t>(n) * inSize, "GlobalMaxPool x");
-  checkSize(y, static_cast<size_t>(n) * in_.c, "GlobalMaxPool y");
-  const bool track = phase != Phase::kInfer;
-  if (track) s.argmax.assign(static_cast<size_t>(n) * in_.c, 0);
-  for (int b = 0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * inSize;
-    float* ys = y.data() + static_cast<size_t>(b) * in_.c;
-    for (int c = 0; c < in_.c; ++c) {
-      const float* xRow = xs + static_cast<size_t>(c) * in_.l;
-      int best = 0;
-      for (int t = 1; t < in_.l; ++t) {
-        if (xRow[t] > xRow[best]) best = t;
-      }
-      ys[static_cast<size_t>(c)] = xRow[best];
-      if (track) {
-        s.argmax[static_cast<size_t>(b) * in_.c + c] = best;
-      }
-    }
-  }
-}
-
-void GlobalMaxPool::backward(std::span<const float> dy, std::span<float> dx,
-                             int n, LayerScratch& s) const {
-  checkBatch(n, "GlobalMaxPool::backward");
-  if (dx.empty()) return;  // input gradient not wanted
-  const size_t inSize = static_cast<size_t>(in_.c) * in_.l;
-  checkSize(dy, static_cast<size_t>(n) * in_.c, "GlobalMaxPool dy");
-  checkSize(dx, static_cast<size_t>(n) * inSize, "GlobalMaxPool dx");
-  std::fill(dx.begin(), dx.end(), 0.0F);
-  for (int b = 0; b < n; ++b) {
-    float* dxs = dx.data() + static_cast<size_t>(b) * inSize;
-    for (int c = 0; c < in_.c; ++c) {
-      dxs[static_cast<size_t>(c) * in_.l +
-          s.argmax[static_cast<size_t>(b) * in_.c + c]] =
-          dy[static_cast<size_t>(b) * in_.c + c];
-    }
-  }
-}
-
 // --- Linear -------------------------------------------------------------------
 
 Linear::Linear(int in, int out, Rng* initRng)
@@ -676,8 +631,6 @@ Sequential Sequential::load(std::istream& is) {
       layer = std::make_unique<ReLU>();
     } else if (kind == "maxpool1d") {
       layer = std::make_unique<MaxPool1d>(2);
-    } else if (kind == "globalmaxpool") {
-      layer = std::make_unique<GlobalMaxPool>();
     } else if (kind == "linear") {
       layer = std::make_unique<Linear>(1, 1, nullptr);
     } else if (kind == "dropout") {

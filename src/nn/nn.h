@@ -209,21 +209,6 @@ class MaxPool1d final : public Layer {
   Shape in_{};
 };
 
-/// Max over the whole length axis: [C x L] -> [C x 1].
-class GlobalMaxPool final : public Layer {
- public:
-  Shape outShape(Shape in) const override { return {in.c, 1}; }
-  void setInShape(Shape in) override { in_ = in; }
-  void forward(std::span<const float> x, std::span<float> y, int n,
-               LayerScratch& s, Phase phase) const override;
-  void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
-  std::string kind() const override { return "globalmaxpool"; }
-
- private:
-  Shape in_{};
-};
-
 class Linear final : public Layer {
  public:
   Linear(int in, int out, Rng* initRng);

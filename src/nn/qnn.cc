@@ -268,8 +268,6 @@ Sequential quantizeNet(const Sequential& src) {
       out.add(std::make_unique<ReLU>());
     } else if (const auto* mp = dynamic_cast<const MaxPool1d*>(&l)) {
       out.add(std::make_unique<MaxPool1d>(mp->kernel()));
-    } else if (dynamic_cast<const GlobalMaxPool*>(&l) != nullptr) {
-      out.add(std::make_unique<GlobalMaxPool>());
     } else if (dynamic_cast<const Dropout*>(&l) != nullptr) {
       continue;  // identity at inference; the quantized net has no kTrain
     } else {

@@ -220,6 +220,7 @@ void Server::readerLoop(Conn& conn) {
 }
 
 void Server::writerLoop(Conn& conn) {
+  static obs::Counter& closedConns = obs::counter("serve.conns.closed");
   for (;;) {
     std::string frame;
     {
@@ -249,6 +250,7 @@ void Server::writerLoop(Conn& conn) {
     conn.closed = true;
     conn.cv.notify_all();
   }
+  closedConns.add();
   conn.fd.shutdownNow();
   conn.exited.fetch_add(1);
 }

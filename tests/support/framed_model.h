@@ -5,8 +5,10 @@
 // predict path without training one.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,21 @@ inline std::vector<nn::Sequential> stageNets(const EngineConfig& cfg,
                                cfg.dropout, rng));
   }
   return nets;
+}
+
+/// XORs `mask` into the top byte of BLANK's first embedding float in
+/// `bytes` (serialized word2vec, or a model payload holding one): 0x80 turns
+/// the pinned +0 into -0, 0x3f into 0.5.
+inline void flipBlankFloat(std::string& bytes, uint8_t mask) {
+  // "CW2V" version 1, then the dim (int32) and the vector count (uint64);
+  // BLANK's vector comes first.
+  const std::string header("\x56\x32\x57\x43\x01\0\0\0", 8);
+  const size_t at = bytes.find(header);
+  if (at == std::string::npos) {
+    throw std::logic_error("flipBlankFloat: no word2vec header");
+  }
+  const size_t topByte = at + header.size() + 4 + 8 + 3;
+  bytes[topByte] = static_cast<char>(bytes[topByte] ^ mask);
 }
 
 }  // namespace cati::testsupport

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "synth/synth.h"
@@ -151,23 +153,27 @@ TEST(Encoder, LayoutAndOcclusion) {
   const size_t rows = v.window.size();
   const auto cols = static_cast<size_t>(enc.cols());
   std::vector<float> full(rows * cols);
-  enc.encode(v, full);
+  enc.encodeChannelMajor(v, full);
 
-  // Row r holds the concat of (mnem, op1, op2) embeddings of instruction r.
+  // Channel c of instruction r lands at c * rows + r; channels [0, dim)
+  // hold the mnemonic's embedding.
   const int32_t mnemId = enc.vocab().lookup(v.window[10].mnem);
   const auto mnemVec = enc.w2v().vec(mnemId);
   for (int d = 0; d < enc.w2v().dim(); ++d) {
-    EXPECT_EQ(full[10 * cols + static_cast<size_t>(d)], mnemVec[d]);
+    EXPECT_EQ(full[static_cast<size_t>(d) * rows + 10], mnemVec[d]);
   }
 
-  // Occluding row k zeroes exactly that row.
+  // Occluding row k — replacing it by BLANK — writes +0 into exactly that
+  // column.
+  corpus::Vuc occluded = v;
+  occluded.window[10] = corpus::GenInstr{};
   std::vector<float> occ(rows * cols);
-  enc.encodeOccluded(v, 10, occ);
-  for (size_t c = 0; c < cols; ++c) EXPECT_EQ(occ[10 * cols + c], 0.0F);
-  for (size_t r = 0; r < rows; ++r) {
-    if (r == 10) continue;
-    for (size_t c = 0; c < cols; ++c) {
-      EXPECT_EQ(occ[r * cols + c], full[r * cols + c]);
+  enc.encodeChannelMajor(occluded, occ);
+  for (size_t c = 0; c < cols; ++c) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(occ[c * rows + 10]), 0U);
+    for (size_t r = 0; r < rows; ++r) {
+      if (r == 10) continue;
+      EXPECT_EQ(occ[c * rows + r], full[c * rows + r]);
     }
   }
 }
@@ -186,7 +192,7 @@ TEST(Encoder, RejectsWrongBufferSize) {
   vuc.window.resize(21);
   vuc.posLabel.assign(21, -1);
   std::vector<float> tooSmall(10);
-  EXPECT_THROW(enc.encode(vuc, tooSmall), std::invalid_argument);
+  EXPECT_THROW(enc.encodeChannelMajor(vuc, tooSmall), std::invalid_argument);
 }
 
 }  // namespace

@@ -184,8 +184,10 @@ TEST_F(EngineTest, OcclusionEpsilonPositiveAndCentreSensitive) {
   int n = 0;
   for (size_t i = 0; i < 40 && i < train_->vucs.size(); ++i) {
     const corpus::Vuc& v = train_->vucs[i];
-    const double ec = engine_->occlusionEpsilon(v, v.centre(), Stage::S1);
-    const double ee = engine_->occlusionEpsilon(v, 0, Stage::S1);
+    const std::vector<double> eps = engine_->occlusionEpsilons(v, Stage::S1);
+    ASSERT_EQ(eps.size(), v.window.size());
+    const double ec = eps[static_cast<size_t>(v.centre())];
+    const double ee = eps[0];
     EXPECT_GT(ec, 0.0);
     EXPECT_TRUE(std::isfinite(ec));
     centreSum += ec;
@@ -307,6 +309,23 @@ TEST_F(EngineTest, EncoderVocabMustMatchWord2VecRows) {
   vocab.add("token-without-a-vector");
   const embed::VucEncoder enc(std::move(vocab), engine_->encoder().w2v());
   expectCorrupt(frameModel(cfg, enc, stageNets(cfg)), "word2vec has");
+}
+
+TEST_F(EngineTest, BlankVectorMustBePositiveZero) {
+  // Stream pads and occluded rows are BLANK tokens that must encode as +0,
+  // the zero row of the per-window math; -0 or any other value is corrupt.
+  const EngineConfig& cfg = engine_->config();
+  std::ostringstream os;
+  engine_->encoder().w2v().save(os);
+  for (const uint8_t mask : {uint8_t{0x80}, uint8_t{0x3f}}) {
+    SCOPED_TRACE(static_cast<int>(mask));
+    std::string bytes = os.str();
+    testsupport::flipBlankFloat(bytes, mask);
+    std::istringstream is(bytes);
+    const embed::VucEncoder enc(engine_->encoder().vocab(),
+                                embed::Word2Vec::load(is));
+    expectCorrupt(frameModel(cfg, enc, stageNets(cfg)), "BLANK");
+  }
 }
 
 TEST_F(EngineTest, EncoderDimMustMatchConfig) {

@@ -620,8 +620,8 @@ TEST(KernelBatch, ForwardBitIdenticalAcrossBatchSizes) {
     Sequential net({sh.c, sh.l});
     net.add(std::make_unique<Conv1d>(sh.c, sh.mid, 3, &rng));
     net.add(std::make_unique<ReLU>());
-    net.add(std::make_unique<GlobalMaxPool>());
-    net.add(std::make_unique<Linear>(sh.mid, sh.out, &rng));
+    net.add(std::make_unique<MaxPool1d>(2));
+    net.add(std::make_unique<Linear>(sh.mid * (sh.l / 2), sh.out, &rng));
     Sequential qnet = quantizeNet(net);
 
     const int n = 32;

@@ -103,18 +103,6 @@ TEST(GradCheckLayers, LinearOnly) {
   EXPECT_LT(gradientCheck(net, x, 0), 6e-2);
 }
 
-TEST(GradCheckLayers, GlobalMaxPoolPath) {
-  Rng rng(4);
-  Sequential net({5, 8});
-  net.add(std::make_unique<Conv1d>(5, 6, 3, &rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<GlobalMaxPool>());
-  net.add(std::make_unique<Linear>(6, 2, &rng));
-  std::vector<float> x(40);
-  for (float& v : x) v = rng.normal();
-  EXPECT_LT(gradientCheck(net, x, 1), 6e-2);
-}
-
 TEST(Layers, ReluMasksNegatives) {
   ReLU r;
   LayerScratch s;
@@ -441,8 +429,11 @@ TEST(SerializeHostile, LayerMustFitThePreviousShape) {
 }
 
 TEST(SerializeHostile, UnknownLayerKindRejected) {
-  EXPECT_THROW(loadNet(oneLayerNet({4, 6}, "conv3d", [](io::Writer&) {})),
-               CorruptError);
+  for (const char* kind : {"conv3d", "globalmaxpool"}) {
+    EXPECT_THROW(loadNet(oneLayerNet({4, 6}, kind, [](io::Writer&) {})),
+                 CorruptError)
+        << kind;
+  }
 }
 
 // --- int8 layers persist like fp32 ones ------------------------------------

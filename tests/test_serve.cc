@@ -38,6 +38,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "support/framed_model.h"
 #include "support/golden.h"
 #include "support/micro_model.h"
 
@@ -659,6 +660,7 @@ TEST_F(ServeTest, DisconnectMidRequestDoesNotStallTheLoop) {
   req.image = img;
 
   const uint64_t queued0 = counterValue("serve.requests.queued");
+  const uint64_t closed0 = counterValue("serve.conns.closed");
   {
     Client doomed(server.bound());
     doomed.send(MsgType::kAnalyze, encodeAnalyzeRequest(req));
@@ -667,6 +669,11 @@ TEST_F(ServeTest, DisconnectMidRequestDoesNotStallTheLoop) {
     }));
     doomed.close();  // vanish mid-request
   }
+  // Only once the connection's writer has marked it closed is its reply
+  // certain to be dropped rather than queued.
+  ASSERT_TRUE(waitFor([&] {
+    return counterValue("serve.conns.closed") - closed0 >= 1;
+  }));
   const uint64_t dropped0 = counterValue("serve.conn.dropped_replies");
   server.pauseBatchForTest(false);
   // The loop processes the orphaned job, drops the reply, and keeps serving.
@@ -1042,6 +1049,25 @@ TEST_F(ServeTest, InferRejectsCraftedModelWithExit4) {
   ASSERT_NE(at, std::string::npos);
   std::memset(payload.data() + at + pool.size(), 0, sizeof(int32_t));
   const std::string model = (dir_ / "crafted.bin").string();
+  {
+    std::ofstream os(model, std::ios::binary);
+    io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2,
+                         [&](std::ostream& body) { body << payload; });
+  }
+  const std::string img = (dir_ / "img.img").string();
+  std::ofstream(img, std::ios::binary) << microImageBytes(0, /*stripped=*/true);
+  EXPECT_EQ(runTool(toolPath("cati-infer") + " " + model + " " + img), 4);
+}
+
+TEST_F(ServeTest, InferRejectsNonZeroBlankWithExit4) {
+  // A CRC-valid model whose BLANK vector is -0 instead of +0: stream pads
+  // would no longer encode as the per-window zero rows, so cati-infer must
+  // refuse it as corrupt (exit 4).
+  const std::string good =
+      testsupport::serializeEngine(testsupport::cachedMicroEngine());
+  std::string payload = good.substr(16, good.size() - 20);
+  testsupport::flipBlankFloat(payload, 0x80);
+  const std::string model = (dir_ / "blank.bin").string();
   {
     std::ofstream os(model, std::ios::binary);
     io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2,

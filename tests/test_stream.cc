@@ -8,7 +8,9 @@
 // batch 1 — the reference here — at any batch size and job count, and on
 // whichever kernel tier runs: CI repeats this suite under
 // CATI_KERNEL=scalar and CATI_KERNEL=avx2, next to the native dispatch of
-// the tier-1 run.
+// the tier-1 run. The window adapter (predictVucs) and occlusion ε
+// (occlusionEpsilons) build ordinary streams of one-VUC functions and are
+// held to the same reference.
 //
 // The streams are built to put every boundary of the path somewhere
 // awkward: functions of 1-3 instructions, functions without VUCs, windows
@@ -16,6 +18,7 @@
 // ranges and conv lanes start and end inside the BLANK pads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <sstream>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "cati/engine.h"
+#include "common/numeric.h"
 #include "common/obs.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -63,12 +67,41 @@ std::vector<StageProbs> perWindow(const Engine& e,
     const nn::Sequential& net = e.stageNet(static_cast<Stage>(s));
     nn::Scratch scratch = net.makeScratch();
     for (size_t i = 0; i < vucs.size(); ++i) {
-      e.encoder().encodeChannelMajor(vucs[i], -1, x);
+      e.encoder().encodeChannelMajor(vucs[i], x);
       const auto logits = net.forward(x, 1, scratch, nn::Phase::kInfer);
       auto& probs = out[i].probs[static_cast<size_t>(s)];
       probs.resize(logits.size());
       nn::SoftmaxCE::forward(logits, -1, probs);
     }
+  }
+  return out;
+}
+
+/// Formula 5 from whole-net batch-1 forwards: stage `u`'s confidence in
+/// its predicted class with window row k zeroed, over the unoccluded
+/// confidence, for every k.
+std::vector<double> zeroedRowEpsilons(const Engine& e, const corpus::Vuc& vuc,
+                                      Stage u) {
+  const nn::Sequential& net = e.stageNet(u);
+  nn::Scratch scratch = net.makeScratch();
+  const size_t rows = vuc.window.size();
+  const auto channels = static_cast<size_t>(e.encoder().cols());
+  std::vector<float> probs(static_cast<size_t>(numClasses(u)));
+  const auto confidences = [&](std::span<const float> x) {
+    const auto logits = net.forward(x, 1, scratch, nn::Phase::kInfer);
+    nn::SoftmaxCE::forward(logits, -1, probs);
+  };
+  std::vector<float> x(rows * channels);
+  e.encoder().encodeChannelMajor(vuc, x);
+  confidences(x);
+  const auto predicted = static_cast<size_t>(num::argmax(probs));
+  const double base = std::max<double>(probs[predicted], 1e-9);
+  std::vector<double> out;
+  for (size_t k = 0; k < rows; ++k) {
+    std::vector<float> zeroed = x;
+    for (size_t c = 0; c < channels; ++c) zeroed[c * rows + k] = 0.0F;
+    confidences(zeroed);
+    out.push_back(probs[predicted] / base);
   }
   return out;
 }
@@ -238,8 +271,8 @@ TEST_F(StreamPredictTest, ImageChunkMatchesPerWindowForwards) {
 
 TEST_F(StreamPredictTest, Conv1ColumnsPerVuc) {
   // engine.infer.conv1_cols counts the conv1 output columns one stage
-  // computes: 2w+1 per VUC on back-to-back windows (a multiple of the
-  // 8-lane group here), far fewer when windows share their rows.
+  // computes, lane padding included: about 23 per VUC through the window
+  // adapter, far fewer when windows share their rows.
   obs::setEnabled(true);
   obs::Counter& cols = obs::counter("engine.infer.conv1_cols");
   Engine engine = framedEngine(*micro_, 10, 32, 64, 32);
@@ -250,12 +283,57 @@ TEST_F(StreamPredictTest, Conv1ColumnsPerVuc) {
   const std::vector<corpus::Vuc> vucs = windowsOf(st, engine.encoder().vocab());
   uint64_t before = cols.value();
   (void)engine.predictVucs(vucs);
-  EXPECT_EQ(cols.value() - before, 200U * 21);
+  // The adapter lays each window out as a one-VUC function, so the pads
+  // keep windows apart: a 96-VUC range packs 96 x 21 rows into 8 lanes of
+  // 254 (overlapping by two) plus 96 left-border pairs in 12 groups of 2
+  // steps; the last 8 VUCs take lanes of 23 and one pair group.
+  EXPECT_EQ(cols.value() - before, 2 * 8 * (254U + 24) + 8 * (23U + 2));
   before = cols.value();
   (void)engine.predictStream(st);
   // Per 96-VUC range: 116 rows over 8 lanes overlapping by two, plus one
   // left-border pair per VUC.
   EXPECT_LT(cols.value() - before, 200U * 21 / 4);
+}
+
+TEST_F(StreamPredictTest, OcclusionEpsilonsMatchZeroedRowForwards) {
+  // occlusionEpsilons puts the window and its 2w+1 occluded copies in one
+  // stream, the occluded row a BLANK token row. The ε must equal, bit for
+  // bit, the ratio of whole-net batch-1 forwards of the window with that
+  // row zeroed — for the trained micro model, its int8 twin, window 10
+  // (shared prefix) and window 0 (whole-net gather), every k and stage.
+  struct Variant {
+    std::string name;
+    Engine engine;
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"micro", testsupport::cachedMicroEngine()});
+  variants.push_back({"micro-int8", micro_->quantize()});
+  variants.push_back({"window10", framedEngine(*micro_, 10, 32, 64, 32)});
+  variants.push_back({"window0", framedEngine(*micro_, 0, 4, 4, 8)});
+  Rng rng(0x0CC1);
+  for (Variant& v : variants) {
+    Engine& e = v.engine;
+    const std::vector<corpus::Vuc> all = windowsOf(
+        randomStream(e.config().window, e.encoder().vocab().size(), 12, rng),
+        e.encoder().vocab());
+    ASSERT_GE(all.size(), 4U) << v.name;
+    // The first and last VUCs reach into the outer pads; two from between.
+    const std::vector<corpus::Vuc> vucs = {all.front(), all[all.size() / 3],
+                                           all[2 * all.size() / 3],
+                                           all.back()};
+    for (size_t i = 0; i < vucs.size(); ++i) {
+      for (int s = 0; s < kNumStages; ++s) {
+        const auto u = static_cast<Stage>(s);
+        const std::vector<double> got = e.occlusionEpsilons(vucs[i], u);
+        const std::vector<double> want = zeroedRowEpsilons(e, vucs[i], u);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << v.name << " VUC " << i << " stage " << s;
+      }
+    }
+  }
 }
 
 TEST(ChunkStream, LaysOutFunctionsBetweenPads) {
