@@ -585,9 +585,10 @@ void BM_TrainCorpusMode(benchmark::State& state) {
   // BM_TrainEndToEndJobs/1 trained from the in-memory dataset (arg = 0) or
   // from a sharded CSHD directory through the prefetch-pipelined
   // ShardedSource (arg = 1). Models are bit-identical; the delta between
-  // the rows is shard decode + gather cost net of prefetch overlap (with
-  // CATI_METRICS=1 the /1 row also carries train.prefetch_stall_ns — the
-  // part of that cost the pipeline failed to hide).
+  // the rows is the cost of decoding each shard once in the tokenization
+  // pass, net of prefetch overlap (with CATI_METRICS=1 the /1 row also
+  // carries train.prefetch_stall_ns — the part of that cost the pipeline
+  // failed to hide).
   par::ThreadPool pool(1);
   const auto bins = synth::generateCorpus(2, 8, synth::Dialect::Gcc, 7, &pool);
   const corpus::Dataset ds = corpus::extractAll(bins, 10, true, &pool);

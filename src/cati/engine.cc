@@ -57,30 +57,21 @@ nn::Shape Engine::inputShape() const {
   return {3 * cfg_.w2v.dim, 2 * cfg_.window + 1};
 }
 
-void Engine::encodeInput(const corpus::Vuc& vuc,
-                         std::span<float> out) const {
-  const int rows = 2 * cfg_.window + 1;
-  const int cols = 3 * cfg_.w2v.dim;
-  if (static_cast<int>(vuc.window.size()) != rows) {
+namespace {
+
+/// Every VUC window must hold the engine's 2w+1 instructions.
+void checkWindowRows(size_t rows, int window) {
+  if (rows != 2 * static_cast<size_t>(window) + 1) {
     throw std::invalid_argument(
         "Engine: VUC window length does not match the engine's window "
         "configuration");
   }
-  if (static_cast<int>(out.size()) != rows * cols) {
-    throw std::invalid_argument("Engine::encodeInput: bad output size");
-  }
-  // Straight into the [cols x rows] channel-major layout the CNNs consume —
-  // no row-major temporary, no transpose pass. `out` is typically a slice
-  // of a worker's batch buffer.
-  encoder_->encodeChannelMajor(vuc, out);
 }
 
+}  // namespace
+
 std::vector<embed::TokenRow> Engine::windowRows(const corpus::Vuc& vuc) const {
-  if (static_cast<int>(vuc.window.size()) != 2 * cfg_.window + 1) {
-    throw std::invalid_argument(
-        "Engine: VUC window length does not match the engine's window "
-        "configuration");
-  }
+  checkWindowRows(vuc.window.size(), cfg_.window);
   std::vector<embed::TokenRow> rows;
   rows.reserve(vuc.window.size());
   for (const corpus::GenInstr& g : vuc.window) {
@@ -168,30 +159,9 @@ std::vector<uint32_t> Engine::stageTrainSet(Stage s,
                            cfg_.balanceMultiplier, rng);
 }
 
-void Engine::preGatherStages(corpus::VucSource& src,
-                             const std::array<uint64_t, kNumStages>& seeds,
-                             int startStage, bool planOnly) const {
-  std::vector<uint32_t> all;
-  for (int s = startStage; s < kNumStages; ++s) {
-    // A fresh Rng per stage, exactly as trainStage seeds its own: the
-    // replayed draws are identical, and nothing here advances any RNG a
-    // later consumer observes.
-    Rng rng(seeds[static_cast<size_t>(s)]);
-    const std::vector<uint32_t> train =
-        stageTrainSet(static_cast<Stage>(s), src, rng);
-    all.insert(all.end(), train.begin(), train.end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  if (planOnly) {
-    src.planGather(all);
-  } else {
-    src.gather(all);
-  }
-}
-
-void Engine::trainStage(Stage s, corpus::VucSource& src, uint64_t seed,
-                        par::ThreadPool& pool, int startEpoch,
+void Engine::trainStage(Stage s, const corpus::VucSource& src,
+                        std::span<const std::vector<int32_t>> ids,
+                        uint64_t seed, par::ThreadPool& pool, int startEpoch,
                         std::istream* adamState, const TrainCheckpointing* ck,
                         const std::array<uint64_t, kNumStages>* seeds) {
   static const std::array<obs::Histogram*, kNumStages> stageNs =
@@ -202,12 +172,6 @@ void Engine::trainStage(Stage s, corpus::VucSource& src, uint64_t seed,
   Rng rng(seed);
   const int classes = numClasses(s);
   std::vector<uint32_t> train = stageTrainSet(s, src, rng);
-  // Make this stage's subset resident. train() pre-gathered the union of
-  // every remaining stage's subset in one streaming pass, so this is a
-  // residency check, not I/O (and a no-op for the in-memory source). The
-  // index set is fixed for the whole stage — epoch shuffles only permute
-  // it — so it serves every epoch, including a mid-stage resume's replay.
-  src.gather(train);
   stageSamples[static_cast<size_t>(s)]->add(
       train.size() *
       static_cast<size_t>(std::max(0, cfg_.epochs - startEpoch)));
@@ -237,6 +201,7 @@ void Engine::trainStage(Stage s, corpus::VucSource& src, uint64_t seed,
   const uint64_t dropBase = rng.next();
 
   const auto inSize = static_cast<size_t>(inputShape().size());
+  const size_t rows = 2 * static_cast<size_t>(cfg_.window) + 1;
   struct ChunkOut {
     std::vector<float> grads;
     double loss = 0.0;
@@ -278,9 +243,15 @@ void Engine::trainStage(Stage s, corpus::VucSource& src, uint64_t seed,
         t.input.resize(nb * inSize);
         t.dLogits.resize(nb * static_cast<size_t>(classes));
         t.probs.resize(static_cast<size_t>(classes));
+        // Each sample straight into the channel-major [3*dim x rows] layout
+        // the CNNs consume, from the ids tokenization kept for its VUC.
         for (size_t k = 0; k < nb; ++k) {
-          encodeInput(src.vuc(train[batch + cb + k]),
-                      std::span(t.input).subspan(k * inSize, inSize));
+          const std::vector<int32_t>& id = ids[train[batch + cb + k]];
+          float* out = t.input.data() + k * inSize;
+          for (size_t r = 0; r < rows; ++r) {
+            encoder_->encodeRow({id[3 * r], id[3 * r + 1], id[3 * r + 2]},
+                                out + r, rows);
+          }
         }
         // One batched forward/backward over the chunk. Kernels keep the
         // per-sample accumulation order, so gradients are bit-identical to
@@ -391,12 +362,13 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
     }
   }
 
+  // The token ids of every VUC's window, 3 per row ([mnem, op1, op2]):
+  // word2vec trains on them and every stage encodes its samples from them,
+  // so nothing after tokenization reads a VUC again (DESIGN.md §12).
+  std::vector<std::vector<int32_t>> ids;
   if (!resumed) {
     // Layer init and the per-stage seed forks touch only the engine RNG —
-    // no word2vec state — so they run first: the seeds let the stage
-    // pre-gather be PLANNED before tokenization, and the tokenize pass
-    // below fulfils it, so the streaming path pays exactly one pass for
-    // vocabulary + token stream + every stage's training subset.
+    // no word2vec state.
     Rng rng(cfg_.seed);
     stages_.clear();
     for (int s = 0; s < kNumStages; ++s) {
@@ -412,15 +384,20 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
     for (int s = 0; s < kNumStages; ++s) {
       stageSeeds[static_cast<size_t>(s)] = rng.fork();
     }
-    preGatherStages(src, stageSeeds, 0, /*planOnly=*/true);
 
     if (cfg_.verbose) std::cerr << "training word2vec embedding...\n";
     // One streaming pass; the compact token stream (not the VUCs) is what
-    // word2vec keeps resident across its epochs.
+    // stays resident for word2vec and the stages.
     embed::TokenizedCorpus tokens = embed::tokenize(src);
+    for (const std::vector<int32_t>& sentence : tokens.sentences) {
+      checkWindowRows(sentence.size() / 3, cfg_.window);
+    }
     embed::Word2Vec w2v;
     w2v.train(tokens, cfg_.w2v, &tp);
+    // Every id is the one the encoder's vocab.lookup returns for its token:
+    // tokenization built that vocabulary from these very tokens.
     encoder_.emplace(std::move(tokens.vocab), std::move(w2v));
+    ids = std::move(tokens.sentences);
     if (ckpt != nullptr && !ckpt->dir.empty()) {
       // Post-embedding checkpoint: word2vec is the most expensive
       // epoch-less phase; a crash right after it resumes without repaying.
@@ -429,9 +406,17 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
       fault::killPoint("train.checkpoint");
     }
   } else {
-    // A resumed run skips tokenization, so the remaining stages' union is
-    // gathered in its own (single) streaming pass.
-    preGatherStages(src, stageSeeds, startStage, /*planOnly=*/false);
+    // A resumed run skips word2vec; one pass through the checkpoint's
+    // vocabulary rebuilds the same ids.
+    ids.reserve(src.numVucs());
+    src.forEach([&](const corpus::Vuc& v) {
+      std::vector<int32_t> id;
+      id.reserve(3 * v.window.size());
+      for (const embed::TokenRow& row : windowRows(v)) {
+        id.insert(id.end(), row.begin(), row.end());
+      }
+      ids.push_back(std::move(id));
+    });
   }
 
   for (int s = startStage; s < kNumStages; ++s) {
@@ -440,7 +425,7 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
     }
     const bool firstResumed = resumed && s == startStage && startEpoch > 0;
     std::istringstream adamIs(adamBlob);
-    trainStage(static_cast<Stage>(s), src,
+    trainStage(static_cast<Stage>(s), src, ids,
                stageSeeds[static_cast<size_t>(s)], tp,
                firstResumed ? startEpoch : 0,
                firstResumed && !adamBlob.empty() ? &adamIs : nullptr, ckpt,
@@ -1098,15 +1083,45 @@ bool Engine::loadTrainCheckpoint(const TrainCheckpointing& ck,
       throw CorruptError("checkpoint: position out of range");
     }
     for (uint64_t& s : seeds) s = r.pod<uint64_t>();
-    encoder_.emplace(embed::VucEncoder::load(body));
-    stages_.clear();
-    for (int s = 0; s < kNumStages; ++s) {
-      stages_.push_back(nn::Sequential::load(body));
+    if (readNets(body, "checkpoint")) {
+      throw CorruptError("checkpoint: holds int8 layers (training is fp32)");
     }
     adamBlob = r.str();
     return 0;
   });
   return true;
+}
+
+bool Engine::readNets(std::istream& body, const std::string& what) {
+  encoder_.emplace(embed::VucEncoder::load(body));
+  if (encoder_->w2v().dim() != cfg_.w2v.dim) {
+    throw CorruptError(what + ": encoder dimension disagrees with the config");
+  }
+  // Each stage net must take inputShape() — in 64 bits, so a hostile window
+  // cannot overflow — and emit one logit per class.
+  const int64_t channels = 3 * static_cast<int64_t>(cfg_.w2v.dim);
+  const int64_t rows = 2 * static_cast<int64_t>(cfg_.window) + 1;
+  bool fp32 = false;
+  bool int8 = false;
+  stages_.clear();
+  for (int s = 0; s < kNumStages; ++s) {
+    nn::Sequential net = nn::Sequential::load(body);
+    if (net.inShape().c != channels || net.inShape().l != rows ||
+        net.outShape().size() != numClasses(static_cast<Stage>(s))) {
+      throw CorruptError(what + ": stage " +
+                         std::string(stageName(static_cast<Stage>(s))) +
+                         " does not fit the config's input shape and class "
+                         "count");
+    }
+    for (size_t i = 0; i < net.numLayers(); ++i) {
+      const std::string kind = net.layer(i).kind();
+      fp32 |= kind == "conv1d" || kind == "linear";
+      int8 |= kind == "qconv1d" || kind == "qlinear";
+    }
+    stages_.push_back(std::move(net));
+  }
+  if (fp32 && int8) throw CorruptError(what + ": mixes fp32 and int8 layers");
+  return int8;
 }
 
 void Engine::checkDeadline() const {
@@ -1165,35 +1180,7 @@ Engine Engine::load(std::istream& is) {
         cfg.voteClip = r.pod<float>();
         cfg.clipEnabled = r.pod<uint8_t>() != 0;
         Engine e(cfg);
-        e.encoder_.emplace(embed::VucEncoder::load(body));
-        if (e.encoder_->w2v().dim() != cfg.w2v.dim) {
-          throw CorruptError("engine: encoder dimension disagrees with the "
-                             "config");
-        }
-        // Each stage net must take inputShape() — in 64 bits, so a hostile
-        // window cannot overflow — and emit one logit per class.
-        const int64_t channels = 3 * static_cast<int64_t>(cfg.w2v.dim);
-        const int64_t rows = 2 * static_cast<int64_t>(cfg.window) + 1;
-        bool fp32 = false;
-        for (int s = 0; s < kNumStages; ++s) {
-          nn::Sequential net = nn::Sequential::load(body);
-          if (net.inShape().c != channels || net.inShape().l != rows ||
-              net.outShape().size() != numClasses(static_cast<Stage>(s))) {
-            throw CorruptError("engine: stage " +
-                               std::string(stageName(static_cast<Stage>(s))) +
-                               " does not fit the config's input shape and "
-                               "class count");
-          }
-          for (size_t i = 0; i < net.numLayers(); ++i) {
-            const std::string kind = net.layer(i).kind();
-            fp32 |= kind == "conv1d" || kind == "linear";
-            e.quantized_ |= kind == "qconv1d" || kind == "qlinear";
-          }
-          e.stages_.push_back(std::move(net));
-        }
-        if (fp32 && e.quantized_) {
-          throw CorruptError("engine: mixes fp32 and int8 layers");
-        }
+        e.quantized_ = e.readNets(body, "engine");
         if (body.peek() != std::char_traits<char>::eof()) {
           throw CorruptError("engine: trailing bytes after the last stage");
         }

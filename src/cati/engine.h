@@ -142,9 +142,10 @@ class Engine {
 
   /// Source-based training — the streaming path (DESIGN.md §12). With a
   /// corpus::ShardedSource the corpus is never materialized: tokenization is
-  /// one prefetch-pipelined pass, per-stage subsampling runs on the resident
-  /// label array, and only each stage's selected VUCs are gathered from the
-  /// shards. For a fixed shard plan the trained bytes are identical to the
+  /// the one prefetch-pipelined pass, per-stage subsampling runs on the
+  /// resident label array, and the stages encode their samples from the
+  /// token ids that pass produced. Throws std::invalid_argument when any
+  /// VUC's window is not 2w+1 instructions long. For a fixed shard plan the trained bytes are identical to the
   /// in-memory overload at any job count and batch size, and checkpoints
   /// are interchangeable between the two paths (same dataset fingerprint).
   void train(corpus::VucSource& src, par::ThreadPool* pool = nullptr,
@@ -300,33 +301,22 @@ class Engine {
   };
 
   nn::Shape inputShape() const;
-  /// Encodes a VUC into the channel-major layout the CNNs consume.
-  void encodeInput(const corpus::Vuc& vuc, std::span<float> out) const;
   /// The token rows of a VUC's window (std::invalid_argument when its
   /// length is not the engine's 2w+1).
   std::vector<embed::TokenRow> windowRows(const corpus::Vuc& vuc) const;
   /// Stage `s`'s training subset: class grouping over the labels (O(1) on
   /// every source) followed by the balanced subsample. A pure function of
-  /// (labels, cfg, rng state) — trainStage derives it live, and
-  /// preGatherStages replays it from the same per-stage seeds to learn the
-  /// union of all remaining subsets without perturbing any stage RNG.
+  /// (labels, cfg, rng state).
   std::vector<uint32_t> stageTrainSet(Stage s, const corpus::VucSource& src,
                                       Rng& rng) const;
-  /// Makes the union of the training subsets of stages [startStage,
-  /// kNumStages) resident (a no-op for in-memory sources), so each
-  /// trainStage's own gather call finds its subset already decoded instead
-  /// of paying a streaming pass per stage. With `planOnly` the union is
-  /// only announced via planGather — the next full forEach pass (the
-  /// tokenize pass) fulfils it for free.
-  void preGatherStages(corpus::VucSource& src,
-                       const std::array<uint64_t, kNumStages>& seeds,
-                       int startStage, bool planOnly) const;
-  /// Trains stage `s` starting at `startEpoch` (0 for a fresh stage). On a
-  /// mid-stage resume, the shuffle/dropout RNG prefix is replayed from
+  /// Trains stage `s` starting at `startEpoch` (0 for a fresh stage) on
+  /// samples encoded from `ids` (VUC i's window as 3 token ids per row). On
+  /// a mid-stage resume, the shuffle/dropout RNG prefix is replayed from
   /// `seed` and the Adam moments are restored from `adamState`, so the
   /// continued run is bit-identical to one that never stopped. `ck`/`seeds`
   /// drive checkpoint writes at epoch boundaries when checkpointing is on.
-  void trainStage(Stage s, corpus::VucSource& src, uint64_t seed,
+  void trainStage(Stage s, const corpus::VucSource& src,
+                  std::span<const std::vector<int32_t>> ids, uint64_t seed,
                   par::ThreadPool& pool, int startEpoch = 0,
                   std::istream* adamState = nullptr,
                   const TrainCheckpointing* ck = nullptr,
@@ -341,9 +331,16 @@ class Engine {
                             const std::array<uint64_t, kNumStages>& seeds,
                             const nn::Adam* adam, uint64_t numVars,
                             uint64_t numVucs) const;
+  /// Reads the encoder and the six stage nets of a model or checkpoint
+  /// payload, checked against cfg_: the encoder must have cfg_'s embedding
+  /// size, each stage net must take inputShape() and emit one logit per
+  /// class, and the stages must not mix fp32 and int8 layers. Returns true
+  /// when they hold int8 layers. Throws CorruptError prefixed with `what`.
+  bool readNets(std::istream& body, const std::string& what);
   /// Restores train() state from dir/train.ckpt. Returns false when no
   /// checkpoint exists (fresh start); throws CorruptError on a damaged file
-  /// and std::runtime_error on a config / dataset mismatch.
+  /// (readNets' checks included, and no int8 layers) and std::runtime_error
+  /// on a config / dataset mismatch.
   bool loadTrainCheckpoint(const TrainCheckpointing& ck, uint64_t numVars,
                            uint64_t numVucs, int& startStage, int& startEpoch,
                            std::array<uint64_t, kNumStages>& seeds,

@@ -268,10 +268,16 @@ Dataset ShardedCorpus::readShard(size_t idx) const {
   }
   // Globalize ids exactly as Dataset::append would when concatenating the
   // shards in order — bound-checked first so labelOf/vucsByVar-style
-  // indexing downstream can trust them.
+  // indexing downstream can trust them. Every window must hold the
+  // manifest's 2w+1 instructions: the engine lays each out as one sample.
   const auto vb = static_cast<uint32_t>(varBase_[idx]);
   const auto ab = static_cast<uint32_t>(appBase_[idx]);
+  const size_t rows = 2 * static_cast<size_t>(manifest_.window) + 1;
   for (Vuc& v : d.vucs) {
+    if (v.window.size() != rows) {
+      corruptShard(idx, s.file,
+                   "VUC window length does not match the manifest window");
+    }
     if (v.varId >= d.vars.size()) {
       corruptShard(idx, s.file, "VUC variable id out of range");
     }
@@ -287,16 +293,11 @@ Dataset ShardedCorpus::readShard(size_t idx) const {
 }
 
 void ShardedCorpus::forEachShard(
-    const std::function<void(size_t, Dataset&)>& fn,
-    const std::function<bool(size_t)>& want) const {
+    const std::function<void(const Dataset&)>& fn) const {
   static obs::Histogram& stallNs = obs::timer("train.prefetch_stall_ns");
   static obs::Histogram& shardNs = obs::timer("train.shard_ns");
-  std::vector<size_t> order;
-  order.reserve(manifest_.shards.size());
-  for (size_t i = 0; i < manifest_.shards.size(); ++i) {
-    if (!want || want(i)) order.push_back(i);
-  }
-  if (order.empty()) return;
+  const size_t n = manifest_.shards.size();
+  if (n == 0) return;
 
   // Double-buffered prefetch: the reader thread decodes at most one shard
   // ahead and waits for the slot to empty BEFORE decoding the next, so the
@@ -311,7 +312,7 @@ void ShardedCorpus::forEachShard(
   std::exception_ptr readerErr;
   std::thread reader([&] {
     try {
-      for (const size_t k : order) {
+      for (size_t k = 0; k < n; ++k) {
         {
           std::unique_lock<std::mutex> lk(mu);
           cv.wait(lk, [&] { return !slot.has_value() || stop; });
@@ -335,7 +336,7 @@ void ShardedCorpus::forEachShard(
   });
 
   try {
-    for (const size_t k : order) {
+    for (size_t k = 0; k < n; ++k) {
       Dataset d;
       bool failed = false;
       {
@@ -358,7 +359,7 @@ void ShardedCorpus::forEachShard(
       if (failed) break;
       cv.notify_all();
       const obs::ScopedTimer consuming(shardNs);
-      fn(k, d);
+      fn(d);
     }
   } catch (...) {
     {
@@ -378,116 +379,24 @@ void ShardedCorpus::forEachShard(
   if (readerErr != nullptr) std::rethrow_exception(readerErr);
 }
 
-uint64_t ShardedCorpus::streamingResidentBytes(uint64_t gatherCap) const {
+uint64_t ShardedCorpus::streamingResidentBytes() const {
   uint64_t maxShard = 0;
-  uint64_t total = 0;
   for (const ShardInfo& s : manifest_.shards) {
     maxShard = std::max(maxShard, s.residentBytes);
-    total += s.residentBytes;
   }
-  // Per-VUC footprint averaged over the whole corpus; slightly high (it
-  // amortizes var/app bookkeeping into VUCs), which errs on the safe side
-  // for the admission check.
-  const uint64_t avgVuc = totalVucs_ ? total / totalVucs_ : 0;
-  const uint64_t gathered = std::min<uint64_t>(gatherCap, totalVucs_) * avgVuc;
-  return 2 * maxShard + gathered + labels_.size();
+  const uint64_t idsPerVuc =
+      3 * (2 * static_cast<uint64_t>(manifest_.window) + 1);
+  const uint64_t ids =
+      totalVucs_ * (sizeof(std::vector<int32_t>) + idsPerVuc * sizeof(int32_t));
+  return 2 * maxShard + ids + labels_.size();
 }
 
 // --- ShardedSource -----------------------------------------------------------
 
-bool ShardedSource::canonicalize(std::span<const uint32_t> idxs,
-                                 std::vector<uint32_t>& out) const {
-  out.assign(idxs.begin(), idxs.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (!out.empty() && out.back() >= sc_.numVucs()) {
-    throw std::out_of_range("ShardedSource::gather: index out of range");
-  }
-  // Residency fast path: when everything requested is already gathered
-  // (the engine pre-gathers the union of all stage subsets in one pass),
-  // the superset is kept and no shard is touched.
-  return std::includes(gatherIdx_.begin(), gatherIdx_.end(), out.begin(),
-                       out.end());
-}
-
-void ShardedSource::planGather(std::span<const uint32_t> idxs) {
-  std::vector<uint32_t> want;
-  if (canonicalize(idxs, want)) return;
-  planned_ = std::move(want);
-}
-
 void ShardedSource::forEach(const std::function<void(const Vuc&)>& fn) {
-  if (planned_.empty()) {
-    sc_.forEachShard([&](size_t /*shard*/, Dataset& d) {
-      for (const Vuc& v : d.vucs) fn(v);
-    });
-    return;
-  }
-  // Fulfil the planned gather during this pass: the planned indices are
-  // moved out of each shard as it streams by (after `fn` has seen the
-  // shard — the decoded dataset is discarded anyway), so the later
-  // gather() calls find them resident without another pass.
-  gatherIdx_ = std::move(planned_);
-  planned_.clear();
-  gathered_.clear();
-  gathered_.resize(gatherIdx_.size());
-  sc_.forEachShard([&](size_t s, Dataset& d) {
+  sc_.forEachShard([&](const Dataset& d) {
     for (const Vuc& v : d.vucs) fn(v);
-    const uint64_t base = sc_.vucBase(s);
-    const auto lo = std::lower_bound(gatherIdx_.begin(), gatherIdx_.end(),
-                                     static_cast<uint32_t>(base));
-    const auto hi = std::lower_bound(
-        gatherIdx_.begin(), gatherIdx_.end(),
-        static_cast<uint32_t>(base + d.vucs.size()));
-    for (auto it = lo; it != hi; ++it) {
-      gathered_[static_cast<size_t>(it - gatherIdx_.begin())] =
-          std::move(d.vucs[*it - base]);
-    }
   });
-}
-
-void ShardedSource::gather(std::span<const uint32_t> idxs) {
-  std::vector<uint32_t> want;
-  if (canonicalize(idxs, want)) return;
-  // The requested set is not resident — the planned pass either never ran
-  // or did not cover it; pay a dedicated streaming pass for exactly this
-  // set (residency stays bounded by the request).
-  planned_.clear();
-  gatherIdx_ = std::move(want);
-  gathered_.clear();
-  gathered_.resize(gatherIdx_.size());
-  if (gatherIdx_.empty()) return;
-  const auto shardRange = [&](size_t s) {
-    const uint64_t base = sc_.vucBase(s);
-    const uint64_t end = base + sc_.manifest().shards[s].vucs;
-    const auto lo = std::lower_bound(gatherIdx_.begin(), gatherIdx_.end(),
-                                     static_cast<uint32_t>(base));
-    const auto hi = std::lower_bound(gatherIdx_.begin(), gatherIdx_.end(),
-                                     static_cast<uint32_t>(end));
-    return std::pair(lo, hi);
-  };
-  sc_.forEachShard(
-      [&](size_t s, Dataset& d) {
-        const uint64_t base = sc_.vucBase(s);
-        const auto [lo, hi] = shardRange(s);
-        for (auto it = lo; it != hi; ++it) {
-          gathered_[static_cast<size_t>(it - gatherIdx_.begin())] =
-              std::move(d.vucs[*it - base]);
-        }
-      },
-      // Shards with no selected index are never read or decoded.
-      [&](size_t s) {
-        const auto [lo, hi] = shardRange(s);
-        return lo != hi;
-      });
-}
-
-const Vuc& ShardedSource::vuc(uint32_t i) const {
-  const auto it = std::lower_bound(gatherIdx_.begin(), gatherIdx_.end(), i);
-  if (it == gatherIdx_.end() || *it != i) {
-    throw std::logic_error("ShardedSource::vuc: index was not gathered");
-  }
-  return gathered_[static_cast<size_t>(it - gatherIdx_.begin())];
 }
 
 }  // namespace cati::corpus

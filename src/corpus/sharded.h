@@ -10,9 +10,13 @@
 // shards and either no manifest or a complete one — never a torn file.
 //
 // Reading is strict: any mismatch between the manifest and a shard file
-// (missing file, size or CRC mismatch, count/window disagreement, id out of
-// range) throws cati::CorruptError naming the shard, which tools surface as
-// exit code 4.
+// (missing file, size or CRC mismatch, count/window disagreement, a VUC
+// window of the wrong length, id out of range) throws cati::CorruptError
+// naming the shard, which tools surface as exit code 4.
+//
+// A training run reads every shard once: ShardedSource::forEach feeds the
+// engine's tokenization pass, and from then on the engine holds token ids,
+// never VUCs.
 #pragma once
 
 #include <cstdint>
@@ -122,31 +126,27 @@ class ShardedCorpus {
   }
 
   /// Decodes shard `s`: reads the file, verifies its size and CRC against
-  /// the manifest, parses the CDST payload, cross-checks counts/window and
-  /// id bounds, and remaps var/app ids to their global ranges. Throws
-  /// cati::CorruptError naming the shard on any mismatch.
+  /// the manifest, parses the CDST payload, cross-checks counts, window,
+  /// every VUC's window length and id bounds, and remaps var/app ids to
+  /// their global ranges. Throws cati::CorruptError naming the shard on any
+  /// mismatch.
   Dataset readShard(size_t s) const;
 
-  /// Streams shards in index order through `fn(shard, dataset)` with a
+  /// Streams shards in index order through `fn(dataset)` with a
   /// double-buffered background prefetch thread: shard k+1 is read+decoded
   /// while `fn` consumes shard k, and at most two decoded shards are
-  /// resident at any instant. The dataset is discarded when `fn` returns,
-  /// so the callback may cannibalize it (move VUCs out) — ShardedSource's
-  /// gather relies on this to avoid deep-copying the selected VUCs.
-  /// `want(s)` (optional) skips shards entirely — they are neither read nor
-  /// decoded. Consumption order is always ascending shard index, so
-  /// downstream results never depend on prefetch timing. Observes
+  /// resident at any instant. The dataset is discarded when `fn` returns.
+  /// Consumption order is always ascending shard index, so downstream
+  /// results never depend on prefetch timing. Observes
   /// train.prefetch_stall_ns (consumer waited on I/O) and train.shard_ns
   /// (consumer time per shard).
-  void forEachShard(const std::function<void(size_t, Dataset&)>& fn,
-                    const std::function<bool(size_t)>& want = nullptr) const;
+  void forEachShard(const std::function<void(const Dataset&)>& fn) const;
 
-  /// The streaming path's peak-resident estimate: two decoded shards plus
-  /// the gathered training subset (`gatherCap` VUCs at the corpus-average
-  /// VUC footprint — the engine pre-gathers the union of every stage's
-  /// subset, so pass stages x per-stage cap) plus the flat label array.
-  /// Feeds the cati-train --max-resident admission check.
-  uint64_t streamingResidentBytes(uint64_t gatherCap) const;
+  /// The streaming path's peak-resident estimate: two decoded shards (the
+  /// prefetch pipeline's bound) plus the per-VUC token ids the engine keeps
+  /// for stage training (3 ids per window row, one vector per VUC) plus the
+  /// flat label array. Feeds the cati-train --max-resident admission check.
+  uint64_t streamingResidentBytes() const;
 
  private:
   std::filesystem::path dir_;
@@ -160,8 +160,7 @@ class ShardedCorpus {
 };
 
 /// A ShardedCorpus as a VucSource: labels from the manifest, forEach as a
-/// prefetch-pipelined streaming pass, gather as one streaming pass over the
-/// intersecting shards keeping only the selected VUCs.
+/// prefetch-pipelined streaming pass.
 class ShardedSource final : public VucSource {
  public:
   explicit ShardedSource(const ShardedCorpus& sc) : sc_(sc) {}
@@ -170,23 +169,10 @@ class ShardedSource final : public VucSource {
   uint64_t numVars() const override { return sc_.numVars(); }
   uint64_t numVucs() const override { return sc_.numVucs(); }
   TypeLabel labelOf(uint32_t i) const override { return sc_.labelOf(i); }
-  /// Streams every VUC; when a planGather is pending, the planned indices
-  /// are copied out during this same pass (one pass serves both).
   void forEach(const std::function<void(const Vuc&)>& fn) override;
-  void gather(std::span<const uint32_t> idxs) override;
-  /// Defers the gather to the next forEach pass (no I/O here).
-  void planGather(std::span<const uint32_t> idxs) override;
-  const Vuc& vuc(uint32_t i) const override;
 
  private:
-  /// Sorts/uniques/bounds-checks a request; true when already resident.
-  bool canonicalize(std::span<const uint32_t> idxs,
-                    std::vector<uint32_t>& out) const;
-
   const ShardedCorpus& sc_;
-  std::vector<uint32_t> gatherIdx_;  ///< sorted unique gathered indices
-  std::vector<Vuc> gathered_;        ///< gathered_[k] is VUC gatherIdx_[k]
-  std::vector<uint32_t> planned_;    ///< pending planGather request
 };
 
 }  // namespace cati::corpus

@@ -9,23 +9,19 @@
 //                   it from the manifest, no shard decode needed). This is
 //                   what per-stage class grouping and balancedSubsample
 //                   consume, so subsampling never touches shard bytes.
-//   * forEach     — one streaming pass over every VUC in dataset order
-//                   (tokenization / vocabulary building).
-//   * gather/vuc  — make an explicit index set resident, then access it at
-//                   random during the epoch loop. The in-memory source's
-//                   gather is a no-op; the sharded source streams exactly
-//                   the shards that intersect the set and keeps only the
-//                   selected VUCs (≤ maxTrainPerStage of them).
+//   * forEach     — one streaming pass over every VUC in dataset order.
+//                   The engine makes exactly one: it tokenizes every VUC
+//                   into vocabulary ids, and those ids — not the VUCs — are
+//                   what word2vec and every stage net train on.
 //
 // The split is what makes streaming bit-identical to in-memory training:
 // every RNG-consuming decision (subsample, shuffles, dropout streams) is a
-// function of indices and labels only, and the gathered VUC bytes are the
-// same bytes the in-memory dataset holds at the same global indices.
+// function of indices and labels only, and the ids at a global index come
+// from the same VUC the in-memory dataset holds there.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
 
 #include "corpus/corpus.h"
 
@@ -45,24 +41,6 @@ class VucSource {
   /// Streams every VUC in dataset order. The reference is only valid for
   /// the duration of the callback.
   virtual void forEach(const std::function<void(const Vuc&)>& fn) = 0;
-
-  /// Makes exactly the given global indices resident for vuc(). Replaces
-  /// any previous gather; indices may arrive in any order. A gather whose
-  /// indices are all already resident is a no-op (the engine relies on
-  /// this: it pre-gathers the union of every stage's subset once, and the
-  /// per-stage gathers then cost nothing).
-  virtual void gather(std::span<const uint32_t> idxs) = 0;
-
-  /// Announces a gather the caller will need after its next full forEach
-  /// pass, letting a streaming source fulfil it during that pass instead
-  /// of paying a separate one (the engine plans the union of all stage
-  /// subsets before tokenization, which is a full pass anyway). Default:
-  /// gather immediately — correct everywhere, just without the overlap.
-  virtual void planGather(std::span<const uint32_t> idxs) { gather(idxs); }
-
-  /// A resident VUC: always available on an in-memory source, available
-  /// after gather() on a streaming one. Thread-safe for concurrent reads.
-  virtual const Vuc& vuc(uint32_t i) const = 0;
 };
 
 /// The in-memory corpus::Dataset as a VucSource (the historical train path).
@@ -77,8 +55,6 @@ class DatasetSource final : public VucSource {
   void forEach(const std::function<void(const Vuc&)>& fn) override {
     for (const Vuc& v : ds_.vucs) fn(v);
   }
-  void gather(std::span<const uint32_t> /*idxs*/) override {}
-  const Vuc& vuc(uint32_t i) const override { return ds_.vucs[i]; }
 
  private:
   const Dataset& ds_;

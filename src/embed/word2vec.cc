@@ -79,11 +79,6 @@ TokenizedCorpus tokenize(corpus::VucSource& src) {
   return out;
 }
 
-TokenizedCorpus tokenize(const corpus::Dataset& ds) {
-  corpus::DatasetSource src(ds);
-  return tokenize(src);
-}
-
 namespace {
 
 float sigmoid(float x) {

@@ -51,17 +51,16 @@ class Vocab {
   std::vector<uint64_t> counts_;
 };
 
-/// Builds the vocabulary and the token "sentences" (one per VUC: the 63
-/// mnemonic/operand tokens in order) from a training dataset.
+/// The vocabulary and the token "sentences" (one per VUC: its window's
+/// mnemonic/operand tokens in order, 3 per instruction) of a training set.
 struct TokenizedCorpus {
   Vocab vocab;
   std::vector<std::vector<int32_t>> sentences;
 };
-TokenizedCorpus tokenize(const corpus::Dataset& ds);
-/// Streaming tokenization: one forEach pass in dataset order, so the vocab
-/// (first-occurrence token ids) and sentences are byte-identical to the
-/// in-memory overload over the equivalent Dataset. The token stream — not
-/// the VUCs — is what stays resident for word2vec training.
+/// One forEach pass in dataset order: token ids are assigned at first
+/// occurrence, so an in-memory and a sharded source over the same VUCs give
+/// the same bytes. The token stream — not the VUCs — is what stays resident
+/// for word2vec and stage training.
 TokenizedCorpus tokenize(corpus::VucSource& src);
 
 struct W2VConfig {

@@ -22,8 +22,11 @@
 #include "common/errors.h"
 #include "common/fault.h"
 #include "common/parallel.h"
+#include "common/serialize.h"
 #include "corpus/corpus.h"
 #include "nn/nn.h"
+#include "nn/qnn.h"
+#include "support/framed_model.h"
 #include "support/micro_model.h"
 
 namespace cati {
@@ -193,6 +196,68 @@ TEST_F(CheckpointTest, ResumeRejectsCorruptCheckpoint) {
   Engine e(ckptConfig());
   const TrainCheckpointing rk{dir_, 1, true};
   EXPECT_THROW(e.train(ds_, &pool, &rk), CorruptError);
+}
+
+TEST_F(CheckpointTest, ResumeRejectsStageNetsThatDoNotFitTheConfig) {
+  // A CRC only proves the bytes arrived as written. The checkpoint's stage
+  // nets are checked on their contents as a model's are (Engine::load), and
+  // int8 layers have no place in a training checkpoint.
+  const TrainCheckpointing ck{dir_, 1, false};
+  par::ThreadPool pool(1);
+  Engine stopped(ckptConfig());
+  fault::configureForTest("stop@train.checkpoint:1");
+  EXPECT_THROW(stopped.train(ds_, &pool, &ck), fault::Stop);
+  fault::configureForTest("");
+
+  const stdfs::path p = dir_ / "train.ckpt";
+  std::string file;
+  {
+    std::ifstream is(p, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    file = std::move(buf).str();
+  }
+  // Magic, version and payload length, then the payload, then the CRC.
+  ASSERT_GT(file.size(), 20U);
+  const std::string payload = file.substr(16, file.size() - 20);
+  std::ostringstream nets;
+  for (int s = 0; s < kNumStages; ++s) {
+    stopped.stageNet(static_cast<Stage>(s)).save(nets);
+  }
+  const size_t at = payload.find(nets.str());
+  ASSERT_NE(at, std::string::npos);
+
+  const EngineConfig cfg = ckptConfig();
+  for (const bool quantized : {false, true}) {
+    // Stage1 with 3 logits, or all six nets well-shaped but int8.
+    const std::string why = quantized ? "int8" : "stage Stage1";
+    SCOPED_TRACE(why);
+    std::ostringstream bytes;
+    for (const nn::Sequential& net :
+         testsupport::stageNets(cfg, quantized ? -1 : 0)) {
+      if (quantized) {
+        nn::quantizeNet(net).save(bytes);
+      } else {
+        net.save(bytes);
+      }
+    }
+    std::string body = payload;
+    body.replace(at, nets.str().size(), bytes.str());
+    {
+      std::ofstream os(p, std::ios::binary | std::ios::trunc);
+      io::writeChecksummed(os, 0x43434b50 /*"CCKP"*/, 1,
+                           [&](std::ostream& b) { b << body; });
+    }
+    Engine e(cfg);
+    const TrainCheckpointing rk{dir_, 1, true};
+    try {
+      e.train(ds_, &pool, &rk);
+      ADD_FAILURE() << "resumed from a checkpoint with unfit stage nets";
+    } catch (const CorruptError& err) {
+      EXPECT_NE(std::string(err.what()).find(why), std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 TEST_F(CheckpointTest, EveryEpochsThrottlesMidStageCheckpoints) {

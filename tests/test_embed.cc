@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 
+#include "corpus/source.h"
 #include "synth/synth.h"
 
 namespace cati::embed {
@@ -49,7 +50,8 @@ TEST(Tokenize, SixtyThreeTokensPerVuc) {
   const synth::Binary bin = synth::generateBinary(
       synth::defaultProfile("e", 0x4, 4), synth::Dialect::Gcc, 2, 3);
   const corpus::Dataset ds = corpus::extractGroundTruth(bin, 10);
-  const TokenizedCorpus tc = tokenize(ds);
+  corpus::DatasetSource src(ds);
+  const TokenizedCorpus tc = tokenize(src);
   ASSERT_EQ(tc.sentences.size(), ds.vucs.size());
   for (const auto& s : tc.sentences) EXPECT_EQ(s.size(), 63U);
   EXPECT_GT(tc.vocab.size(), 10);
@@ -102,7 +104,8 @@ TEST(Word2Vec, VectorsAreFiniteAndBounded) {
   const synth::Binary bin = synth::generateBinary(
       synth::defaultProfile("e2", 0x8, 6), synth::Dialect::Gcc, 1, 9);
   const corpus::Dataset ds = corpus::extractGroundTruth(bin, 10);
-  TokenizedCorpus tc = tokenize(ds);
+  corpus::DatasetSource src(ds);
+  TokenizedCorpus tc = tokenize(src);
   W2VConfig cfg;
   cfg.epochs = 1;
   Word2Vec w2v;
@@ -142,7 +145,8 @@ TEST(Encoder, LayoutAndOcclusion) {
   const synth::Binary bin = synth::generateBinary(
       synth::defaultProfile("e3", 0x2, 4), synth::Dialect::Gcc, 2, 5);
   const corpus::Dataset ds = corpus::extractGroundTruth(bin, 10);
-  TokenizedCorpus tc = tokenize(ds);
+  corpus::DatasetSource src(ds);
+  TokenizedCorpus tc = tokenize(src);
   W2VConfig cfg;
   cfg.epochs = 1;
   Word2Vec w2v;

@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -32,10 +33,12 @@
 #include "cati/engine.h"
 #include "common/errors.h"
 #include "common/fault.h"
+#include "common/obs.h"
 #include "common/parallel.h"
 #include "corpus/corpus.h"
 #include "corpus/sharded.h"
 #include "corpus/source.h"
+#include "embed/word2vec.h"
 #include "synth/synth.h"
 
 namespace cati {
@@ -146,10 +149,12 @@ class ShardedTest : public ::testing::Test {
   }
 
   std::string trainStream(int jobs, int batch,
-                          const TrainCheckpointing* ck = nullptr) {
+                          const TrainCheckpointing* ck = nullptr,
+                          int epochs = 0) {
     par::ThreadPool pool(jobs);
     EngineConfig cfg = shardCfg();
     if (batch > 0) cfg.batchSize = batch;
+    if (epochs > 0) cfg.epochs = epochs;
     Engine e(cfg);
     corpus::ShardedCorpus sc(corpusDir());
     corpus::ShardedSource src(sc);
@@ -199,32 +204,21 @@ TEST_F(ShardedTest, StreamsBackExactlyTheInMemoryVucs) {
   EXPECT_EQ(vucs, sc.numVucs());
 }
 
-TEST_F(ShardedTest, GatherKeepsExactlyTheRequestedVucs) {
+TEST_F(ShardedTest, ResidentEstimateCountsTwoShardsTheTokenIdsAndLabels) {
   writeShards(corpusDir());
-  const corpus::Dataset all = inMemoryDataset();
   corpus::ShardedCorpus sc(corpusDir());
-  corpus::ShardedSource src(sc);
-
-  const auto last = static_cast<uint32_t>(all.vucs.size() - 1);
-  // Unsorted with a duplicate: gather must canonicalize.
-  const std::vector<uint32_t> want = {last, 5, 0, 5,
-                                      static_cast<uint32_t>(kShardVucs + 3)};
-  src.gather(want);
-  for (const uint32_t i : want) {
-    expectVucEq(src.vuc(i), all.vucs[i], i);
+  uint64_t maxShard = 0;
+  for (const corpus::ShardInfo& s : sc.manifest().shards) {
+    maxShard = std::max(maxShard, s.residentBytes);
   }
-  // An index that was never gathered is a programming error, not a silent
-  // wrong VUC.
-  EXPECT_THROW(src.vuc(1), std::logic_error);
-}
-
-TEST_F(ShardedTest, ResidentEstimateIsPositiveAndMonotonicInCap) {
-  writeShards(corpusDir());
-  corpus::ShardedCorpus sc(corpusDir());
-  const uint64_t small = sc.streamingResidentBytes(10);
-  const uint64_t large = sc.streamingResidentBytes(10000);
-  EXPECT_GT(small, 0U);
-  EXPECT_GE(large, small);
+  // The ids term is exactly what tokenization keeps resident for training.
+  corpus::ShardedSource src(sc);
+  const embed::TokenizedCorpus tokens = embed::tokenize(src);
+  uint64_t ids = 0;
+  for (const std::vector<int32_t>& sentence : tokens.sentences) {
+    ids += sizeof(sentence) + sentence.capacity() * sizeof(int32_t);
+  }
+  EXPECT_EQ(sc.streamingResidentBytes(), 2 * maxShard + ids + sc.numVucs());
 }
 
 // --- determinism -------------------------------------------------------------
@@ -290,6 +284,81 @@ TEST_F(ShardedTest, CheckpointsInterchangeableBetweenMemoryAndStreaming) {
   const TrainCheckpointing r2{d2, 1, true};
   EXPECT_EQ(trainMem(1, 0, &r2), baseline)
       << "in-memory resume of a streaming checkpoint differs";
+}
+
+TEST_F(ShardedTest, StreamingTrainReadsEveryShardOnce) {
+  // DESIGN.md §12: a fresh run decodes each shard in its tokenization pass
+  // and never again; a resumed run pays one pass to rebuild the token ids.
+  writeShards(corpusDir());
+  const bool wasOn = obs::enabled();
+  obs::setEnabled(true);
+  obs::Counter& reads = obs::counter("corpus.shards.read");
+  const uint64_t shards = corpus::ShardedCorpus(corpusDir()).numShards();
+
+  uint64_t before = reads.value();
+  trainStream(2, 0);
+  EXPECT_EQ(reads.value() - before, shards) << "fresh run";
+
+  // epochs=2 puts boundary 4 mid-way through the second stage, so the
+  // resume also restores Adam moments.
+  const stdfs::path d = dir_ / "ck";
+  const TrainCheckpointing ck{d, 1, false};
+  fault::configureForTest("stop@train.checkpoint:4");
+  before = reads.value();
+  EXPECT_THROW(trainStream(1, 0, &ck, 2), fault::Stop);
+  fault::configureForTest("");
+  EXPECT_EQ(reads.value() - before, shards) << "run stopped mid-stage";
+  const TrainCheckpointing rk{d, 1, true};
+  before = reads.value();
+  trainStream(1, 0, &rk, 2);
+  EXPECT_EQ(reads.value() - before, shards) << "resumed run";
+  obs::setEnabled(wasOn);
+}
+
+// --- window lengths at the input boundary -----------------------------------
+
+TEST_F(ShardedTest, ShortWindowInAShardIsCorruptErrorNamingTheShard) {
+  std::vector<corpus::Dataset> parts = microParts();
+  ASSERT_GE(parts.size(), 2U);
+  parts[1].vucs.front().window.pop_back();
+  {
+    corpus::ShardWriter w(corpusDir(), kWindow, kShardVucs);
+    for (corpus::Dataset& p : parts) w.append(std::move(p));
+    w.finish();
+  }
+  corpus::ShardedCorpus sc(corpusDir());
+  // The damaged VUC lives in the shard holding the second binary.
+  const uint64_t at = microParts()[0].vucs.size();
+  size_t shard = 0;
+  while (shard + 1 < sc.numShards() && sc.vucBase(shard + 1) <= at) ++shard;
+  try {
+    sc.readShard(shard);
+    FAIL() << "decoded a shard holding a short VUC window";
+  } catch (const CorruptError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard " + std::to_string(shard)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("window length"), std::string::npos) << what;
+  }
+}
+
+TEST_F(ShardedTest, ShortUnlabeledWindowIsRejectedBeforeTraining) {
+  // An unlabeled VUC is never a stage sample, but it is tokenized and
+  // trained on by word2vec, so its window must be checked all the same.
+  corpus::Dataset ds = inMemoryDataset();
+  corpus::Vuc& v = ds.vucs.back();
+  v.label = TypeLabel::kCount;
+  v.window.pop_back();
+  v.posLabel.pop_back();
+  Engine e(shardCfg());
+  try {
+    e.train(ds);
+    FAIL() << "trained on a VUC whose window is one instruction short";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("window length"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 // --- corruption matrix -------------------------------------------------------

@@ -9,12 +9,13 @@
 //
 // Streaming training (DESIGN.md §12): with --corpus-dir DIR the training
 // set comes from a sharded CSHD corpus built by `cati-synth --shards` and
-// is never materialized — tokenization and per-stage gathers stream the
-// shards with prefetch pipelining, so resident memory is bounded by two
-// decoded shards plus the per-stage training subset. --max-resident SIZE
-// (K/M/G) makes that bound an admission check: training refuses to start
-// when the corpus's streaming working set exceeds the budget. For a fixed
-// shard plan the model bytes are identical to the in-memory path.
+// is never materialized — tokenization streams the shards once with
+// prefetch pipelining, and training goes on from the token ids, so
+// resident memory is bounded by two decoded shards plus 3 ids per window
+// row of every VUC. --max-resident SIZE (K/M/G) makes that bound an
+// admission check: training refuses to start when the corpus's streaming
+// working set exceeds the budget. For a fixed shard plan the model bytes
+// are identical to the in-memory path.
 //
 // Usage: cati-train MODEL.bin [--apps N] [--funcs K] [--dialect gcc|clang]
 //                   [--corpus-dir DIR] [--max-resident SIZE]
@@ -194,17 +195,13 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     }
     cfg.window = sc.window();
     if (maxResident > 0) {
-      // The engine keeps the union of all six stages' training subsets
-      // resident (one gather pass instead of six), so the admission check
-      // budgets stages x per-stage cap gathered VUCs.
-      const uint64_t need = sc.streamingResidentBytes(
-          static_cast<uint64_t>(kNumStages) * cfg.maxTrainPerStage);
+      const uint64_t need = sc.streamingResidentBytes();
       if (need > maxResident) {
         throw cli::UsageError(
             "--max-resident: streaming working set is ~" +
             std::to_string(need) + " bytes (> " + std::to_string(maxResident) +
-            "); raise the budget, lower --cap, or rebuild the corpus with a "
-            "smaller cati-synth --shard-vucs");
+            "); raise the budget, or rebuild the corpus with a smaller "
+            "cati-synth --shard-vucs");
       }
     }
     std::printf("streaming corpus %s: %zu shards, %llu VUCs, %llu variables "
