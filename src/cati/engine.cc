@@ -178,13 +178,11 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
 
   auto& net = stages_[static_cast<size_t>(s)];
   nn::Adam adam(net.params(), {.lr = cfg_.lr});
-  const std::vector<nn::Param*> masterParams = net.params();
-  size_t totalParams = 0;
-  for (const nn::Param* p : masterParams) totalParams += p->value.size();
 
   // Workers share the one const net — master weights only change in
-  // adam.step, outside the parallel region — and own only a scratch arena
-  // plus reusable batch buffers. No weight replicas, no per-batch sync.
+  // adam.step, after the chunks of a minibatch finish — and own only a
+  // scratch arena plus reusable batch buffers. No weight replicas, no
+  // per-batch sync.
   const int jobs = pool.jobs();
   struct TrainWorker {
     nn::Scratch scratch;
@@ -203,13 +201,17 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
   const auto inSize = static_cast<size_t>(inputShape().size());
   const size_t rows = 2 * static_cast<size_t>(cfg_.window) + 1;
   struct ChunkOut {
-    std::vector<float> grads;
     double loss = 0.0;
     size_t correct = 0;
   };
   std::vector<ChunkOut> chunkOut;
   const auto batchSize = static_cast<size_t>(std::max(1, cfg_.batchSize));
   uint64_t batchId = 1;
+  // One flat gradient slab per chunk of a full minibatch, allocated once per
+  // stage: chunk c writes slab c, and Adam sums the slabs per element in
+  // ascending chunk order inside its update, so the bits are jobs-invariant.
+  const size_t slabFloats = adam.numParams();
+  std::vector<float> slabs(par::numChunks(batchSize, kGradChunk) * slabFloats);
 
   // Mid-stage resume: everything the checkpoint did NOT serialize is
   // re-derived here by replaying the RNG prefix — the per-epoch shuffles
@@ -218,9 +220,20 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
   // count. Only the Adam moments carry true state, restored below.
   if (startEpoch > 0) {
     for (int e = 0; e < startEpoch; ++e) rng.shuffle(train);
-    batchId += static_cast<uint64_t>(startEpoch) *
-               par::numChunks(train.size(), batchSize);
+    const uint64_t batches = static_cast<uint64_t>(startEpoch) *
+                             par::numChunks(train.size(), batchSize);
+    batchId += batches;
     if (adamState != nullptr) adam.load(*adamState);
+    // A CRC-valid checkpoint can still carry a step count that is not the
+    // one its epoch cursor implies; t <= 0 would zero Adam's bias correction
+    // and turn every weight into NaN.
+    if (adam.steps() != static_cast<int64_t>(batches)) {
+      throw CorruptError("checkpoint: stage " + std::string(stageName(s)) +
+                         " Adam step count " + std::to_string(adam.steps()) +
+                         " does not match epoch " +
+                         std::to_string(startEpoch) + " (" +
+                         std::to_string(batches) + " minibatches)");
+    }
   }
 
   for (int epoch = startEpoch; epoch < cfg_.epochs; ++epoch) {
@@ -258,7 +271,7 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
         // the historical sample-at-a-time fold over [cb, ce).
         const auto logits = net.forward(t.input, static_cast<int>(nb),
                                         t.scratch, nn::Phase::kTrain);
-        ChunkOut out;
+        ChunkOut& out = chunkOut[c];
         for (size_t k = 0; k < nb; ++k) {
           const int target =
               stageClassOf(s, src.labelOf(train[batch + cb + k]));
@@ -274,25 +287,15 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
                            static_cast<size_t>(classes)));
         }
         net.backward(t.dLogits, static_cast<int>(nb), t.scratch);
-        out.grads.reserve(totalParams);
-        t.scratch.appendGrads(out.grads);
-        chunkOut[c] = std::move(out);
+        t.scratch.copyGrads(
+            std::span(slabs).subspan(c * slabFloats, slabFloats));
       });
-      // Ordered merge: chunk gradients sum into the master in ascending
-      // chunk index, so the FP accumulation order is jobs-invariant.
-      net.zeroGrad();
       for (const ChunkOut& out : chunkOut) {
-        size_t off = 0;
-        for (nn::Param* p : masterParams) {
-          for (size_t i = 0; i < p->grad.size(); ++i) {
-            p->grad[i] += out.grads[off + i];
-          }
-          off += p->grad.size();
-        }
         lossSum += out.loss;
         correct += out.correct;
       }
-      adam.step(1.0F / static_cast<float>(bn));
+      adam.step(std::span(slabs).first(chunks * slabFloats),
+                1.0F / static_cast<float>(bn), pool);
     }
     if (cfg_.verbose && !train.empty()) {
       std::cerr << "  " << stageName(s) << " epoch " << epoch + 1 << '/'

@@ -136,7 +136,8 @@ class Engine {
   /// corpus). Replaces any previous model. The optional pool data-parallels
   /// word2vec and per-stage minibatch gradient accumulation; the trained
   /// model bytes are identical at any job count (fixed sample chunks,
-  /// ordered gradient merge, per-chunk dropout streams).
+  /// chunk gradients summed in chunk order inside the Adam update,
+  /// per-chunk dropout streams).
   void train(const corpus::Dataset& trainSet, par::ThreadPool* pool = nullptr,
              const TrainCheckpointing* ckpt = nullptr);
 
@@ -313,8 +314,10 @@ class Engine {
   /// samples encoded from `ids` (VUC i's window as 3 token ids per row). On
   /// a mid-stage resume, the shuffle/dropout RNG prefix is replayed from
   /// `seed` and the Adam moments are restored from `adamState`, so the
-  /// continued run is bit-identical to one that never stopped. `ck`/`seeds`
-  /// drive checkpoint writes at epoch boundaries when checkpointing is on.
+  /// continued run is bit-identical to one that never stopped; a restored
+  /// step count other than startEpoch's minibatches throws CorruptError.
+  /// `ck`/`seeds` drive checkpoint writes at epoch boundaries when
+  /// checkpointing is on.
   void trainStage(Stage s, const corpus::VucSource& src,
                   std::span<const std::vector<int32_t>> ids, uint64_t seed,
                   par::ThreadPool& pool, int startEpoch = 0,

@@ -64,14 +64,30 @@
 // -O3 -march=x86-64-v3 (4/8-wide in-order reduction with a fused scalar tail
 // for the conv dW chain, contracted multiply-adds everywhere else). Pinning
 // them here makes the gradients independent of the build type: the old
-// loops computed different bits at -O2. The Adam update (nn.cc) and
-// word2vec are not kernels and still contract at the compiler's discretion.
+// loops computed different bits at -O2.
+//
+// Optimizer (training). One Adam step over a range of parameters whose
+// gradients come as `slabs` back-to-back slabs, one per gradient chunk:
+//
+//   adamStep     per element: g := +0, then g = g + slab[k][i] for k
+//                ascending (the ordered chunk merge); g = g * scale;
+//                m = fma(m, beta1, (1 - beta1) * g);
+//                v = fma(v, beta2, ((1 - beta2) * g) * g);
+//                value = value - (lr * (m / bc1)) / (sqrt(v / bc2) + eps).
+//                bc1 = 1 - beta1^t and bc2 = 1 - beta2^t come from the
+//                caller (one std::pow per step). Elements are independent,
+//                so any split of the range computes the same bits.
+//
+// This is the op sequence GCC 12 emitted at -O3 -march=x86-64-v3 for the
+// seed's scalar Adam loop (two contracted multiply-adds, correctly rounded
+// division and sqrt), so trained models keep their bytes.
 //
 // kernels.cc is compiled with -ffp-contract=off: fusion happens only where
 // an explicit fma/fmaf (or _mm*_fmadd) is written, never at the compiler's
 // whim, making the contract hold across build types and compilers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/cpu.h"
@@ -96,6 +112,17 @@ constexpr int qGroups(int inF) { return (inF + kQGroup - 1) / kQGroup; }
 constexpr int qOutPad(int outF) {
   return (outF + kQOutPad - 1) / kQOutPad * kQOutPad;
 }
+
+/// The per-step constants of adamStep (see its contract above).
+struct AdamCoef {
+  float lr;
+  float beta1;
+  float beta2;
+  float eps;
+  float bc1;    ///< 1 - beta1^t
+  float bc2;    ///< 1 - beta2^t
+  float scale;  ///< gradient scale, 1/batch
+};
 
 /// One ISA variant of every hot loop. All variants of a member compute
 /// bit-identical results (see header comment); they differ only in speed.
@@ -135,6 +162,12 @@ struct KernelSet {
   /// ([n][inF]) from `dy` ([n][outF]) and `w` ([o][i]).
   void (*denseDx)(const float* w, const float* dy, float* dx, int n, int inF,
                   int outF);
+
+  /// One Adam update of elements [0, n) of `value`, `m` and `v`: the
+  /// gradient of element i is the sum over k < slabs of grad[k * stride + i],
+  /// in ascending k.
+  void (*adamStep)(float* value, float* m, float* v, const float* grad,
+                   size_t stride, int slabs, int n, const AdamCoef& c);
 
   /// max over i of |x[i]|; 0 when n == 0.
   float (*absMax)(const float* x, int n);

@@ -7,6 +7,7 @@
 
 #include "common/numeric.h"
 #include "common/obs.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 #include "nn/kernels.h"
 #include "nn/qnn.h"
@@ -440,10 +441,16 @@ void Scratch::reseed(uint64_t seed) {
   }
 }
 
-void Scratch::appendGrads(std::vector<float>& out) const {
+void Scratch::copyGrads(std::span<float> slab) const {
+  size_t total = 0;
+  for (const LayerScratch& ls : layers_) {
+    for (const std::vector<float>& g : ls.grads) total += g.size();
+  }
+  checkSize(slab, total, "Scratch::copyGrads");
+  float* out = slab.data();
   for (const LayerScratch& ls : layers_) {
     for (const std::vector<float>& g : ls.grads) {
-      out.insert(out.end(), g.begin(), g.end());
+      out = std::copy(g.begin(), g.end(), out);
     }
   }
 }
@@ -672,32 +679,64 @@ void SoftmaxCE::backward(std::span<const float> probs, int target,
 
 // --- Adam ----------------------------------------------------------------------
 
+namespace {
+
+/// Parameter elements per Adam task: ranges depend only on parameter sizes.
+constexpr size_t kAdamGrain = 4096;
+
+}  // namespace
+
 Adam::Adam(std::vector<Param*> params, Config cfg)
     : cfg_(cfg), params_(std::move(params)) {
-  for (const Param* p : params_) {
-    m_.emplace_back(p->value.size(), 0.0F);
-    v_.emplace_back(p->value.size(), 0.0F);
+  for (size_t p = 0; p < params_.size(); ++p) {
+    const size_t n = params_[p]->value.size();
+    m_.emplace_back(n, 0.0F);
+    v_.emplace_back(n, 0.0F);
+    for (size_t b = 0; b < n; b += kAdamGrain) {
+      ranges_.push_back({p, b, std::min(n, b + kAdamGrain), numParams_ + b});
+    }
+    numParams_ += n;
   }
 }
 
-void Adam::step(float gradScale) {
+kern::AdamCoef Adam::advance(float gradScale) {
   static obs::Counter& steps = obs::counter("nn.adam.steps");
   steps.add();
   ++t_;
   const float bc1 = 1.0F - std::pow(cfg_.beta1, static_cast<float>(t_));
   const float bc2 = 1.0F - std::pow(cfg_.beta2, static_cast<float>(t_));
-  for (size_t p = 0; p < params_.size(); ++p) {
-    Param& par = *params_[p];
-    for (size_t i = 0; i < par.value.size(); ++i) {
-      const float g = par.grad[i] * gradScale;
-      m_[p][i] = cfg_.beta1 * m_[p][i] + (1.0F - cfg_.beta1) * g;
-      v_[p][i] = cfg_.beta2 * v_[p][i] + (1.0F - cfg_.beta2) * g * g;
-      const float mhat = m_[p][i] / bc1;
-      const float vhat = v_[p][i] / bc2;
-      par.value[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
-    }
-    par.zeroGrad();
+  return {cfg_.lr, cfg_.beta1, cfg_.beta2, cfg_.eps, bc1, bc2, gradScale};
+}
+
+void Adam::step(float gradScale) {
+  const kern::AdamCoef c = advance(gradScale);
+  const kern::KernelSet& k = kern::kernels();
+  for (const Range& r : ranges_) {
+    Param& par = *params_[r.param];
+    k.adamStep(par.value.data() + r.begin, m_[r.param].data() + r.begin,
+               v_[r.param].data() + r.begin, par.grad.data() + r.begin, 0, 1,
+               static_cast<int>(r.end - r.begin), c);
   }
+  for (Param* p : params_) p->zeroGrad();
+}
+
+void Adam::step(std::span<const float> slabs, float gradScale,
+                par::ThreadPool& pool) {
+  if (numParams_ == 0 || slabs.empty() || slabs.size() % numParams_ != 0) {
+    throw std::invalid_argument("Adam::step: " + std::to_string(slabs.size()) +
+                                " gradient floats are not whole slabs of " +
+                                std::to_string(numParams_));
+  }
+  const auto nSlabs = static_cast<int>(slabs.size() / numParams_);
+  const kern::AdamCoef c = advance(gradScale);
+  const kern::KernelSet& k = kern::kernels();
+  pool.run(ranges_.size(), [&](size_t i, int) {
+    const Range& r = ranges_[i];
+    k.adamStep(params_[r.param]->value.data() + r.begin,
+               m_[r.param].data() + r.begin, v_[r.param].data() + r.begin,
+               slabs.data() + r.flat, numParams_, nSlabs,
+               static_cast<int>(r.end - r.begin), c);
+  });
 }
 
 void Adam::save(std::ostream& os) const {

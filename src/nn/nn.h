@@ -34,6 +34,14 @@
 
 #include "common/rng.h"
 
+namespace cati::par {
+class ThreadPool;
+}  // namespace cati::par
+
+namespace cati::nn::kern {
+struct AdamCoef;
+}  // namespace cati::nn::kern
+
 namespace cati::nn {
 
 struct Shape {
@@ -44,9 +52,9 @@ struct Shape {
 };
 
 /// A learnable parameter block with its gradient accumulator. The gradient
-/// buffer belongs to the *master* optimization loop (Adam); data-parallel
-/// workers accumulate into their Scratch instead and are merged in chunk
-/// order by the caller.
+/// buffer belongs to the single-sample convenience path (Sequential::
+/// backward(dOut), Adam::step(scale)); data-parallel workers accumulate into
+/// their Scratch instead and hand Adam one gradient slab per chunk.
 struct Param {
   std::vector<float> value;
   std::vector<float> grad;
@@ -274,10 +282,10 @@ class Scratch {
   /// historical layout.
   void reseed(uint64_t seed);
 
-  /// Appends every accumulated parameter gradient to `out`, in the net's
-  /// params() order — the flat layout the engine's ordered chunk merge
-  /// consumes.
-  void appendGrads(std::vector<float>& out) const;
+  /// Copies every accumulated parameter gradient into `slab`, back to back
+  /// in the net's params() order — the flat layout Adam's slab step sums.
+  /// `slab` must hold exactly the net's parameter count.
+  void copyGrads(std::span<float> slab) const;
 
  private:
   friend class Sequential;
@@ -391,9 +399,23 @@ class Adam {
   explicit Adam(std::vector<Param*> params) : Adam(std::move(params), Config{}) {}
   Adam(std::vector<Param*> params, Config cfg);
 
-  /// Applies one update from the accumulated grads (scaled by 1/batchSize)
-  /// and zeroes them.
+  /// Applies one update from each Param::grad (scaled by 1/batchSize) and
+  /// zeroes them.
   void step(float gradScale = 1.0F);
+
+  /// Applies one update from `slabs`: k >= 1 back-to-back flat gradients of
+  /// numParams() floats each, in params() order, summed per element in
+  /// ascending slab order (kern::adamStep). Fixed ranges of the parameters
+  /// run as tasks on `pool`; the ranges depend only on the parameter sizes
+  /// and every element is independent, so the bits do not depend on
+  /// pool.jobs().
+  void step(std::span<const float> slabs, float gradScale,
+            par::ThreadPool& pool);
+
+  /// Total parameter count, the length of one gradient slab.
+  size_t numParams() const { return numParams_; }
+  /// Steps taken so far (restored by load()).
+  int64_t steps() const { return t_; }
 
   /// Serializes the optimizer moments (m, v) and step count — everything a
   /// training checkpoint needs to continue bit-identically. The parameter
@@ -404,10 +426,24 @@ class Adam {
   void load(std::istream& is);
 
  private:
+  /// Counts the step and returns its kernel constants.
+  kern::AdamCoef advance(float gradScale);
+
+  /// Elements [begin, end) of params_[param]; `flat` is `begin`'s offset in
+  /// a gradient slab.
+  struct Range {
+    size_t param;
+    size_t begin;
+    size_t end;
+    size_t flat;
+  };
+
   Config cfg_;
   std::vector<Param*> params_;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
+  std::vector<Range> ranges_;
+  size_t numParams_ = 0;
   int64_t t_ = 0;
 };
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -258,6 +259,68 @@ TEST_F(CheckpointTest, ResumeRejectsStageNetsThatDoNotFitTheConfig) {
           << err.what();
     }
   }
+}
+
+TEST_F(CheckpointTest, ResumeRejectsAdamStepCountThatMissesTheEpoch) {
+  // A CRC-valid mid-stage checkpoint whose Adam step count was doctored.
+  // t = -1 would make the first resumed step's bias correction
+  // 1 - beta1^0 = 0 and every weight NaN; any t other than the minibatches
+  // of the finished epochs is a different optimizer. Resume must refuse and
+  // name the stage.
+  const std::string baseline = trainBytes(1, nullptr);
+  const TrainCheckpointing ck{dir_, 1, false};
+  fault::configureForTest("stop@train.checkpoint:2");  // stage 0, epoch 1
+  EXPECT_THROW(trainBytes(1, &ck), fault::Stop);
+  fault::configureForTest("");
+
+  const stdfs::path p = dir_ / "train.ckpt";
+  std::string file;
+  {
+    std::ifstream is(p, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    file = std::move(buf).str();
+  }
+  // Magic, version and payload length, then the payload, then the CRC.
+  ASSERT_GT(file.size(), 20U);
+  const std::string payload = file.substr(16, file.size() - 20);
+  // The Adam blob starts with its magic and version; t follows.
+  std::ostringstream header;
+  {
+    io::Writer w(header);
+    io::writeHeader(w, 0x4144414d /*"ADAM"*/, 1);
+  }
+  const size_t at = payload.rfind(header.str());
+  ASSERT_NE(at, std::string::npos);
+  int64_t saved = 0;
+  std::memcpy(&saved, payload.data() + at + 8, sizeof saved);
+  ASSERT_GT(saved, 0);
+
+  const auto resume = [&](int64_t t) {
+    std::string body = payload;
+    std::memcpy(body.data() + at + 8, &t, sizeof t);
+    std::ofstream os(p, std::ios::binary | std::ios::trunc);
+    io::writeChecksummed(os, 0x43434b50 /*"CCKP"*/, 1,
+                         [&](std::ostream& b) { b << body; });
+    os.close();
+    const TrainCheckpointing rk{dir_, 1, true};
+    return trainBytes(1, &rk);
+  };
+  for (const int64_t t : {int64_t{-1}, int64_t{0}, saved - 1, saved + 1}) {
+    SCOPED_TRACE("t = " + std::to_string(t));
+    try {
+      resume(t);
+      ADD_FAILURE() << "resumed with a doctored Adam step count";
+    } catch (const CorruptError& err) {
+      EXPECT_NE(std::string(err.what()).find("stage " +
+                                             std::string(stageName(
+                                                 static_cast<Stage>(0)))),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  // The rewrite itself is sound: the saved count resumes bit-identically.
+  EXPECT_EQ(resume(saved), baseline);
 }
 
 TEST_F(CheckpointTest, EveryEpochsThrottlesMidStageCheckpoints) {

@@ -32,6 +32,7 @@
 
 #include "cati/engine.h"
 #include "common/cpu.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "loader/image.h"
 #include "nn/kernels.h"
@@ -583,6 +584,57 @@ TEST_P(KernelIsaTest, DenseZeroGradientSkipsKeepingNegativeZero) {
   }
 }
 
+TEST_P(KernelIsaTest, AdamStepMatchesScalar) {
+  Rng rng(0xADA3);
+  // Lengths stop short of and run past both vector widths (8 and 16), the
+  // slab count runs 1..4 and the slabs sit `stride` floats apart, as in a
+  // range of a longer flat slab. Every third element has a +0 or -0
+  // gradient in every slab; the first step starts from zero moments, the
+  // step at t = 10^6 from random ones (bc1 = bc2 = 1 there).
+  for (const int n : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 100}) {
+    for (int slabs = 1; slabs <= 4; ++slabs) {
+      for (const float t : {1.0F, 1e6F}) {
+        const size_t stride = static_cast<size_t>(n) + 3;
+        auto grad = randVec(stride * static_cast<size_t>(slabs), rng);
+        for (int k = 0; k < slabs; ++k) {
+          for (int i = 0; i < n; i += 3) {
+            grad[static_cast<size_t>(k) * stride + static_cast<size_t>(i)] =
+                (i + k) % 2 ? -0.0F : 0.0F;
+          }
+        }
+        const auto size = static_cast<size_t>(n);
+        std::vector<float> m(size, 0.0F);
+        std::vector<float> v(size, 0.0F);
+        if (t > 1.0F) {
+          m = randVec(size, rng, 0.1F);
+          v = randVec(size, rng, 0.1F);
+          for (float& x : v) x *= x;
+        }
+        const kern::AdamCoef c{1e-3F,
+                               0.9F,
+                               0.999F,
+                               1e-8F,
+                               1.0F - std::pow(0.9F, t),
+                               1.0F - std::pow(0.999F, t),
+                               1.0F / 32.0F};
+        auto valueA = randVec(size, rng);
+        auto valueB = valueA;
+        auto mA = m, mB = m, vA = v, vB = v;
+        ref().adamStep(valueA.data(), mA.data(), vA.data(), grad.data(),
+                       stride, slabs, n, c);
+        dut().adamStep(valueB.data(), mB.data(), vB.data(), grad.data(),
+                       stride, slabs, n, c);
+        EXPECT_TRUE(bitsEqual(valueA, valueB))
+            << "value n=" << n << " slabs=" << slabs << " t=" << t;
+        EXPECT_TRUE(bitsEqual(mA, mB))
+            << "m n=" << n << " slabs=" << slabs << " t=" << t;
+        EXPECT_TRUE(bitsEqual(vA, vB))
+            << "v n=" << n << " slabs=" << slabs << " t=" << t;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelIsaTest,
                          testing::Values(cpu::Isa::kScalar, cpu::Isa::kAvx2,
                                          cpu::Isa::kAvx512),
@@ -672,9 +724,11 @@ TEST(KernelGradients, StageNetGradientBitsArePinned) {
   Scratch s = net.makeScratch();
   net.forward(x, kN, s, Phase::kTrain);
   net.backward(dOut, kN, s);
-  std::vector<float> grads;
-  s.appendGrads(grads);
-  ASSERT_EQ(grads.size(), 57447U);
+  size_t numParams = 0;
+  for (const Param* p : net.params()) numParams += p->value.size();
+  ASSERT_EQ(numParams, 57447U);
+  std::vector<float> grads(numParams);
+  s.copyGrads(grads);
   uint64_t h = 1469598103934665603ULL;
   for (const float g : grads) {
     uint32_t bits = 0;
@@ -687,6 +741,87 @@ TEST(KernelGradients, StageNetGradientBitsArePinned) {
   EXPECT_EQ(h, 0x3641b2dbd777378aULL)
       << "gradient FNV " << std::hex << h << " under "
       << cpu::isaName(cpu::active());
+}
+
+/// FNV-1a over the bytes of `floats`, continuing from `h`.
+uint64_t fnvFloats(std::span<const float> floats, uint64_t h) {
+  for (const float f : floats) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(KernelGradients, AdamUpdateBitsArePinned) {
+  // Three params whose lengths leave tails for both vector widths (the
+  // middle one spans two of Adam's 4096-element ranges), with
+  // integer-derived values and gradients. Three steps through each entry
+  // point: Param::grad (one slab), and three chunk slabs summed inside the
+  // update at jobs 1 and 3. The FNV-1a of the values and the saved moments
+  // must equal what the historical scalar Adam computed in a Release build
+  // — for the slabs, after the serial chunk merge into Param::grad.
+  const auto iv = [](uint32_t i, uint32_t salt) {
+    const uint32_t h = (i + salt) * 2654435761U;
+    return static_cast<float>(static_cast<int>(h >> 21) % 2001 - 1000) /
+           997.0F;
+  };
+  const size_t sizes[] = {37, 5000, 5};
+  const size_t numParams = 37 + 5000 + 5;
+  constexpr int kSteps = 3;
+  constexpr int kSlabs = 3;
+  const auto run = [&](int jobs) {
+    std::vector<Param> params;
+    for (const size_t n : sizes) params.emplace_back(n);
+    std::vector<Param*> ptrs;
+    uint32_t salt = 1;
+    for (Param& p : params) {
+      for (size_t i = 0; i < p.value.size(); ++i) {
+        p.value[i] = iv(static_cast<uint32_t>(i), salt);
+      }
+      ptrs.push_back(&p);
+      ++salt;
+    }
+    Adam adam(ptrs, {.lr = 0.01F});
+    std::vector<float> slabs(kSlabs * numParams);
+    par::ThreadPool pool(std::max(jobs, 1));
+    for (int step = 0; step < kSteps; ++step) {
+      for (size_t i = 0; i < slabs.size(); ++i) {
+        slabs[i] = iv(static_cast<uint32_t>(i), 100 + 10 * step);
+      }
+      if (jobs == 0) {
+        // One slab: the first slab's gradients into Param::grad.
+        size_t off = 0;
+        for (Param& p : params) {
+          std::copy_n(slabs.begin() + static_cast<std::ptrdiff_t>(off),
+                      p.grad.size(), p.grad.begin());
+          off += p.grad.size();
+        }
+        adam.step(1.0F / 8.0F);
+      } else {
+        adam.step(slabs, 1.0F / 24.0F, pool);
+      }
+    }
+    uint64_t h = 1469598103934665603ULL;
+    for (const Param& p : params) h = fnvFloats(p.value, h);
+    std::ostringstream os;
+    adam.save(os);
+    const std::string blob = std::move(os).str();
+    for (const char ch : blob) {
+      h ^= static_cast<uint8_t>(ch);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  };
+  EXPECT_EQ(run(0), 0xa503cd5e37c7ce22ULL)
+      << "one slab, under " << cpu::isaName(cpu::active());
+  EXPECT_EQ(run(1), 0x55531af4a3bb7d87ULL)
+      << "3 slabs, jobs 1, under " << cpu::isaName(cpu::active());
+  EXPECT_EQ(run(3), 0x55531af4a3bb7d87ULL)
+      << "3 slabs, jobs 3, under " << cpu::isaName(cpu::active());
 }
 
 // --- CLI property: CATI_KERNEL matrix through the real cati-infer -----------

@@ -20,6 +20,14 @@
 namespace cati::nn {
 namespace {
 
+/// A zeroed gradient slab for `net`: its parameter count of floats, the
+/// length Scratch::copyGrads fills.
+std::vector<float> slabFor(const Sequential& net) {
+  size_t n = 0;
+  for (const Param* p : net.params()) n += p->value.size();
+  return std::vector<float>(n, 0.0F);
+}
+
 TEST(Shapes, CnnPipeline) {
   Rng rng(1);
   Sequential net = makeCnn({96, 21}, 32, 64, 128, 5, 0.0F, rng);
@@ -574,8 +582,8 @@ TEST(Batch, BackwardGradsMatchPerSampleFold) {
   Scratch sb = net.makeScratch();
   net.forward(xs, kN, sb, Phase::kEval);
   net.backward(douts, kN, sb);
-  std::vector<float> gb;
-  sb.appendGrads(gb);
+  std::vector<float> gb = slabFor(net);
+  sb.copyGrads(gb);
 
   // Per-sample fold on one scratch: gradients accumulate across backward
   // calls in sample order — the historical chunk loop.
@@ -587,8 +595,8 @@ TEST(Batch, BackwardGradsMatchPerSampleFold) {
         std::span(douts).subspan(static_cast<size_t>(i) * outSize, outSize), 1,
         s1);
   }
-  std::vector<float> g1;
-  s1.appendGrads(g1);
+  std::vector<float> g1 = slabFor(net);
+  s1.copyGrads(g1);
 
   ASSERT_FALSE(gb.empty());
   ASSERT_EQ(gb.size(), g1.size());
