@@ -295,27 +295,48 @@ Chunk speedChunk(Engine& e) {
 
 void BM_PredictChunk(benchmark::State& state) {
   // One real cati-infer chunk at jobs=1 and the default batch, through the
-  // window adapter (/0: predictVucs, window adapter = one-VUC functions)
-  // or the chunk stream (/1: predictStream, conv1 once per stream row,
-  // DESIGN.md §7). Both give bit-identical probabilities; items_per_second
-  // is VUC/s and conv1_cols_per_vuc the engine.infer.conv1_cols one predict
-  // adds per VUC.
+  // window adapter (/0: predictVucs, window adapter = one-VUC functions),
+  // the chunk stream (/1: predictStream, conv1 once per stream row,
+  // DESIGN.md §7), or the chunk stream by route (/2: StagePlan::kRouted,
+  // what cati-infer runs: Stage 1 on every VUC, then only the stages each
+  // variable's votes lead to). /0 and /1 give bit-identical probabilities,
+  // /2 the same on every VUC's path; items_per_second is VUC/s,
+  // conv1_cols_per_vuc the engine.infer.conv1_cols one predict adds per VUC
+  // and stage_evals_per_vuc its engine.infer.samples.* (6 unless routed).
   Engine& e = bundle().engine();
   const Chunk chunk = speedChunk(e);
   par::ThreadPool pool(1);
-  const bool stream = state.range(0) == 1;
+  const int mode = static_cast<int>(state.range(0));
   const auto predict = [&] {
-    return stream ? e.predictStream(chunk.stream, &pool)
-                  : e.predictVucs(chunk.windows, &pool);
+    switch (mode) {
+      case 0:
+        return e.predictVucs(chunk.windows, &pool);
+      case 1:
+        return e.predictStream(chunk.stream, &pool);
+      default:
+        return e.predictStream(chunk.stream, &pool, 0, StagePlan::kRouted);
+    }
   };
   const bool wasEnabled = obs::enabled();
   obs::setEnabled(true);
   obs::Counter& cols = obs::counter("engine.infer.conv1_cols");
+  const auto samples = [] {
+    uint64_t total = 0;
+    for (int s = 0; s < kNumStages; ++s) {
+      total += obs::counter("engine.infer.samples." +
+                            std::string(stageName(static_cast<Stage>(s))))
+                   .value();
+    }
+    return total;
+  };
   const uint64_t cols0 = cols.value();
+  const uint64_t samples0 = samples();
   (void)predict();
+  const auto vucs = static_cast<double>(chunk.windows.size());
   state.counters["conv1_cols_per_vuc"] =
-      static_cast<double>(cols.value() - cols0) /
-      static_cast<double>(chunk.windows.size());
+      static_cast<double>(cols.value() - cols0) / vucs;
+  state.counters["stage_evals_per_vuc"] =
+      static_cast<double>(samples() - samples0) / vucs;
   obs::setEnabled(wasEnabled);
   for (auto _ : state) {
     const auto out = predict();
@@ -324,7 +345,11 @@ void BM_PredictChunk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(chunk.windows.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_PredictChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictChunk)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 Engine& quantEngine() {
   static Engine q = bundle().engine().quantize();

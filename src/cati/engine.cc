@@ -4,6 +4,7 @@
 #include <array>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -454,9 +455,13 @@ Engine::WorkerState& Engine::worker(int w) {
 // --- chunk streams and the one predict path (DESIGN.md §7) -----------------
 
 ChunkStream::ChunkStream(int window, std::span<const embed::TokenRow> insns,
-                         std::span<const uint32_t> targets)
+                         std::span<const uint32_t> targets,
+                         std::span<const uint32_t> vars)
     : window_(window) {
   if (window < 0) throw std::invalid_argument("ChunkStream: negative window");
+  if (!vars.empty() && vars.size() != targets.size()) {
+    throw std::invalid_argument("ChunkStream: one variable per VUC target");
+  }
   const embed::TokenRow blank{embed::Vocab::kBlankId, embed::Vocab::kBlankId,
                               embed::Vocab::kBlankId};
   const auto pad = static_cast<size_t>(window);
@@ -472,6 +477,14 @@ ChunkStream::ChunkStream(int window, std::span<const embed::TokenRow> insns,
           "ChunkStream: VUC targets must be ascending instruction indices");
     }
     centres_.push_back(static_cast<uint32_t>(t + pad));
+  }
+  if (vars.empty()) {
+    vars_.resize(targets.size());
+    std::iota(vars_.begin(), vars_.end(), 0U);
+    numVars_ = static_cast<uint32_t>(vars_.size());
+  } else {
+    vars_.assign(vars.begin(), vars.end());
+    numVars_ = *std::max_element(vars.begin(), vars.end()) + 1;
   }
 }
 
@@ -491,6 +504,8 @@ void ChunkStream::append(const ChunkStream& other) {
                other.rows_.begin() + static_cast<ptrdiff_t>(pad),
                other.rows_.end());
   for (const uint32_t c : other.centres_) centres_.push_back(c + shift);
+  for (const uint32_t v : other.vars_) vars_.push_back(v + numVars_);
+  numVars_ += other.numVars_;
 }
 
 namespace {
@@ -499,12 +514,16 @@ namespace {
 // batches, large enough that chunk dispatch is amortized.
 constexpr size_t kPredictGrain = 16;
 
-// VUCs per range of the shared-prefix branch. A range's rows (about 2.3 per
-// VUC) run through conv1 as one 8-lane call of about 30 time steps, and its
-// left-border pairs as one of exactly 24, two full 12-step AVX-512 tiles;
-// (range, stage) items still keep 4 workers busy on small images. Ranges
-// of 32 leave much of each tile empty.
-constexpr size_t kStreamRange = 96;
+// Bounds of the shared-prefix branch's VUC ranges. A full range's rows
+// (about 2.3 per VUC) run through conv1 as one 8-lane call of about 30 time
+// steps, and its left-border pairs as one of exactly 24, two full 12-step
+// AVX-512 tiles; ranges of 32 leave much of each tile empty.
+constexpr size_t kMinStreamRange = 16;
+constexpr size_t kMaxStreamRange = 96;
+// A round splits into about this many (range, stage) items: a routed
+// round 2 or 3 holds only some of the chunk's VUCs, and 96-VUC ranges
+// would leave most of a 4-worker pool idle on it.
+constexpr size_t kRoundItems = 12;
 
 // Default inference batch when neither the caller nor CATI_BATCH asks for a
 // specific size: big enough to amortize per-layer dispatch, small enough
@@ -532,6 +551,73 @@ const nn::Conv1d* sharedConv1(const nn::Sequential& net) {
 
 size_t ceilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
+/// VUCs per range of a shared-prefix round of `evals` stage evaluations:
+/// evals / kRoundItems rounded up to whole conv lanes, kept within the
+/// bounds. A function of the round's size alone, never of the job count.
+size_t streamRange(size_t evals) {
+  const size_t r =
+      ceilDiv(ceilDiv(evals, kRoundItems), nn::kBatchLane) * nn::kBatchLane;
+  return std::clamp(r, kMinStreamRange, kMaxStreamRange);
+}
+
+/// Largest class count of any stage: vote sums live on the stack.
+constexpr size_t kMaxClasses = 9;
+
+/// One stage's vote (formulas 3-4).
+struct StageVote {
+  int winner = 0;
+  float sum = 0.0F;  ///< the winner's vote sum
+  uint64_t clipped = 0;
+};
+
+/// Stage `s`'s vote over the VUCs probs[i], i in `vucs`: a confidence at or
+/// above `clip` counts 1.0 when clipping is enabled, each class sums in
+/// `vucs` order, and the first largest sum wins. The one vote arithmetic of
+/// voteVariable, voteRoute and the routed predict. Throws
+/// std::invalid_argument when a VUC has no distribution for `s`.
+StageVote voteStage(Stage s, std::span<const StageProbs> probs,
+                    std::span<const uint32_t> vucs, float clip,
+                    bool clipEnabled) {
+  const auto si = static_cast<size_t>(s);
+  const auto classes = static_cast<size_t>(numClasses(s));
+  std::array<float, kMaxClasses> sums{};
+  StageVote v;
+  for (const uint32_t i : vucs) {
+    const std::vector<float>& p = probs[i].probs[si];
+    if (p.size() != classes) {
+      throw std::invalid_argument("vote: no " + std::string(stageName(s)) +
+                                  " distribution for a VUC");
+    }
+    for (size_t c = 0; c < classes; ++c) {
+      float z = p[c];
+      if (clipEnabled && z >= clip) {
+        z = 1.0F;
+        ++v.clipped;
+      }
+      sums[c] += z;
+    }
+  }
+  v.winner = num::argmax(std::span<const float>(sums.data(), classes));
+  v.sum = sums[static_cast<size_t>(v.winner)];
+  return v;
+}
+
+/// The engine.vote.* metrics voteVariable and voteRoute tally.
+struct VoteMetrics {
+  obs::Counter* variables = &obs::counter("engine.vote.variables");
+  obs::Counter* vucs = &obs::counter("engine.vote.vucs");
+  obs::Counter* clipped = &obs::counter("engine.vote.clipped");
+  std::array<obs::Histogram*, kNumStages> confidence =
+      stageHistograms("engine.vote.confidence", obs::Unit::Count);
+
+  /// Mean winning-class vote of a stage — the distribution the paper's
+  /// formula 4 argmaxes over, normalized to [0, 1] by the VUC count.
+  void observe(Stage s, const StageVote& v, size_t numVucs) const {
+    confidence[static_cast<size_t>(s)]->observe(
+        static_cast<double>(v.sum) / static_cast<double>(numVucs));
+  }
+};
+
 }  // namespace
 
 bool Engine::sharedPrefix() const {
@@ -541,13 +627,14 @@ bool Engine::sharedPrefix() const {
                      });
 }
 
-void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
-                         bool shared, WorkerState& ws) const {
+void Engine::encodeRange(const ChunkStream& st,
+                         std::span<const uint32_t> vucs, bool shared,
+                         WorkerState& ws) const {
   const embed::VucEncoder& enc = *encoder_;
   const size_t w = static_cast<size_t>(st.window());
   const size_t span = 2 * w + 1;
   const size_t channels = static_cast<size_t>(enc.cols());
-  const size_t m = e - b;
+  const size_t m = vucs.size();
   const std::vector<embed::TokenRow>& rows = st.rows();
   const std::vector<uint32_t>& centres = st.centres();
   if (!shared) {
@@ -556,7 +643,7 @@ void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
     ws.input.resize(m * inSize);
     for (size_t k = 0; k < m; ++k) {
       for (size_t r = 0; r < span; ++r) {
-        enc.encodeRow(rows[centres[b + k] - w + r],
+        enc.encodeRow(rows[centres[vucs[k]] - w + r],
                       ws.input.data() + k * inSize + r, span);
       }
     }
@@ -568,9 +655,9 @@ void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
   ws.start.clear();
   size_t runRow = 0;  // stream row and packed position of the run's start
   size_t runPos = 0;
-  for (size_t k = b; k < e; ++k) {
-    const size_t lo = centres[k] - w;
-    const size_t hi = centres[k] + w + 1;
+  for (const uint32_t i : vucs) {
+    const size_t lo = centres[i] - w;
+    const size_t hi = centres[i] + w + 1;
     size_t next = ws.flatRow.empty() ? lo : ws.flatRow.back() + 1;
     if (lo > next || ws.flatRow.empty()) {
       runRow = next = lo;
@@ -606,22 +693,23 @@ void Engine::encodeRange(const ChunkStream& st, size_t b, size_t e,
   for (size_t k = 0; k < m; ++k) {
     float* dst = ws.pairs.data() + 2 * (k / nn::kBatchLane) * nn::kBatchLane +
                  k % nn::kBatchLane;
-    enc.encodeRow(rows[centres[b + k] - w], dst, pairStride);
-    enc.encodeRow(rows[centres[b + k] - w + 1], dst + nn::kBatchLane,
+    enc.encodeRow(rows[centres[vucs[k]] - w], dst, pairStride);
+    enc.encodeRow(rows[centres[vucs[k]] - w + 1], dst + nn::kBatchLane,
                   pairStride);
   }
 }
 
-void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
-                               size_t e, int batch, bool shared,
-                               WorkerState& ws, StageProbs* out) {
+void Engine::predictRangeStage(Stage s, const ChunkStream& st,
+                               std::span<const uint32_t> vucs, int batch,
+                               bool shared, WorkerState& ws,
+                               StageProbs* out) {
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
   static obs::Counter& conv1Cols = obs::counter("engine.infer.conv1_cols");
   const auto si = static_cast<size_t>(s);
   const bool firstStage = si == 0;
   const nn::Sequential& net = stages_[si];
-  const size_t m = e - b;
+  const size_t m = vucs.size();
   const auto w = static_cast<size_t>(st.window());
   std::span<const float> x = ws.input;  // layer `first`'s input, all VUCs
   size_t first = 0;
@@ -674,8 +762,9 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
     const size_t nb = std::min(bs, m - sb);
     if (firstStage) {
       // Deadline check once per sub-batch of VUCs, in the first stage
-      // only, which the six stages of a range follow: cheap (a clock read,
-      // only when a deadline is set) and bounds how late a timeout fires.
+      // only, which every VUC passes and the rest of its path follows:
+      // cheap (a clock read, only when a deadline is set) and bounds how
+      // late a timeout fires.
       checkDeadline();
       if (!shared) {
         conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
@@ -688,16 +777,67 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st, size_t b,
         net.forwardFrom(first, x.subspan(sb * inSize, nb * inSize),
                         static_cast<int>(nb), ws.stages[si], nn::Phase::kInfer);
     for (size_t k = 0; k < nb; ++k) {
-      auto& probs = out[b + sb + k].probs[si];
+      auto& probs = out[vucs[sb + k]].probs[si];
       probs.resize(classes);
       nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1, probs);
     }
   }
 }
 
+void Engine::predictRound(const ChunkStream& st,
+                          std::span<const RoundPart> parts,
+                          par::ThreadPool& tp, int batch, bool shared,
+                          StageProbs* out) {
+  // Items are (range, stage) on the shared-prefix branch and whole ranges
+  // through every stage of their part on the other; either way a worker
+  // encodes a range once and keeps it for the next item of the same range.
+  size_t evals = 0;
+  for (const RoundPart& p : parts) evals += p.vucs.size() * p.stages.size();
+  const size_t grain =
+      shared ? streamRange(evals)
+             : std::max(kPredictGrain, static_cast<size_t>(batch));
+  const auto itemsPerRange = [shared](const RoundPart& p) {
+    return shared ? p.stages.size() : size_t{1};
+  };
+  // Part p's items are [firstItem[p], firstItem[p + 1]).
+  std::vector<size_t> firstItem(parts.size() + 1, 0);
+  for (size_t p = 0; p < parts.size(); ++p) {
+    firstItem[p + 1] = firstItem[p] + par::numChunks(parts[p].vucs.size(),
+                                                     grain) *
+                                          itemsPerRange(parts[p]);
+  }
+  const uint64_t round = ++predictRounds_;
+  tp.run(firstItem.back(), [&](size_t item, int wk) {
+    size_t p = 0;
+    while (item >= firstItem[p + 1]) ++p;
+    const RoundPart& part = parts[p];
+    const size_t perRange = itemsPerRange(part);
+    const size_t local = item - firstItem[p];
+    const par::ChunkRange cr =
+        par::chunkRange(part.vucs.size(), grain, local / perRange);
+    const std::span<const uint32_t> vucs =
+        std::span(part.vucs).subspan(cr.begin, cr.end - cr.begin);
+    WorkerState& ws = workers_[static_cast<size_t>(wk)];
+    const size_t range = item - local % perRange;  // its first item
+    if (ws.round != round || ws.range != range) {
+      encodeRange(st, vucs, shared, ws);
+      ws.round = round;
+      ws.range = range;
+    }
+    if (shared) {
+      predictRangeStage(part.stages[local % perRange], st, vucs, batch, true,
+                        ws, out);
+      return;
+    }
+    for (const Stage s : part.stages) {
+      predictRangeStage(s, st, vucs, batch, false, ws, out);
+    }
+  });
+}
+
 std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
                                               par::ThreadPool* pool,
-                                              int batch) {
+                                              int batch, StagePlan plan) {
   if (!trained()) throw std::logic_error("Engine::predict: not trained");
   static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
   static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
@@ -731,37 +871,57 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   batch = par::resolveBatch(batch, kDefaultInferBatch);
   par::ThreadPool inlinePool(1);
   par::ThreadPool& tp = pool ? *pool : inlinePool;
-  // Items are (range, stage) on the shared-prefix branch and whole ranges
-  // on the other; either way a worker encodes a range once and keeps it
-  // for the next item of the same range.
   const bool shared = sharedPrefix();
-  const size_t grain =
-      shared ? kStreamRange
-             : std::max(kPredictGrain, static_cast<size_t>(batch));
-  const size_t itemsPerRange = shared ? kNumStages : 1;
-  const uint64_t call = ++predictCalls_;
   // Worker scratches are created outside the parallel region (worker() may
   // grow the vector); the fan-out then only touches disjoint entries.
   for (int wk = 0; wk < tp.jobs(); ++wk) worker(wk);
-  tp.run(par::numChunks(n, grain) * itemsPerRange, [&](size_t item, int wk) {
-    const size_t r = item / itemsPerRange;
-    const par::ChunkRange cr = par::chunkRange(n, grain, r);
-    WorkerState& ws = workers_[static_cast<size_t>(wk)];
-    if (ws.call != call || ws.range != r) {
-      encodeRange(st, cr.begin, cr.end, shared, ws);
-      ws.call = call;
-      ws.range = r;
-    }
-    if (shared) {
-      predictRangeStage(static_cast<Stage>(item % kNumStages), st, cr.begin,
-                        cr.end, batch, true, ws, out.data());
-      return;
-    }
+  std::vector<RoundPart> round(1);
+  round[0].vucs.resize(n);
+  std::iota(round[0].vucs.begin(), round[0].vucs.end(), 0U);
+  if (plan == StagePlan::kAll) {
     for (int s = 0; s < kNumStages; ++s) {
-      predictRangeStage(static_cast<Stage>(s), st, cr.begin, cr.end, batch,
-                        false, ws, out.data());
+      round[0].stages.push_back(static_cast<Stage>(s));
     }
-  });
+    predictRound(st, round, tp, batch, shared, out.data());
+    return out;
+  }
+  // Routed. Variable v's VUCs, ascending: byVar[varBegin[v], varBegin[v+1]).
+  const std::vector<uint32_t>& vars = st.vars();
+  const uint32_t numVars = st.numVars();
+  std::vector<uint32_t> varBegin(numVars + 1, 0);
+  for (const uint32_t v : vars) ++varBegin[v + 1];
+  std::partial_sum(varBegin.begin(), varBegin.end(), varBegin.begin());
+  std::vector<uint32_t> byVar(n);
+  {
+    std::vector<uint32_t> fill(varBegin.begin(), varBegin.end() - 1);
+    for (uint32_t i = 0; i < n; ++i) byVar[fill[vars[i]]++] = i;
+  }
+  // at[v]: the stage variable v runs next, kCount once its vote reached a
+  // leaf. Every variable still on its way ran that stage in the last round.
+  std::vector<Stage> at(numVars, Stage::S1);
+  round[0].stages = {Stage::S1};
+  while (!round.empty()) {
+    predictRound(st, round, tp, batch, shared, out.data());
+    for (uint32_t v = 0; v < numVars; ++v) {
+      if (at[v] == Stage::kCount || varBegin[v] == varBegin[v + 1]) continue;
+      const std::span<const uint32_t> vucs(byVar.data() + varBegin[v],
+                                           varBegin[v + 1] - varBegin[v]);
+      const int cls =
+          voteStage(at[v], out, vucs, cfg_.voteClip, cfg_.clipEnabled).winner;
+      at[v] = nextStage(at[v], cls).value_or(Stage::kCount);
+    }
+    std::array<std::vector<uint32_t>, kNumStages> next;
+    for (uint32_t i = 0; i < n; ++i) {
+      const Stage s = at[vars[i]];
+      if (s != Stage::kCount) next[static_cast<size_t>(s)].push_back(i);
+    }
+    round.clear();
+    for (int s = 0; s < kNumStages; ++s) {
+      if (next[static_cast<size_t>(s)].empty()) continue;
+      round.push_back({{static_cast<Stage>(s)},
+                       std::move(next[static_cast<size_t>(s)])});
+    }
+  }
   return out;
 }
 
@@ -804,39 +964,21 @@ VariableDecision Engine::voteVariable(std::span<const StageProbs> vucProbs,
   if (vucProbs.empty()) {
     throw std::invalid_argument("voteVariable: no VUCs");
   }
-  static const std::array<obs::Histogram*, kNumStages> confidence =
-      stageHistograms("engine.vote.confidence", obs::Unit::Count);
-  static obs::Counter& voteVars = obs::counter("engine.vote.variables");
-  static obs::Counter& voteVucs = obs::counter("engine.vote.vucs");
-  static obs::Counter& voteClipped = obs::counter("engine.vote.clipped");
-  voteVars.add();
-  voteVucs.add(vucProbs.size());
+  static const VoteMetrics metrics;
+  metrics.variables->add();
+  metrics.vucs->add(vucProbs.size());
+  std::vector<uint32_t> all(vucProbs.size());
+  std::iota(all.begin(), all.end(), 0U);
   VariableDecision d;
-  // Formula 3-4 per stage: clip high confidences to 1.0 and sum.
   uint64_t clipped = 0;
   for (int s = 0; s < kNumStages; ++s) {
-    const int classes = numClasses(static_cast<Stage>(s));
-    std::vector<float> sums(static_cast<size_t>(classes), 0.0F);
-    for (const StageProbs& p : vucProbs) {
-      const auto& probs = p.probs[static_cast<size_t>(s)];
-      for (int c = 0; c < classes; ++c) {
-        float z = probs[static_cast<size_t>(c)];
-        if (clipEnabled && z >= clipThreshold) {
-          z = 1.0F;
-          ++clipped;
-        }
-        sums[static_cast<size_t>(c)] += z;
-      }
-    }
-    const int winner = num::argmax(sums);
-    d.stageClass[static_cast<size_t>(s)] = winner;
-    // Mean winning-class vote per stage — the distribution the paper's
-    // formula 4 argmaxes over, normalized to [0, 1] by the VUC count.
-    confidence[static_cast<size_t>(s)]->observe(
-        static_cast<double>(sums[static_cast<size_t>(winner)]) /
-        static_cast<double>(vucProbs.size()));
+    const StageVote v = voteStage(static_cast<Stage>(s), vucProbs, all,
+                                  clipThreshold, clipEnabled);
+    d.stageClass[static_cast<size_t>(s)] = v.winner;
+    clipped += v.clipped;
+    metrics.observe(static_cast<Stage>(s), v, all.size());
   }
-  voteClipped.add(clipped);
+  metrics.clipped->add(clipped);
   // Route the voted classes down the tree to the final type.
   Stage s = Stage::S1;
   for (;;) {
@@ -847,6 +989,33 @@ VariableDecision Engine::voteVariable(std::span<const StageProbs> vucProbs,
     }
     const auto next = nextStage(s, cls);
     if (!next) throw std::logic_error("voteVariable: broken stage tree");
+    s = *next;
+  }
+}
+
+RoutedDecision Engine::voteRoute(std::span<const StageProbs> probs,
+                                 std::span<const uint32_t> vucs) const {
+  if (vucs.empty()) throw std::invalid_argument("voteRoute: no VUCs");
+  static const VoteMetrics metrics;
+  metrics.variables->add();
+  metrics.vucs->add(vucs.size());
+  Stage s = Stage::S1;
+  for (;;) {
+    const StageVote v =
+        voteStage(s, probs, vucs, cfg_.voteClip, cfg_.clipEnabled);
+    metrics.clipped->add(v.clipped);
+    metrics.observe(s, v, vucs.size());
+    if (const auto leaf = leafOf(s, v.winner)) {
+      // Confidence: mean probability of the winning class at the leaf stage.
+      float sum = 0.0F;
+      for (const uint32_t i : vucs) {
+        sum += probs[i].probs[static_cast<size_t>(s)]
+                             [static_cast<size_t>(v.winner)];
+      }
+      return {*leaf, sum / static_cast<float>(vucs.size())};
+    }
+    const auto next = nextStage(s, v.winner);
+    if (!next) throw std::logic_error("voteRoute: broken stage tree");
     s = *next;
   }
 }
@@ -903,12 +1072,17 @@ Engine::FunctionWork Engine::prepareFunction(
   // instruction order, as extraction emits them.
   std::vector<embed::TokenRow> tokens(gen.size());
   std::vector<uint32_t> targets;
+  std::vector<uint32_t> vars;
   targets.reserve(work.ds.vucs.size());
+  vars.reserve(work.ds.vucs.size());
   for (size_t i = 0; i < gen.size(); ++i) {
     tokens[i] = encoder_->tokenize(gen[i]);
-    if (varOfInsn[i] >= 0) targets.push_back(static_cast<uint32_t>(i));
+    if (varOfInsn[i] >= 0) {
+      targets.push_back(static_cast<uint32_t>(i));
+      vars.push_back(static_cast<uint32_t>(varOfInsn[i]));
+    }
   }
-  work.stream = ChunkStream(cfg_.window, tokens, targets);
+  work.stream = ChunkStream(cfg_.window, tokens, targets, vars);
   vucCount.add(work.ds.vucs.size());
   return work;
 }
@@ -930,26 +1104,13 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
     // rest of the function still gets typed. Deadline expiry is not a
     // degradation — it must stop the whole analysis, so it passes through.
     try {
-      std::vector<StageProbs> varProbs;
-      varProbs.reserve(byVar[v].size());
-      for (const uint32_t i : byVar[v]) varProbs.push_back(probs[i]);
-      const VariableDecision d = voteVariable(varProbs);
-
+      fault::failPoint("engine.vote");
+      const RoutedDecision d = voteRoute(probs, byVar[v]);
       AnalyzedVariable av;
       av.location = work.rec.vars[v];
-      av.type = d.finalType;
+      av.type = d.type;
+      av.confidence = d.confidence;
       av.numVucs = byVar[v].size();
-      // Confidence: mean probability of the winning class at the leaf stage.
-      const StagePath path = pathOf(d.finalType);
-      const Stage leafStage =
-          path.stages[static_cast<size_t>(path.length - 1)];
-      const int leafCls = stageClassOf(leafStage, d.finalType);
-      float sum = 0.0F;
-      for (const StageProbs& p : varProbs) {
-        sum += p.probs[static_cast<size_t>(leafStage)]
-                      [static_cast<size_t>(leafCls)];
-      }
-      av.confidence = sum / static_cast<float>(varProbs.size());
       out.push_back(std::move(av));
     } catch (const TimeoutError&) {
       throw;

@@ -57,11 +57,17 @@ struct EngineConfig {
   bool verbose = false;
 };
 
-/// Per-stage softmax distributions for one VUC. Every stage is always
-/// evaluated (the voting tables need all of them); probs[s] has
-/// numClasses(stage s) entries.
+/// Per-stage softmax distributions for one VUC: probs[s] has numClasses(s)
+/// entries when stage s was evaluated for it and is empty otherwise (a
+/// routed prediction evaluates only its variable's voted path).
 struct StageProbs {
   std::array<std::vector<float>, kNumStages> probs;
+};
+
+/// Which stage nets Engine::predictStream runs on which VUCs.
+enum class StagePlan {
+  kAll,     ///< every stage on every VUC (what voteVariable needs)
+  kRouted,  ///< a variable's VUCs through the stages on its voted path only
 };
 
 /// A variable-level decision after voting.
@@ -70,6 +76,12 @@ struct VariableDecision {
   std::array<int, kNumStages> stageClass{};
   /// Leaf reached by routing the voted classes down the tree.
   TypeLabel finalType = TypeLabel::Int;
+};
+
+/// A variable typed by the route walk (Engine::voteRoute).
+struct RoutedDecision {
+  TypeLabel type = TypeLabel::Int;
+  float confidence = 0.0F;  ///< mean leaf-stage probability of `type`
 };
 
 /// Crash-safe training: when `dir` is set, train() persists a checkpoint
@@ -93,30 +105,41 @@ struct TrainCheckpointing {
 /// centre — the pads supply the BLANK rows past a function's edges — so
 /// the VUCs of a function share all but a few rows of their windows, and
 /// the stage nets' first conv runs once per row instead of once per window.
+/// Every VUC also carries the key of the variable it belongs to, which a
+/// routed prediction votes by.
 class ChunkStream {
  public:
   ChunkStream() = default;
   /// One function: BLANK^window, `insns`, BLANK^window, with one VUC
-  /// centred on each of `targets` (instruction indices, ascending).
+  /// centred on each of `targets` (instruction indices, ascending). VUC i
+  /// belongs to variable vars[i] (function-local ids); without `vars`
+  /// every VUC is a variable of its own.
   ChunkStream(int window, std::span<const embed::TokenRow> insns,
-              std::span<const uint32_t> targets);
+              std::span<const uint32_t> targets,
+              std::span<const uint32_t> vars = {});
 
   /// Appends the functions of `other` after this stream's, keeping the pad
   /// between them once — how a chunk, and the daemon's coalesced batch, is
-  /// built. An empty stream takes `other`'s window; otherwise the windows
-  /// must match (std::invalid_argument).
+  /// built. `other`'s variable keys move past this stream's, so no two
+  /// appended functions share a variable. An empty stream takes `other`'s
+  /// window; otherwise the windows must match (std::invalid_argument).
   void append(const ChunkStream& other);
   void clear() { *this = ChunkStream(); }
 
   int window() const { return window_; }
   const std::vector<embed::TokenRow>& rows() const { return rows_; }
   const std::vector<uint32_t>& centres() const { return centres_; }
+  /// Per VUC: its variable key, below numVars().
+  const std::vector<uint32_t>& vars() const { return vars_; }
+  uint32_t numVars() const { return numVars_; }
   size_t numVucs() const { return centres_.size(); }
 
  private:
   int window_ = 0;
   std::vector<embed::TokenRow> rows_;
   std::vector<uint32_t> centres_;
+  std::vector<uint32_t> vars_;
+  uint32_t numVars_ = 0;
 };
 
 /// A recovered-and-typed variable from the end-to-end stripped path.
@@ -168,18 +191,25 @@ class Engine {
   // from multiple threads concurrently — fan-out happens *inside*
   // predictStream, where each pool worker gets its own scratch arena.)
   /// The one prediction path; out[i] belongs to the VUC centred on
-  /// stream.centres()[i]. When every stage net starts Conv1d(k=3) -> ReLU ->
-  /// MaxPool1d(2), that prefix runs once per stream row for a range of
-  /// VUCs and each VUC gathers its pooled map from it (DESIGN.md §7);
-  /// other nets (int8, window 0) gather encoded windows from the stream
-  /// and run whole. Fan-out is over (VUC range x stage) on the one shared
-  /// set of weights with per-worker scratch. The kernels keep every
-  /// output's op sequence, so results are bit-identical to a serial
-  /// per-window forward at any job count and any batch size. batch <= 0
-  /// resolves via par::resolveBatch (CATI_BATCH env, then a default of 32).
+  /// stream.centres()[i]. It runs in rounds of (stage, VUC selection):
+  /// kAll is one round of every stage on every VUC; kRouted runs Stage 1
+  /// on every VUC, votes each variable (stream.vars()) at it with
+  /// voteVariable's arithmetic, and runs only the stage the vote routes to
+  /// on that variable's VUCs — at most three rounds, and out[i] holds just
+  /// the stages on its variable's path, all that voteRoute reads.
+  /// When every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2), that
+  /// prefix runs once per stream row for a range of selected VUCs and each
+  /// VUC gathers its pooled map from it (DESIGN.md §7); other nets (int8,
+  /// window 0) gather encoded windows from the stream and run whole.
+  /// Fan-out is over (VUC range x stage) on the one shared set of weights
+  /// with per-worker scratch. The kernels keep every output's op sequence,
+  /// so every evaluated stage is bit-identical to a serial per-window
+  /// forward at any job count and any batch size. batch <= 0 resolves via
+  /// par::resolveBatch (CATI_BATCH env, then a default of 32).
   std::vector<StageProbs> predictStream(const ChunkStream& stream,
                                         par::ThreadPool* pool = nullptr,
-                                        int batch = 0);
+                                        int batch = 0,
+                                        StagePlan plan = StagePlan::kAll);
   /// predictStream over the VUCs' own windows, each laid out as a one-VUC
   /// function (BLANK^w window BLANK^w, centre at its index w); out[i]
   /// corresponds to vucs[i].
@@ -197,6 +227,14 @@ class Engine {
   /// ablation bench); clipEnabled=false reduces to plain confidence sums.
   VariableDecision voteVariable(std::span<const StageProbs> vucProbs,
                                 float clipThreshold, bool clipEnabled) const;
+  /// The route walk: the variable of the VUCs probs[i], i in `vucs`, voted
+  /// at Stage 1 and then only at the stage each vote routes to, with
+  /// voteVariable's per-stage arithmetic and the config's clipping. It
+  /// reads no stage off that path, and its type is voteVariable's
+  /// finalType. Throws std::invalid_argument when `vucs` is empty or a VUC
+  /// lacks an on-path stage.
+  RoutedDecision voteRoute(std::span<const StageProbs> probs,
+                           std::span<const uint32_t> vucs) const;
 
   /// Occlusion importance (formula 5) of every window position: entry k is
   /// the confidence of stage `u`'s predicted class with instruction k
@@ -232,11 +270,12 @@ class Engine {
   FunctionWork prepareFunction(std::span<const asmx::Instruction> insns,
                                dataflow::RecoveryResult rec) const;
 
-  /// Phase 3: voting + confidence over `probs`, which must hold one
+  /// Phase 3: voteRoute per variable over `probs`, which must hold one
   /// StageProbs per work.ds.vucs entry, in order (typically a slice of a
-  /// coalesced predictStream result). One poisoned variable degrades (a Diag
-  /// in `diags` + the engine.analyze.degraded counter) instead of aborting
-  /// the function.
+  /// coalesced predictStream result, routed or not). One poisoned variable
+  /// degrades (a Diag in `diags` + the engine.analyze.degraded counter)
+  /// instead of aborting the function; `engine.vote` is its
+  /// fault-injection site.
   std::vector<AnalyzedVariable> finishFunction(
       const FunctionWork& work, std::span<const StageProbs> probs,
       DiagList* diags = nullptr) const;
@@ -265,7 +304,7 @@ class Engine {
 
   /// Has no effect: every load reads the file through an ifstream and runs
   /// load(). The name stays only because the benchmark harness still passes
-  /// kMap; it goes once that caller stops naming it (ROADMAP item 3(c)).
+  /// kMap; it goes once that caller stops naming it (ROADMAP item 1(c)).
   enum class LoadMode { kStream, kMap };
   static Engine loadFile(const std::filesystem::path& p,
                          LoadMode mode = LoadMode::kStream);
@@ -283,8 +322,8 @@ class Engine {
   /// reused across predict calls, so steady-state passes do not reallocate.
   struct WorkerState {
     std::vector<nn::Scratch> stages;
-    /// The range `input` holds: (predict call, range index).
-    uint64_t call = 0;
+    /// The range `input` holds: (predict round, range index).
+    uint64_t round = 0;
     size_t range = 0;
     /// Shared prefix: the range's rows as the conv lane pack
     /// [C][len][kLane]. Otherwise: its windows, [m x inputShape].
@@ -357,15 +396,26 @@ class Engine {
   /// True when every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2),
   /// the prefix predictStream runs once per stream row.
   bool sharedPrefix() const;
-  /// Encodes the VUCs [b, e) of `stream` into ws (see WorkerState).
-  void encodeRange(const ChunkStream& stream, size_t b, size_t e,
+  /// One part of a predict round: the stage nets `stages` on the VUCs
+  /// `vucs` (stream indices, ascending).
+  struct RoundPart {
+    std::vector<Stage> stages;
+    std::vector<uint32_t> vucs;
+  };
+  /// Runs one round's parts over the pool into out[i] for every selected i.
+  void predictRound(const ChunkStream& stream, std::span<const RoundPart> parts,
+                    par::ThreadPool& pool, int batch, bool shared,
+                    StageProbs* out);
+  /// Encodes the VUCs `vucs` (ascending) of `stream` into ws (see
+  /// WorkerState).
+  void encodeRange(const ChunkStream& stream, std::span<const uint32_t> vucs,
                    bool shared, WorkerState& ws) const;
-  /// Stage `s` of the VUCs [b, e) encoded in ws, into out[b, e), in
+  /// Stage `s` of the VUCs `vucs` encoded in ws, into out[vucs[k]], in
   /// sub-batches of `batch` through the net after its shared prefix
   /// (`shared`) or through the whole net.
-  void predictRangeStage(Stage s, const ChunkStream& stream, size_t b,
-                         size_t e, int batch, bool shared, WorkerState& ws,
-                         StageProbs* out);
+  void predictRangeStage(Stage s, const ChunkStream& stream,
+                         std::span<const uint32_t> vucs, int batch,
+                         bool shared, WorkerState& ws, StageProbs* out);
 
   EngineConfig cfg_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
@@ -375,7 +425,7 @@ class Engine {
   /// Per-worker inference scratch (index = pool worker id). Never
   /// serialized.
   std::vector<WorkerState> workers_;
-  uint64_t predictCalls_ = 0;  ///< keys WorkerState::call
+  uint64_t predictRounds_ = 0;  ///< keys WorkerState::round
 };
 
 }  // namespace cati

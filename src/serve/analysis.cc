@@ -81,8 +81,9 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
       const ChunkStream& stream = analysis.stream();
       analysis.finishChunk(engine, stream.numVucs() == 0
                                        ? std::vector<StageProbs>{}
-                                       : engine.predictStream(stream, pool,
-                                                              batch));
+                                       : engine.predictStream(
+                                             stream, pool, batch,
+                                             StagePlan::kRouted));
     }
   } catch (const TimeoutError&) {
     // Clean partial output: every finished chunk stays in the report.

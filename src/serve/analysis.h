@@ -6,11 +6,12 @@
 //
 // ImageAnalysis disassembles one image, then runs the engine's three phases
 // over function-aligned chunks: prepare (recovery + VUC extraction) for the
-// next functions in order, one predictStream over the chunk's stream, then
-// vote and render those functions. CATI classifies every VUC on its own and
-// joins VUCs only when it votes per variable, and the kernels keep every
-// output's op sequence (DESIGN.md §7), so where a chunk starts never
-// changes a byte of output:
+// next functions in order, one routed predictStream over the chunk's
+// stream (each variable's VUCs through the stage nets on its voted path
+// only), then vote and render those functions. CATI classifies every VUC on
+// its own and joins VUCs only when it votes per variable — a variable never
+// spans functions — and the kernels keep every output's op sequence
+// (DESIGN.md §7), so where a chunk starts never changes a byte of output:
 //
 //   * analyzeImage (cati-infer) predicts in chunks of a fixed VUC count,
 //     which keeps the pool busy, bounds memory, and lets a deadline cut the
@@ -80,8 +81,9 @@ class ImageAnalysis {
   const ChunkStream& stream() const { return stream_; }
 
   /// Phase 3 for the chunk from its probabilities (one per VUC of
-  /// stream()): votes, per-variable degradation, report sections and
-  /// diagnostics in function order. Then drops the chunk.
+  /// stream(), routed or all six stages): votes, per-variable degradation,
+  /// report sections and diagnostics in function order. Then drops the
+  /// chunk.
   void finishChunk(const Engine& engine, std::span<const StageProbs> probs);
 
   /// The report of every finished function closed by the summary line, and

@@ -396,14 +396,16 @@ void Server::processGroup(std::vector<Job>& group) {
     }
   }
 
-  // Phase 2: ONE predict over every miss's stream, concatenated — queued
-  // work from different requests shares conv lanes and batches here. The
-  // kernels keep every output's op sequence, so each request's slice is
-  // bit-identical to a per-function predict (DESIGN.md §7/§10).
+  // Phase 2: ONE routed predict over every miss's stream, concatenated —
+  // queued work from different requests shares conv lanes and batches
+  // here. Appending keeps every request's variable keys apart, so each
+  // variable routes on its own VUCs; the kernels keep every output's op
+  // sequence, so each request's slice is bit-identical to its offline
+  // predict (DESIGN.md §7/§10).
   std::vector<StageProbs> probs;
   if (all.numVucs() > 0) {
     coalescedVucs.add(all.numVucs());
-    probs = engine_.predictStream(all, &pool_, cfg_.batch);
+    probs = engine_.predictStream(all, &pool_, cfg_.batch, StagePlan::kRouted);
   }
 
   // Phase 3 per miss: vote, render, cache, reply.

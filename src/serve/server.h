@@ -9,7 +9,7 @@
 //                           shutting-down errors when the queue rejects)
 //   per-connection writer   drains a bounded outbound queue to the socket
 //   batch loop (ONE thread) pops up to maxGroup queued jobs, serves cache
-//                           hits, prepares misses, runs a single
+//                           hits, prepares misses, runs a single routed
 //                           predictStream over every miss's chunk stream,
 //                           concatenated (fan-out happens inside, on the
 //                           server's pool), renders
@@ -142,7 +142,8 @@ class Server {
   void writerLoop(Conn& conn);
   void batchLoop();
   /// One coalesced pass over up to maxGroup jobs (cache hits answered from
-  /// the cache, misses through one predictStream).
+  /// the cache, misses through one routed predictStream, each request's
+  /// variables routed on their own VUCs).
   void processGroup(std::vector<Job>& group);
 
   /// Hands an encoded frame to `conn`'s writer without ever blocking: false

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
 #include <sstream>
 
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "nn/qnn.h"
 #include "support/framed_model.h"
@@ -176,6 +179,103 @@ TEST(Voting, ClippingPromotesConfidentMinority) {
   // No clip: c1 = 0.6+1.9=2.5 > c0 = 1.4+0.1=1.5 -> class 1 either way;
   // verify clip keeps it and equals plain argmax of clipped sums.
   EXPECT_EQ(e.voteVariable(ps3, 0.9F, true).stageClass[0], 1);
+}
+
+TEST(Voting, RouteWalkMatchesVoteVariable) {
+  // voteRoute votes Stage 1 and then only the stage each vote routes to. On
+  // random six-stage distributions it must give voteVariable's finalType
+  // and, bit for bit, the confidence that type implies (the mean leaf-stage
+  // probability of its class) — clipping on and off, with exact ties forced
+  // by coarse values, down to single-VUC variables — while reading the
+  // variable's VUCs by index from between other VUCs and no stage off the
+  // path.
+  Rng rng(0x7a11);
+  const std::array<float, 6> coarse = {0.0F, 0.25F, 0.5F, 0.9F, 0.95F, 1.0F};
+  size_t ties = 0;
+  size_t singles = 0;
+  for (const bool clip : {true, false}) {
+    EngineConfig cfg;
+    cfg.clipEnabled = clip;
+    const Engine e(cfg);  // voting needs no trained model
+    for (int trial = 0; trial < 3000; ++trial) {
+      const bool tied = trial % 3 == 0;
+      const size_t n =
+          trial % 7 == 0 ? 1 : static_cast<size_t>(rng.uniformInt(1, 12));
+      singles += n == 1;
+      // The variable's VUCs sit at the odd indices, other VUCs between.
+      std::vector<StageProbs> probs(2 * n + 1);
+      for (StageProbs& p : probs) {
+        for (int s = 0; s < kNumStages; ++s) {
+          auto& d = p.probs[static_cast<size_t>(s)];
+          d.resize(static_cast<size_t>(numClasses(static_cast<Stage>(s))));
+          for (float& x : d) {
+            x = tied ? coarse[static_cast<size_t>(rng.uniformInt(0, 5))]
+                     : static_cast<float>(rng.uniform());
+          }
+        }
+      }
+      std::vector<uint32_t> vucs;
+      std::vector<StageProbs> gathered;
+      for (uint32_t i = 1; i < probs.size(); i += 2) {
+        vucs.push_back(i);
+        gathered.push_back(probs[i]);
+      }
+      const VariableDecision want = e.voteVariable(gathered);
+      const StagePath path = pathOf(want.finalType);
+      const Stage leaf = path.stages[static_cast<size_t>(path.length - 1)];
+      const int leafCls = stageClassOf(leaf, want.finalType);
+      float sum = 0.0F;
+      for (const StageProbs& p : gathered) {
+        sum += p.probs[static_cast<size_t>(leaf)][static_cast<size_t>(leafCls)];
+      }
+      const float wantConf = sum / static_cast<float>(gathered.size());
+      // Off-path stages emptied, as a routed prediction leaves them.
+      for (StageProbs& p : probs) {
+        for (int s = 0; s < kNumStages; ++s) {
+          const auto* on = std::find(path.stages.begin(),
+                                     path.stages.begin() + path.length,
+                                     static_cast<Stage>(s));
+          if (on == path.stages.begin() + path.length) {
+            p.probs[static_cast<size_t>(s)].clear();
+          }
+        }
+      }
+      const RoutedDecision got = e.voteRoute(probs, vucs);
+      ASSERT_EQ(got.type, want.finalType) << "trial " << trial;
+      ASSERT_EQ(std::bit_cast<uint32_t>(got.confidence),
+                std::bit_cast<uint32_t>(wantConf))
+          << "trial " << trial;
+      // A tie at Stage 1 resolves to the first class, as argmax does.
+      if (tied) {
+        float c0 = 0.0F;
+        float c1 = 0.0F;
+        for (const StageProbs& p : gathered) {
+          const auto clipped = [&](float z) {
+            return clip && z >= cfg.voteClip ? 1.0F : z;
+          };
+          c0 += clipped(p.probs[0][0]);
+          c1 += clipped(p.probs[0][1]);
+        }
+        ties += c0 == c1;
+      }
+    }
+  }
+  EXPECT_GT(ties, 50U) << "too few exact Stage 1 ties to cover argmax order";
+  EXPECT_GT(singles, 500U);
+}
+
+TEST(Voting, RouteWalkRejectsMissingStagesAndEmptyVariables) {
+  // A VUC without its on-path distribution, or no VUC at all, is a poisoned
+  // variable: voteRoute throws, and finishFunction turns that into one
+  // degraded variable.
+  const Engine e{EngineConfig{}};
+  std::vector<StageProbs> probs(1);
+  probs[0].probs[0] = {0.2F, 0.8F};  // routes to Stage 2-1, left empty
+  const std::vector<uint32_t> one = {0};
+  EXPECT_THROW(e.voteRoute(probs, one), std::invalid_argument);
+  EXPECT_THROW(e.voteRoute(probs, {}), std::invalid_argument);
+  probs[0].probs[1] = {0.1F, 0.7F, 0.2F};
+  EXPECT_EQ(e.voteRoute(probs, one).type, TypeLabel::StructPtr);
 }
 
 TEST_F(EngineTest, OcclusionEpsilonPositiveAndCentreSensitive) {

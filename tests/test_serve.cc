@@ -21,6 +21,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,6 +33,7 @@
 #include "common/fault.h"
 #include "common/obs.h"
 #include "common/serialize.h"
+#include "dataflow/recovery.h"
 #include "loader/image.h"
 #include "serve/analysis.h"
 #include "serve/cache.h"
@@ -928,6 +930,194 @@ TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAndServed) {
   const Expected served = decodeReport(client.analyze(req));
   EXPECT_EQ(served.report, faulted.report);
   EXPECT_EQ(served.diagsText, faulted.diagsText);
+  server.stop();
+}
+
+TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAndServed) {
+  // fail@engine.vote:2 poisons the second variable finishFunction votes:
+  // exactly that variable degrades — its row leaves the report, one
+  // "variable skipped (degraded)" warning at its frame offset, one
+  // engine.analyze.degraded — while the rest of its function and the image
+  // are still typed, and the daemon's reply is byte-equal to the offline
+  // report.
+  Engine engine = testsupport::cachedMicroEngine();
+  Engine offline = testsupport::cachedMicroEngine();
+  const std::string bytes = microImageBytes(0, /*stripped=*/true);
+  const Expected clean = offlineExpected(offline, bytes);
+
+  // The second variable with VUCs, in function order.
+  DiagList scratch;
+  std::istringstream is(bytes);
+  const auto img = loader::tryRead(is, scratch);
+  ASSERT_TRUE(img.has_value());
+  std::optional<dataflow::RecoveredVariable> second;
+  size_t voted = 0;
+  for (const loader::LoadedFunction& fn : loader::disassemble(*img, scratch)) {
+    const Engine::FunctionWork work = offline.prepareFunction(
+        fn.insns, dataflow::recoverVariables(fn.insns));
+    const auto byVar = work.ds.vucsByVar();
+    for (size_t v = 0; v < byVar.size() && !second; ++v) {
+      if (!byVar[v].empty() && ++voted == 2) second = work.rec.vars[v];
+    }
+  }
+  ASSERT_TRUE(second.has_value());
+
+  fault::configureForTest("fail@engine.vote:2");
+  const uint64_t degraded0 = counterValue("engine.analyze.degraded");
+  const Expected faulted = offlineExpected(offline, bytes);
+  EXPECT_EQ(counterValue("engine.analyze.degraded") - degraded0, 1U);
+
+  const Diag expectedDiag{
+      Severity::Warning, DiagStage::Engine,
+      static_cast<uint64_t>(second->offset),
+      "variable skipped (degraded): fault: injected ENOSPC at engine.vote"};
+  EXPECT_EQ(faulted.diagsText, clean.diagsText + toString(expectedDiag) + "\n");
+
+  // The clean report without its second variable row (and without that
+  // row's function header, had it been the function's only row).
+  std::vector<std::string> expectedSections;
+  size_t rows = 0;
+  for (const std::string& section : splitReport(clean.report).sections) {
+    std::istringstream ls(section);
+    std::string line;
+    std::string kept;
+    bool anyRow = false;
+    while (std::getline(ls, line)) {
+      if (line.starts_with("  ") && ++rows == 2) continue;
+      anyRow |= line.starts_with("  ");
+      kept += line + "\n";
+    }
+    if (anyRow) expectedSections.push_back(kept);
+  }
+  ASSERT_GE(rows, 2U);
+  const ReportParts faultedParts = splitReport(faulted.report);
+  EXPECT_EQ(faultedParts.sections, expectedSections);
+  EXPECT_EQ(faultedParts.summary,
+            std::to_string(rows - 1) + " variables typed");
+
+  ServerConfig cfg;
+  cfg.listen = unixAddr();
+  cfg.jobs = 2;
+  cfg.batch = 8;
+  Server server(engine, cfg);
+  server.start();
+  fault::configureForTest("fail@engine.vote:2");
+  Client client(server.bound());
+  AnalyzeRequest req;
+  req.image = bytes;
+  const Expected served = decodeReport(client.analyze(req));
+  EXPECT_EQ(served.report, faulted.report);
+  EXPECT_EQ(served.diagsText, faulted.diagsText);
+  server.stop();
+}
+
+/// The report of a stripped image as analyzeImage renders it, from every
+/// stage evaluated on every VUC and every variable voted by voteVariable
+/// over all six — the reference for the routed path.
+std::string sixStageReport(Engine& engine, const loader::Image& img) {
+  DiagList diags;
+  std::string out;
+  size_t typed = 0;
+  for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
+    const Engine::FunctionWork work = engine.prepareFunction(
+        fn.insns, fn.graph != nullptr ? dataflow::recoverVariables(*fn.graph)
+                                      : dataflow::recoverVariables(fn.insns));
+    const std::vector<StageProbs> probs = engine.predictStream(work.stream);
+    std::string rows;
+    const auto byVar = work.ds.vucsByVar();
+    for (size_t v = 0; v < byVar.size(); ++v) {
+      if (byVar[v].empty()) continue;
+      std::vector<StageProbs> varProbs;
+      for (const uint32_t i : byVar[v]) varProbs.push_back(probs[i]);
+      const TypeLabel type = engine.voteVariable(varProbs).finalType;
+      const StagePath path = pathOf(type);
+      const Stage leaf = path.stages[static_cast<size_t>(path.length - 1)];
+      const auto cls = static_cast<size_t>(stageClassOf(leaf, type));
+      float sum = 0.0F;
+      for (const StageProbs& p : varProbs) {
+        sum += p.probs[static_cast<size_t>(leaf)][cls];
+      }
+      const dataflow::RecoveredVariable& loc = work.rec.vars[v];
+      char line[256];
+      std::snprintf(line, sizeof(line),
+                    "  %s%+-6lld %-22s conf %.2f  (%zu VUCs)   \n",
+                    loc.rbpFrame ? "rbp" : "rsp",
+                    static_cast<long long>(loc.offset),
+                    std::string(typeName(type)).c_str(),
+                    sum / static_cast<float>(varProbs.size()), varProbs.size());
+      rows += line;
+      ++typed;
+    }
+    if (!rows.empty()) out += fn.name + ":\n" + rows;
+  }
+  return out + "\n" + std::to_string(typed) + " variables typed\n";
+}
+
+TEST_F(ServeTest, RoutedReportsMatchSixStageVoting) {
+  // analyzeImage predicts by route — Stage 1 on every VUC, then per variable
+  // only the stages its votes lead to — and must print exactly the report
+  // of all six stages on every VUC voted by voteVariable, at jobs {1, 4} x
+  // batch {1, 32}, on a one-chunk and a multi-chunk image.
+  Engine engine = testsupport::cachedMicroEngine();
+  loader::Image small = loader::buildImage(testsupport::microBinaries().at(0));
+  loader::strip(small);
+  for (const loader::Image& img : {small, chunkedImage()}) {
+    const std::string want = sixStageReport(engine, img);
+    for (const int jobs : {1, 4}) {
+      par::ThreadPool pool(jobs);
+      for (const int batch : {1, 32}) {
+        EXPECT_EQ(analyzeImage(engine, img, &pool, batch).report, want)
+            << "jobs " << jobs << " batch " << batch;
+      }
+    }
+  }
+}
+
+TEST_F(ServeTest, CoalescedGroupRoutesEachRequestOnItsOwn) {
+  // Four different images parked in the admission queue, then served in ONE
+  // coalesced routed predict: appending keeps every request's variable keys
+  // apart, so each request's variables are voted on their own VUCs and
+  // every reply is byte-equal to its offline report.
+  Engine engine = testsupport::cachedMicroEngine();
+  Engine offline = testsupport::cachedMicroEngine();
+  std::ostringstream big;
+  loader::write(chunkedImage(), big);
+  const std::vector<std::string> images = {
+      microImageBytes(0, true), microImageBytes(1, true), std::move(big).str(),
+      microImageBytes(1, false)};
+  std::vector<Expected> expected;
+  for (const std::string& img : images) {
+    expected.push_back(offlineExpected(offline, img));
+  }
+
+  ServerConfig cfg;
+  cfg.listen = unixAddr();
+  cfg.maxGroup = 16;
+  cfg.jobs = 4;
+  Server server(engine, cfg);
+  server.start();
+  server.pauseBatchForTest(true);
+  const uint64_t queued0 = counterValue("serve.requests.queued");
+  const uint64_t groups0 = counterValue("serve.groups");
+  std::vector<std::unique_ptr<Client>> clients;
+  for (const std::string& img : images) {
+    clients.push_back(std::make_unique<Client>(server.bound()));
+    AnalyzeRequest req;
+    req.image = img;
+    clients.back()->send(MsgType::kAnalyze, encodeAnalyzeRequest(req));
+  }
+  ASSERT_TRUE(waitFor([&] {
+    return counterValue("serve.requests.queued") - queued0 == images.size();
+  }));
+  server.pauseBatchForTest(false);
+  for (size_t i = 0; i < images.size(); ++i) {
+    Frame f;
+    ASSERT_EQ(clients[i]->recv(f), ReadStatus::kOk);
+    const Expected got = decodeReport(f);
+    EXPECT_EQ(got.report, expected[i].report) << "request " << i;
+    EXPECT_EQ(got.diagsText, expected[i].diagsText) << "request " << i;
+  }
+  EXPECT_EQ(counterValue("serve.groups") - groups0, 1U);
   server.stop();
 }
 

@@ -30,6 +30,7 @@
 #include "common/obs.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "dataflow/recovery.h"
 #include "loader/image.h"
 #include "support/framed_model.h"
 #include "support/micro_model.h"
@@ -334,6 +335,154 @@ TEST_F(StreamPredictTest, OcclusionEpsilonsMatchZeroedRowForwards) {
       }
     }
   }
+}
+
+/// The engine.infer.samples.<Stage> counters, summed over the stages.
+uint64_t stageSamples() {
+  uint64_t total = 0;
+  for (int s = 0; s < kNumStages; ++s) {
+    total += obs::counter("engine.infer.samples." +
+                          std::string(stageName(static_cast<Stage>(s))))
+                 .value();
+  }
+  return total;
+}
+
+/// `base`'s encoder and stage nets with its voting settings replaced.
+Engine withVoting(const Engine& base, float clip, bool clipEnabled) {
+  EngineConfig cfg = base.config();
+  cfg.voteClip = clip;
+  cfg.clipEnabled = clipEnabled;
+  std::vector<nn::Sequential> nets;
+  for (int s = 0; s < kNumStages; ++s) {
+    std::stringstream ss;
+    base.stageNet(static_cast<Stage>(s)).save(ss);
+    nets.push_back(nn::Sequential::load(ss));
+  }
+  std::istringstream is(testsupport::frameModel(cfg, base.encoder(), nets));
+  return Engine::load(is);
+}
+
+TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
+  // StagePlan::kRouted over a real chunk gives every VUC exactly the stages
+  // on its variable's voted path — bit-equal to the kAll predict there,
+  // empty elsewhere — at jobs {1, 4} x batch {1, 32}, on the shared-prefix
+  // branch (micro) and the whole-net one (its int8 twin), and with the
+  // routing votes clipped at 0.5 (every Stage 1 winner counts 1.0) and not
+  // clipped at all; finishFunction types every variable the same from
+  // either. So the engine.infer.samples.<Stage> counters add up to the sum
+  // over variables of path length x VUCs, and engine.infer.vucs counts each
+  // VUC once.
+  obs::setEnabled(true);
+  // Functions the micro model never trained on, so its probabilities are
+  // far from one-hot and clipping changes votes.
+  loader::Image img = loader::buildImage(synth::generateBinary(
+      synth::defaultProfile("route", 0x20e, 24), synth::Dialect::Clang, 1,
+      0x20f));
+  loader::strip(img);
+  DiagList diags;
+  const std::vector<loader::LoadedFunction> fns =
+      loader::disassemble(img, diags);
+  std::vector<Engine> engines;
+  engines.push_back(testsupport::cachedMicroEngine());
+  engines.push_back(micro_->quantize());
+  engines.push_back(withVoting(*micro_, 0.5F, true));
+  engines.push_back(withVoting(*micro_, 0.9F, false));
+  obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
+  for (Engine& e : engines) {
+    std::vector<Engine::FunctionWork> works;
+    ChunkStream st;
+    for (const loader::LoadedFunction& fn : fns) {
+      works.push_back(
+          e.prepareFunction(fn.insns, dataflow::recoverVariables(fn.insns)));
+      st.append(works.back().stream);
+    }
+    ASSERT_GT(st.numVucs(), 96U);
+    const std::vector<StageProbs> full = e.predictStream(st);
+    for (const int jobs : {1, 4}) {
+      par::ThreadPool pool(jobs);
+      for (const int batch : {1, 32}) {
+        const std::string what =
+            std::string(e.quantized() ? "int8" : "fp32") + " clip " +
+            (e.config().clipEnabled ? std::to_string(e.config().voteClip)
+                                    : "off") +
+            " jobs " + std::to_string(jobs) + " batch " +
+            std::to_string(batch);
+        const uint64_t samples0 = stageSamples();
+        const uint64_t vucs0 = inferVucs.value();
+        const std::vector<StageProbs> routed =
+            e.predictStream(st, &pool, batch, StagePlan::kRouted);
+        EXPECT_EQ(inferVucs.value() - vucs0, st.numVucs()) << what;
+        ASSERT_EQ(routed.size(), full.size());
+        uint64_t evals = 0;
+        size_t base = 0;
+        for (const Engine::FunctionWork& work : works) {
+          const size_t n = work.ds.vucs.size();
+          const std::vector<AnalyzedVariable> want = e.finishFunction(
+              work, std::span(full).subspan(base, n));
+          const std::vector<AnalyzedVariable> got = e.finishFunction(
+              work, std::span(routed).subspan(base, n));
+          ASSERT_EQ(got.size(), want.size()) << what;
+          size_t k = 0;
+          for (const std::vector<uint32_t>& vucs : work.ds.vucsByVar()) {
+            if (vucs.empty()) continue;
+            EXPECT_EQ(got[k].type, want[k].type) << what;
+            EXPECT_EQ(std::memcmp(&got[k].confidence, &want[k].confidence,
+                                  sizeof(float)),
+                      0)
+                << what;
+            const StagePath path = pathOf(want[k].type);
+            evals += static_cast<uint64_t>(path.length) * vucs.size();
+            for (const uint32_t i : vucs) {
+              for (int s = 0; s < kNumStages; ++s) {
+                const auto& r = routed[base + i].probs[static_cast<size_t>(s)];
+                const auto& f = full[base + i].probs[static_cast<size_t>(s)];
+                const bool onPath =
+                    std::find(path.stages.begin(),
+                              path.stages.begin() + path.length,
+                              static_cast<Stage>(s)) !=
+                    path.stages.begin() + path.length;
+                if (!onPath) {
+                  EXPECT_TRUE(r.empty()) << what << " stage " << s;
+                } else {
+                  EXPECT_TRUE(r.size() == f.size() &&
+                              std::memcmp(r.data(), f.data(),
+                                          r.size() * sizeof(float)) == 0)
+                      << what << " stage " << s;
+                }
+              }
+            }
+            ++k;
+          }
+          base += n;
+        }
+        EXPECT_EQ(stageSamples() - samples0, evals) << what;
+        EXPECT_GE(evals, 2 * st.numVucs()) << what;
+        EXPECT_LT(evals, 3 * st.numVucs()) << what;
+      }
+    }
+  }
+}
+
+TEST(ChunkStream, AppendKeepsVariablesApart) {
+  // Every VUC carries its variable's key; append moves the keys of the
+  // appended functions past the stream's own, so two functions (or two
+  // daemon requests) never share a variable. Without keys every VUC is a
+  // variable of its own.
+  const std::vector<embed::TokenRow> insns(4, embed::TokenRow{4, 5, 6});
+  ChunkStream st(1, insns, std::vector<uint32_t>{0, 1, 3},
+                 std::vector<uint32_t>{2, 0, 2});
+  EXPECT_EQ(st.numVars(), 3U);
+  st.append(ChunkStream(1, insns, std::vector<uint32_t>{1, 2}));
+  st.append(ChunkStream(1, insns, {}, {}));
+  st.append(ChunkStream(1, insns, std::vector<uint32_t>{0, 2},
+                        std::vector<uint32_t>{1, 1}));
+  EXPECT_EQ(st.vars(), (std::vector<uint32_t>{2, 0, 2, 3, 4, 6, 6}));
+  EXPECT_EQ(st.numVars(), 7U);
+  EXPECT_EQ(st.vars().size(), st.numVucs());
+  EXPECT_THROW(ChunkStream(1, insns, std::vector<uint32_t>{0, 1},
+                           std::vector<uint32_t>{0}),
+               std::invalid_argument);
 }
 
 TEST(ChunkStream, LaysOutFunctionsBetweenPads) {
