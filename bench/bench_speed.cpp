@@ -269,9 +269,9 @@ BENCHMARK(BM_PredictBatchSize)
     ->Unit(benchmark::kMillisecond);
 
 /// The first prediction chunk cati-infer forms on the speed binary, stripped:
-/// whole functions through Engine::prepareFunction until 512 VUCs, as
-/// serve::ImageAnalysis prepares them — once as the chunk stream, once as
-/// the VUCs' own windows.
+/// whole functions through Engine::prepareFunction until serve::kChunkInsns
+/// instructions, as serve::ImageAnalysis cuts them — once as the chunk
+/// stream, once as the VUCs' own windows.
 struct Chunk {
   ChunkStream stream;
   std::vector<corpus::Vuc> windows;
@@ -282,8 +282,10 @@ Chunk speedChunk(Engine& e) {
   loader::strip(img);
   DiagList diags;
   Chunk chunk;
+  size_t insns = 0;
   for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
-    if (chunk.windows.size() >= 512) break;
+    if (insns >= serve::kChunkInsns) break;
+    insns += fn.insns.size();
     Engine::FunctionWork w =
         e.prepareFunction(fn.insns, dataflow::recoverVariables(fn.insns));
     chunk.stream.append(w.stream);

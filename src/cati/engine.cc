@@ -735,7 +735,7 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
     const auto pairLen = static_cast<size_t>(ws.pairLen);
     ws.convB.resize(c1 * pairLen * nn::kBatchLane);
     conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
-    if (firstStage) conv1Cols.add((len + pairLen) * nn::kBatchLane);
+    conv1Cols.add((len + pairLen) * nn::kBatchLane);
     // Each VUC's pooled [c1][w] map: column j pools window columns 2j and
     // 2j + 1; column 2w is dropped, as MaxPool1d drops it.
     const size_t pooled = c1 * w;
@@ -760,16 +760,14 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
   const auto bs = static_cast<size_t>(std::max(1, batch));
   for (size_t sb = 0; sb < m; sb += bs) {
     const size_t nb = std::min(bs, m - sb);
-    if (firstStage) {
-      // Deadline check once per sub-batch of VUCs, in the first stage
-      // only, which every VUC passes and the rest of its path follows:
-      // cheap (a clock read, only when a deadline is set) and bounds how
-      // late a timeout fires.
-      checkDeadline();
-      if (!shared) {
-        conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
-                      (2 * w + 1));
-      }
+    // Deadline check once per sub-batch of VUCs, in the first stage only,
+    // which every VUC passes and the rest of its path follows: cheap (a
+    // clock read, only when a deadline is set) and bounds how late a
+    // timeout fires.
+    if (firstStage) checkDeadline();
+    if (!shared) {
+      conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
+                    (2 * w + 1));
     }
     samples[si]->add(nb);
     // Caches skipped (Phase::kInfer).
@@ -1047,15 +1045,31 @@ std::vector<double> Engine::occlusionEpsilons(const corpus::Vuc& vuc,
   return eps;
 }
 
-Engine::FunctionWork Engine::prepareFunction(
-    std::span<const asmx::Instruction> insns,
-    dataflow::RecoveryResult rec) const {
-  if (!trained()) throw std::logic_error("prepareFunction: not trained");
+void Engine::admitFunction() const {
   static obs::Counter& fnCount = obs::counter("engine.analyze.functions");
-  static obs::Counter& vucCount = obs::counter("engine.analyze.vucs");
   fnCount.add();
   checkDeadline();
   fault::failPoint("engine.prepare");
+}
+
+Engine::FunctionWork Engine::prepareFunction(
+    std::span<const asmx::Instruction> insns,
+    dataflow::RecoveryResult rec) const {
+  admitFunction();
+  return extract(insns, std::move(rec), /*windows=*/true);
+}
+
+Engine::FunctionWork Engine::streamFunction(
+    std::span<const asmx::Instruction> insns,
+    dataflow::RecoveryResult rec) const {
+  return extract(insns, std::move(rec), /*windows=*/false);
+}
+
+Engine::FunctionWork Engine::extract(std::span<const asmx::Instruction> insns,
+                                     dataflow::RecoveryResult rec,
+                                     bool windows) const {
+  if (!trained()) throw std::logic_error("prepareFunction: not trained");
+  static obs::Counter& vucCount = obs::counter("engine.analyze.vucs");
   FunctionWork work;
   work.rec = std::move(rec);
 
@@ -1065,16 +1079,17 @@ Engine::FunctionWork Engine::prepareFunction(
       varOfInsn[idx] = static_cast<int32_t>(v);
     }
   }
-  const std::vector<TypeLabel> labels(work.rec.vars.size(), TypeLabel::kCount);
   const std::vector<corpus::GenInstr> gen = corpus::generalizeAll(insns);
-  work.ds = corpus::extractFromFunction(gen, varOfInsn, labels, cfg_.window);
-  // The same VUCs as a stream: one per variable-operating instruction, in
-  // instruction order, as extraction emits them.
+  if (windows) {
+    const std::vector<TypeLabel> labels(work.rec.vars.size(),
+                                        TypeLabel::kCount);
+    work.ds = corpus::extractFromFunction(gen, varOfInsn, labels, cfg_.window);
+  }
+  // One VUC per variable-operating instruction, in instruction order — the
+  // order extraction emits the windows in.
   std::vector<embed::TokenRow> tokens(gen.size());
   std::vector<uint32_t> targets;
   std::vector<uint32_t> vars;
-  targets.reserve(work.ds.vucs.size());
-  vars.reserve(work.ds.vucs.size());
   for (size_t i = 0; i < gen.size(); ++i) {
     tokens[i] = encoder_->tokenize(gen[i]);
     if (varOfInsn[i] >= 0) {
@@ -1083,28 +1098,49 @@ Engine::FunctionWork Engine::prepareFunction(
     }
   }
   work.stream = ChunkStream(cfg_.window, tokens, targets, vars);
-  vucCount.add(work.ds.vucs.size());
+  vucCount.add(work.stream.numVucs());
   return work;
+}
+
+std::vector<std::exception_ptr> Engine::probeVotes(
+    const FunctionWork& work) const {
+  std::vector<std::exception_ptr> faults;
+  if (!fault::enabled()) return faults;
+  faults.resize(work.rec.vars.size());
+  std::vector<bool> voted(work.rec.vars.size(), false);
+  for (const uint32_t v : work.stream.vars()) voted[v] = true;
+  for (size_t v = 0; v < faults.size(); ++v) {
+    if (!voted[v]) continue;
+    try {
+      fault::failPoint("engine.vote");
+    } catch (const std::exception&) {
+      faults[v] = std::current_exception();
+    }
+  }
+  return faults;
 }
 
 std::vector<AnalyzedVariable> Engine::finishFunction(
     const FunctionWork& work, std::span<const StageProbs> probs,
-    DiagList* diags) const {
+    DiagList* diags, std::span<const std::exception_ptr> voteFaults) const {
   static obs::Counter& varCount = obs::counter("engine.analyze.variables");
   static obs::Counter& degraded = obs::counter("engine.analyze.degraded");
-  if (probs.size() != work.ds.vucs.size()) {
+  const std::vector<uint32_t>& vucVar = work.stream.vars();
+  if (probs.size() != vucVar.size()) {
     throw std::logic_error("finishFunction: probs/vucs size mismatch");
   }
-  const auto byVar = work.ds.vucsByVar();
+  std::vector<std::vector<uint32_t>> byVar(work.rec.vars.size());
+  for (uint32_t i = 0; i < vucVar.size(); ++i) byVar[vucVar[i]].push_back(i);
   std::vector<AnalyzedVariable> out;
   for (size_t v = 0; v < work.rec.vars.size(); ++v) {
     if (byVar[v].empty()) continue;
     // Per-variable isolation: a poisoned variable (broken stage routing,
-    // malformed probabilities) degrades to a diagnostic and a counter; the
-    // rest of the function still gets typed. Deadline expiry is not a
-    // degradation — it must stop the whole analysis, so it passes through.
+    // malformed probabilities, an injected engine.vote fault) degrades to a
+    // diagnostic and a counter; the rest of the function still gets typed.
     try {
-      fault::failPoint("engine.vote");
+      if (v < voteFaults.size() && voteFaults[v]) {
+        std::rethrow_exception(voteFaults[v]);
+      }
       const RoutedDecision d = voteRoute(probs, byVar[v]);
       AnalyzedVariable av;
       av.location = work.rec.vars[v];
@@ -1112,8 +1148,6 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
       av.confidence = d.confidence;
       av.numVucs = byVar[v].size();
       out.push_back(std::move(av));
-    } catch (const TimeoutError&) {
-      throw;
     } catch (const std::exception& e) {
       degraded.add();
       addDiag(diags, Severity::Warning, DiagStage::Engine,

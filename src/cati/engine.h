@@ -8,6 +8,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <istream>
 #include <optional>
@@ -177,7 +178,7 @@ class Engine {
 
   bool trained() const { return encoder_.has_value(); }
 
-  /// Wall-clock deadline for analysis (--timeout-ms): prepareFunction checks
+  /// Wall-clock deadline for analysis (--timeout-ms): admitFunction checks
   /// it per function and predictStream between NN sub-batches, throwing
   /// cati::TimeoutError on expiry, so a caller always gets back with the
   /// partial results it accumulated so far. nullopt (default) disables.
@@ -245,40 +246,63 @@ class Engine {
 
   // --- end-to-end stripped-binary analysis (DESIGN.md §10) ---
   // The full §III pipeline with src/dataflow standing in for IDA Pro runs in
-  // three phases: prepareFunction per function, one predictStream over the
+  // three phases: prepare per function, one predictStream over the
   // concatenated streams of many functions, finishFunction per function.
-  // serve::ImageAnalysis drives them for both cati-infer and cati-serve.
+  // serve::ImageAnalysis drives them for both cati-infer and cati-serve,
+  // fanning each chunk's per-function prepare and finish out over the pool.
+  // streamFunction and finishFunction are safe to call from several
+  // threads at once; admitFunction and probeVotes take the ordered side
+  // effects (the deadline, the fault sites) and run serially in function
+  // order, so a cut or an injected fault lands on the same function at any
+  // job count.
   // Kernels preserve per-sample accumulation order, so how the prepared
   // functions are grouped into predict calls never changes the votes.
 
   /// The deterministic share of the analysis: recovered variables plus
-  /// this function's extracted (unlabeled) VUCs, both as windows and as a
-  /// chunk stream.
+  /// this function's extracted (unlabeled) VUCs as a chunk stream, and, from
+  /// prepareFunction only, as windows.
   struct FunctionWork {
     dataflow::RecoveryResult rec;
-    corpus::Dataset ds;  ///< function-local var ids; vucs in extraction order
-    /// The function alone as a chunk stream, one centre per ds.vucs entry
-    /// in the same order.
+    /// prepareFunction: the VUCs' windows, function-local var ids, in
+    /// stream order. streamFunction leaves it empty; nothing on the analysis
+    /// path reads it.
+    corpus::Dataset ds;
+    /// The function alone as a chunk stream: one centre per VUC, in
+    /// instruction order, each tagged with its variable (rec.vars index).
     ChunkStream stream;
   };
 
-  /// Phase 1: VUC extraction from the caller's recovery — e.g.
-  /// dataflow::recoverVariables over a loader FunctionGraph (decode-cache
-  /// hits skip relowering) or over `insns`. Counts the function toward the
-  /// engine.analyze.* metrics, honours the analysis deadline, and is the
-  /// `engine.prepare` fault-injection site.
+  /// Phase 1, ordered part: counts the function toward
+  /// engine.analyze.functions, honours the analysis deadline (TimeoutError)
+  /// and is the `engine.prepare` fault-injection site.
+  void admitFunction() const;
+  /// Phase 1, per-function part: VUC extraction as a stream from the
+  /// caller's recovery — e.g. dataflow::recoverVariables over a loader
+  /// FunctionGraph (decode-cache hits skip relowering) or over `insns`.
+  /// Counts engine.analyze.vucs. Builds no windows.
+  FunctionWork streamFunction(std::span<const asmx::Instruction> insns,
+                              dataflow::RecoveryResult rec) const;
+  /// admitFunction, then streamFunction plus the VUCs' windows in `ds` —
+  /// one function by itself, for callers that read windows.
   FunctionWork prepareFunction(std::span<const asmx::Instruction> insns,
                                dataflow::RecoveryResult rec) const;
 
+  /// Phase 3, ordered part: the `engine.vote` fault-injection site, hit
+  /// once per variable finishFunction votes (one with VUCs), in variable
+  /// order. Entry v holds the fault injected for variable v, or null; empty
+  /// when no fault spec is armed.
+  std::vector<std::exception_ptr> probeVotes(const FunctionWork& work) const;
+
   /// Phase 3: voteRoute per variable over `probs`, which must hold one
-  /// StageProbs per work.ds.vucs entry, in order (typically a slice of a
+  /// StageProbs per VUC of work.stream, in order (typically a slice of a
   /// coalesced predictStream result, routed or not). One poisoned variable
-  /// degrades (a Diag in `diags` + the engine.analyze.degraded counter)
-  /// instead of aborting the function; `engine.vote` is its
-  /// fault-injection site.
+  /// — voteRoute throws, or `voteFaults` (probeVotes' result) holds a fault
+  /// for it — degrades (a Diag in `diags` + the engine.analyze.degraded
+  /// counter) instead of aborting the function.
   std::vector<AnalyzedVariable> finishFunction(
       const FunctionWork& work, std::span<const StageProbs> probs,
-      DiagList* diags = nullptr) const;
+      DiagList* diags = nullptr,
+      std::span<const std::exception_ptr> voteFaults = {}) const;
 
   // --- int8 quantization (DESIGN.md §11) ---
   /// Builds the int8 quantized twin of this trained fp32 engine: weights
@@ -390,6 +414,9 @@ class Engine {
   /// Throws TimeoutError when the analysis deadline has passed, or when an
   /// armed `engine.deadline` fault rule fires (a deterministic expiry).
   void checkDeadline() const;
+  /// streamFunction, plus the windows in `ds` when `windows`.
+  FunctionWork extract(std::span<const asmx::Instruction> insns,
+                       dataflow::RecoveryResult rec, bool windows) const;
   /// The lazily-created scratch for worker `w`. Must be called outside any
   /// parallel region (it may grow workers_); train() invalidates all states.
   WorkerState& worker(int w);

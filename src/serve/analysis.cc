@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <exception>
+#include <functional>
 #include <unordered_map>
 #include <utility>
 
@@ -34,12 +36,6 @@ __attribute__((format(printf, 2, 3))) void appendf(std::string& out,
   out.append(big);
 }
 
-// Function-aligned prediction chunk of the offline path: functions are
-// prepared until the chunk holds this many VUCs, then predicted in one call.
-// Large enough that predictStream fans out over the pool, small enough that
-// the chunk's VUCs and probabilities stay a small share of peak memory.
-constexpr size_t kChunkVucs = 512;
-
 void addDegradedFnDiag(DiagList* diags, const loader::LoadedFunction& fn,
                        const std::exception& e) {
   // Per-function isolation: one poisoned function must not abort the
@@ -65,6 +61,16 @@ std::vector<loader::LoadedFunction> disassembleFor(const loader::Image& img,
                          : loader::disassemble(img, diags);
 }
 
+/// fn(k) for k in [0, n): one task each on `pool`, inline without one.
+void forEach(par::ThreadPool* pool, size_t n,
+             const std::function<void(size_t)>& fn) {
+  if (pool == nullptr) {
+    for (size_t k = 0; k < n; ++k) fn(k);
+    return;
+  }
+  pool->run(n, [&](size_t k, int) { fn(k); });
+}
+
 }  // namespace
 
 AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
@@ -77,7 +83,7 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
   ImageAnalysis analysis(img, pool, opts.confMin, opts.cache);
   bool timedOut = false;
   try {
-    while (analysis.prepareChunk(engine, kChunkVucs)) {
+    while (analysis.prepareChunk(engine, kChunkInsns)) {
       const ChunkStream& stream = analysis.stream();
       analysis.finishChunk(engine, stream.numVucs() == 0
                                        ? std::vector<StageProbs>{}
@@ -96,25 +102,48 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
 ImageAnalysis::ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
                              float confMin, loader::DecodeCache* cache)
     : img_(img),
+      pool_(pool),
       confMin_(confMin),
       fns_(disassembleFor(img, res_.diags, pool, cache)) {}
 
-bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxVucs) {
+bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxInsns) {
   if (next_ == fns_.size()) return false;
-  while (next_ < fns_.size() && stream_.numVucs() < maxVucs) {
-    const loader::LoadedFunction& fn = fns_[next_++];
-    dataflow::RecoveryResult rec = fn.graph != nullptr
-                                       ? dataflow::recoverVariables(*fn.graph)
-                                       : dataflow::recoverVariables(fn.insns);
-    PreparedFn& pf = chunk_.emplace_back();
+  static obs::Histogram& prepareNs = obs::timer("engine.analyze.prepare_ns");
+  const obs::ScopedTimer timing(prepareNs);
+  const size_t first = next_;
+  size_t insns = 0;
+  do {
+    insns += fns_[next_++].insns.size();
+  } while (next_ < fns_.size() && insns < maxInsns);
+  chunk_.resize(next_ - first);
+
+  // Serially, in function order: the function count, the deadline and the
+  // engine.prepare fault site.
+  std::vector<char> admitted(chunk_.size(), 0);
+  for (size_t k = 0; k < chunk_.size(); ++k) {
     try {
-      pf.work = engine.prepareFunction(fn.insns, std::move(rec));
+      engine.admitFunction();
+      admitted[k] = 1;
     } catch (const TimeoutError&) {
       throw;
     } catch (const std::exception& e) {
-      addDegradedFnDiag(&pf.frag, fn, e);
-      continue;
+      addDegradedFnDiag(&chunk_[k].frag, fns_[first + k], e);
     }
+  }
+  forEach(pool_, chunk_.size(), [&](size_t k) {
+    if (admitted[k] == 0) return;
+    const loader::LoadedFunction& fn = fns_[first + k];
+    dataflow::RecoveryResult rec = fn.graph != nullptr
+                                       ? dataflow::recoverVariables(*fn.graph)
+                                       : dataflow::recoverVariables(fn.insns);
+    try {
+      chunk_[k].work = engine.streamFunction(fn.insns, std::move(rec));
+    } catch (const std::exception& e) {
+      addDegradedFnDiag(&chunk_[k].frag, fn, e);
+    }
+  });
+  for (PreparedFn& pf : chunk_) {
+    if (!pf.work) continue;
     pf.vucBegin = stream_.numVucs();
     stream_.append(pf.work->stream);
     pf.vucEnd = stream_.numVucs();
@@ -124,26 +153,36 @@ bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxVucs) {
 
 void ImageAnalysis::finishChunk(const Engine& engine,
                                 std::span<const StageProbs> probs) {
+  static obs::Histogram& finishNs = obs::timer("engine.analyze.finish_ns");
+  const obs::ScopedTimer timing(finishNs);
   const size_t first = next_ - chunk_.size();
+  // Serially, in function and variable order: the engine.vote fault site.
+  std::vector<std::vector<std::exception_ptr>> voteFaults(chunk_.size());
   for (size_t k = 0; k < chunk_.size(); ++k) {
+    if (chunk_[k].work) voteFaults[k] = engine.probeVotes(*chunk_[k].work);
+  }
+  forEach(pool_, chunk_.size(), [&](size_t k) {
     PreparedFn& pf = chunk_[k];
+    if (!pf.work) return;
     const loader::LoadedFunction& fn = fns_[first + k];
-    bool ok = pf.work.has_value();
     std::vector<AnalyzedVariable> vars;
-    if (ok) {
-      try {
-        vars = engine.finishFunction(
-            *pf.work, probs.subspan(pf.vucBegin, pf.vucEnd - pf.vucBegin),
-            &pf.frag);
-      } catch (const std::exception& e) {
-        ok = false;
-        addDegradedFnDiag(&pf.frag, fn, e);
-      }
+    try {
+      vars = engine.finishFunction(
+          *pf.work, probs.subspan(pf.vucBegin, pf.vucEnd - pf.vucBegin),
+          &pf.frag, voteFaults[k]);
+      pf.finished = true;
+    } catch (const std::exception& e) {
+      addDegradedFnDiag(&pf.frag, fn, e);
     }
-    if (ok) {
-      ++fnsDone_;
-      if (!vars.empty()) render(fn, vars);
-    }
+    pf.work.reset();  // freed here, on the worker
+    if (pf.finished && !vars.empty()) render(fn, vars, pf);
+  });
+  for (const PreparedFn& pf : chunk_) {
+    fnsDone_ += pf.finished ? 1 : 0;
+    res_.report += pf.section;
+    tally_.typed += pf.tally.typed;
+    tally_.withTruth += pf.tally.withTruth;
+    tally_.correct += pf.tally.correct;
     res_.diags.insert(res_.diags.end(), pf.frag.begin(), pf.frag.end());
   }
   chunk_.clear();
@@ -151,8 +190,10 @@ void ImageAnalysis::finishChunk(const Engine& engine,
 }
 
 void ImageAnalysis::render(const loader::LoadedFunction& fn,
-                           std::span<const AnalyzedVariable> vars) {
-  std::string& out = res_.report;
+                           std::span<const AnalyzedVariable> vars,
+                           PreparedFn& pf) const {
+  std::string& out = pf.section;
+  Tally& tally = pf.tally;
   // The header prints even if every variable is filtered out — the
   // historical cati-infer behaviour.
   appendf(out, "%s:\n", fn.name.c_str());
@@ -173,12 +214,12 @@ void ImageAnalysis::render(const loader::LoadedFunction& fn,
 
   for (const AnalyzedVariable& av : vars) {
     if (av.confidence < confMin_) continue;
-    ++tally_.typed;
+    ++tally.typed;
     const char* truthName = "";
     const auto it = truth.find(av.location.offset);
     if (it != truth.end()) {
-      ++tally_.withTruth;
-      if (it->second == av.type) ++tally_.correct;
+      ++tally.withTruth;
+      if (it->second == av.type) ++tally.correct;
       truthName = typeName(it->second).data();
     }
     appendf(out, "  %s%+-6lld %-22s conf %.2f  (%zu VUCs)   %s\n",

@@ -10,10 +10,17 @@
 // stream (each variable's VUCs through the stage nets on its voted path
 // only), then vote and render those functions. CATI classifies every VUC on
 // its own and joins VUCs only when it votes per variable — a variable never
-// spans functions — and the kernels keep every output's op sequence
-// (DESIGN.md §7), so where a chunk starts never changes a byte of output:
+// spans functions — so prepare and finish run one pool task per function of
+// the chunk, each writing only its own slot, and the calling thread merges
+// the slots in function order: the chunk stream, the report sections, the
+// tallies and the diagnostics. The ordered side effects — the deadline and
+// the engine.prepare / engine.vote fault sites — are taken in a serial pass
+// in function order before each fan-out, so a cut or an injected fault
+// lands on the same function at any job count (DESIGN.md §9). The kernels
+// keep every output's op sequence (DESIGN.md §7), so where a chunk starts
+// never changes a byte of output:
 //
-//   * analyzeImage (cati-infer) predicts in chunks of a fixed VUC count,
+//   * analyzeImage (cati-infer) cuts chunks of kChunkInsns instructions,
 //     which keeps the pool busy, bounds memory, and lets a deadline cut the
 //     report at a whole function;
 //   * the daemon (cati-serve) prepares each request as one chunk and
@@ -46,6 +53,13 @@ struct AnalyzeOptions {
   loader::DecodeCache* cache = nullptr;
 };
 
+/// analyzeImage's chunk bound: prepareChunk adds whole functions until the
+/// chunk holds this many instructions. A chunk keeps only each function's
+/// recovery and stream (no windows), so this is about 1k VUCs: enough for
+/// one prepare fan-out and the predict rounds to fill the pool, small
+/// enough that the chunk stays a small share of peak memory.
+inline constexpr size_t kChunkInsns = 2048;
+
 struct AnalyzeResult {
   std::string report;  ///< exactly what cati-infer prints on stdout
   DiagList diags;      ///< disassembly + degradation diagnostics, tool order
@@ -63,26 +77,32 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
 class ImageAnalysis {
  public:
   /// Disassembles `img` (recovering, via `pool`, through `cache` when
-  /// given). `img` must outlive this object.
+  /// given); prepareChunk and finishChunk fan out over `pool` too, which
+  /// must outlive this object, as must `img`. Without a pool everything
+  /// runs on the calling thread.
   ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
                 float confMin, loader::DecodeCache* cache = nullptr);
 
-  /// Phase 1 for the next functions in order — recovery off the loader
-  /// FunctionGraph, then Engine::prepareFunction — until the chunk holds at
-  /// least `maxVucs` VUCs or no function is left; by default the chunk is
-  /// the rest of the image. Returns false when no function was left. A
-  /// function whose preparation throws degrades to a Warning diag plus the
+  /// Phase 1 for the next functions in order, at least one, until the
+  /// chunk holds at least `maxInsns` instructions or no function is left;
+  /// by default the chunk is the rest of the image. Each function is
+  /// admitted (Engine::admitFunction) serially in order, then recovered off
+  /// its loader FunctionGraph and extracted (Engine::streamFunction) as one
+  /// pool task. Returns false when no function was left. A function whose
+  /// preparation throws degrades to a Warning diag plus the
   /// engine.analyze.degraded counter and contributes no VUCs; a
   /// TimeoutError propagates and stops the analysis.
   bool prepareChunk(const Engine& engine,
-                    size_t maxVucs = std::numeric_limits<size_t>::max());
+                    size_t maxInsns = std::numeric_limits<size_t>::max());
 
   /// The chunk's functions as one chunk stream, in function order.
   const ChunkStream& stream() const { return stream_; }
 
   /// Phase 3 for the chunk from its probabilities (one per VUC of
-  /// stream(), routed or all six stages): votes, per-variable degradation,
-  /// report sections and diagnostics in function order. Then drops the
+  /// stream(), routed or all six stages): the engine.vote fault hits
+  /// serially in order (Engine::probeVotes), then per function as one pool
+  /// task its votes, per-variable degradation and report section; the
+  /// sections and diagnostics are merged in function order. Then drops the
   /// chunk.
   void finishChunk(const Engine& engine, std::span<const StageProbs> probs);
 
@@ -93,25 +113,31 @@ class ImageAnalysis {
   AnalyzeResult result(bool timedOut = false, long timeoutMs = 0) &&;
 
  private:
+  struct Tally {
+    size_t typed = 0;
+    size_t withTruth = 0;
+    size_t correct = 0;
+  };
+  /// One function of the chunk; each phase's pool task writes only its own.
   struct PreparedFn {
     /// nullopt when preparation degraded (diag already in `frag`).
     std::optional<Engine::FunctionWork> work;
     size_t vucBegin = 0;
     size_t vucEnd = 0;
     DiagList frag;  ///< this function's diagnostics, both phases
-  };
-  struct Tally {
-    size_t typed = 0;
-    size_t withTruth = 0;
-    size_t correct = 0;
+    bool finished = false;  ///< typed (not degraded) by finishChunk
+    std::string section;    ///< its report section, empty when no variable
+    Tally tally;
   };
 
-  /// One function's report section: header, then one row per variable
-  /// above the confidence floor, with ground truth when debug info survives.
+  /// One function's report section into pf.section and pf.tally: header,
+  /// then one row per variable above the confidence floor, with ground
+  /// truth when debug info survives.
   void render(const loader::LoadedFunction& fn,
-              std::span<const AnalyzedVariable> vars);
+              std::span<const AnalyzedVariable> vars, PreparedFn& pf) const;
 
   const loader::Image& img_;
+  par::ThreadPool* pool_;
   float confMin_;
   /// Finished output so far; declared before fns_, whose initializer
   /// writes the disassembly diagnostics into it.

@@ -13,7 +13,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -22,6 +24,7 @@
 #include <iterator>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -75,12 +78,12 @@ struct Expected {
 };
 
 Expected offlineExpected(Engine& engine, const std::string& imageBytes,
-                         float confMin = 0.0F, int batch = 0) {
+                         float confMin = 0.0F, int batch = 0, int jobs = 1) {
   DiagList imgDiags;
   std::istringstream is(imageBytes);
   const auto img = loader::tryRead(is, imgDiags);
   EXPECT_TRUE(img.has_value());
-  par::ThreadPool pool(1);
+  par::ThreadPool pool(jobs);
   AnalyzeOptions opts;
   opts.confMin = confMin;
   const AnalyzeResult r = analyzeImage(engine, *img, &pool, batch, opts);
@@ -814,18 +817,19 @@ bool isPrefix(const std::vector<std::string>& part,
          std::equal(part.begin(), part.end(), whole.begin());
 }
 
-TEST_F(ServeTest, DeadlineAtEveryCheckCutsAtAWholeFunction) {
-  // The --timeout-ms contract, made deterministic by the engine.deadline
-  // fault site: the rule expires the deadline at its Nth check. Sweeping N
-  // over every check of a multi-chunk analysis covers expiry in prepare and
-  // in predict of every chunk. Each cut renders whole functions only (a
-  // prefix of the untimed report), closes with the TIMEOUT summary, warns,
-  // and degrades nothing.
+/// The --timeout-ms contract, made deterministic by the engine.deadline
+/// fault site: the rule expires the deadline at its Nth check. Sweeping N
+/// over every check of a multi-chunk analysis covers expiry in prepare and
+/// in predict of every chunk. Each cut renders whole functions only (a
+/// prefix of the untimed report), closes with the TIMEOUT summary, warns,
+/// and degrades nothing — on the calling thread alone (`pool` null) and
+/// with prepare, predict and finish fanned out over `pool`.
+void expectDeadlineCutsAtWholeFunctions(par::ThreadPool* pool) {
   Engine engine = testsupport::cachedMicroEngine();
   const loader::Image img = chunkedImage();
   DiagList scratch;
   const size_t fnsTotal = loader::disassemble(img, scratch).size();
-  const AnalyzeResult full = analyzeImage(engine, img, nullptr, 32);
+  const AnalyzeResult full = analyzeImage(engine, img, pool, 32);
   const ReportParts fullParts = splitReport(full.report);
   const std::string cutSuffix =
       "/" + std::to_string(fnsTotal) + " functions analyzed";
@@ -841,7 +845,7 @@ TEST_F(ServeTest, DeadlineAtEveryCheckCutsAtAWholeFunction) {
     const uint64_t fired0 = counterValue("fault.injected");
     const uint64_t degraded0 = counterValue("engine.analyze.degraded");
     const uint64_t predicted0 = counterValue("engine.infer.vucs");
-    const AnalyzeResult r = analyzeImage(engine, img, nullptr, 32, opts);
+    const AnalyzeResult r = analyzeImage(engine, img, pool, 32, opts);
     EXPECT_EQ(counterValue("engine.analyze.degraded"), degraded0) << "n=" << n;
     for (const Diag& d : r.diags) {
       EXPECT_EQ(d.message.find("degraded"), std::string::npos)
@@ -881,15 +885,31 @@ TEST_F(ServeTest, DeadlineAtEveryCheckCutsAtAWholeFunction) {
   EXPECT_GT(partialCuts, 0U);
 }
 
-TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAndServed) {
-  // fail@engine.prepare:2 poisons the second function's prepare: exactly
-  // that function degrades, with the documented diag and counter, the rest
-  // of the image is still typed, and the daemon's reply is byte-equal to
-  // the offline report.
-  Engine engine = testsupport::cachedMicroEngine();
-  Engine offline = testsupport::cachedMicroEngine();
-  const std::string bytes = microImageBytes(0, /*stripped=*/true);
-  const Expected clean = offlineExpected(offline, bytes);
+TEST_F(ServeTest, DeadlineAtEveryCheckCutsAtAWholeFunction) {
+  expectDeadlineCutsAtWholeFunctions(nullptr);
+}
+
+TEST_F(ServeTest, DeadlineAtEveryCheckCutsAtAWholeFunctionAtJobs4) {
+  par::ThreadPool pool(4);
+  expectDeadlineCutsAtWholeFunctions(&pool);
+}
+
+/// The fault legs at jobs 4 poison these functions and variables of
+/// chunkedImage() (1-based, in function order): the second, as the jobs-1
+/// legs do on a smaller image, and ones further in, whose hits would race
+/// on the pool were they taken there.
+constexpr std::array<size_t, 3> kPoisonedFunctions = {2, 25, 48};
+constexpr std::array<size_t, 3> kPoisonedVariables = {2, 180, 358};
+
+/// fail@engine.prepare:N poisons the Nth function's prepare in the offline
+/// analysis at `jobs`: exactly that function degrades, with the documented
+/// diag and counter, and the rest of the image is still typed. Stores the
+/// faulted output in `faulted`.
+void expectPrepareFaultDegradesOneFunction(Engine& offline,
+                                           const std::string& bytes, int jobs,
+                                           size_t nth, Expected* faulted) {
+  fault::configureForTest("");
+  const Expected clean = offlineExpected(offline, bytes, 0.0F, 0, jobs);
 
   DiagList scratch;
   std::istringstream is(bytes);
@@ -898,24 +918,37 @@ TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAndServed) {
   const std::vector<loader::LoadedFunction> fns =
       loader::disassemble(*img, scratch);
   ASSERT_GE(fns.size(), 3U);
+  ASSERT_LE(nth, fns.size());
+  const loader::LoadedFunction& poisoned = fns[nth - 1];
 
-  fault::configureForTest("fail@engine.prepare:2");
+  fault::configureForTest("fail@engine.prepare:" + std::to_string(nth));
   const uint64_t degraded0 = counterValue("engine.analyze.degraded");
-  const Expected faulted = offlineExpected(offline, bytes);
+  *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
   EXPECT_EQ(counterValue("engine.analyze.degraded") - degraded0, 1U);
 
   const Diag expectedDiag{
-      Severity::Warning, DiagStage::Engine, fns[1].addr,
-      "function " + fns[1].name +
+      Severity::Warning, DiagStage::Engine, poisoned.addr,
+      "function " + poisoned.name +
           " skipped (degraded): fault: injected ENOSPC at engine.prepare"};
-  EXPECT_EQ(faulted.diagsText, clean.diagsText + toString(expectedDiag) + "\n");
+  EXPECT_EQ(faulted->diagsText,
+            clean.diagsText + toString(expectedDiag) + "\n");
 
   std::vector<std::string> expectedSections;
   for (const std::string& s : splitReport(clean.report).sections) {
-    if (!s.starts_with(fns[1].name + ":")) expectedSections.push_back(s);
+    if (!s.starts_with(poisoned.name + ":")) expectedSections.push_back(s);
   }
   EXPECT_EQ(expectedSections.size() + 1, splitReport(clean.report).sections.size());
-  EXPECT_EQ(splitReport(faulted.report).sections, expectedSections);
+  EXPECT_EQ(splitReport(faulted->report).sections, expectedSections);
+}
+
+TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAndServed) {
+  // The daemon's reply under the same rule is byte-equal to the offline
+  // report.
+  Engine engine = testsupport::cachedMicroEngine();
+  Engine offline = testsupport::cachedMicroEngine();
+  const std::string bytes = microImageBytes(0, /*stripped=*/true);
+  Expected faulted;
+  expectPrepareFaultDegradesOneFunction(offline, bytes, 1, 2, &faulted);
 
   ServerConfig cfg;
   cfg.listen = unixAddr();
@@ -933,48 +966,63 @@ TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAndServed) {
   server.stop();
 }
 
-TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAndServed) {
-  // fail@engine.vote:2 poisons the second variable finishFunction votes:
-  // exactly that variable degrades — its row leaves the report, one
-  // "variable skipped (degraded)" warning at its frame offset, one
-  // engine.analyze.degraded — while the rest of its function and the image
-  // are still typed, and the daemon's reply is byte-equal to the offline
-  // report.
-  Engine engine = testsupport::cachedMicroEngine();
+TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAtJobs4) {
   Engine offline = testsupport::cachedMicroEngine();
-  const std::string bytes = microImageBytes(0, /*stripped=*/true);
-  const Expected clean = offlineExpected(offline, bytes);
+  std::ostringstream image;
+  loader::write(chunkedImage(), image);
+  const std::string bytes = std::move(image).str();
+  for (const size_t nth : kPoisonedFunctions) {
+    Expected atJobs1;
+    Expected atJobs4;
+    expectPrepareFaultDegradesOneFunction(offline, bytes, 1, nth, &atJobs1);
+    expectPrepareFaultDegradesOneFunction(offline, bytes, 4, nth, &atJobs4);
+    EXPECT_EQ(atJobs4.report, atJobs1.report) << "function " << nth;
+    EXPECT_EQ(atJobs4.diagsText, atJobs1.diagsText) << "function " << nth;
+  }
+}
 
-  // The second variable with VUCs, in function order.
+/// fail@engine.vote:N poisons the Nth variable finishFunction votes in the
+/// offline analysis at `jobs`: exactly that variable degrades — its row
+/// leaves the report, one "variable skipped (degraded)" warning at its frame
+/// offset, one engine.analyze.degraded — while the rest of its function and
+/// the image are still typed. Stores the faulted output in `faulted`.
+void expectVoteFaultDegradesOneVariable(Engine& offline,
+                                        const std::string& bytes, int jobs,
+                                        size_t nth, Expected* faulted) {
+  fault::configureForTest("");
+  const Expected clean = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+
+  // The Nth variable with VUCs, in function order.
   DiagList scratch;
   std::istringstream is(bytes);
   const auto img = loader::tryRead(is, scratch);
   ASSERT_TRUE(img.has_value());
-  std::optional<dataflow::RecoveredVariable> second;
+  std::optional<dataflow::RecoveredVariable> poisoned;
   size_t voted = 0;
   for (const loader::LoadedFunction& fn : loader::disassemble(*img, scratch)) {
     const Engine::FunctionWork work = offline.prepareFunction(
         fn.insns, dataflow::recoverVariables(fn.insns));
     const auto byVar = work.ds.vucsByVar();
-    for (size_t v = 0; v < byVar.size() && !second; ++v) {
-      if (!byVar[v].empty() && ++voted == 2) second = work.rec.vars[v];
+    for (size_t v = 0; v < byVar.size() && !poisoned; ++v) {
+      if (!byVar[v].empty() && ++voted == nth) poisoned = work.rec.vars[v];
     }
   }
-  ASSERT_TRUE(second.has_value());
+  ASSERT_TRUE(poisoned.has_value()) << "only " << voted << " voted variables";
 
-  fault::configureForTest("fail@engine.vote:2");
+  fault::configureForTest("fail@engine.vote:" + std::to_string(nth));
   const uint64_t degraded0 = counterValue("engine.analyze.degraded");
-  const Expected faulted = offlineExpected(offline, bytes);
+  *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
   EXPECT_EQ(counterValue("engine.analyze.degraded") - degraded0, 1U);
 
   const Diag expectedDiag{
       Severity::Warning, DiagStage::Engine,
-      static_cast<uint64_t>(second->offset),
+      static_cast<uint64_t>(poisoned->offset),
       "variable skipped (degraded): fault: injected ENOSPC at engine.vote"};
-  EXPECT_EQ(faulted.diagsText, clean.diagsText + toString(expectedDiag) + "\n");
+  EXPECT_EQ(faulted->diagsText,
+            clean.diagsText + toString(expectedDiag) + "\n");
 
-  // The clean report without its second variable row (and without that
-  // row's function header, had it been the function's only row).
+  // The clean report without its Nth variable row (and without that row's
+  // function header, had it been the function's only row).
   std::vector<std::string> expectedSections;
   size_t rows = 0;
   for (const std::string& section : splitReport(clean.report).sections) {
@@ -983,17 +1031,27 @@ TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAndServed) {
     std::string kept;
     bool anyRow = false;
     while (std::getline(ls, line)) {
-      if (line.starts_with("  ") && ++rows == 2) continue;
+      if (line.starts_with("  ") && ++rows == nth) continue;
       anyRow |= line.starts_with("  ");
       kept += line + "\n";
     }
     if (anyRow) expectedSections.push_back(kept);
   }
-  ASSERT_GE(rows, 2U);
-  const ReportParts faultedParts = splitReport(faulted.report);
+  ASSERT_GE(rows, nth);
+  const ReportParts faultedParts = splitReport(faulted->report);
   EXPECT_EQ(faultedParts.sections, expectedSections);
   EXPECT_EQ(faultedParts.summary,
             std::to_string(rows - 1) + " variables typed");
+}
+
+TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAndServed) {
+  // The daemon's reply under the same rule is byte-equal to the offline
+  // report.
+  Engine engine = testsupport::cachedMicroEngine();
+  Engine offline = testsupport::cachedMicroEngine();
+  const std::string bytes = microImageBytes(0, /*stripped=*/true);
+  Expected faulted;
+  expectVoteFaultDegradesOneVariable(offline, bytes, 1, 2, &faulted);
 
   ServerConfig cfg;
   cfg.listen = unixAddr();
@@ -1009,6 +1067,21 @@ TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAndServed) {
   EXPECT_EQ(served.report, faulted.report);
   EXPECT_EQ(served.diagsText, faulted.diagsText);
   server.stop();
+}
+
+TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAtJobs4) {
+  Engine offline = testsupport::cachedMicroEngine();
+  std::ostringstream image;
+  loader::write(chunkedImage(), image);
+  const std::string bytes = std::move(image).str();
+  for (const size_t nth : kPoisonedVariables) {
+    Expected atJobs1;
+    Expected atJobs4;
+    expectVoteFaultDegradesOneVariable(offline, bytes, 1, nth, &atJobs1);
+    expectVoteFaultDegradesOneVariable(offline, bytes, 4, nth, &atJobs4);
+    EXPECT_EQ(atJobs4.report, atJobs1.report) << "variable " << nth;
+    EXPECT_EQ(atJobs4.diagsText, atJobs1.diagsText) << "variable " << nth;
+  }
 }
 
 /// The report of a stripped image as analyzeImage renders it, from every
@@ -1123,72 +1196,161 @@ TEST_F(ServeTest, CoalescedGroupRoutesEachRequestOnItsOwn) {
 
 // --- chunked analysis (DESIGN.md §10) ---------------------------------------
 
-/// Drives ImageAnalysis by hand in chunks of `maxVucs`, recording the VUC
-/// count of every chunk.
+/// One chunk of a hand-driven analysis.
+struct ChunkShape {
+  size_t rows = 0;  ///< stream rows: the chunk's instructions plus pads
+  size_t vucs = 0;
+};
+
+/// Drives ImageAnalysis by hand in chunks of `maxInsns` instructions,
+/// recording the shape of every chunk.
 AnalyzeResult analyzeInChunks(Engine& engine, const loader::Image& img,
-                              size_t maxVucs, par::ThreadPool* pool,
-                              std::vector<size_t>* chunkVucs) {
+                              size_t maxInsns, par::ThreadPool* pool,
+                              std::vector<ChunkShape>* chunks) {
   ImageAnalysis analysis(img, pool, /*confMin=*/0.0F);
-  while (analysis.prepareChunk(engine, maxVucs)) {
+  while (analysis.prepareChunk(engine, maxInsns)) {
     const ChunkStream& stream = analysis.stream();
-    chunkVucs->push_back(stream.numVucs());
+    chunks->push_back({stream.rows().size(), stream.numVucs()});
     analysis.finishChunk(engine, stream.numVucs() == 0
                                      ? std::vector<StageProbs>{}
                                      : engine.predictStream(stream, pool, 8));
   }
-  EXPECT_FALSE(analysis.prepareChunk(engine, maxVucs))
+  EXPECT_FALSE(analysis.prepareChunk(engine, maxInsns))
       << "an exhausted analysis prepared another chunk";
   return std::move(analysis).result();
 }
 
-TEST_F(ServeTest, PrepareChunkFillsToTheVucBudget) {
-  // prepareChunk adds whole functions until the chunk holds at least maxVucs
-  // VUCs: every chunk but the last reaches the budget, and the chunks
-  // together hold exactly the VUCs of the whole image.
+/// The stream rows of every chunk prepareChunk's rule cuts from `fns`:
+/// whole functions, at least one, until the chunk holds at least `maxInsns`
+/// instructions; a chunk of window `w` has w + the sum of (insns + w) rows.
+std::vector<size_t> ruleChunkRows(std::span<const loader::LoadedFunction> fns,
+                                  size_t w, size_t maxInsns) {
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < fns.size();) {
+    size_t insns = 0;
+    size_t r = w;
+    do {
+      insns += fns[i].insns.size();
+      r += fns[i].insns.size() + w;
+      ++i;
+    } while (i < fns.size() && insns < maxInsns);
+    rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST_F(ServeTest, PrepareChunkFillsToTheInstructionBudget) {
+  // prepareChunk adds whole functions, at least one, until the chunk holds
+  // at least maxInsns instructions: every chunk's stream is exactly the
+  // functions that rule picks (w + the sum of insns + w rows), and the
+  // chunks together hold exactly the VUCs of the whole image. At the
+  // default bound the multi-chunk test image still spans several chunks.
   Engine engine = testsupport::cachedMicroEngine();
   const loader::Image img = chunkedImage();
+  DiagList scratch;
+  const std::vector<loader::LoadedFunction> fns =
+      loader::disassemble(img, scratch);
+  const auto w = static_cast<size_t>(engine.config().window);
   par::ThreadPool pool(2);
-  std::vector<size_t> whole;
+  std::vector<ChunkShape> whole;
   analyzeInChunks(engine, img, std::numeric_limits<size_t>::max(), &pool,
                   &whole);
   ASSERT_EQ(whole.size(), 1U);
-  ASSERT_GT(whole[0], 64U);
+  ASSERT_GT(whole[0].vucs, 64U);
 
-  for (const size_t maxVucs : {size_t{1}, size_t{7}, size_t{64}}) {
-    std::vector<size_t> chunks;
-    analyzeInChunks(engine, img, maxVucs, &pool, &chunks);
-    ASSERT_GT(chunks.size(), 1U) << "maxVucs=" << maxVucs;
-    for (size_t i = 0; i + 1 < chunks.size(); ++i) {
-      EXPECT_GE(chunks[i], maxVucs) << "maxVucs=" << maxVucs << " chunk " << i;
+  for (const size_t maxInsns :
+       {size_t{0}, size_t{1}, size_t{64}, size_t{500}, kChunkInsns}) {
+    const std::vector<size_t> wantRows = ruleChunkRows(fns, w, maxInsns);
+    ASSERT_GT(wantRows.size(), 1U) << "maxInsns=" << maxInsns;
+    std::vector<ChunkShape> chunks;
+    analyzeInChunks(engine, img, maxInsns, &pool, &chunks);
+    std::vector<size_t> gotRows;
+    size_t vucs = 0;
+    for (const ChunkShape& c : chunks) {
+      gotRows.push_back(c.rows);
+      vucs += c.vucs;
     }
-    size_t total = 0;
-    for (const size_t n : chunks) total += n;
-    EXPECT_EQ(total, whole[0]) << "maxVucs=" << maxVucs;
+    EXPECT_EQ(gotRows, wantRows) << "maxInsns=" << maxInsns;
+    EXPECT_EQ(vucs, whole[0].vucs) << "maxInsns=" << maxInsns;
+  }
+}
+
+TEST_F(ServeTest, PhaseTimersFireOncePerChunkWithinWall) {
+  // analyzeImage observes engine.analyze.prepare_ns and finish_ns once per
+  // chunk, and those phases with disassembly and predict, all exclusive,
+  // sum to no more than its wall time. Structural: counts and one
+  // inequality, no timing threshold.
+  Engine engine = testsupport::cachedMicroEngine();
+  const loader::Image img = chunkedImage();
+  DiagList scratch;
+  const size_t chunks =
+      ruleChunkRows(loader::disassemble(img, scratch),
+                    static_cast<size_t>(engine.config().window), kChunkInsns)
+          .size();
+  ASSERT_GT(chunks, 1U);
+  const std::array<obs::Histogram*, 4> phases = {
+      &obs::timer("loader.disassemble_ns"),
+      &obs::timer("engine.analyze.prepare_ns"),
+      &obs::timer("engine.infer.batch_ns"),
+      &obs::timer("engine.analyze.finish_ns")};
+  for (const int jobs : {1, 4}) {
+    par::ThreadPool pool(jobs);
+    std::array<uint64_t, 4> count0{};
+    std::array<double, 4> sum0{};
+    for (size_t i = 0; i < phases.size(); ++i) {
+      count0[i] = phases[i]->count();
+      sum0[i] = phases[i]->sum();
+    }
+    const auto start = std::chrono::steady_clock::now();
+    (void)analyzeImage(engine, img, &pool, 32);
+    const auto wallNs = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    EXPECT_EQ(phases[0]->count() - count0[0], 1U) << "jobs " << jobs;
+    EXPECT_EQ(phases[1]->count() - count0[1], chunks) << "jobs " << jobs;
+    EXPECT_EQ(phases[2]->count() - count0[2], chunks) << "jobs " << jobs;
+    EXPECT_EQ(phases[3]->count() - count0[3], chunks) << "jobs " << jobs;
+    double phaseNs = 0.0;
+    for (size_t i = 0; i < phases.size(); ++i) {
+      const double ns = phases[i]->sum() - sum0[i];
+      EXPECT_GT(ns, 0.0) << "phase " << i << " jobs " << jobs;
+      phaseNs += ns;
+    }
+    EXPECT_LE(phaseNs, wallNs) << "jobs " << jobs;
   }
 }
 
 TEST_F(ServeTest, ChunkBoundariesNeverChangeTheReport) {
   // Where a chunk starts changes no byte of output: the report and the
-  // diagnostics of any chunk size equal cati-infer's (analyzeImage), from one
-  // VUC per chunk up to the whole image as one chunk, on a stripped image
-  // and on one that keeps its ground truth.
+  // diagnostics of any chunk size equal cati-infer's (analyzeImage on the
+  // calling thread alone), from one function per chunk up to the whole
+  // image as one chunk, with prepare, predict and finish fanned out over 1
+  // and 4 workers, on a stripped image and on one that keeps its ground
+  // truth.
   Engine engine = testsupport::cachedMicroEngine();
-  par::ThreadPool pool(2);
   const loader::Image unstripped =
       loader::buildImage(testsupport::microBinaries().at(0));
   for (const loader::Image& img : {chunkedImage(), unstripped}) {
-    const AnalyzeResult ref = analyzeImage(engine, img, &pool, 8);
+    const AnalyzeResult ref = analyzeImage(engine, img, nullptr, 8);
     ASSERT_FALSE(ref.report.empty());
-    for (const size_t maxVucs :
-         {size_t{1}, size_t{5}, size_t{512}, std::numeric_limits<size_t>::max()}) {
-      std::vector<size_t> chunks;
-      const AnalyzeResult r = analyzeInChunks(engine, img, maxVucs, &pool, &chunks);
-      EXPECT_EQ(r.report, ref.report) << "maxVucs=" << maxVucs;
-      std::ostringstream got;
-      std::ostringstream want;
-      print(r.diags, got);
-      print(ref.diags, want);
-      EXPECT_EQ(got.str(), want.str()) << "maxVucs=" << maxVucs;
+    std::ostringstream want;
+    print(ref.diags, want);
+    for (const int jobs : {1, 4}) {
+      par::ThreadPool pool(jobs);
+      for (const size_t maxInsns :
+           {size_t{1}, size_t{5}, size_t{512}, kChunkInsns,
+            std::numeric_limits<size_t>::max()}) {
+        std::vector<ChunkShape> chunks;
+        const AnalyzeResult r =
+            analyzeInChunks(engine, img, maxInsns, &pool, &chunks);
+        EXPECT_EQ(r.report, ref.report)
+            << "jobs=" << jobs << " maxInsns=" << maxInsns;
+        std::ostringstream got;
+        print(r.diags, got);
+        EXPECT_EQ(got.str(), want.str())
+            << "jobs=" << jobs << " maxInsns=" << maxInsns;
+      }
     }
   }
 }

@@ -271,9 +271,10 @@ TEST_F(StreamPredictTest, ImageChunkMatchesPerWindowForwards) {
 }
 
 TEST_F(StreamPredictTest, Conv1ColumnsPerVuc) {
-  // engine.infer.conv1_cols counts the conv1 output columns one stage
-  // computes, lane padding included: about 23 per VUC through the window
-  // adapter, far fewer when windows share their rows.
+  // engine.infer.conv1_cols counts the conv1 output columns every stage
+  // evaluation computes, lane padding included: about 23 per VUC and stage
+  // through the window adapter, far fewer when windows share their rows.
+  // Both predicts here run all six stages on every VUC.
   obs::setEnabled(true);
   obs::Counter& cols = obs::counter("engine.infer.conv1_cols");
   Engine engine = framedEngine(*micro_, 10, 32, 64, 32);
@@ -288,12 +289,13 @@ TEST_F(StreamPredictTest, Conv1ColumnsPerVuc) {
   // keep windows apart: a 96-VUC range packs 96 x 21 rows into 8 lanes of
   // 254 (overlapping by two) plus 96 left-border pairs in 12 groups of 2
   // steps; the last 8 VUCs take lanes of 23 and one pair group.
-  EXPECT_EQ(cols.value() - before, 2 * 8 * (254U + 24) + 8 * (23U + 2));
+  EXPECT_EQ(cols.value() - before,
+            kNumStages * (2 * 8 * (254U + 24) + 8 * (23U + 2)));
   before = cols.value();
   (void)engine.predictStream(st);
   // Per 96-VUC range: 116 rows over 8 lanes overlapping by two, plus one
   // left-border pair per VUC.
-  EXPECT_LT(cols.value() - before, 200U * 21 / 4);
+  EXPECT_LT(cols.value() - before, kNumStages * 200U * 21 / 4);
 }
 
 TEST_F(StreamPredictTest, OcclusionEpsilonsMatchZeroedRowForwards) {
@@ -462,6 +464,54 @@ TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
       }
     }
   }
+}
+
+TEST_F(StreamPredictTest, FinishFunctionNeedsNoWindows) {
+  // finishFunction reads a function's VUCs off its stream, never its
+  // windows: the variables are the same with `ds` filled (prepareFunction),
+  // with it emptied, and from streamFunction, which builds no windows and
+  // the same stream.
+  Engine& engine = *micro_;
+  loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
+  loader::strip(img);
+  DiagList diags;
+  size_t variables = 0;
+  for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
+    const Engine::FunctionWork filled = engine.prepareFunction(
+        fn.insns, dataflow::recoverVariables(fn.insns));
+    const Engine::FunctionWork emptied = [&] {
+      Engine::FunctionWork work = filled;
+      work.ds = corpus::Dataset{};
+      return work;
+    }();
+    const Engine::FunctionWork streamed = engine.streamFunction(
+        fn.insns, dataflow::recoverVariables(fn.insns));
+    EXPECT_TRUE(streamed.ds.vucs.empty()) << fn.name;
+    EXPECT_EQ(streamed.stream.rows(), filled.stream.rows()) << fn.name;
+    EXPECT_EQ(streamed.stream.centres(), filled.stream.centres()) << fn.name;
+    EXPECT_EQ(streamed.stream.vars(), filled.stream.vars()) << fn.name;
+    const std::vector<StageProbs> probs =
+        engine.predictStream(filled.stream, nullptr, 0, StagePlan::kRouted);
+    const std::vector<AnalyzedVariable> want =
+        engine.finishFunction(filled, probs);
+    for (const Engine::FunctionWork* work : {&emptied, &streamed}) {
+      const std::vector<AnalyzedVariable> got =
+          engine.finishFunction(*work, probs);
+      ASSERT_EQ(got.size(), want.size()) << fn.name;
+      for (size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].location.offset, want[k].location.offset);
+        EXPECT_EQ(got[k].location.rbpFrame, want[k].location.rbpFrame);
+        EXPECT_EQ(got[k].type, want[k].type) << fn.name;
+        EXPECT_EQ(std::memcmp(&got[k].confidence, &want[k].confidence,
+                              sizeof(float)),
+                  0)
+            << fn.name;
+        EXPECT_EQ(got[k].numVucs, want[k].numVucs) << fn.name;
+      }
+    }
+    variables += want.size();
+  }
+  EXPECT_GT(variables, 10U);
 }
 
 TEST(ChunkStream, AppendKeepsVariablesApart) {
