@@ -113,20 +113,25 @@ BENCHMARK(BM_AnalyzeBinaryEndToEnd)
     ->MinTime(2.0);
 
 void BM_TrainStep(benchmark::State& state) {
-  // One forward+backward+update on the Stage-1 architecture.
+  // One batch-1 forward+backward+update on the Stage-1 architecture.
   Rng rng(1);
   nn::Sequential net = nn::makeCnn({96, 21}, 32, 64, 128, 2, 0.3F, rng);
   nn::Adam adam(net.params(), {.lr = 1e-3F});
+  nn::Scratch s = net.makeScratch();
+  par::ThreadPool pool(1);
   std::vector<float> x(96 * 21);
   for (float& v : x) v = rng.normal() * 0.3F;
   std::vector<float> probs(2);
   std::vector<float> d(2);
+  std::vector<float> grads(adam.numParams());
   for (auto _ : state) {
-    const auto logits = net.forward(x, true);
+    s.zeroGrad();
+    const auto logits = net.forward(x, 1, s, nn::Phase::kTrain);
     nn::SoftmaxCE::forward(logits, 1, probs);
     nn::SoftmaxCE::backward(probs, 1, d);
-    net.backward(d);
-    adam.step();
+    net.backward(d, 1, s);
+    s.copyGrads(grads);
+    adam.step(grads, 1.0F, pool);
     benchmark::DoNotOptimize(probs);
   }
 }

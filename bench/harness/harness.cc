@@ -193,7 +193,7 @@ StageScore vucStageScore(Bundle& b, uint32_t appId, Stage s) {
     if (test.vars[v.varId].appId != appId) continue;
     const int cls = stageClassOf(s, v.label);
     if (cls < 0) continue;
-    const auto& p = probs[i].probs[static_cast<size_t>(s)];
+    const std::span<const float> p = probs[i].stage(s);
     yTrue.push_back(cls);
     yPred.push_back(eval::argmax(p));
   }

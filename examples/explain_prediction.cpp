@@ -54,7 +54,7 @@ int main() {
     std::printf("VUC on `%s`:\n", vuc.target().text().c_str());
     for (int s = 0; s < kNumStages; ++s) {
       std::printf("  %-9s [", std::string(stageName(static_cast<Stage>(s))).c_str());
-      for (const float x : p.probs[static_cast<size_t>(s)]) {
+      for (const float x : p.stage(static_cast<Stage>(s))) {
         std::printf(" %.2f", x);
       }
       std::printf(" ]\n");

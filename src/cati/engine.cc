@@ -25,27 +25,27 @@ namespace {
 /// Call sites hold these in magic statics — initialization is thread-safe
 /// and registers all six stage names eagerly, so a snapshot always carries
 /// the full stage set once the pattern is touched.
-std::string stageMetricName(const char* prefix, Stage s) {
-  return std::string(prefix) + "." + std::string(stageName(s));
+template <typename Make>
+auto stageHandles(const char* prefix, Make make) {
+  std::array<decltype(make(std::string())), kNumStages> a{};
+  for (int i = 0; i < kNumStages; ++i) {
+    a[static_cast<size_t>(i)] = make(
+        std::string(prefix) + "." +
+        std::string(stageName(static_cast<Stage>(i))));
+  }
+  return a;
 }
 
 std::array<obs::Counter*, kNumStages> stageCounters(const char* prefix) {
-  std::array<obs::Counter*, kNumStages> a{};
-  for (int i = 0; i < kNumStages; ++i) {
-    a[static_cast<size_t>(i)] =
-        &obs::counter(stageMetricName(prefix, static_cast<Stage>(i)));
-  }
-  return a;
+  return stageHandles(prefix,
+                      [](const std::string& n) { return &obs::counter(n); });
 }
 
 std::array<obs::Histogram*, kNumStages> stageHistograms(const char* prefix,
                                                         obs::Unit unit) {
-  std::array<obs::Histogram*, kNumStages> a{};
-  for (int i = 0; i < kNumStages; ++i) {
-    a[static_cast<size_t>(i)] = &obs::Registry::global().histogram(
-        stageMetricName(prefix, static_cast<Stage>(i)), unit);
-  }
-  return a;
+  return stageHandles(prefix, [unit](const std::string& n) {
+    return &obs::Registry::global().histogram(n, unit);
+  });
 }
 
 }  // namespace
@@ -124,10 +124,6 @@ std::vector<uint32_t> balancedSubsample(
   rng.shuffle(out);
   return out;
 }
-
-}  // namespace
-
-namespace {
 
 // Fixed data-parallel grain: a minibatch is split into chunks of
 // kGradChunk samples whose gradients accumulate in per-worker scratch and
@@ -438,18 +434,12 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
 }
 
 Engine::WorkerState& Engine::worker(int w) {
-  if (static_cast<int>(workers_.size()) <= w) {
-    workers_.resize(static_cast<size_t>(w) + 1);
+  // The stage nets share a layer count (readNets), and every layer sizes
+  // its scratch buffers from its own dims on each call.
+  while (static_cast<int>(workers_.size()) <= w) {
+    workers_.emplace_back().scratch = stages_.front().makeScratch();
   }
-  WorkerState& ws = workers_[static_cast<size_t>(w)];
-  if (ws.stages.size() != stages_.size()) {
-    ws.stages.clear();
-    ws.stages.reserve(stages_.size());
-    for (const nn::Sequential& net : stages_) {
-      ws.stages.push_back(net.makeScratch());
-    }
-  }
-  return ws;
+  return workers_[static_cast<size_t>(w)];
 }
 
 // --- chunk streams and the one predict path (DESIGN.md §7) -----------------
@@ -560,9 +550,6 @@ size_t streamRange(size_t evals) {
   return std::clamp(r, kMinStreamRange, kMaxStreamRange);
 }
 
-/// Largest class count of any stage: vote sums live on the stack.
-constexpr size_t kMaxClasses = 9;
-
 /// One stage's vote (formulas 3-4).
 struct StageVote {
   int winner = 0;
@@ -578,13 +565,12 @@ struct StageVote {
 StageVote voteStage(Stage s, std::span<const StageProbs> probs,
                     std::span<const uint32_t> vucs, float clip,
                     bool clipEnabled) {
-  const auto si = static_cast<size_t>(s);
   const auto classes = static_cast<size_t>(numClasses(s));
   std::array<float, kMaxClasses> sums{};
   StageVote v;
   for (const uint32_t i : vucs) {
-    const std::vector<float>& p = probs[i].probs[si];
-    if (p.size() != classes) {
+    const std::span<const float> p = probs[i].stage(s);
+    if (p.empty()) {
       throw std::invalid_argument("vote: no " + std::string(stageName(s)) +
                                   " distribution for a VUC");
     }
@@ -600,6 +586,19 @@ StageVote voteStage(Stage s, std::span<const StageProbs> probs,
   v.winner = num::argmax(std::span<const float>(sums.data(), classes));
   v.sum = sums[static_cast<size_t>(v.winner)];
   return v;
+}
+
+/// The leaf reached by walking the stage tree from Stage 1, taking class
+/// cls(s) at each stage s it passes.
+template <typename ClassAt>
+TypeLabel walkTree(ClassAt cls) {
+  for (Stage s = Stage::S1;;) {
+    const int c = cls(s);
+    if (const auto leaf = leafOf(s, c)) return *leaf;
+    const auto next = nextStage(s, c);
+    if (!next) throw std::logic_error("engine: broken stage tree");
+    s = *next;
+  }
 }
 
 /// The engine.vote.* metrics voteVariable and voteRoute tally.
@@ -707,7 +706,6 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
       stageCounters("engine.infer.samples");
   static obs::Counter& conv1Cols = obs::counter("engine.infer.conv1_cols");
   const auto si = static_cast<size_t>(s);
-  const bool firstStage = si == 0;
   const nn::Sequential& net = stages_[si];
   const size_t m = vucs.size();
   const auto w = static_cast<size_t>(st.window());
@@ -764,7 +762,7 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
     // which every VUC passes and the rest of its path follows: cheap (a
     // clock read, only when a deadline is set) and bounds how late a
     // timeout fires.
-    if (firstStage) checkDeadline();
+    if (s == Stage::S1) checkDeadline();
     if (!shared) {
       conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
                     (2 * w + 1));
@@ -773,11 +771,10 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
     // Caches skipped (Phase::kInfer).
     const auto logits =
         net.forwardFrom(first, x.subspan(sb * inSize, nb * inSize),
-                        static_cast<int>(nb), ws.stages[si], nn::Phase::kInfer);
+                        static_cast<int>(nb), ws.scratch, nn::Phase::kInfer);
     for (size_t k = 0; k < nb; ++k) {
-      auto& probs = out[vucs[sb + k]].probs[si];
-      probs.resize(classes);
-      nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1, probs);
+      nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1,
+                             out[vucs[sb + k]].set(s));
     }
   }
 }
@@ -877,9 +874,8 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   round[0].vucs.resize(n);
   std::iota(round[0].vucs.begin(), round[0].vucs.end(), 0U);
   if (plan == StagePlan::kAll) {
-    for (int s = 0; s < kNumStages; ++s) {
-      round[0].stages.push_back(static_cast<Stage>(s));
-    }
+    round[0].stages = {Stage::S1,   Stage::S2_1, Stage::S2_2,
+                       Stage::S3_1, Stage::S3_2, Stage::S3_3};
     predictRound(st, round, tp, batch, shared, out.data());
     return out;
   }
@@ -941,14 +937,7 @@ StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
 }
 
 TypeLabel Engine::routeVuc(const StageProbs& p) const {
-  Stage s = Stage::S1;
-  for (;;) {
-    const int cls = num::argmax(p.probs[static_cast<size_t>(s)]);
-    if (const auto leaf = leafOf(s, cls)) return *leaf;
-    const auto next = nextStage(s, cls);
-    if (!next) throw std::logic_error("routeVuc: broken stage tree");
-    s = *next;
-  }
+  return walkTree([&](Stage s) { return num::argmax(p.stage(s)); });
 }
 
 VariableDecision Engine::voteVariable(
@@ -978,17 +967,9 @@ VariableDecision Engine::voteVariable(std::span<const StageProbs> vucProbs,
   }
   metrics.clipped->add(clipped);
   // Route the voted classes down the tree to the final type.
-  Stage s = Stage::S1;
-  for (;;) {
-    const int cls = d.stageClass[static_cast<size_t>(s)];
-    if (const auto leaf = leafOf(s, cls)) {
-      d.finalType = *leaf;
-      return d;
-    }
-    const auto next = nextStage(s, cls);
-    if (!next) throw std::logic_error("voteVariable: broken stage tree");
-    s = *next;
-  }
+  d.finalType =
+      walkTree([&](Stage s) { return d.stageClass[static_cast<size_t>(s)]; });
+  return d;
 }
 
 RoutedDecision Engine::voteRoute(std::span<const StageProbs> probs,
@@ -997,25 +978,22 @@ RoutedDecision Engine::voteRoute(std::span<const StageProbs> probs,
   static const VoteMetrics metrics;
   metrics.variables->add();
   metrics.vucs->add(vucs.size());
-  Stage s = Stage::S1;
-  for (;;) {
+  Stage last = Stage::S1;
+  int winner = 0;
+  const TypeLabel type = walkTree([&](Stage s) {
     const StageVote v =
         voteStage(s, probs, vucs, cfg_.voteClip, cfg_.clipEnabled);
     metrics.clipped->add(v.clipped);
     metrics.observe(s, v, vucs.size());
-    if (const auto leaf = leafOf(s, v.winner)) {
-      // Confidence: mean probability of the winning class at the leaf stage.
-      float sum = 0.0F;
-      for (const uint32_t i : vucs) {
-        sum += probs[i].probs[static_cast<size_t>(s)]
-                             [static_cast<size_t>(v.winner)];
-      }
-      return {*leaf, sum / static_cast<float>(vucs.size())};
-    }
-    const auto next = nextStage(s, v.winner);
-    if (!next) throw std::logic_error("voteRoute: broken stage tree");
-    s = *next;
+    last = s;
+    return winner = v.winner;
+  });
+  // Confidence: mean probability of the winning class at the leaf stage.
+  float sum = 0.0F;
+  for (const uint32_t i : vucs) {
+    sum += probs[i].stage(last)[static_cast<size_t>(winner)];
   }
+  return {type, sum / static_cast<float>(vucs.size())};
 }
 
 std::vector<double> Engine::occlusionEpsilons(const corpus::Vuc& vuc,
@@ -1033,14 +1011,13 @@ std::vector<double> Engine::occlusionEpsilons(const corpus::Vuc& vuc,
     st.append(ChunkStream(cfg_.window, occluded, centre));
   }
   const std::vector<StageProbs> probs = predictStream(st);
-  const auto ui = static_cast<size_t>(u);
-  const std::vector<float>& original = probs[0].probs[ui];
+  const std::span<const float> original = probs[0].stage(u);
   const auto predicted = static_cast<size_t>(num::argmax(original));
   const double base = std::max<double>(original[predicted], 1e-9);
   std::vector<double> eps;
   eps.reserve(rows.size());
   for (size_t k = 1; k < probs.size(); ++k) {
-    eps.push_back(probs[k].probs[ui][predicted] / base);
+    eps.push_back(probs[k].stage(u)[predicted] / base);
   }
   return eps;
 }
@@ -1142,12 +1119,7 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
         std::rethrow_exception(voteFaults[v]);
       }
       const RoutedDecision d = voteRoute(probs, byVar[v]);
-      AnalyzedVariable av;
-      av.location = work.rec.vars[v];
-      av.type = d.type;
-      av.confidence = d.confidence;
-      av.numVucs = byVar[v].size();
-      out.push_back(std::move(av));
+      out.push_back({work.rec.vars[v], d.type, d.confidence, byVar[v].size()});
     } catch (const std::exception& e) {
       degraded.add();
       addDiag(diags, Severity::Warning, DiagStage::Engine,
@@ -1319,6 +1291,12 @@ bool Engine::readNets(std::istream& body, const std::string& what) {
     stages_.push_back(std::move(net));
   }
   if (fp32 && int8) throw CorruptError(what + ": mixes fp32 and int8 layers");
+  // A predict worker runs all six nets on one scratch, bound to a layer count.
+  if (std::ranges::any_of(stages_, [&](const nn::Sequential& net) {
+        return net.numLayers() != stages_.front().numLayers();
+      })) {
+    throw CorruptError(what + ": stage nets differ in layer count");
+  }
   return int8;
 }
 

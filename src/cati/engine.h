@@ -58,11 +58,27 @@ struct EngineConfig {
   bool verbose = false;
 };
 
-/// Per-stage softmax distributions for one VUC: probs[s] has numClasses(s)
-/// entries when stage s was evaluated for it and is empty otherwise (a
-/// routed prediction evaluates only its variable's voted path).
+/// One VUC's per-stage softmax distributions, inline (no heap storage, so a
+/// std::vector<StageProbs> is one flat table): stage s's floats sit at
+/// kStageOffset[s], and stage(s) is empty until set(s). Flag bytes, not a
+/// bit mask: predict workers set different stages of one VUC at once.
 struct StageProbs {
-  std::array<std::vector<float>, kNumStages> probs;
+  /// Stage s's distribution; empty when s was not evaluated.
+  std::span<const float> stage(Stage s) const {
+    const auto i = static_cast<size_t>(s);
+    if (!evaluated_[i]) return {};
+    return std::span(probs_).subspan(kStageOffset[i], kStageClasses[i]);
+  }
+  /// Marks s evaluated and returns its numClasses(s) floats to fill.
+  std::span<float> set(Stage s) {
+    const auto i = static_cast<size_t>(s);
+    evaluated_[i] = true;
+    return std::span(probs_).subspan(kStageOffset[i], kStageClasses[i]);
+  }
+
+ private:
+  std::array<float, kStageOffset[kNumStages]> probs_{};
+  std::array<bool, kNumStages> evaluated_{};
 };
 
 /// Which stage nets Engine::predictStream runs on which VUCs.
@@ -197,7 +213,8 @@ class Engine {
   /// on every VUC, votes each variable (stream.vars()) at it with
   /// voteVariable's arithmetic, and runs only the stage the vote routes to
   /// on that variable's VUCs — at most three rounds, and out[i] holds just
-  /// the stages on its variable's path, all that voteRoute reads.
+  /// the stages on its variable's path, all that voteRoute reads. Softmax
+  /// writes each evaluated stage in place in out[i].
   /// When every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2), that
   /// prefix runs once per stream row for a range of selected VUCs and each
   /// VUC gathers its pooled map from it (DESIGN.md §7); other nets (int8,
@@ -322,13 +339,14 @@ class Engine {
   /// Reads a container written by save(), verifying every byte (CRC) and
   /// range-checking every count: the encoder must match the config's
   /// embedding size, each stage net the input shape and its class count,
-  /// and the stages must be all fp32 or all int8. Throws CorruptError.
+  /// and the stages must share a layer count and be all fp32 or all int8.
+  /// Throws CorruptError.
   static Engine load(std::istream& is);
   void saveFile(const std::filesystem::path& p) const;
 
   /// Has no effect: every load reads the file through an ifstream and runs
   /// load(). The name stays only because the benchmark harness still passes
-  /// kMap; it goes once that caller stops naming it (ROADMAP item 1(c)).
+  /// kMap; it goes once that caller stops naming it (ROADMAP item 8).
   enum class LoadMode { kStream, kMap };
   static Engine loadFile(const std::filesystem::path& p,
                          LoadMode mode = LoadMode::kStream);
@@ -341,11 +359,12 @@ class Engine {
   }
 
  private:
-  /// Per-worker inference state: one nn::Scratch per stage net plus the
-  /// encoded VUC range and the shared-prefix buffers. Grown lazily and
-  /// reused across predict calls, so steady-state passes do not reallocate.
+  /// Per-worker inference state: one nn::Scratch that all six stage nets
+  /// run on, one item at a time, plus the encoded VUC range and the
+  /// shared-prefix buffers. Grown lazily and reused across predict calls,
+  /// so steady-state passes do not reallocate.
   struct WorkerState {
-    std::vector<nn::Scratch> stages;
+    nn::Scratch scratch;
     /// The range `input` holds: (predict round, range index).
     uint64_t round = 0;
     size_t range = 0;
@@ -400,8 +419,9 @@ class Engine {
   /// Reads the encoder and the six stage nets of a model or checkpoint
   /// payload, checked against cfg_: the encoder must have cfg_'s embedding
   /// size, each stage net must take inputShape() and emit one logit per
-  /// class, and the stages must not mix fp32 and int8 layers. Returns true
-  /// when they hold int8 layers. Throws CorruptError prefixed with `what`.
+  /// class, and the stages must share a layer count and not mix fp32 and
+  /// int8 layers. Returns true when they hold int8 layers. Throws
+  /// CorruptError prefixed with `what`.
   bool readNets(std::istream& body, const std::string& what);
   /// Restores train() state from dir/train.ckpt. Returns false when no
   /// checkpoint exists (fresh start); throws CorruptError on a damaged file

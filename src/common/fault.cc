@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/errors.h"
@@ -30,6 +31,7 @@ struct State {
   std::vector<Rule> rules;
   uint64_t seed = 1;
   uint64_t draws = 0;  // probabilistic-draw counter: replayable schedule
+  std::function<void(const char*)> observer;  // observeHitsForTest
 };
 
 State& state() {
@@ -131,6 +133,7 @@ Action hit(const char* site) {
   if (!enabled()) return Action::kNone;
   State& s = state();
   const std::lock_guard<std::mutex> lock(s.mu);
+  if (s.observer) s.observer(site);
   for (Rule& r : s.rules) {
     if (!matches(r, site)) continue;
     ++r.hits;
@@ -186,6 +189,12 @@ void configureForTest(const std::string& spec, uint64_t seed) {
   // Ensure the env read happens first so it never clobbers the test config.
   configureFromEnvOnce();
   configure(spec.empty() ? nullptr : spec.c_str(), seed);
+}
+
+void observeHitsForTest(std::function<void(const char* site)> observer) {
+  State& s = state();
+  const std::lock_guard<std::mutex> lock(s.mu);
+  s.observer = std::move(observer);
 }
 
 }  // namespace cati::fault

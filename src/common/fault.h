@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -77,5 +78,11 @@ void killPoint(const char* site);
 /// (empty spec disarms). Test-only: not thread-safe against in-flight
 /// probes in other threads.
 void configureForTest(const std::string& spec, uint64_t seed = 1);
+
+/// Test-only: `observer(site)` sees every probe hit while a spec is armed,
+/// on the thread that hits it, before any rule acts (an empty function
+/// removes it). It runs under the layer's lock, so it sees the hits in the
+/// order the rules count them, and it must not probe.
+void observeHitsForTest(std::function<void(const char* site)> observer);
 
 }  // namespace cati::fault

@@ -32,6 +32,25 @@ int resolveBatch(int requested, int fallback) {
   return fallback < 1 ? 1 : fallback;
 }
 
+namespace {
+
+/// Nesting depth of run() tasks on this thread.
+thread_local int tTaskDepth = 0;
+
+/// Runs one task with tTaskDepth raised.
+void runTask(const std::function<void(size_t, int)>& fn, size_t task,
+             int worker) {
+  ++tTaskDepth;
+  struct Lower {
+    ~Lower() { --tTaskDepth; }
+  } lower;
+  fn(task, worker);
+}
+
+}  // namespace
+
+bool ThreadPool::inTask() { return tTaskDepth > 0; }
+
 struct ThreadPool::State {
   std::mutex m;
   std::condition_variable workCv;  // workers wait here for a new generation
@@ -55,7 +74,7 @@ struct ThreadPool::State {
       lock.unlock();
       std::exception_ptr err;
       try {
-        (*fn)(task, worker);
+        runTask(*fn, task, worker);
       } catch (...) {
         err = std::current_exception();
       }
@@ -102,7 +121,7 @@ void ThreadPool::run(size_t numTasks,
                      const std::function<void(size_t, int)>& fn) {
   if (numTasks == 0) return;
   if (jobs_ == 1) {
-    for (size_t t = 0; t < numTasks; ++t) fn(t, 0);
+    for (size_t t = 0; t < numTasks; ++t) runTask(fn, t, 0);
     return;
   }
   State& s = *state_;

@@ -61,6 +61,11 @@ class ThreadPool {
   /// inside a task of the same pool.
   void run(size_t numTasks, const std::function<void(size_t, int)>& fn);
 
+  /// True while the calling thread runs a task of some pool's run() —
+  /// worker 0 and the inline jobs()==1 path included. Lets tests check
+  /// that a step meant to stay ordered never moved into a task.
+  static bool inTask();
+
  private:
   struct State;
   int jobs_ = 1;

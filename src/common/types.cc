@@ -74,25 +74,6 @@ Family familyOf(TypeLabel t) {
   }
 }
 
-int numClasses(Stage s) {
-  switch (s) {
-    case Stage::S1:
-      return 2;
-    case Stage::S2_1:
-      return 3;
-    case Stage::S2_2:
-      return 5;
-    case Stage::S3_1:
-      return 2;
-    case Stage::S3_2:
-      return 3;
-    case Stage::S3_3:
-      return 9;
-    default:
-      return 0;
-  }
-}
-
 int stageClassOf(Stage s, TypeLabel t) {
   const Family fam = familyOf(t);
   switch (s) {

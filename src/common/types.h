@@ -18,6 +18,7 @@
 //               unsigned / ushort / ulong / ulonglong        (9 classes)
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -70,8 +71,28 @@ std::string_view stageName(Stage s);
 bool isPointer(TypeLabel t);
 Family familyOf(TypeLabel t);
 
-/// Number of output classes of a stage's classifier.
-int numClasses(Stage s);
+/// Output classes of each stage's classifier, in Stage order.
+inline constexpr std::array<int, kNumStages> kStageClasses = {2, 3, 5,
+                                                              2, 3, 9};
+
+/// Largest class count of any stage.
+inline constexpr int kMaxClasses = std::ranges::max(kStageClasses);
+
+/// Where stage s's classes start when the six stages' per-class values sit
+/// back to back in Stage order; entry kNumStages is the total (24).
+inline constexpr std::array<int, kNumStages + 1> kStageOffset = [] {
+  std::array<int, kNumStages + 1> off{};
+  for (int s = 0; s < kNumStages; ++s) {
+    off[static_cast<size_t>(s) + 1] =
+        off[static_cast<size_t>(s)] + kStageClasses[static_cast<size_t>(s)];
+  }
+  return off;
+}();
+
+/// Number of output classes of a stage's classifier (0 for kCount).
+constexpr int numClasses(Stage s) {
+  return s < Stage::kCount ? kStageClasses[static_cast<size_t>(s)] : 0;
+}
 
 /// Class index of `t` within stage `s`, or -1 when `t`'s root-to-leaf path
 /// does not pass through `s` (e.g. a pointer type never reaches Stage 2-2).

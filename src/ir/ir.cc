@@ -88,8 +88,6 @@ RegMask callerSavedMask() {
   return m;
 }
 
-std::span<const Reg> argRegs() { return kArgRegs; }
-
 bool detectRbpFrame(std::span<const Instruction> insns) {
   for (size_t i = 0; i + 1 < insns.size() && i < 4; ++i) {
     if (insns[i].mnem == "push" &&

@@ -50,9 +50,6 @@ constexpr bool maskHas(RegMask m, asmx::Reg r) { return (m & regBit(r)) != 0; }
 /// kills exactly these; rbx/rbp/r12-r15 survive.
 RegMask callerSavedMask();
 
-/// The six System V integer argument registers, in ABI order.
-std::span<const asmx::Reg> argRegs();
-
 /// How one op touches memory. At most one memory operand exists per
 /// instruction in this ISA subset, so one effect per op suffices.
 struct MemEffect {

@@ -811,7 +811,10 @@ CATI_TARGET_AVX512 void convLaneAvx512T(const float* w, const float* bias,
   constexpr int TV = kConvVecsAvx512;
   constexpr int kTileSteps = TV * kStepsPerZmm;
   const int pad = k / 2;
-  std::vector<__mmask16> mask(static_cast<size_t>(k + 1) * TV);
+  // Every tile rewrites the whole table. Per thread and reused, so a warm
+  // predict allocates nothing per conv call.
+  thread_local std::vector<__mmask16> mask;
+  mask.resize(static_cast<size_t>(k + 1) * TV);
   for (int t0 = 0; t0 < len; t0 += kTileSteps) {
     for (int j = 0; j < TV; ++j) {
       const int t = t0 + j * kStepsPerZmm;

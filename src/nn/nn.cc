@@ -463,7 +463,6 @@ void Sequential::add(std::unique_ptr<Layer> layer) {
   const Shape out = layer->outShape(in);
   shapes_.push_back(out);
   layers_.push_back(std::move(layer));
-  own_.reset();  // layer structure changed; any old scratch is stale
 }
 
 Shape Sequential::outShape() const {
@@ -535,33 +534,6 @@ void Sequential::backward(std::span<const float> dOut, int n,
   if (!layers_.empty()) layers_[0]->backward(*cur, {}, n, s.layers_[0]);
 }
 
-Scratch& Sequential::ownScratch() {
-  if (!own_) own_ = std::make_unique<Scratch>(makeScratch());
-  return *own_;
-}
-
-std::span<const float> Sequential::forward(std::span<const float> x,
-                                           bool train) {
-  // Caches are always kept (kEval, not kInfer) so a backward may follow —
-  // the historical single-sample contract.
-  return forward(x, 1, ownScratch(), train ? Phase::kTrain : Phase::kEval);
-}
-
-void Sequential::backward(std::span<const float> dOut) {
-  Scratch& s = ownScratch();
-  s.zeroGrad();
-  backward(dOut, 1, s);
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const std::vector<Param*> ps = layers_[i]->params();
-    const LayerScratch& ls = s.layers_[i];
-    for (size_t p = 0; p < ps.size() && p < ls.grads.size(); ++p) {
-      for (size_t j = 0; j < ls.grads[p].size(); ++j) {
-        ps[p]->grad[j] += ls.grads[p][j];
-      }
-    }
-  }
-}
-
 std::vector<Param*> Sequential::params() {
   std::vector<Param*> out;
   for (const auto& l : layers_) {
@@ -578,14 +550,6 @@ std::vector<const Param*> Sequential::params() const {
     }
   }
   return out;
-}
-
-void Sequential::zeroGrad() {
-  for (Param* p : params()) p->zeroGrad();
-}
-
-void Sequential::reseed(uint64_t seed) {
-  ownScratch().reseed(seed);
 }
 
 void Sequential::save(std::ostream& os) const {
@@ -804,19 +768,24 @@ double gradientCheck(Sequential& net, std::span<const float> x, int target,
   const int classes = net.outShape().size();
   std::vector<float> probs(static_cast<size_t>(classes));
   std::vector<float> dLogits(static_cast<size_t>(classes));
+  Scratch s = net.makeScratch();
 
   const auto loss = [&]() {
-    const auto logits = net.forward(x, /*train=*/false);
+    const auto logits = net.forward(x, 1, s, Phase::kEval);
     return SoftmaxCE::forward(logits, target, probs);
   };
 
-  // Analytic gradients.
-  net.zeroGrad();
+  // Analytic gradients, flat in params() order.
   loss();
   SoftmaxCE::backward(probs, target, dLogits);
-  net.backward(dLogits);
+  net.backward(dLogits, 1, s);
+  size_t numParams = 0;
+  for (const Param* p : net.params()) numParams += p->value.size();
+  std::vector<float> grads(numParams);
+  s.copyGrads(grads);
 
   std::vector<double> rels;
+  size_t flat = 0;  // p's offset in grads
   for (Param* p : net.params()) {
     // Spot-check a subset of indices for large blocks.
     const size_t stride = std::max<size_t>(1, p->value.size() / 25);
@@ -828,11 +797,12 @@ double gradientCheck(Sequential& net, std::span<const float> x, int target,
       const double lm = loss();
       p->value[i] = orig;
       const double numeric = (lp - lm) / (2.0 * eps);
-      const double analytic = p->grad[i];
+      const double analytic = grads[flat + i];
       const double denom = std::max({std::abs(numeric), std::abs(analytic),
                                      1e-4});
       rels.push_back(std::abs(numeric - analytic) / denom);
     }
+    flat += p->value.size();
   }
   // Report the 95th percentile: a perturbed weight can flip a ReLU sign or
   // a max-pool argmax, making the central difference straddle a kink where

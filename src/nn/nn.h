@@ -52,9 +52,9 @@ struct Shape {
 };
 
 /// A learnable parameter block with its gradient accumulator. The gradient
-/// buffer belongs to the single-sample convenience path (Sequential::
-/// backward(dOut), Adam::step(scale)); data-parallel workers accumulate into
-/// their Scratch instead and hand Adam one gradient slab per chunk.
+/// buffer feeds Adam::step(scale), the one-slab reference step; training
+/// accumulates into per-worker Scratches instead and hands Adam one
+/// gradient slab per chunk.
 struct Param {
   std::vector<float> value;
   std::vector<float> grad;
@@ -278,8 +278,7 @@ class Scratch {
   void zeroGrad();
 
   /// Re-derives the per-layer RNG streams (Dropout) from `seed`; layer i
-  /// gets its own splitSeed(seed, i) stream, matching Sequential::reseed's
-  /// historical layout.
+  /// gets its own splitSeed(seed, i) stream.
   void reseed(uint64_t seed);
 
   /// Copies every accumulated parameter gradient into `slab`, back to back
@@ -296,11 +295,8 @@ class Scratch {
 };
 
 /// An owning layer pipeline with fixed input shape. The model itself
-/// (layers + params) is immutable during forward/backward; per-thread state
-/// lives in Scratch. The single-sample `forward(x, train)` / `backward(d)`
-/// overloads run on an internal scratch for convenience (tests, gradient
-/// checks, single-threaded tools) and additionally fold gradients into
-/// Param::grad, preserving the historical accumulate-into-params contract.
+/// (layers + params) is immutable during forward/backward; all per-pass
+/// state lives in the caller's Scratch.
 class Sequential {
  public:
   explicit Sequential(Shape inShape) : inShape_(inShape) {}
@@ -334,22 +330,8 @@ class Sequential {
   /// same batch on `s`.
   void backward(std::span<const float> dOut, int n, Scratch& s) const;
 
-  /// Single-sample convenience on the internal scratch (train ? kTrain :
-  /// kEval — caches are always kept so a backward may follow).
-  std::span<const float> forward(std::span<const float> x, bool train);
-
-  /// Single-sample convenience: batch backward on the internal scratch,
-  /// then folds the resulting gradients into Param::grad (accumulating
-  /// across calls, as the historical API did).
-  void backward(std::span<const float> dOut);
-
   std::vector<Param*> params();
   std::vector<const Param*> params() const;
-  void zeroGrad();
-
-  /// Reseeds the internal-scratch RNG streams (layer i gets splitSeed(seed,
-  /// i)), for the single-sample convenience path.
-  void reseed(uint64_t seed);
 
   size_t numLayers() const { return layers_.size(); }
   /// The shape layer i consumes (the net's input shape for i == 0).
@@ -367,13 +349,9 @@ class Sequential {
   static Sequential load(std::istream& is);
 
  private:
-  Scratch& ownScratch();
-
   Shape inShape_;
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Shape> shapes_;  // per-layer output shapes
-  /// Lazily-built scratch backing the single-sample convenience overloads.
-  std::unique_ptr<Scratch> own_;
 };
 
 /// Softmax + cross-entropy head. probs/logits have length C.
@@ -457,7 +435,8 @@ Sequential makeCnn(Shape in, int conv1, int conv2, int hidden, int classes,
                    float dropout, Rng& rng);
 
 /// Central-difference gradient check of a sequential + softmax head on one
-/// sample; returns the 95th-percentile relative error over sampled
+/// sample, against the analytic gradients of a batch-1 backward on a fresh
+/// scratch; returns the 95th-percentile relative error over sampled
 /// parameters (the extreme tail is dominated by ReLU / max-pool kink
 /// crossings, not backprop errors).
 double gradientCheck(Sequential& net, std::span<const float> x, int target,

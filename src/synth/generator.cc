@@ -24,12 +24,6 @@ size_t Binary::totalInstructions() const {
   return n;
 }
 
-size_t Binary::totalVariables() const {
-  size_t n = 0;
-  for (const auto& f : funcs) n += f.vars.size();
-  return n;
-}
-
 namespace {
 
 uint32_t sizeOf(TypeLabel label, Rng& rng) {

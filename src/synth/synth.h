@@ -75,7 +75,6 @@ struct Binary {
   debuginfo::Module debug;
 
   size_t totalInstructions() const;
-  size_t totalVariables() const;
 };
 
 /// Per-application generation profile. `typeWeights` biases the variable

@@ -15,7 +15,9 @@
 #include <filesystem>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 
+#include "common/numeric.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "nn/qnn.h"
@@ -59,7 +61,7 @@ TEST_F(EngineTest, StageProbsAreDistributions) {
   for (size_t i = 0; i < 50 && i < train_->vucs.size(); ++i) {
     const StageProbs p = engine_->predictVuc(train_->vucs[i]);
     for (int s = 0; s < kNumStages; ++s) {
-      const auto& probs = p.probs[static_cast<size_t>(s)];
+      const std::span<const float> probs = p.stage(static_cast<Stage>(s));
       ASSERT_EQ(static_cast<int>(probs.size()),
                 numClasses(static_cast<Stage>(s)));
       float sum = 0.0F;
@@ -73,12 +75,46 @@ TEST_F(EngineTest, StageProbsAreDistributions) {
   }
 }
 
+// A VUC's six distributions live inline: no heap storage, so a
+// std::vector<StageProbs> is one flat table, and a stage reads empty until
+// it is set.
+static_assert(std::is_trivially_copyable_v<StageProbs>);
+static_assert(sizeof(StageProbs) <=
+              (kStageOffset[kNumStages] + 2) * sizeof(float));
+
+TEST(StageProbsLayout, StagesAreDisjointSlotsSetOneAtATime) {
+  static_assert(kStageOffset[kNumStages] == 24);
+  static_assert(kMaxClasses == 9);
+  StageProbs p;
+  for (int s = 0; s < kNumStages; ++s) {
+    EXPECT_TRUE(p.stage(static_cast<Stage>(s)).empty());
+  }
+  // Each stage gets its own numClasses(s) floats: fill stage s with s + 1
+  // and every slot keeps its value.
+  for (int s = 0; s < kNumStages; ++s) {
+    const auto st = static_cast<Stage>(s);
+    const std::span<float> d = p.set(st);
+    EXPECT_EQ(static_cast<int>(d.size()), numClasses(st));
+    std::ranges::fill(d, static_cast<float>(s + 1));
+    for (int t = s + 1; t < kNumStages; ++t) {
+      EXPECT_TRUE(p.stage(static_cast<Stage>(t)).empty());
+    }
+  }
+  const StageProbs copy = p;
+  for (int s = 0; s < kNumStages; ++s) {
+    const std::span<const float> d = copy.stage(static_cast<Stage>(s));
+    ASSERT_EQ(static_cast<int>(d.size()), numClasses(static_cast<Stage>(s)));
+    for (const float x : d) EXPECT_EQ(x, static_cast<float>(s + 1));
+  }
+}
+
 TEST_F(EngineTest, PredictionIsDeterministic) {
   const corpus::Vuc& v = train_->vucs[3];
   const StageProbs a = engine_->predictVuc(v);
   const StageProbs b = engine_->predictVuc(v);
   for (int s = 0; s < kNumStages; ++s) {
-    EXPECT_EQ(a.probs[static_cast<size_t>(s)], b.probs[static_cast<size_t>(s)]);
+    const auto st = static_cast<Stage>(s);
+    EXPECT_TRUE(std::ranges::equal(a.stage(st), b.stage(st)));
   }
 }
 
@@ -91,9 +127,7 @@ TEST_F(EngineTest, TrainAccuracyBeatsChance) {
     const corpus::Vuc& v = train_->vucs[i];
     if (v.label == TypeLabel::kCount) continue;
     const StageProbs p = engine_->predictVuc(v);
-    const int pred = static_cast<int>(
-        std::max_element(p.probs[0].begin(), p.probs[0].end()) -
-        p.probs[0].begin());
+    const int pred = num::argmax(p.stage(Stage::S1));
     if (pred == stageClassOf(Stage::S1, v.label)) ++correct;
     ++total;
   }
@@ -105,9 +139,7 @@ TEST_F(EngineTest, RouteVucReturnsLeafConsistentWithStages) {
     const StageProbs p = engine_->predictVuc(train_->vucs[i]);
     const TypeLabel t = engine_->routeVuc(p);
     // The routed type's stage-1 class must equal the stage-1 argmax.
-    const int s1 = static_cast<int>(
-        std::max_element(p.probs[0].begin(), p.probs[0].end()) -
-        p.probs[0].begin());
+    const int s1 = num::argmax(p.stage(Stage::S1));
     EXPECT_EQ(stageClassOf(Stage::S1, t), s1);
   }
 }
@@ -145,17 +177,13 @@ TEST(Voting, ClippingPromotesConfidentMinority) {
   const Engine e(cfg);  // voting needs no trained model
   const auto mk = [](float p1) {
     StageProbs sp;
-    for (int s = 0; s < kNumStages; ++s) {
-      sp.probs[static_cast<size_t>(s)].assign(
-          static_cast<size_t>(numClasses(static_cast<Stage>(s))), 0.0F);
-    }
     // Only stage 1 matters for this test; fill others uniformly.
-    sp.probs[0] = {1.0F - p1, p1};
+    const std::span<float> s1 = sp.set(Stage::S1);
+    s1[0] = 1.0F - p1;
+    s1[1] = p1;
     for (int s = 1; s < kNumStages; ++s) {
-      const auto n = sp.probs[static_cast<size_t>(s)].size();
-      for (auto& x : sp.probs[static_cast<size_t>(s)]) {
-        x = 1.0F / static_cast<float>(n);
-      }
+      const std::span<float> d = sp.set(static_cast<Stage>(s));
+      std::ranges::fill(d, 1.0F / static_cast<float>(d.size()));
     }
     return sp;
   };
@@ -206,9 +234,7 @@ TEST(Voting, RouteWalkMatchesVoteVariable) {
       std::vector<StageProbs> probs(2 * n + 1);
       for (StageProbs& p : probs) {
         for (int s = 0; s < kNumStages; ++s) {
-          auto& d = p.probs[static_cast<size_t>(s)];
-          d.resize(static_cast<size_t>(numClasses(static_cast<Stage>(s))));
-          for (float& x : d) {
+          for (float& x : p.set(static_cast<Stage>(s))) {
             x = tied ? coarse[static_cast<size_t>(rng.uniformInt(0, 5))]
                      : static_cast<float>(rng.uniform());
           }
@@ -226,21 +252,18 @@ TEST(Voting, RouteWalkMatchesVoteVariable) {
       const int leafCls = stageClassOf(leaf, want.finalType);
       float sum = 0.0F;
       for (const StageProbs& p : gathered) {
-        sum += p.probs[static_cast<size_t>(leaf)][static_cast<size_t>(leafCls)];
+        sum += p.stage(leaf)[static_cast<size_t>(leafCls)];
       }
       const float wantConf = sum / static_cast<float>(gathered.size());
-      // Off-path stages emptied, as a routed prediction leaves them.
-      for (StageProbs& p : probs) {
-        for (int s = 0; s < kNumStages; ++s) {
-          const auto* on = std::find(path.stages.begin(),
-                                     path.stages.begin() + path.length,
-                                     static_cast<Stage>(s));
-          if (on == path.stages.begin() + path.length) {
-            p.probs[static_cast<size_t>(s)].clear();
-          }
+      // Only the on-path stages set, as a routed prediction leaves them.
+      std::vector<StageProbs> routed(probs.size());
+      for (size_t i = 0; i < probs.size(); ++i) {
+        for (int k = 0; k < path.length; ++k) {
+          const Stage s = path.stages[static_cast<size_t>(k)];
+          std::ranges::copy(probs[i].stage(s), routed[i].set(s).begin());
         }
       }
-      const RoutedDecision got = e.voteRoute(probs, vucs);
+      const RoutedDecision got = e.voteRoute(routed, vucs);
       ASSERT_EQ(got.type, want.finalType) << "trial " << trial;
       ASSERT_EQ(std::bit_cast<uint32_t>(got.confidence),
                 std::bit_cast<uint32_t>(wantConf))
@@ -253,8 +276,8 @@ TEST(Voting, RouteWalkMatchesVoteVariable) {
           const auto clipped = [&](float z) {
             return clip && z >= cfg.voteClip ? 1.0F : z;
           };
-          c0 += clipped(p.probs[0][0]);
-          c1 += clipped(p.probs[0][1]);
+          c0 += clipped(p.stage(Stage::S1)[0]);
+          c1 += clipped(p.stage(Stage::S1)[1]);
         }
         ties += c0 == c1;
       }
@@ -270,11 +293,13 @@ TEST(Voting, RouteWalkRejectsMissingStagesAndEmptyVariables) {
   // degraded variable.
   const Engine e{EngineConfig{}};
   std::vector<StageProbs> probs(1);
-  probs[0].probs[0] = {0.2F, 0.8F};  // routes to Stage 2-1, left empty
+  // Routes to Stage 2-1, left unset.
+  std::ranges::copy(std::array{0.2F, 0.8F}, probs[0].set(Stage::S1).begin());
   const std::vector<uint32_t> one = {0};
   EXPECT_THROW(e.voteRoute(probs, one), std::invalid_argument);
   EXPECT_THROW(e.voteRoute(probs, {}), std::invalid_argument);
-  probs[0].probs[1] = {0.1F, 0.7F, 0.2F};
+  std::ranges::copy(std::array{0.1F, 0.7F, 0.2F},
+                    probs[0].set(Stage::S2_1).begin());
   EXPECT_EQ(e.voteRoute(probs, one).type, TypeLabel::StructPtr);
 }
 
@@ -307,12 +332,10 @@ TEST_F(EngineTest, SaveLoadPreservesPredictions) {
     const StageProbs a = engine_->predictVuc(train_->vucs[i]);
     const StageProbs b = back.predictVuc(train_->vucs[i]);
     for (int s = 0; s < kNumStages; ++s) {
-      ASSERT_EQ(a.probs[static_cast<size_t>(s)].size(),
-                b.probs[static_cast<size_t>(s)].size());
-      for (size_t c = 0; c < a.probs[static_cast<size_t>(s)].size(); ++c) {
-        EXPECT_FLOAT_EQ(a.probs[static_cast<size_t>(s)][c],
-                        b.probs[static_cast<size_t>(s)][c]);
-      }
+      const std::span<const float> pa = a.stage(static_cast<Stage>(s));
+      const std::span<const float> pb = b.stage(static_cast<Stage>(s));
+      ASSERT_EQ(pa.size(), pb.size());
+      for (size_t c = 0; c < pa.size(); ++c) EXPECT_FLOAT_EQ(pa[c], pb[c]);
     }
   }
 }
@@ -464,6 +487,20 @@ TEST_F(EngineTest, MixedFp32AndInt8StagesRejected) {
   }
   EXPECT_TRUE(
       loadBytes(frameModel(cfg, engine_->encoder(), nets)).quantized());
+}
+
+TEST_F(EngineTest, StageNetsOfAnotherLayerCountRejected) {
+  // A predict worker runs all six stage nets on one scratch, which is bound
+  // to a layer count: a net without the dropout layer does not fit it.
+  const EngineConfig& cfg = engine_->config();
+  ASSERT_GT(cfg.dropout, 0.0F);
+  std::vector<nn::Sequential> nets = stageNets(cfg);
+  Rng rng(7);
+  nets[3] = nn::makeCnn(nets[3].inShape(), cfg.conv1, cfg.conv2,
+                        cfg.fcHidden, numClasses(Stage::S3_1), 0.0F, rng);
+  ASSERT_EQ(nets[3].numLayers() + 1, nets[0].numLayers());
+  expectCorrupt(frameModel(cfg, engine_->encoder(), nets),
+                "differ in layer count");
 }
 
 TEST_F(EngineTest, TrailingPayloadBytesRejected) {

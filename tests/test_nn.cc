@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "common/errors.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 #include "nn/qnn.h"
 
@@ -40,7 +41,8 @@ TEST(Shapes, TinyWindowSkipsPooling) {
   Sequential net = makeCnn({96, 1}, 8, 8, 16, 3, 0.0F, rng);
   EXPECT_EQ(net.outShape(), (Shape{3, 1}));
   std::vector<float> x(96, 0.5F);
-  const auto y = net.forward(x, false);
+  Scratch s = net.makeScratch();
+  const auto y = net.forward(x, 1, s, Phase::kInfer);
   EXPECT_EQ(y.size(), 3U);
 }
 
@@ -239,21 +241,26 @@ TEST(Adam, LearnsXorLikeSeparation) {
   net.add(std::make_unique<ReLU>());
   net.add(std::make_unique<Linear>(16, 2, &rng));
   Adam adam(net.params(), {.lr = 5e-2F});
+  Scratch s = net.makeScratch();
+  par::ThreadPool pool(1);
 
   const float xs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const int ys[4] = {0, 1, 1, 0};
   std::vector<float> probs(2);
   std::vector<float> d(2);
+  std::vector<float> grads = slabFor(net);
   double lastLoss = 0.0;
   for (int it = 0; it < 400; ++it) {
     lastLoss = 0.0;
+    s.zeroGrad();
     for (int i = 0; i < 4; ++i) {
-      const auto logits = net.forward({xs[i], 2}, true);
+      const auto logits = net.forward({xs[i], 2}, 1, s, Phase::kTrain);
       lastLoss += SoftmaxCE::forward(logits, ys[i], probs);
       SoftmaxCE::backward(probs, ys[i], d);
-      net.backward(d);
+      net.backward(d, 1, s);
     }
-    adam.step(0.25F);
+    s.copyGrads(grads);
+    adam.step(grads, 0.25F, pool);
   }
   EXPECT_LT(lastLoss / 4.0, 0.1);
 }
@@ -263,14 +270,16 @@ TEST(Serialize, SequentialRoundTrip) {
   Sequential net = makeCnn({6, 9}, 4, 4, 8, 3, 0.3F, rng);
   std::vector<float> x(54);
   for (float& v : x) v = rng.normal();
-  const auto y1 = net.forward(x, false);
+  Scratch s1 = net.makeScratch();
+  const auto y1 = net.forward(x, 1, s1, Phase::kInfer);
   const std::vector<float> out1(y1.begin(), y1.end());
 
   std::stringstream ss;
   net.save(ss);
   Sequential back = Sequential::load(ss);
   EXPECT_EQ(back.outShape(), net.outShape());
-  const auto y2 = back.forward(x, false);
+  Scratch s2 = back.makeScratch();
+  const auto y2 = back.forward(x, 1, s2, Phase::kInfer);
   ASSERT_EQ(y2.size(), out1.size());
   for (size_t i = 0; i < out1.size(); ++i) EXPECT_FLOAT_EQ(y2[i], out1[i]);
 }

@@ -235,8 +235,9 @@ TEST(JobsInvariance, ModelPredictionAndVoteBytesIdenticalAcrossJobs) {
   for (size_t i = 0; i < serialProbs.size(); ++i) {
     for (int s = 0; s < kNumStages; ++s) {
       // Exact float equality on purpose: the contract is bit-identity.
-      EXPECT_TRUE(serialProbs[i].probs[static_cast<size_t>(s)] ==
-                  poolProbs[i].probs[static_cast<size_t>(s)])
+      const auto st = static_cast<Stage>(s);
+      EXPECT_TRUE(std::ranges::equal(serialProbs[i].stage(st),
+                                     poolProbs[i].stage(st)))
           << "vuc " << i << " stage " << s;
     }
   }
@@ -292,8 +293,9 @@ TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
       for (size_t i = 0; i < ref.size(); ++i) {
         for (int s = 0; s < kNumStages; ++s) {
           // Exact float equality on purpose: the contract is bit-identity.
-          EXPECT_TRUE(ref[i].probs[static_cast<size_t>(s)] ==
-                      got[i].probs[static_cast<size_t>(s)])
+          const auto st = static_cast<Stage>(s);
+          EXPECT_TRUE(
+              std::ranges::equal(ref[i].stage(st), got[i].stage(st)))
               << "vuc " << i << " stage " << s << " jobs " << jobs
               << " batch " << batch;
         }
@@ -308,8 +310,8 @@ TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
   ASSERT_EQ(viaEnv.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {
     for (int s = 0; s < kNumStages; ++s) {
-      EXPECT_TRUE(ref[i].probs[static_cast<size_t>(s)] ==
-                  viaEnv[i].probs[static_cast<size_t>(s)])
+      const auto st = static_cast<Stage>(s);
+      EXPECT_TRUE(std::ranges::equal(ref[i].stage(st), viaEnv[i].stage(st)))
           << "vuc " << i << " stage " << s << " via CATI_BATCH";
     }
   }

@@ -68,13 +68,13 @@ INSTANTIATE_TEST_SUITE_P(HalfWindows, WindowProperty,
 
 // --- voting algebra --------------------------------------------------------------
 
-StageProbs uniformExcept(Stage s, std::vector<float> dist) {
+StageProbs uniformExcept(Stage s, const std::vector<float>& dist) {
   StageProbs p;
   for (int i = 0; i < kNumStages; ++i) {
-    const auto n = static_cast<size_t>(numClasses(static_cast<Stage>(i)));
-    p.probs[static_cast<size_t>(i)].assign(n, 1.0F / static_cast<float>(n));
+    const std::span<float> d = p.set(static_cast<Stage>(i));
+    std::ranges::fill(d, 1.0F / static_cast<float>(d.size()));
   }
-  p.probs[static_cast<size_t>(s)] = std::move(dist);
+  std::ranges::copy(dist, p.set(s).begin());
   return p;
 }
 
@@ -118,7 +118,8 @@ TEST_P(VotingProperty, DecisionInvariants) {
   // Single-VUC voting without clipping = plain argmax routing.
   const std::vector<StageProbs> one = {probs[0]};
   const VariableDecision d1 = e.voteVariable(one, 0.9F, false);
-  const int s1 = probs[0].probs[0][1] > probs[0].probs[0][0] ? 1 : 0;
+  const std::span<const float> p0 = probs[0].stage(Stage::S1);
+  const int s1 = p0[1] > p0[0] ? 1 : 0;
   EXPECT_EQ(d1.stageClass[0], s1);
 }
 
@@ -162,8 +163,8 @@ std::vector<float> gridDist(Rng& rng, int classes) {
 StageProbs gridProbs(Rng& rng) {
   StageProbs p;
   for (int s = 0; s < kNumStages; ++s) {
-    p.probs[static_cast<size_t>(s)] =
-        gridDist(rng, numClasses(static_cast<Stage>(s)));
+    const auto st = static_cast<Stage>(s);
+    std::ranges::copy(gridDist(rng, numClasses(st)), p.set(st).begin());
   }
   return p;
 }
@@ -190,7 +191,7 @@ TEST_P(VotingAlgebra, ClipDisabledEqualsPlainAveraging) {
     for (const StageProbs& p : probs) {
       for (int c = 0; c < classes; ++c) {
         sum[static_cast<size_t>(c)] += static_cast<double>(
-            p.probs[static_cast<size_t>(s)][static_cast<size_t>(c)]);
+            p.stage(static_cast<Stage>(s))[static_cast<size_t>(c)]);
       }
     }
     const int expect = static_cast<int>(

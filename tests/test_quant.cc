@@ -139,7 +139,8 @@ class QuantEngineTest : public testing::Test {
     const auto probs = e.predictVucs(vucs, pool, batch);
     std::string bytes;
     for (const auto& sp : probs) {
-      for (const auto& stage : sp.probs) {
+      for (int s = 0; s < kNumStages; ++s) {
+        const std::span<const float> stage = sp.stage(static_cast<Stage>(s));
         bytes.append(reinterpret_cast<const char*>(stage.data()),
                      stage.size() * sizeof(float));
       }

@@ -35,6 +35,7 @@
 #include "common/errors.h"
 #include "common/fault.h"
 #include "common/obs.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 #include "dataflow/recovery.h"
 #include "loader/image.h"
@@ -418,10 +419,10 @@ TEST_F(ServeTest, CoalescedPredictMatchesIsolated) {
     for (size_t i = 0; i < coalesced.size(); ++i) {
       const StageProbs& split = i < cut ? partA[i] : partB[i - cut];
       for (int s = 0; s < kNumStages; ++s) {
-        const auto& a = coalesced[i].probs[static_cast<size_t>(s)];
-        const auto& b = split.probs[static_cast<size_t>(s)];
-        ASSERT_EQ(a, b) << "vuc " << i << " stage " << s << " batch "
-                        << batch;
+        const auto a = coalesced[i].stage(static_cast<Stage>(s));
+        const auto b = split.stage(static_cast<Stage>(s));
+        ASSERT_TRUE(std::ranges::equal(a, b))
+            << "vuc " << i << " stage " << s << " batch " << batch;
       }
     }
   }
@@ -894,6 +895,36 @@ TEST_F(ServeTest, DeadlineAtEveryCheckCutsAtAWholeFunctionAtJobs4) {
   expectDeadlineCutsAtWholeFunctions(&pool);
 }
 
+/// Counts the hits of one ordered fault site while alive, and how many of
+/// them ran inside a pool task. ImageAnalysis takes engine.prepare
+/// (admitFunction) and engine.vote (probeVotes) on the calling thread,
+/// outside every task, so that an injected fault lands on the same
+/// function and variable at any job count. The check is deterministic:
+/// it does not depend on which worker, the caller included, ran a task.
+class OrderedSiteProbe {
+ public:
+  explicit OrderedSiteProbe(std::string site) : site_(std::move(site)) {
+    // The fault layer calls the observer under its lock: no race on the
+    // counts.
+    fault::observeHitsForTest([this](const char* site) {
+      if (site != site_) return;
+      ++hits_;
+      if (par::ThreadPool::inTask()) ++inTask_;
+    });
+  }
+  ~OrderedSiteProbe() { fault::observeHitsForTest({}); }
+  OrderedSiteProbe(const OrderedSiteProbe&) = delete;
+  OrderedSiteProbe& operator=(const OrderedSiteProbe&) = delete;
+
+  size_t hits() const { return hits_; }
+  size_t inTask() const { return inTask_; }
+
+ private:
+  std::string site_;
+  size_t hits_ = 0;
+  size_t inTask_ = 0;
+};
+
 /// The fault legs at jobs 4 poison these functions and variables of
 /// chunkedImage() (1-based, in function order): the second, as the jobs-1
 /// legs do on a smaller image, and ones further in, whose hits would race
@@ -923,7 +954,12 @@ void expectPrepareFaultDegradesOneFunction(Engine& offline,
 
   fault::configureForTest("fail@engine.prepare:" + std::to_string(nth));
   const uint64_t degraded0 = counterValue("engine.analyze.degraded");
-  *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+  {
+    const OrderedSiteProbe probe("engine.prepare");
+    *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+    EXPECT_EQ(probe.hits(), fns.size()) << "jobs " << jobs;
+    EXPECT_EQ(probe.inTask(), 0U) << "jobs " << jobs;
+  }
   EXPECT_EQ(counterValue("engine.analyze.degraded") - degraded0, 1U);
 
   const Diag expectedDiag{
@@ -999,19 +1035,27 @@ void expectVoteFaultDegradesOneVariable(Engine& offline,
   ASSERT_TRUE(img.has_value());
   std::optional<dataflow::RecoveredVariable> poisoned;
   size_t voted = 0;
+  size_t votedTotal = 0;
   for (const loader::LoadedFunction& fn : loader::disassemble(*img, scratch)) {
     const Engine::FunctionWork work = offline.prepareFunction(
         fn.insns, dataflow::recoverVariables(fn.insns));
     const auto byVar = work.ds.vucsByVar();
-    for (size_t v = 0; v < byVar.size() && !poisoned; ++v) {
-      if (!byVar[v].empty() && ++voted == nth) poisoned = work.rec.vars[v];
+    for (size_t v = 0; v < byVar.size(); ++v) {
+      if (byVar[v].empty()) continue;
+      ++votedTotal;
+      if (!poisoned && ++voted == nth) poisoned = work.rec.vars[v];
     }
   }
   ASSERT_TRUE(poisoned.has_value()) << "only " << voted << " voted variables";
 
   fault::configureForTest("fail@engine.vote:" + std::to_string(nth));
   const uint64_t degraded0 = counterValue("engine.analyze.degraded");
-  *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+  {
+    const OrderedSiteProbe probe("engine.vote");
+    *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+    EXPECT_EQ(probe.hits(), votedTotal) << "jobs " << jobs;
+    EXPECT_EQ(probe.inTask(), 0U) << "jobs " << jobs;
+  }
   EXPECT_EQ(counterValue("engine.analyze.degraded") - degraded0, 1U);
 
   const Diag expectedDiag{
@@ -1108,7 +1152,7 @@ std::string sixStageReport(Engine& engine, const loader::Image& img) {
       const auto cls = static_cast<size_t>(stageClassOf(leaf, type));
       float sum = 0.0F;
       for (const StageProbs& p : varProbs) {
-        sum += p.probs[static_cast<size_t>(leaf)][cls];
+        sum += p.stage(leaf)[cls];
       }
       const dataflow::RecoveredVariable& loc = work.rec.vars[v];
       char line[256];

@@ -70,9 +70,7 @@ std::vector<StageProbs> perWindow(const Engine& e,
     for (size_t i = 0; i < vucs.size(); ++i) {
       e.encoder().encodeChannelMajor(vucs[i], x);
       const auto logits = net.forward(x, 1, scratch, nn::Phase::kInfer);
-      auto& probs = out[i].probs[static_cast<size_t>(s)];
-      probs.resize(logits.size());
-      nn::SoftmaxCE::forward(logits, -1, probs);
+      nn::SoftmaxCE::forward(logits, -1, out[i].set(static_cast<Stage>(s)));
     }
   }
   return out;
@@ -114,9 +112,9 @@ testing::AssertionResult sameBits(const std::vector<StageProbs>& got,
            << got.size() << " VUCs predicted, " << want.size() << " expected";
   }
   for (size_t i = 0; i < got.size(); ++i) {
-    for (size_t s = 0; s < kNumStages; ++s) {
-      const auto& a = got[i].probs[s];
-      const auto& b = want[i].probs[s];
+    for (int s = 0; s < kNumStages; ++s) {
+      const std::span<const float> a = got[i].stage(static_cast<Stage>(s));
+      const std::span<const float> b = want[i].stage(static_cast<Stage>(s));
       if (a.size() != b.size() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
         return testing::AssertionFailure()
@@ -243,29 +241,36 @@ TEST_F(StreamPredictTest, TinyFunctionsPutEveryBoundaryInsidePads) {
 
 TEST_F(StreamPredictTest, ImageChunkMatchesPerWindowForwards) {
   // A real chunk: prepareFunction over a stripped image's functions, their
-  // streams appended as ImageAnalysis appends them.
-  Engine& engine = *micro_;
+  // streams appended as ImageAnalysis appends them. Each worker runs all
+  // six stage nets on its one scratch, on the shared-prefix branch (micro)
+  // and the whole-net one (its int8 twin).
   loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
   loader::strip(img);
   DiagList diags;
   ChunkStream st;
   std::vector<corpus::Vuc> windows;
   for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
-    Engine::FunctionWork work = engine.prepareFunction(
+    Engine::FunctionWork work = micro_->prepareFunction(
         fn.insns, dataflow::recoverVariables(fn.insns));
     ASSERT_EQ(work.stream.numVucs(), work.ds.vucs.size()) << fn.name;
-    ASSERT_EQ(windowsOf(work.stream, engine.encoder().vocab()).size(),
+    ASSERT_EQ(windowsOf(work.stream, micro_->encoder().vocab()).size(),
               work.ds.vucs.size());
     st.append(work.stream);
     windows.insert(windows.end(), work.ds.vucs.begin(), work.ds.vucs.end());
   }
   ASSERT_GT(st.numVucs(), 96U);
-  const std::vector<StageProbs> want = perWindow(engine, windows);
-  for (const int jobs : {1, 4}) {
-    par::ThreadPool pool(jobs);
-    for (const int batch : {1, 8, 32}) {
-      EXPECT_TRUE(sameBits(engine.predictStream(st, &pool, batch), want))
-          << "jobs " << jobs << " batch " << batch;
+  std::vector<Engine> engines;
+  engines.push_back(testsupport::cachedMicroEngine());
+  engines.push_back(micro_->quantize());
+  for (Engine& engine : engines) {
+    const char* what = engine.quantized() ? "int8" : "fp32";
+    const std::vector<StageProbs> want = perWindow(engine, windows);
+    for (const int jobs : {1, 4}) {
+      par::ThreadPool pool(jobs);
+      for (const int batch : {1, 8, 32}) {
+        EXPECT_TRUE(sameBits(engine.predictStream(st, &pool, batch), want))
+            << what << " jobs " << jobs << " batch " << batch;
+      }
     }
   }
 }
@@ -368,7 +373,7 @@ Engine withVoting(const Engine& base, float clip, bool clipEnabled) {
 TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
   // StagePlan::kRouted over a real chunk gives every VUC exactly the stages
   // on its variable's voted path — bit-equal to the kAll predict there,
-  // empty elsewhere — at jobs {1, 4} x batch {1, 32}, on the shared-prefix
+  // unset elsewhere — at jobs {1, 4} x batch {1, 32}, on the shared-prefix
   // branch (micro) and the whole-net one (its int8 twin), and with the
   // routing votes clipped at 0.5 (every Stage 1 winner counts 1.0) and not
   // clipped at all; finishFunction types every variable the same from
@@ -437,16 +442,17 @@ TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
             evals += static_cast<uint64_t>(path.length) * vucs.size();
             for (const uint32_t i : vucs) {
               for (int s = 0; s < kNumStages; ++s) {
-                const auto& r = routed[base + i].probs[static_cast<size_t>(s)];
-                const auto& f = full[base + i].probs[static_cast<size_t>(s)];
+                const auto st = static_cast<Stage>(s);
+                const std::span<const float> r = routed[base + i].stage(st);
+                const std::span<const float> f = full[base + i].stage(st);
                 const bool onPath =
                     std::find(path.stages.begin(),
                               path.stages.begin() + path.length,
-                              static_cast<Stage>(s)) !=
-                    path.stages.begin() + path.length;
+                              st) != path.stages.begin() + path.length;
                 if (!onPath) {
                   EXPECT_TRUE(r.empty()) << what << " stage " << s;
                 } else {
+                  ASSERT_EQ(f.size(), static_cast<size_t>(numClasses(st)));
                   EXPECT_TRUE(r.size() == f.size() &&
                               std::memcmp(r.data(), f.data(),
                                           r.size() * sizeof(float)) == 0)
