@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <numeric>
@@ -343,7 +344,6 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
   }
   static obs::Histogram& trainNs = obs::timer("engine.train_ns");
   const obs::ScopedTimer timing(trainNs);
-  workers_.clear();
   par::ThreadPool inlinePool(1);
   par::ThreadPool& tp = pool ? *pool : inlinePool;
 
@@ -431,15 +431,6 @@ void Engine::train(corpus::VucSource& src, par::ThreadPool* pool,
                firstResumed && !adamBlob.empty() ? &adamIs : nullptr, ckpt,
                &stageSeeds);
   }
-}
-
-Engine::WorkerState& Engine::worker(int w) {
-  // The stage nets share a layer count (readNets), and every layer sizes
-  // its scratch buffers from its own dims on each call.
-  while (static_cast<int>(workers_.size()) <= w) {
-    workers_.emplace_back().scratch = stages_.front().makeScratch();
-  }
-  return workers_[static_cast<size_t>(w)];
 }
 
 // --- chunk streams and the one predict path (DESIGN.md §7) -----------------
@@ -550,6 +541,55 @@ size_t streamRange(size_t evals) {
   return std::clamp(r, kMinStreamRange, kMaxStreamRange);
 }
 
+/// One predict worker's state: one nn::Scratch that every stage net runs
+/// on, one item at a time, plus the encoded VUC range and the shared-prefix
+/// buffers. There is one per OS thread (tWorker): a pool worker runs one
+/// (range, stage) item at a time and worker 0 is the calling thread, so the
+/// engines that predict on one pool share its states. Buffers keep their
+/// high water, so steady-state predicts do not reallocate.
+struct WorkerState {
+  nn::Scratch scratch;
+  /// The layer count `scratch` was made for: a net of another count (a
+  /// window-0 net, say) gets a new one.
+  size_t scratchLayers = 0;
+  /// The range `input` holds: (predict round, range index).
+  uint64_t round = 0;
+  size_t range = 0;
+  /// Shared prefix: the range's rows as the conv lane pack
+  /// [C][len][kLane]. Otherwise: its windows, [m x inputShape].
+  std::vector<float> input;
+  std::vector<float> pairs;     ///< left-border pairs [C][2P][kLane]
+  std::vector<uint32_t> flatRow;  ///< packed position -> stream row
+  std::vector<uint32_t> start;    ///< per VUC: packed window start
+  int len = 0;       ///< lane length of `input`
+  int step = 0;      ///< packed positions between lane starts
+  int pairLen = 0;   ///< lane length of `pairs`
+  std::vector<float> conv;    ///< conv1 output pack
+  std::vector<float> convB;   ///< conv1 output of the pairs
+  std::vector<float> relu;    ///< [c1][packed position] ReLU of conv
+  std::vector<float> pooled;  ///< [m x c1 x w] conv2 input
+};
+
+thread_local WorkerState tWorker;
+
+/// Keys WorkerState::round. Process-wide, so no two rounds of any predict
+/// calls on any engines share a key.
+std::atomic<uint64_t> gPredictRounds{0};
+
+/// Throws TimeoutError when `deadline` has passed, or when an armed
+/// `engine.deadline` fault rule fires (a deterministic expiry). Without a
+/// deadline it checks nothing, the fault site included.
+void checkDeadline(const Deadline& deadline) {
+  if (!deadline) return;
+  if (fault::hit("engine.deadline") == fault::Action::kNone &&
+      std::chrono::steady_clock::now() <= *deadline) {
+    return;
+  }
+  static obs::Counter& timeouts = obs::counter("engine.analyze.timeout");
+  timeouts.add();
+  throw TimeoutError("engine: analysis deadline exceeded (--timeout-ms)");
+}
+
 /// One stage's vote (formulas 3-4).
 struct StageVote {
   int winner = 0;
@@ -617,19 +657,21 @@ struct VoteMetrics {
   }
 };
 
-}  // namespace
-
-bool Engine::sharedPrefix() const {
-  return std::all_of(stages_.begin(), stages_.end(),
-                     [](const nn::Sequential& net) {
-                       return sharedConv1(net) != nullptr;
-                     });
+/// True when every stage net of `e` starts Conv1d(k=3) -> ReLU ->
+/// MaxPool1d(2), the prefix predictStream runs once per stream row.
+bool sharedPrefix(const Engine& e) {
+  for (int s = 0; s < kNumStages; ++s) {
+    if (sharedConv1(e.stageNet(static_cast<Stage>(s))) == nullptr) {
+      return false;
+    }
+  }
+  return true;
 }
 
-void Engine::encodeRange(const ChunkStream& st,
-                         std::span<const uint32_t> vucs, bool shared,
-                         WorkerState& ws) const {
-  const embed::VucEncoder& enc = *encoder_;
+/// Encodes the VUCs `vucs` (ascending) of `st` into ws (see WorkerState).
+void encodeRange(const embed::VucEncoder& enc, const ChunkStream& st,
+                 std::span<const uint32_t> vucs, bool shared,
+                 WorkerState& ws) {
   const size_t w = static_cast<size_t>(st.window());
   const size_t span = 2 * w + 1;
   const size_t channels = static_cast<size_t>(enc.cols());
@@ -698,15 +740,21 @@ void Engine::encodeRange(const ChunkStream& st,
   }
 }
 
-void Engine::predictRangeStage(Stage s, const ChunkStream& st,
-                               std::span<const uint32_t> vucs, int batch,
-                               bool shared, WorkerState& ws,
-                               StageProbs* out) {
+/// Stage `s` (net `net`) of the VUCs `vucs` encoded in ws, into
+/// out[vucs[k]], in sub-batches of `batch` through the net after its shared
+/// prefix (`shared`) or through the whole net.
+void predictRangeStage(const nn::Sequential& net, Stage s,
+                       const ChunkStream& st, std::span<const uint32_t> vucs,
+                       int batch, bool shared, const Deadline& deadline,
+                       WorkerState& ws, StageProbs* out) {
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
   static obs::Counter& conv1Cols = obs::counter("engine.infer.conv1_cols");
   const auto si = static_cast<size_t>(s);
-  const nn::Sequential& net = stages_[si];
+  if (ws.scratchLayers != net.numLayers()) {
+    ws.scratch = net.makeScratch();
+    ws.scratchLayers = net.numLayers();
+  }
   const size_t m = vucs.size();
   const auto w = static_cast<size_t>(st.window());
   std::span<const float> x = ws.input;  // layer `first`'s input, all VUCs
@@ -762,7 +810,7 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
     // which every VUC passes and the rest of its path follows: cheap (a
     // clock read, only when a deadline is set) and bounds how late a
     // timeout fires.
-    if (s == Stage::S1) checkDeadline();
+    if (s == Stage::S1) checkDeadline(deadline);
     if (!shared) {
       conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
                     (2 * w + 1));
@@ -779,10 +827,19 @@ void Engine::predictRangeStage(Stage s, const ChunkStream& st,
   }
 }
 
-void Engine::predictRound(const ChunkStream& st,
-                          std::span<const RoundPart> parts,
-                          par::ThreadPool& tp, int batch, bool shared,
-                          StageProbs* out) {
+/// One part of a predict round: the stage nets `stages` on the VUCs
+/// `vucs` (stream indices, ascending).
+struct RoundPart {
+  std::vector<Stage> stages;
+  std::vector<uint32_t> vucs;
+};
+
+/// Runs one round's parts of `e`'s nets over the pool into out[i] for every
+/// selected i, each item on its thread's WorkerState.
+void predictRound(const Engine& e, const ChunkStream& st,
+                  std::span<const RoundPart> parts, par::ThreadPool& tp,
+                  int batch, bool shared, const Deadline& deadline,
+                  StageProbs* out) {
   // Items are (range, stage) on the shared-prefix branch and whole ranges
   // through every stage of their part on the other; either way a worker
   // encodes a range once and keeps it for the next item of the same range.
@@ -801,8 +858,8 @@ void Engine::predictRound(const ChunkStream& st,
                                                      grain) *
                                           itemsPerRange(parts[p]);
   }
-  const uint64_t round = ++predictRounds_;
-  tp.run(firstItem.back(), [&](size_t item, int wk) {
+  const uint64_t round = gPredictRounds.fetch_add(1) + 1;
+  tp.run(firstItem.back(), [&](size_t item, int) {
     size_t p = 0;
     while (item >= firstItem[p + 1]) ++p;
     const RoundPart& part = parts[p];
@@ -812,27 +869,32 @@ void Engine::predictRound(const ChunkStream& st,
         par::chunkRange(part.vucs.size(), grain, local / perRange);
     const std::span<const uint32_t> vucs =
         std::span(part.vucs).subspan(cr.begin, cr.end - cr.begin);
-    WorkerState& ws = workers_[static_cast<size_t>(wk)];
+    WorkerState& ws = tWorker;
     const size_t range = item - local % perRange;  // its first item
     if (ws.round != round || ws.range != range) {
-      encodeRange(st, vucs, shared, ws);
+      encodeRange(e.encoder(), st, vucs, shared, ws);
       ws.round = round;
       ws.range = range;
     }
     if (shared) {
-      predictRangeStage(part.stages[local % perRange], st, vucs, batch, true,
-                        ws, out);
+      const Stage s = part.stages[local % perRange];
+      predictRangeStage(e.stageNet(s), s, st, vucs, batch, true, deadline, ws,
+                        out);
       return;
     }
     for (const Stage s : part.stages) {
-      predictRangeStage(s, st, vucs, batch, false, ws, out);
+      predictRangeStage(e.stageNet(s), s, st, vucs, batch, false, deadline,
+                        ws, out);
     }
   });
 }
 
+}  // namespace
+
 std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
-                                              par::ThreadPool* pool,
-                                              int batch, StagePlan plan) {
+                                              par::ThreadPool* pool, int batch,
+                                              StagePlan plan,
+                                              Deadline deadline) const {
   if (!trained()) throw std::logic_error("Engine::predict: not trained");
   static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
   static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
@@ -866,17 +928,14 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   batch = par::resolveBatch(batch, kDefaultInferBatch);
   par::ThreadPool inlinePool(1);
   par::ThreadPool& tp = pool ? *pool : inlinePool;
-  const bool shared = sharedPrefix();
-  // Worker scratches are created outside the parallel region (worker() may
-  // grow the vector); the fan-out then only touches disjoint entries.
-  for (int wk = 0; wk < tp.jobs(); ++wk) worker(wk);
+  const bool shared = sharedPrefix(*this);
   std::vector<RoundPart> round(1);
   round[0].vucs.resize(n);
   std::iota(round[0].vucs.begin(), round[0].vucs.end(), 0U);
   if (plan == StagePlan::kAll) {
     round[0].stages = {Stage::S1,   Stage::S2_1, Stage::S2_2,
                        Stage::S3_1, Stage::S3_2, Stage::S3_3};
-    predictRound(st, round, tp, batch, shared, out.data());
+    predictRound(*this, st, round, tp, batch, shared, deadline, out.data());
     return out;
   }
   // Routed. Variable v's VUCs, ascending: byVar[varBegin[v], varBegin[v+1]).
@@ -895,7 +954,7 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   std::vector<Stage> at(numVars, Stage::S1);
   round[0].stages = {Stage::S1};
   while (!round.empty()) {
-    predictRound(st, round, tp, batch, shared, out.data());
+    predictRound(*this, st, round, tp, batch, shared, deadline, out.data());
     for (uint32_t v = 0; v < numVars; ++v) {
       if (at[v] == Stage::kCount || varBegin[v] == varBegin[v + 1]) continue;
       const std::span<const uint32_t> vucs(byVar.data() + varBegin[v],
@@ -921,7 +980,7 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
 
 std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
                                             par::ThreadPool* pool,
-                                            int batch) {
+                                            int batch) const {
   if (!trained()) throw std::logic_error("Engine::predictVucs: not trained");
   // Each window as its own one-VUC function: BLANK^w window BLANK^w.
   const std::array<uint32_t, 1> centre{static_cast<uint32_t>(cfg_.window)};
@@ -932,7 +991,7 @@ std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
   return predictStream(st, pool, batch);
 }
 
-StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
+StageProbs Engine::predictVuc(const corpus::Vuc& vuc) const {
   return predictVucs(std::span(&vuc, 1), nullptr, 1).front();
 }
 
@@ -997,7 +1056,7 @@ RoutedDecision Engine::voteRoute(std::span<const StageProbs> probs,
 }
 
 std::vector<double> Engine::occlusionEpsilons(const corpus::Vuc& vuc,
-                                              Stage u) {
+                                              Stage u) const {
   if (!trained()) throw std::logic_error("occlusionEpsilons: not trained");
   // The window, then one copy per position k with row k replaced by BLANK,
   // each a one-VUC function. BLANK's vector is +0 (VucEncoder::load), so an
@@ -1022,10 +1081,10 @@ std::vector<double> Engine::occlusionEpsilons(const corpus::Vuc& vuc,
   return eps;
 }
 
-void Engine::admitFunction() const {
+void Engine::admitFunction(Deadline deadline) const {
   static obs::Counter& fnCount = obs::counter("engine.analyze.functions");
   fnCount.add();
-  checkDeadline();
+  checkDeadline(deadline);
   fault::failPoint("engine.prepare");
 }
 
@@ -1291,24 +1350,14 @@ bool Engine::readNets(std::istream& body, const std::string& what) {
     stages_.push_back(std::move(net));
   }
   if (fp32 && int8) throw CorruptError(what + ": mixes fp32 and int8 layers");
-  // A predict worker runs all six nets on one scratch, bound to a layer count.
+  // The six stages are one architecture, and a predict thread runs them all
+  // on one scratch that is remade whenever the layer count changes.
   if (std::ranges::any_of(stages_, [&](const nn::Sequential& net) {
         return net.numLayers() != stages_.front().numLayers();
       })) {
     throw CorruptError(what + ": stage nets differ in layer count");
   }
   return int8;
-}
-
-void Engine::checkDeadline() const {
-  if (!deadline_) return;
-  if (fault::hit("engine.deadline") == fault::Action::kNone &&
-      std::chrono::steady_clock::now() <= *deadline_) {
-    return;
-  }
-  static obs::Counter& timeouts = obs::counter("engine.analyze.timeout");
-  timeouts.add();
-  throw TimeoutError("engine: analysis deadline exceeded (--timeout-ms)");
 }
 
 // --- int8 quantization (DESIGN.md §11) + persistence ------------------------

@@ -159,6 +159,11 @@ class ChunkStream {
   uint32_t numVars_ = 0;
 };
 
+/// An analysis deadline (--timeout-ms): checked by Engine::admitFunction
+/// per function and by Engine::predictStream per Stage 1 sub-batch, which
+/// throw cati::TimeoutError once it has passed. nullopt: none.
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
 /// A recovered-and-typed variable from the end-to-end stripped path.
 struct AnalyzedVariable {
   dataflow::RecoveredVariable location;
@@ -194,19 +199,13 @@ class Engine {
 
   bool trained() const { return encoder_.has_value(); }
 
-  /// Wall-clock deadline for analysis (--timeout-ms): admitFunction checks
-  /// it per function and predictStream between NN sub-batches, throwing
-  /// cati::TimeoutError on expiry, so a caller always gets back with the
-  /// partial results it accumulated so far. nullopt (default) disables.
-  void setDeadline(std::optional<std::chrono::steady_clock::time_point> d) {
-    deadline_ = d;
-  }
-
   // --- VUC-level inference ---
-  // (Model weights are shared-const during inference; all mutable state is
-  // per-worker scratch owned by this Engine, so one Engine must not be used
-  // from multiple threads concurrently — fan-out happens *inside*
-  // predictStream, where each pool worker gets its own scratch arena.)
+  // Inference is const: a trained Engine is immutable while it predicts.
+  // The mutable predict state (a scratch and the encoded range buffers) is
+  // per OS thread, private to engine.cc: engines that share a pool share
+  // one set of states, and an Engine holds none.
+  // Concurrent inference on one Engine from different threads, each with
+  // its own pool or none, is safe; train() and load must not overlap it.
   /// The one prediction path; out[i] belongs to the VUC centred on
   /// stream.centres()[i]. It runs in rounds of (stage, VUC selection):
   /// kAll is one round of every stage on every VUC; kRouted runs Stage 1
@@ -220,22 +219,24 @@ class Engine {
   /// VUC gathers its pooled map from it (DESIGN.md §7); other nets (int8,
   /// window 0) gather encoded windows from the stream and run whole.
   /// Fan-out is over (VUC range x stage) on the one shared set of weights
-  /// with per-worker scratch. The kernels keep every output's op sequence,
+  /// with per-thread scratch. The kernels keep every output's op sequence,
   /// so every evaluated stage is bit-identical to a serial per-window
   /// forward at any job count and any batch size. batch <= 0 resolves via
-  /// par::resolveBatch (CATI_BATCH env, then a default of 32).
+  /// par::resolveBatch (CATI_BATCH env, then a default of 32). With a
+  /// `deadline`, it is checked once per Stage 1 sub-batch (TimeoutError).
   std::vector<StageProbs> predictStream(const ChunkStream& stream,
                                         par::ThreadPool* pool = nullptr,
                                         int batch = 0,
-                                        StagePlan plan = StagePlan::kAll);
+                                        StagePlan plan = StagePlan::kAll,
+                                        Deadline deadline = std::nullopt) const;
   /// predictStream over the VUCs' own windows, each laid out as a one-VUC
   /// function (BLANK^w window BLANK^w, centre at its index w); out[i]
   /// corresponds to vucs[i].
   std::vector<StageProbs> predictVucs(std::span<const corpus::Vuc> vucs,
                                       par::ThreadPool* pool = nullptr,
-                                      int batch = 0);
+                                      int batch = 0) const;
   /// predictVucs of one VUC.
-  StageProbs predictVuc(const corpus::Vuc& vuc);
+  StageProbs predictVuc(const corpus::Vuc& vuc) const;
   /// Hard routing of one VUC's stage distributions down the tree.
   TypeLabel routeVuc(const StageProbs& p) const;
 
@@ -259,7 +260,8 @@ class Engine {
   /// replaced by BLANK, divided by the original confidence. Values < 1 mean
   /// instruction k supported the prediction. One predictStream call over
   /// the window and its 2w+1 occluded copies, each a one-VUC function.
-  std::vector<double> occlusionEpsilons(const corpus::Vuc& vuc, Stage u);
+  std::vector<double> occlusionEpsilons(const corpus::Vuc& vuc,
+                                        Stage u) const;
 
   // --- end-to-end stripped-binary analysis (DESIGN.md §10) ---
   // The full §III pipeline with src/dataflow standing in for IDA Pro runs in
@@ -269,9 +271,9 @@ class Engine {
   // fanning each chunk's per-function prepare and finish out over the pool.
   // streamFunction and finishFunction are safe to call from several
   // threads at once; admitFunction and probeVotes take the ordered side
-  // effects (the deadline, the fault sites) and run serially in function
-  // order, so a cut or an injected fault lands on the same function at any
-  // job count.
+  // effects (the caller's deadline, the fault sites) and run serially in
+  // function order, so a cut or an injected fault lands on the same
+  // function at any job count.
   // Kernels preserve per-sample accumulation order, so how the prepared
   // functions are grouped into predict calls never changes the votes.
 
@@ -290,17 +292,18 @@ class Engine {
   };
 
   /// Phase 1, ordered part: counts the function toward
-  /// engine.analyze.functions, honours the analysis deadline (TimeoutError)
-  /// and is the `engine.prepare` fault-injection site.
-  void admitFunction() const;
+  /// engine.analyze.functions, checks `deadline` (TimeoutError) and is the
+  /// `engine.prepare` fault-injection site.
+  void admitFunction(Deadline deadline = std::nullopt) const;
   /// Phase 1, per-function part: VUC extraction as a stream from the
   /// caller's recovery — e.g. dataflow::recoverVariables over a loader
   /// FunctionGraph (decode-cache hits skip relowering) or over `insns`.
   /// Counts engine.analyze.vucs. Builds no windows.
   FunctionWork streamFunction(std::span<const asmx::Instruction> insns,
                               dataflow::RecoveryResult rec) const;
-  /// admitFunction, then streamFunction plus the VUCs' windows in `ds` —
-  /// one function by itself, for callers that read windows.
+  /// admitFunction (no deadline), then streamFunction plus the VUCs'
+  /// windows in `ds` — one function by itself, for callers that read
+  /// windows.
   FunctionWork prepareFunction(std::span<const asmx::Instruction> insns,
                                dataflow::RecoveryResult rec) const;
 
@@ -359,30 +362,6 @@ class Engine {
   }
 
  private:
-  /// Per-worker inference state: one nn::Scratch that all six stage nets
-  /// run on, one item at a time, plus the encoded VUC range and the
-  /// shared-prefix buffers. Grown lazily and reused across predict calls,
-  /// so steady-state passes do not reallocate.
-  struct WorkerState {
-    nn::Scratch scratch;
-    /// The range `input` holds: (predict round, range index).
-    uint64_t round = 0;
-    size_t range = 0;
-    /// Shared prefix: the range's rows as the conv lane pack
-    /// [C][len][kLane]. Otherwise: its windows, [m x inputShape].
-    std::vector<float> input;
-    std::vector<float> pairs;     ///< left-border pairs [C][2P][kLane]
-    std::vector<uint32_t> flatRow;  ///< packed position -> stream row
-    std::vector<uint32_t> start;    ///< per VUC: packed window start
-    int len = 0;       ///< lane length of `input`
-    int step = 0;      ///< packed positions between lane starts
-    int pairLen = 0;   ///< lane length of `pairs`
-    std::vector<float> conv;    ///< conv1 output pack
-    std::vector<float> convB;   ///< conv1 output of the pairs
-    std::vector<float> relu;    ///< [c1][packed position] ReLU of conv
-    std::vector<float> pooled;  ///< [m x c1 x w] conv2 input
-  };
-
   nn::Shape inputShape() const;
   /// The token rows of a VUC's window (std::invalid_argument when its
   /// length is not the engine's 2w+1).
@@ -431,48 +410,14 @@ class Engine {
                            uint64_t numVucs, int& startStage, int& startEpoch,
                            std::array<uint64_t, kNumStages>& seeds,
                            std::string& adamBlob);
-  /// Throws TimeoutError when the analysis deadline has passed, or when an
-  /// armed `engine.deadline` fault rule fires (a deterministic expiry).
-  void checkDeadline() const;
   /// streamFunction, plus the windows in `ds` when `windows`.
   FunctionWork extract(std::span<const asmx::Instruction> insns,
                        dataflow::RecoveryResult rec, bool windows) const;
-  /// The lazily-created scratch for worker `w`. Must be called outside any
-  /// parallel region (it may grow workers_); train() invalidates all states.
-  WorkerState& worker(int w);
-  /// True when every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2),
-  /// the prefix predictStream runs once per stream row.
-  bool sharedPrefix() const;
-  /// One part of a predict round: the stage nets `stages` on the VUCs
-  /// `vucs` (stream indices, ascending).
-  struct RoundPart {
-    std::vector<Stage> stages;
-    std::vector<uint32_t> vucs;
-  };
-  /// Runs one round's parts over the pool into out[i] for every selected i.
-  void predictRound(const ChunkStream& stream, std::span<const RoundPart> parts,
-                    par::ThreadPool& pool, int batch, bool shared,
-                    StageProbs* out);
-  /// Encodes the VUCs `vucs` (ascending) of `stream` into ws (see
-  /// WorkerState).
-  void encodeRange(const ChunkStream& stream, std::span<const uint32_t> vucs,
-                   bool shared, WorkerState& ws) const;
-  /// Stage `s` of the VUCs `vucs` encoded in ws, into out[vucs[k]], in
-  /// sub-batches of `batch` through the net after its shared prefix
-  /// (`shared`) or through the whole net.
-  void predictRangeStage(Stage s, const ChunkStream& stream,
-                         std::span<const uint32_t> vucs, int batch,
-                         bool shared, WorkerState& ws, StageProbs* out);
 
   EngineConfig cfg_;
-  std::optional<std::chrono::steady_clock::time_point> deadline_;
   std::optional<embed::VucEncoder> encoder_;
   std::vector<nn::Sequential> stages_;  // kNumStages entries once trained
   bool quantized_ = false;  ///< the stages hold int8 (nn/qnn.h) layers
-  /// Per-worker inference scratch (index = pool worker id). Never
-  /// serialized.
-  std::vector<WorkerState> workers_;
-  uint64_t predictRounds_ = 0;  ///< keys WorkerState::round
 };
 
 }  // namespace cati

@@ -101,6 +101,9 @@ struct LoadedFunction {
   uint64_t addr = 0;
   std::vector<asmx::Instruction> insns;
   std::vector<uint64_t> insnAddrs;  ///< virtual address of each instruction
+  /// The function lowered to the typed IR. Never null from disassemble:
+  /// every overload lowers a decoded function, and a decode-cache hit
+  /// shares the graph lowered on its miss.
   std::shared_ptr<const ir::FunctionGraph> graph;
 };
 

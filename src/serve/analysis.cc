@@ -73,14 +73,15 @@ void forEach(par::ThreadPool* pool, size_t n,
 
 }  // namespace
 
-AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
+AnalyzeResult analyzeImage(const Engine& engine, const loader::Image& img,
                            par::ThreadPool* pool, int batch,
                            const AnalyzeOptions& opts) {
+  Deadline deadline;
   if (opts.timeoutMs > 0) {
-    engine.setDeadline(std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(opts.timeoutMs));
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(opts.timeoutMs);
   }
-  ImageAnalysis analysis(img, pool, opts.confMin, opts.cache);
+  ImageAnalysis analysis(img, pool, opts.confMin, opts.cache, deadline);
   bool timedOut = false;
   try {
     while (analysis.prepareChunk(engine, kChunkInsns)) {
@@ -89,21 +90,22 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
                                        ? std::vector<StageProbs>{}
                                        : engine.predictStream(
                                              stream, pool, batch,
-                                             StagePlan::kRouted));
+                                             StagePlan::kRouted, deadline));
     }
   } catch (const TimeoutError&) {
     // Clean partial output: every finished chunk stays in the report.
     timedOut = true;
   }
-  engine.setDeadline(std::nullopt);
   return std::move(analysis).result(timedOut, opts.timeoutMs);
 }
 
 ImageAnalysis::ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
-                             float confMin, loader::DecodeCache* cache)
+                             float confMin, loader::DecodeCache* cache,
+                             Deadline deadline)
     : img_(img),
       pool_(pool),
       confMin_(confMin),
+      deadline_(deadline),
       fns_(disassembleFor(img, res_.diags, pool, cache)) {}
 
 bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxInsns) {
@@ -122,7 +124,7 @@ bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxInsns) {
   std::vector<char> admitted(chunk_.size(), 0);
   for (size_t k = 0; k < chunk_.size(); ++k) {
     try {
-      engine.admitFunction();
+      engine.admitFunction(deadline_);
       admitted[k] = 1;
     } catch (const TimeoutError&) {
       throw;
@@ -133,9 +135,7 @@ bool ImageAnalysis::prepareChunk(const Engine& engine, size_t maxInsns) {
   forEach(pool_, chunk_.size(), [&](size_t k) {
     if (admitted[k] == 0) return;
     const loader::LoadedFunction& fn = fns_[first + k];
-    dataflow::RecoveryResult rec = fn.graph != nullptr
-                                       ? dataflow::recoverVariables(*fn.graph)
-                                       : dataflow::recoverVariables(fn.insns);
+    dataflow::RecoveryResult rec = dataflow::recoverVariables(*fn.graph);
     try {
       chunk_[k].work = engine.streamFunction(fn.insns, std::move(rec));
     } catch (const std::exception& e) {

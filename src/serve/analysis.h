@@ -25,7 +25,7 @@
 //     report at a whole function;
 //   * the daemon (cati-serve) prepares each request as one chunk and
 //     concatenates the chunk streams of many requests into one
-//     predictStream call.
+//     predictStream call; its analyses never hold a deadline.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +44,9 @@ namespace cati::serve {
 
 struct AnalyzeOptions {
   float confMin = 0.0F;
-  /// Offline only (--timeout-ms); the daemon never sets a deadline, so its
-  /// output matches an offline run without one.
+  /// Offline only (--timeout-ms): analyzeImage turns it into the
+  /// analysis' deadline. The daemon builds its ImageAnalysis without one,
+  /// so its output matches an offline run without a timeout.
   long timeoutMs = 0;
   /// Optional decode+lowering cache shared across analyses of the same
   /// bytes (cati-infer re-analysis, the daemon's batch loop). Purely a
@@ -66,11 +67,11 @@ struct AnalyzeResult {
 };
 
 /// The full offline analysis of one image through ImageAnalysis, chunk by
-/// chunk. With timeoutMs > 0 a deadline is set on the engine; on expiry the
-/// report holds the functions of every finished chunk, closes with the
-/// TIMEOUT summary and carries a Warning diag. The engine's deadline is
-/// cleared before returning.
-AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
+/// chunk. With timeoutMs > 0 the analysis gets a deadline that many
+/// milliseconds from the call; on expiry the report holds the functions of
+/// every finished chunk, closes with the TIMEOUT summary and carries a
+/// Warning diag.
+AnalyzeResult analyzeImage(const Engine& engine, const loader::Image& img,
                            par::ThreadPool* pool, int batch,
                            const AnalyzeOptions& opts = {});
 
@@ -79,19 +80,21 @@ class ImageAnalysis {
   /// Disassembles `img` (recovering, via `pool`, through `cache` when
   /// given); prepareChunk and finishChunk fan out over `pool` too, which
   /// must outlive this object, as must `img`. Without a pool everything
-  /// runs on the calling thread.
+  /// runs on the calling thread. prepareChunk checks `deadline` per
+  /// function; the caller passes the same one to its predictStream calls.
   ImageAnalysis(const loader::Image& img, par::ThreadPool* pool,
-                float confMin, loader::DecodeCache* cache = nullptr);
+                float confMin, loader::DecodeCache* cache = nullptr,
+                Deadline deadline = std::nullopt);
 
   /// Phase 1 for the next functions in order, at least one, until the
   /// chunk holds at least `maxInsns` instructions or no function is left;
   /// by default the chunk is the rest of the image. Each function is
-  /// admitted (Engine::admitFunction) serially in order, then recovered off
-  /// its loader FunctionGraph and extracted (Engine::streamFunction) as one
-  /// pool task. Returns false when no function was left. A function whose
-  /// preparation throws degrades to a Warning diag plus the
-  /// engine.analyze.degraded counter and contributes no VUCs; a
-  /// TimeoutError propagates and stops the analysis.
+  /// admitted (Engine::admitFunction with the analysis' deadline) serially
+  /// in order, then recovered off its loader FunctionGraph and extracted
+  /// (Engine::streamFunction) as one pool task. Returns false when no
+  /// function was left. A function whose preparation throws degrades to a
+  /// Warning diag plus the engine.analyze.degraded counter and contributes
+  /// no VUCs; a TimeoutError propagates and stops the analysis.
   bool prepareChunk(const Engine& engine,
                     size_t maxInsns = std::numeric_limits<size_t>::max());
 
@@ -139,6 +142,7 @@ class ImageAnalysis {
   const loader::Image& img_;
   par::ThreadPool* pool_;
   float confMin_;
+  Deadline deadline_;
   /// Finished output so far; declared before fns_, whose initializer
   /// writes the disassembly diagnostics into it.
   AnalyzeResult res_;

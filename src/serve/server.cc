@@ -10,7 +10,7 @@
 
 namespace cati::serve {
 
-Server::Server(Engine& engine, ServerConfig cfg)
+Server::Server(const Engine& engine, ServerConfig cfg)
     : engine_(engine),
       cfg_(std::move(cfg)),
       pool_(par::resolveJobs(cfg_.jobs)),

@@ -15,9 +15,10 @@
 //                           server's pool), renders
 //                           and caches replies, hands them to the writers
 //
-// The engine, the result cache and all analysis state are touched by the
-// batch loop only — no locks around the model, no concurrent-Engine hazards,
-// and deterministic cache accounting. Parallelism comes from the pool inside
+// The engine is const: inference never changes it, so it needs no lock and
+// may serve other threads too. The result cache and all analysis state are
+// touched by the batch loop only, which keeps cache accounting
+// deterministic. Parallelism comes from the pool inside
 // predictStream (exactly the offline tool's), so serving inherits the jobs=N
 // determinism contract unchanged.
 //
@@ -74,7 +75,7 @@ class Server {
  public:
   /// Binds the listen address (throws cati::IoError on failure) and opens
   /// the result cache; no threads yet.
-  Server(Engine& engine, ServerConfig cfg);
+  Server(const Engine& engine, ServerConfig cfg);
   ~Server();
 
   Server(const Server&) = delete;
@@ -164,7 +165,7 @@ class Server {
   /// Notes one analyze reply toward --max-requests.
   void noteAnalyzeReply();
 
-  Engine& engine_;
+  const Engine& engine_;
   ServerConfig cfg_;
   par::ThreadPool pool_;
   sock::Listener listener_;

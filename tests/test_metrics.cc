@@ -2,7 +2,8 @@
 // program's entry points register must have a row in §8's table, so an
 // operator reading `--metrics` or a kMetrics reply can look each name up.
 //
-// The run covers a micro train, analyzeImage, predictVucs,
+// The run covers a micro train from a sharded corpus with checkpoints,
+// analyzeImage with and without an injected fault, predictVucs,
 // occlusionEpsilons and one cati-serve round trip; the document's path
 // comes from CATI_DESIGN_MD (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -15,9 +16,11 @@
 #include <string>
 
 #include "cati/engine.h"
+#include "common/fault.h"
 #include "common/obs.h"
 #include "common/parallel.h"
 #include "common/types.h"
+#include "corpus/sharded.h"
 #include "loader/image.h"
 #include "serve/analysis.h"
 #include "serve/client.h"
@@ -68,20 +71,37 @@ std::string tableName(const std::string& name) {
 
 TEST(MetricCatalogue, EveryRegisteredMetricIsDocumented) {
   obs::setEnabled(true);
+  const stdfs::path dir = stdfs::temp_directory_path() /
+                          ("cati_metrics_" + std::to_string(::getpid()));
+  stdfs::remove_all(dir);
+  stdfs::create_directories(dir);
   par::ThreadPool pool(2);
   const corpus::Dataset ds = testsupport::microDataset(&pool);
+  {
+    // One shard per binary, so the prefetch pipeline has a shard to read
+    // ahead.
+    corpus::ShardWriter w(dir / "corpus", ds.window, 1);
+    for (const synth::Binary& bin : testsupport::microBinaries(&pool)) {
+      w.append(corpus::extractGroundTruth(bin, ds.window));
+    }
+    w.finish();
+  }
+  const corpus::ShardedCorpus sc(dir / "corpus");
+  ASSERT_GE(sc.numShards(), 2U);
+  corpus::ShardedSource src(sc);
   Engine engine(testsupport::microConfig());
-  engine.train(ds, &pool);
+  const TrainCheckpointing ck{.dir = dir / "ckpt"};
+  engine.train(src, &pool, &ck);
 
   loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
   loader::strip(img);
   (void)serve::analyzeImage(engine, img, &pool, 0);
+  fault::configureForTest("fail@engine.prepare:1");
+  (void)serve::analyzeImage(engine, img, &pool, 0);
+  fault::configureForTest("");
   (void)engine.predictVucs(std::span(ds.vucs).first(8), &pool);
   (void)engine.occlusionEpsilons(ds.vucs.front(), Stage::S1);
 
-  const stdfs::path dir = stdfs::temp_directory_path() /
-                          ("cati_metrics_" + std::to_string(::getpid()));
-  stdfs::create_directories(dir);
   {
     serve::ServerConfig cfg;
     cfg.listen = sock::Address::parse("unix:" + (dir / "s.sock").string());
@@ -102,6 +122,18 @@ TEST(MetricCatalogue, EveryRegisteredMetricIsDocumented) {
   ASSERT_FALSE(documented.empty()) << "no §8 table in " << CATI_DESIGN_MD;
   const obs::Snapshot snap = obs::Registry::global().snapshot();
   ASSERT_FALSE(snap.counters.empty());
+  std::set<std::string> registered;
+  for (const obs::CounterSnapshot& c : snap.counters) registered.insert(c.name);
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    registered.insert(h.name);
+  }
+  // The run reached the sharded, checkpointed and fault-injected paths.
+  for (const char* name :
+       {"corpus.shards.written", "corpus.shards.read", "train.shard_ns",
+        "train.prefetch_stall_ns", "engine.train.checkpoints",
+        "engine.train.checkpoint_ns", "fs.atomic_writes", "fault.injected"}) {
+    EXPECT_TRUE(registered.contains(name)) << name << " was never registered";
+  }
   for (const obs::CounterSnapshot& c : snap.counters) {
     EXPECT_TRUE(documented.contains(tableName(c.name)))
         << "counter " << c.name << " has no row in DESIGN.md §8";

@@ -1136,9 +1136,8 @@ std::string sixStageReport(Engine& engine, const loader::Image& img) {
   std::string out;
   size_t typed = 0;
   for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
-    const Engine::FunctionWork work = engine.prepareFunction(
-        fn.insns, fn.graph != nullptr ? dataflow::recoverVariables(*fn.graph)
-                                      : dataflow::recoverVariables(fn.insns));
+    const Engine::FunctionWork work =
+        engine.prepareFunction(fn.insns, dataflow::recoverVariables(*fn.graph));
     const std::vector<StageProbs> probs = engine.predictStream(work.stream);
     std::string rows;
     const auto byVar = work.ds.vucsByVar();
@@ -1185,6 +1184,79 @@ TEST_F(ServeTest, RoutedReportsMatchSixStageVoting) {
       for (const int batch : {1, 32}) {
         EXPECT_EQ(analyzeImage(engine, img, &pool, batch).report, want)
             << "jobs " << jobs << " batch " << batch;
+      }
+    }
+  }
+}
+
+/// Every evaluated stage of a and b, bit for bit.
+bool sameProbs(std::span<const StageProbs> a, std::span<const StageProbs> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (int s = 0; s < kNumStages; ++s) {
+      const std::span<const float> x = a[i].stage(static_cast<Stage>(s));
+      const std::span<const float> y = b[i].stage(static_cast<Stage>(s));
+      if (x.size() != y.size() ||
+          std::memcmp(x.data(), y.data(), x.size_bytes()) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST_F(ServeTest, ConcurrentInferenceOnOneConstEngine) {
+  // Inference never changes a trained Engine, so two threads may predict on
+  // one engine at once, each with its own pool: here one at jobs 1 and one
+  // at jobs 2 run analyzeImage and a routed predictStream over the whole
+  // image, in opposite orders, on the same const engine, fp32 and int8.
+  // Every result must be bit-identical to a serial run. CI repeats this
+  // under TSan.
+  const Engine fp32 = testsupport::cachedMicroEngine();
+  const Engine int8 = fp32.quantize();
+  const loader::Image img = chunkedImage();
+  for (const Engine* engine : {&fp32, &int8}) {
+    const char* what = engine->quantized() ? "int8" : "fp32";
+    ImageAnalysis whole(img, nullptr, 0.0F);
+    ASSERT_TRUE(whole.prepareChunk(*engine));
+    const ChunkStream& stream = whole.stream();
+    const std::string wantReport = analyzeImage(*engine, img, nullptr, 0).report;
+    const std::vector<StageProbs> wantProbs =
+        engine->predictStream(stream, nullptr, 0, StagePlan::kRouted);
+
+    constexpr int kThreads = 2;
+    constexpr int kReps = 2;
+    std::array<std::array<std::string, kReps>, kThreads> reports;
+    std::array<std::array<std::vector<StageProbs>, kReps>, kThreads> probs;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        par::ThreadPool pool(t + 1);
+        for (int rep = 0; rep < kReps; ++rep) {
+          const auto report = [&] {
+            reports[t][rep] = analyzeImage(*engine, img, &pool, 0).report;
+          };
+          const auto predict = [&] {
+            probs[t][rep] =
+                engine->predictStream(stream, &pool, 0, StagePlan::kRouted);
+          };
+          if (t == 0) {
+            report();
+            predict();
+          } else {
+            predict();
+            report();
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      for (int rep = 0; rep < kReps; ++rep) {
+        EXPECT_EQ(reports[t][rep], wantReport)
+            << what << " jobs " << t + 1 << " rep " << rep;
+        EXPECT_TRUE(sameProbs(probs[t][rep], wantProbs))
+            << what << " jobs " << t + 1 << " rep " << rep;
       }
     }
   }
