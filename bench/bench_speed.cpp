@@ -113,7 +113,8 @@ BENCHMARK(BM_AnalyzeBinaryEndToEnd)
     ->MinTime(2.0);
 
 void BM_TrainStep(benchmark::State& state) {
-  // One batch-1 forward+backward+update on the Stage-1 architecture.
+  // One batch-1 forward+backward+update on the Stage-1 architecture, as the
+  // trainer runs a chunk: zero the Adam slab, backward straight into it.
   Rng rng(1);
   nn::Sequential net = nn::makeCnn({96, 21}, 32, 64, 128, 2, 0.3F, rng);
   nn::Adam adam(net.params(), {.lr = 1e-3F});
@@ -125,12 +126,11 @@ void BM_TrainStep(benchmark::State& state) {
   std::vector<float> d(2);
   std::vector<float> grads(adam.numParams());
   for (auto _ : state) {
-    s.zeroGrad();
+    std::ranges::fill(grads, 0.0F);
     const auto logits = net.forward(x, 1, s, nn::Phase::kTrain);
     nn::SoftmaxCE::forward(logits, 1, probs);
     nn::SoftmaxCE::backward(probs, 1, d);
-    net.backward(d, 1, s);
-    s.copyGrads(grads);
+    net.backward(d, 1, s, grads);
     adam.step(grads, 1.0F, pool);
     benchmark::DoNotOptimize(probs);
   }
@@ -468,7 +468,8 @@ void BM_StageLayerForward(benchmark::State& state, size_t i) {
 
 // One layer's backward at batch 8 — the engine's training chunk
 // (kGradChunk) — after a training forward of the same samples, as
-// Sequential::backward runs it: the first layer skips its input gradient.
+// Sequential::backward runs it: the first layer skips its input gradient,
+// and the parameter gradients accumulate into the layer's own slab.
 // GMAC/s counts 2x the forward MACs (weight and input gradient), 1x for the
 // first layer.
 void BM_StageLayerBackward(benchmark::State& state, size_t i) {
@@ -486,8 +487,11 @@ void BM_StageLayerBackward(benchmark::State& state, size_t i) {
   std::vector<float> dy(out.size());
   for (float& v : dy) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   std::vector<float> dx(i == 0 ? 0 : kChunk * inSize);
+  size_t numParams = 0;
+  for (const nn::Param* p : l.params()) numParams += p->value.size();
+  std::vector<float> grads(numParams);
   for (auto _ : state) {
-    l.backward(dy, dx, kChunk, ls);
+    l.backward(dy, dx, kChunk, ls, grads);
     benchmark::DoNotOptimize(dx.data());
     benchmark::ClobberMemory();
   }

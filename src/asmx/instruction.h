@@ -100,13 +100,6 @@ struct Instruction {
       : mnem(std::move(m)), ops{a, b} {}
 
   bool operator==(const Instruction&) const = default;
-
-  int numOperands() const {
-    int n = 0;
-    for (const auto& o : ops)
-      if (o.kind != Operand::Kind::None) ++n;
-    return n;
-  }
 };
 
 /// AT&T-syntax rendering: `mov %rax,0xb0(%rsp)`, `movl $0x100,0xb8(%rsp)`,

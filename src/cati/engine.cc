@@ -206,8 +206,9 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
   const auto batchSize = static_cast<size_t>(std::max(1, cfg_.batchSize));
   uint64_t batchId = 1;
   // One flat gradient slab per chunk of a full minibatch, allocated once per
-  // stage: chunk c writes slab c, and Adam sums the slabs per element in
-  // ascending chunk order inside its update, so the bits are jobs-invariant.
+  // stage: chunk c zeroes slab c and its backward accumulates straight into
+  // it, and Adam sums the slabs per element in ascending chunk order inside
+  // its update, so the bits are jobs-invariant.
   const size_t slabFloats = adam.numParams();
   std::vector<float> slabs(par::numChunks(batchSize, kGradChunk) * slabFloats);
 
@@ -249,7 +250,9 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
         const auto [cb, ce] = par::chunkRange(bn, kGradChunk, c);
         const size_t nb = ce - cb;
         TrainWorker& t = workers[static_cast<size_t>(w)];
-        t.scratch.zeroGrad();
+        const std::span<float> grads =
+            std::span(slabs).subspan(c * slabFloats, slabFloats);
+        std::fill(grads.begin(), grads.end(), 0.0F);
         t.scratch.reseed(splitSeed(dropBase, batchId * kChunkStreams + c));
         t.input.resize(nb * inSize);
         t.dLogits.resize(nb * static_cast<size_t>(classes));
@@ -284,9 +287,7 @@ void Engine::trainStage(Stage s, const corpus::VucSource& src,
                   .subspan(k * static_cast<size_t>(classes),
                            static_cast<size_t>(classes)));
         }
-        net.backward(t.dLogits, static_cast<int>(nb), t.scratch);
-        t.scratch.copyGrads(
-            std::span(slabs).subspan(c * slabFloats, slabFloats));
+        net.backward(t.dLogits, static_cast<int>(nb), t.scratch, grads);
       });
       for (const ChunkOut& out : chunkOut) {
         lossSum += out.loss;

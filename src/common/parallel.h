@@ -5,9 +5,11 @@
 //
 //   * chunking is fixed-grain: chunk boundaries depend only on (n, grain),
 //     never on the job count or on which worker runs a chunk;
-//   * reductions are ordered: per-chunk partials are combined serially in
-//     ascending chunk index, so floating-point summation order (and any
-//     non-commutative combine) is scheduling-independent;
+//   * reductions are ordered: each chunk writes its own partial, indexed
+//     by chunk (parallelChunks), and the partials are combined in
+//     ascending chunk index (the trainer's per-chunk losses; Adam's
+//     per-element sum of the chunk gradient slabs), so floating-point
+//     summation order is scheduling-independent;
 //   * randomness is stream-split: a chunk derives its private Rng seed from
 //     (base seed, chunk index) via cati::splitSeed, not from a shared
 //     engine whose draw order would depend on scheduling.
@@ -22,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -108,24 +109,6 @@ std::vector<T> parallelMap(ThreadPool& pool, size_t n, size_t grain, Fn&& fn) {
     for (size_t i = b; i < e; ++i) out[i] = fn(i);
   });
   return out;
-}
-
-/// Deterministic ordered reduction: map(begin, end, chunk) produces one
-/// partial per chunk (in parallel); combine(acc, partial) is then applied
-/// serially in ascending chunk order. For an associative — not necessarily
-/// commutative — combine this equals the serial fold over the same chunks
-/// at any job count (tests/test_parallel.cc pins this with string
-/// concatenation).
-template <typename Acc, typename MapFn, typename CombineFn>
-Acc parallelMapReduce(ThreadPool& pool, size_t n, size_t grain, Acc acc,
-                      MapFn&& map, CombineFn&& combine) {
-  using Partial = decltype(map(size_t{0}, size_t{0}, size_t{0}));
-  std::vector<std::optional<Partial>> partials(numChunks(n, grain));
-  parallelChunks(pool, n, grain, [&](size_t b, size_t e, size_t c, int) {
-    partials[c].emplace(map(b, e, c));
-  });
-  for (auto& p : partials) combine(acc, std::move(*p));
-  return acc;
 }
 
 }  // namespace cati::par

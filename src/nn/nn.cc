@@ -143,7 +143,7 @@ void Conv1d::forwardLanes(const float* x, float* y, int len, int seg) const {
 }
 
 void Conv1d::backward(std::span<const float> dy, std::span<float> dx, int n,
-                      LayerScratch& s) const {
+                      LayerScratch& s, std::span<float> grads) const {
   checkBatch(n, "Conv1d::backward");
   const int len =
       static_cast<int>(dy.size() / (static_cast<size_t>(n) * outC_));
@@ -155,13 +155,11 @@ void Conv1d::backward(std::span<const float> dy, std::span<float> dx, int n,
   }
   checkSize(s.cache, static_cast<size_t>(n) * inPlane,
             "Conv1d::backward cache");
-  // Highest index first: growing the accumulator list reallocates it, which
-  // would invalidate a reference taken from an earlier grad() call.
-  std::vector<float>& gb = s.grad(1, b_.value.size());
-  std::vector<float>& gw = s.grad(0, w_.value.size());
+  checkSize(grads, w_.value.size() + b_.value.size(),
+            "Conv1d::backward grads");
   const kern::KernelSet& ks = kern::kernels();
-  ks.conv1dGrad(s.cache.data(), dy.data(), gw.data(), gb.data(), inC_, outC_,
-                k_, len, n);
+  ks.conv1dGrad(s.cache.data(), dy.data(), grads.data(),
+                grads.data() + w_.value.size(), inC_, outC_, k_, len, n);
   if (dx.empty()) return;
   // The input gradient is the transposed conv, on the forward's lane path.
   s.laneOut.resize(outPlane * kBatchLane);
@@ -192,9 +190,7 @@ void Conv1d::loadExtra(std::istream& is) {
   outC_ = r.dim("conv1d");
   k_ = r.dim("conv1d");
   w_.value = r.vec<float>(static_cast<size_t>(outC_) * inC_ * k_, "conv1d");
-  w_.grad.assign(w_.value.size(), 0.0F);
   b_.value = r.vec<float>(static_cast<size_t>(outC_), "conv1d");
-  b_.grad.assign(b_.value.size(), 0.0F);
 }
 
 // --- ReLU --------------------------------------------------------------------
@@ -216,7 +212,7 @@ void ReLU::forward(std::span<const float> x, std::span<float> y, int n,
 }
 
 void ReLU::backward(std::span<const float> dy, std::span<float> dx, int n,
-                    LayerScratch& s) const {
+                    LayerScratch& s, std::span<float>) const {
   checkBatch(n, "ReLU::backward");
   if (dx.empty()) return;  // input gradient not wanted
   checkSize(dy, s.mask.size(), "ReLU::backward");
@@ -263,7 +259,7 @@ void MaxPool1d::forward(std::span<const float> x, std::span<float> y, int n,
 }
 
 void MaxPool1d::backward(std::span<const float> dy, std::span<float> dx,
-                         int n, LayerScratch& s) const {
+                         int n, LayerScratch& s, std::span<float>) const {
   checkBatch(n, "MaxPool1d::backward");
   if (dx.empty()) return;  // input gradient not wanted
   const int outL = in_.l / k_;
@@ -338,18 +334,17 @@ void Linear::forward(std::span<const float> x, std::span<float> y, int n,
 }
 
 void Linear::backward(std::span<const float> dy, std::span<float> dx, int n,
-                      LayerScratch& s) const {
+                      LayerScratch& s, std::span<float> grads) const {
   checkBatch(n, "Linear::backward");
   checkSize(dy, static_cast<size_t>(n) * out_, "Linear::backward dy");
   checkSize(s.cache, static_cast<size_t>(n) * in_, "Linear::backward cache");
-  // Highest index first so the second grad() call cannot reallocate the
-  // accumulator list out from under the first reference.
-  std::vector<float>& gb = s.grad(1, b_.value.size());
-  std::vector<float>& gw = s.grad(0, w_.value.size());
+  checkSize(grads, w_.value.size() + b_.value.size(),
+            "Linear::backward grads");
   // Sample-major rows: each weight's chain runs across samples, so the
   // kernels vectorize along a weight row instead of across lanes.
   const kern::KernelSet& ks = kern::kernels();
-  ks.denseGrad(s.cache.data(), dy.data(), gw.data(), gb.data(), n, in_, out_);
+  ks.denseGrad(s.cache.data(), dy.data(), grads.data(),
+               grads.data() + w_.value.size(), n, in_, out_);
   if (dx.empty()) return;
   checkSize(dx, static_cast<size_t>(n) * in_, "Linear::backward dx");
   ks.denseDx(w_.value.data(), dy.data(), dx.data(), n, in_, out_);
@@ -368,9 +363,7 @@ void Linear::loadExtra(std::istream& is) {
   in_ = r.dim("linear");
   out_ = r.dim("linear");
   w_.value = r.vec<float>(static_cast<size_t>(out_) * in_, "linear");
-  w_.grad.assign(w_.value.size(), 0.0F);
   b_.value = r.vec<float>(static_cast<size_t>(out_), "linear");
-  b_.grad.assign(b_.value.size(), 0.0F);
 }
 
 // --- Dropout ------------------------------------------------------------------
@@ -403,7 +396,7 @@ void Dropout::forward(std::span<const float> x, std::span<float> y, int n,
 }
 
 void Dropout::backward(std::span<const float> dy, std::span<float> dx, int n,
-                       LayerScratch& s) const {
+                       LayerScratch& s, std::span<float>) const {
   checkBatch(n, "Dropout::backward");
   if (dx.empty()) return;  // input gradient not wanted
   checkSize(dy, s.cache.size(), "Dropout::backward");
@@ -426,32 +419,10 @@ void Dropout::loadExtra(std::istream& is) {
 
 // --- Scratch -------------------------------------------------------------------
 
-void Scratch::zeroGrad() {
-  for (LayerScratch& ls : layers_) {
-    for (std::vector<float>& g : ls.grads) {
-      std::fill(g.begin(), g.end(), 0.0F);
-    }
-  }
-}
-
 void Scratch::reseed(uint64_t seed) {
   for (size_t i = 0; i < layers_.size(); ++i) {
     layers_[i].rng = Rng(splitSeed(seed, i));
     layers_[i].rngSeeded = true;
-  }
-}
-
-void Scratch::copyGrads(std::span<float> slab) const {
-  size_t total = 0;
-  for (const LayerScratch& ls : layers_) {
-    for (const std::vector<float>& g : ls.grads) total += g.size();
-  }
-  checkSize(slab, total, "Scratch::copyGrads");
-  float* out = slab.data();
-  for (const LayerScratch& ls : layers_) {
-    for (const std::vector<float>& g : ls.grads) {
-      out = std::copy(g.begin(), g.end(), out);
-    }
   }
 }
 
@@ -461,7 +432,12 @@ void Sequential::add(std::unique_ptr<Layer> layer) {
   const Shape in = layers_.empty() ? inShape_ : shapes_.back();
   layer->setInShape(in);
   const Shape out = layer->outShape(in);
+  size_t paramsEnd = gradOff_.back();
+  for (const Param* p : static_cast<const Layer&>(*layer).params()) {
+    paramsEnd += p->value.size();
+  }
   shapes_.push_back(out);
+  gradOff_.push_back(paramsEnd);
   layers_.push_back(std::move(layer));
 }
 
@@ -473,12 +449,6 @@ Scratch Sequential::makeScratch() const {
   Scratch s;
   s.layers_.resize(layers_.size());
   s.acts_.resize(layers_.size());
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    // Pre-size the accumulator list so grad() never grows it mid-backward
-    // (growth would invalidate outstanding references).
-    s.layers_[i].grads.resize(
-        static_cast<const Layer&>(*layers_[i]).params().size());
-  }
   return s;
 }
 
@@ -511,16 +481,20 @@ std::span<const float> Sequential::forwardFrom(size_t first,
   return cur;
 }
 
-void Sequential::backward(std::span<const float> dOut, int n,
-                          Scratch& s) const {
+void Sequential::backward(std::span<const float> dOut, int n, Scratch& s,
+                          std::span<float> grads) const {
   checkBatch(n, "Sequential::backward");
   checkSize(dOut, static_cast<size_t>(n) * outShape().size(),
             "Sequential::backward dOut");
+  checkSize(grads, numParams(), "Sequential::backward grads");
   if (s.layers_.size() != layers_.size()) {
     throw std::invalid_argument(
         "Sequential::backward: scratch does not match this net "
         "(use makeScratch)");
   }
+  const auto layerGrads = [&](size_t i) {
+    return grads.subspan(gradOff_[i], gradOff_[i + 1] - gradOff_[i]);
+  };
   std::vector<float>* cur = &s.dPing_;
   std::vector<float>* next = &s.dPong_;
   cur->assign(dOut.begin(), dOut.end());
@@ -528,10 +502,18 @@ void Sequential::backward(std::span<const float> dOut, int n,
   // fine-tuned), so the first layer gets an empty dx and skips it.
   for (size_t i = layers_.size(); i-- > 1;) {
     next->resize(static_cast<size_t>(n) * shapes_[i - 1].size());
-    layers_[i]->backward(*cur, *next, n, s.layers_[i]);
+    layers_[i]->backward(*cur, *next, n, s.layers_[i], layerGrads(i));
     std::swap(cur, next);
   }
-  if (!layers_.empty()) layers_[0]->backward(*cur, {}, n, s.layers_[0]);
+  if (!layers_.empty()) {
+    layers_[0]->backward(*cur, {}, n, s.layers_[0], layerGrads(0));
+  }
+}
+
+void Sequential::backward(std::span<const float> dOut, int n,
+                          Scratch& s) const {
+  if (s.grads_.empty()) s.grads_.assign(numParams(), 0.0F);
+  backward(dOut, n, s, s.grads_);
 }
 
 std::vector<Param*> Sequential::params() {
@@ -663,27 +645,6 @@ Adam::Adam(std::vector<Param*> params, Config cfg)
   }
 }
 
-kern::AdamCoef Adam::advance(float gradScale) {
-  static obs::Counter& steps = obs::counter("nn.adam.steps");
-  steps.add();
-  ++t_;
-  const float bc1 = 1.0F - std::pow(cfg_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0F - std::pow(cfg_.beta2, static_cast<float>(t_));
-  return {cfg_.lr, cfg_.beta1, cfg_.beta2, cfg_.eps, bc1, bc2, gradScale};
-}
-
-void Adam::step(float gradScale) {
-  const kern::AdamCoef c = advance(gradScale);
-  const kern::KernelSet& k = kern::kernels();
-  for (const Range& r : ranges_) {
-    Param& par = *params_[r.param];
-    k.adamStep(par.value.data() + r.begin, m_[r.param].data() + r.begin,
-               v_[r.param].data() + r.begin, par.grad.data() + r.begin, 0, 1,
-               static_cast<int>(r.end - r.begin), c);
-  }
-  for (Param* p : params_) p->zeroGrad();
-}
-
 void Adam::step(std::span<const float> slabs, float gradScale,
                 par::ThreadPool& pool) {
   if (numParams_ == 0 || slabs.empty() || slabs.size() % numParams_ != 0) {
@@ -692,7 +653,13 @@ void Adam::step(std::span<const float> slabs, float gradScale,
                                 std::to_string(numParams_));
   }
   const auto nSlabs = static_cast<int>(slabs.size() / numParams_);
-  const kern::AdamCoef c = advance(gradScale);
+  static obs::Counter& steps = obs::counter("nn.adam.steps");
+  steps.add();
+  ++t_;
+  const float bc1 = 1.0F - std::pow(cfg_.beta1, static_cast<float>(t_));
+  const float bc2 = 1.0F - std::pow(cfg_.beta2, static_cast<float>(t_));
+  const kern::AdamCoef c{cfg_.lr, cfg_.beta1, cfg_.beta2, cfg_.eps,
+                         bc1, bc2, gradScale};
   const kern::KernelSet& k = kern::kernels();
   pool.run(ranges_.size(), [&](size_t i, int) {
     const Range& r = ranges_[i];
@@ -779,10 +746,7 @@ double gradientCheck(Sequential& net, std::span<const float> x, int target,
   loss();
   SoftmaxCE::backward(probs, target, dLogits);
   net.backward(dLogits, 1, s);
-  size_t numParams = 0;
-  for (const Param* p : net.params()) numParams += p->value.size();
-  std::vector<float> grads(numParams);
-  s.copyGrads(grads);
+  const std::span<const float> grads = s.grads();
 
   std::vector<double> rels;
   size_t flat = 0;  // p's offset in grads

@@ -12,11 +12,15 @@
 // Execution model (DESIGN.md §7 "Memory & batching model"): layers and
 // Sequential hold only immutable configuration and learnable parameters —
 // every per-pass artifact (activations, backward caches, dropout RNG
-// streams, parameter-gradient accumulators) lives in a caller-owned Scratch.
+// streams) lives in a caller-owned Scratch, and a backward accumulates its
+// parameter gradients into a flat slab the caller passes (the net's
+// params() order, the layout Adam's slab step reads). A gradient exists
+// nowhere else: not in a Param, not in a layer's scratch.
 // Forward/backward are therefore const on the model: any number of threads
-// can run the same network concurrently, each with its own Scratch, without
-// replicating a single weight. Scratch buffers grow to the high-water batch
-// size and are then reused, so steady-state passes allocate nothing.
+// can run the same network concurrently, each with its own Scratch and
+// slab, without replicating a single weight. Scratch buffers grow to the
+// high-water batch size and are then reused, so steady-state passes
+// allocate nothing.
 //
 // Determinism: batched kernels process samples in ascending order with the
 // exact per-element operation order of the historical sample-at-a-time
@@ -38,10 +42,6 @@ namespace cati::par {
 class ThreadPool;
 }  // namespace cati::par
 
-namespace cati::nn::kern {
-struct AdamCoef;
-}  // namespace cati::nn::kern
-
 namespace cati::nn {
 
 struct Shape {
@@ -51,16 +51,12 @@ struct Shape {
   bool operator==(const Shape&) const = default;
 };
 
-/// A learnable parameter block with its gradient accumulator. The gradient
-/// buffer feeds Adam::step(scale), the one-slab reference step; training
-/// accumulates into per-worker Scratches instead and hands Adam one
-/// gradient slab per chunk.
+/// A learnable parameter block. Its gradient lives in the caller's slab
+/// (Sequential::backward), never beside the value.
 struct Param {
   std::vector<float> value;
-  std::vector<float> grad;
 
-  explicit Param(size_t n = 0) : value(n, 0.0F), grad(n, 0.0F) {}
-  void zeroGrad() { std::fill(grad.begin(), grad.end(), 0.0F); }
+  explicit Param(size_t n = 0) : value(n, 0.0F) {}
 };
 
 /// Samples per batch-transposed lane group of Conv1d and Linear forward:
@@ -82,8 +78,8 @@ enum class Phase {
 };
 
 /// Per-layer execution state owned by the caller (one per thread): backward
-/// caches, the dropout RNG stream and parameter-gradient accumulators.
-/// Reused across passes; buffers only ever grow.
+/// caches and the dropout RNG stream. Reused across passes; buffers only
+/// ever grow.
 struct LayerScratch {
   std::vector<float> cache;    ///< Conv1d: time-major input; Linear: input
                                ///< copy; Dropout: scale
@@ -94,22 +90,8 @@ struct LayerScratch {
   std::vector<int8_t> qx;      ///< quantized layers: per-sample int8 input
   std::vector<int8_t> qt;      ///< quantized conv: [t][c] transposed int8
   std::vector<int32_t> qacc;   ///< quantized layers: int32 dot accumulators
-  /// One gradient accumulator per layer param, in params() order,
-  /// value-sized. Sized by Sequential::makeScratch (or lazily on first use).
-  std::vector<std::vector<float>> grads;
   Rng rng{0};                  ///< layer-private stream (Dropout)
   bool rngSeeded = false;      ///< false: layer seeds it from its own seed
-
-  /// The i-th gradient accumulator, (re)sized to `size` (zero-filled when
-  /// created or resized). Growing the accumulator list invalidates
-  /// references from earlier calls — when taking several, fetch the highest
-  /// index first (Sequential::makeScratch pre-sizes the list, making any
-  /// order safe for scratches it created).
-  std::vector<float>& grad(size_t i, size_t size) {
-    if (grads.size() <= i) grads.resize(i + 1);
-    if (grads[i].size() != size) grads[i].assign(size, 0.0F);
-    return grads[i];
-  }
 };
 
 class Layer {
@@ -128,13 +110,14 @@ class Layer {
   virtual void forward(std::span<const float> x, std::span<float> y, int n,
                        LayerScratch& s, Phase phase) const = 0;
 
-  /// Batch backward: accumulates parameter gradients into `s` (ascending
-  /// sample order — the same element-wise accumulation order as n calls at
-  /// batch 1) and writes dL/dx, unless `dx` is empty (the caller does not
-  /// want the input gradient). Must follow a non-kInfer forward of the
-  /// same batch on the same scratch.
+  /// Batch backward: accumulates parameter gradients into `grads`, this
+  /// layer's params() back to back (empty for a layer without params), in
+  /// ascending sample order — the same element-wise accumulation order as n
+  /// calls at batch 1 — and writes dL/dx, unless `dx` is empty (the caller
+  /// does not want the input gradient). Must follow a non-kInfer forward of
+  /// the same batch on the same scratch.
   virtual void backward(std::span<const float> dy, std::span<float> dx, int n,
-                        LayerScratch& s) const = 0;
+                        LayerScratch& s, std::span<float> grads) const = 0;
 
   virtual std::vector<Param*> params() { return {}; }
   std::vector<const Param*> params() const {
@@ -159,7 +142,7 @@ class Conv1d final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string kind() const override { return "conv1d"; }
   void saveExtra(std::ostream& os) const override;
@@ -190,7 +173,7 @@ class ReLU final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::string kind() const override { return "relu"; }
 };
 
@@ -205,7 +188,7 @@ class MaxPool1d final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::string kind() const override { return "maxpool1d"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -225,7 +208,7 @@ class Linear final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string kind() const override { return "linear"; }
   void saveExtra(std::ostream& os) const override;
@@ -253,7 +236,7 @@ class Dropout final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::string kind() const override { return "dropout"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -266,25 +249,22 @@ class Dropout final : public Layer {
 class Sequential;
 
 /// Per-thread execution state for one Sequential: per-layer activations and
-/// caches, ping-pong gradient buffers and parameter-gradient accumulators.
-/// Create with Sequential::makeScratch(); a Scratch is bound to the layer
-/// structure of the net that made it. Reuse across calls — buffers grow to
-/// the high-water batch size, after which passes allocate nothing.
+/// caches and ping-pong gradient buffers. Create with
+/// Sequential::makeScratch(); a Scratch is bound to the layer structure of
+/// the net that made it. Reuse across calls — buffers grow to the
+/// high-water batch size, after which passes allocate nothing.
 class Scratch {
  public:
   Scratch() = default;
-
-  /// Zeroes every parameter-gradient accumulator.
-  void zeroGrad();
 
   /// Re-derives the per-layer RNG streams (Dropout) from `seed`; layer i
   /// gets its own splitSeed(seed, i) stream.
   void reseed(uint64_t seed);
 
-  /// Copies every accumulated parameter gradient into `slab`, back to back
-  /// in the net's params() order — the flat layout Adam's slab step sums.
-  /// `slab` must hold exactly the net's parameter count.
-  void copyGrads(std::span<float> slab) const;
+  /// The gradient slab Sequential::backward(dOut, n, s) accumulates into:
+  /// the net's params() back to back, zero when the first such backward
+  /// sizes it and summed over every backward since. Empty until then.
+  std::span<const float> grads() const { return grads_; }
 
  private:
   friend class Sequential;
@@ -292,6 +272,7 @@ class Scratch {
   std::vector<std::vector<float>> acts_;  // per-layer [n x outSize]
   std::vector<float> dPing_;              // backward ping-pong buffers
   std::vector<float> dPong_;
+  std::vector<float> grads_;              // see grads()
 };
 
 /// An owning layer pipeline with fixed input shape. The model itself
@@ -309,8 +290,8 @@ class Sequential {
   Shape inShape() const { return inShape_; }
   Shape outShape() const;
 
-  /// A scratch sized for this net's layer structure (activation and grad
-  /// buffers are allocated lazily, at first use, to the batch then seen).
+  /// A scratch sized for this net's layer structure (activation buffers are
+  /// allocated lazily, at first use, to the batch then seen).
   Scratch makeScratch() const;
 
   /// Batch forward over [n x inShape] samples; returns the [n x outShape]
@@ -325,10 +306,17 @@ class Sequential {
                                      int n, Scratch& s, Phase phase) const;
 
   /// Batch backward from dL/d(output) [n x outShape]; parameter gradients
-  /// accumulate into `s` (ascending sample order). The gradient of the
-  /// net's input is not computed. Must follow a non-kInfer forward of the
-  /// same batch on `s`.
+  /// accumulate into `grads`, numParams() floats in params() order
+  /// (ascending sample order; the caller zeroes it to start a sum). The
+  /// gradient of the net's input is not computed. Must follow a non-kInfer
+  /// forward of the same batch on `s`.
+  void backward(std::span<const float> dOut, int n, Scratch& s,
+                std::span<float> grads) const;
+  /// backward() into the scratch's own slab, Scratch::grads().
   void backward(std::span<const float> dOut, int n, Scratch& s) const;
+
+  /// Parameter count: the length of one gradient slab.
+  size_t numParams() const { return gradOff_.back(); }
 
   std::vector<Param*> params();
   std::vector<const Param*> params() const;
@@ -352,6 +340,9 @@ class Sequential {
   Shape inShape_;
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Shape> shapes_;  // per-layer output shapes
+  // Layer i's params start at gradOff_[i] in a gradient slab; the last
+  // entry is numParams().
+  std::vector<size_t> gradOff_{0};
 };
 
 /// Softmax + cross-entropy head. probs/logits have length C.
@@ -377,10 +368,6 @@ class Adam {
   explicit Adam(std::vector<Param*> params) : Adam(std::move(params), Config{}) {}
   Adam(std::vector<Param*> params, Config cfg);
 
-  /// Applies one update from each Param::grad (scaled by 1/batchSize) and
-  /// zeroes them.
-  void step(float gradScale = 1.0F);
-
   /// Applies one update from `slabs`: k >= 1 back-to-back flat gradients of
   /// numParams() floats each, in params() order, summed per element in
   /// ascending slab order (kern::adamStep). Fixed ranges of the parameters
@@ -404,9 +391,6 @@ class Adam {
   void load(std::istream& is);
 
  private:
-  /// Counts the step and returns its kernel constants.
-  kern::AdamCoef advance(float gradScale);
-
   /// Elements [begin, end) of params_[param]; `flat` is `begin`'s offset in
   /// a gradient slab.
   struct Range {
@@ -435,10 +419,10 @@ Sequential makeCnn(Shape in, int conv1, int conv2, int hidden, int classes,
                    float dropout, Rng& rng);
 
 /// Central-difference gradient check of a sequential + softmax head on one
-/// sample, against the analytic gradients of a batch-1 backward on a fresh
-/// scratch; returns the 95th-percentile relative error over sampled
-/// parameters (the extreme tail is dominated by ReLU / max-pool kink
-/// crossings, not backprop errors).
+/// sample, against the analytic gradients of a batch-1 backward into a
+/// fresh scratch's slab; returns the 95th-percentile relative error over
+/// sampled parameters (the extreme tail is dominated by ReLU / max-pool
+/// kink crossings, not backprop errors).
 double gradientCheck(Sequential& net, std::span<const float> x, int target,
                      double eps = 1e-3);
 

@@ -173,7 +173,7 @@ void QConv1d::forward(std::span<const float> x, std::span<float> y, int n,
 }
 
 void QConv1d::backward(std::span<const float>, std::span<float>, int,
-                       LayerScratch&) const {
+                       LayerScratch&, std::span<float>) const {
   inferenceOnly("QConv1d::backward");
 }
 
@@ -236,7 +236,7 @@ void QLinear::forward(std::span<const float> x, std::span<float> y, int n,
 }
 
 void QLinear::backward(std::span<const float>, std::span<float>, int,
-                       LayerScratch&) const {
+                       LayerScratch&, std::span<float>) const {
   inferenceOnly("QLinear::backward");
 }
 

@@ -67,7 +67,7 @@ class QConv1d final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::string kind() const override { return "qconv1d"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -92,7 +92,7 @@ class QLinear final : public Layer {
   void forward(std::span<const float> x, std::span<float> y, int n,
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
-                LayerScratch& s) const override;
+                LayerScratch& s, std::span<float> grads) const override;
   std::string kind() const override { return "qlinear"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;

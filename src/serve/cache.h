@@ -57,7 +57,6 @@ class ResultCache {
 
   size_t entries() const { return lru_.size(); }
   size_t bytes() const { return bytes_; }
-  bool diskBacked() const { return !dir_.empty(); }
 
  private:
   struct Entry {

@@ -95,8 +95,6 @@ class Server {
   bool waitUntilStopRequested(std::chrono::milliseconds timeout =
                                   std::chrono::milliseconds(0));
 
-  bool stopRequested() const { return stopRequested_.load(); }
-
   /// Marks the server as stopping and wakes waitUntilStopRequested().
   /// Async-signal-unsafe parts (locks) are confined to stop(); this only
   /// flips an atomic and pokes a self-pipe-free cv via a dedicated mutex.

@@ -9,9 +9,14 @@
 // threads, not to an Engine, so a second engine of the same structure is
 // warm on its first predict on a warm pool.
 //
+// Training writes each gradient once, into the slab its chunk hands the
+// backward: a stage net, built or loaded, holds its parameters and no
+// gradient storage beside them, and a warm training chunk (forward, then
+// backward into its slab) allocates nothing.
+//
 // The global operator new is replaced in this test binary alone; it counts
-// only while a measurement is on. No type on the predict path is
-// over-aligned, so the aligned forms are left to the library.
+// calls and bytes only while a measurement is on. No type on these paths
+// is over-aligned, so the aligned forms are left to the library.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,23 +24,29 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cati/engine.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "dataflow/recovery.h"
 #include "loader/image.h"
+#include "nn/nn.h"
 #include "support/micro_model.h"
 
 namespace {
 
 std::atomic<bool> gCounting{false};
 std::atomic<uint64_t> gNews{0};
+std::atomic<uint64_t> gBytes{0};
 
 void* countedNew(std::size_t n) {
   if (gCounting.load(std::memory_order_relaxed)) {
     gNews.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(n, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
@@ -53,11 +64,17 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace cati {
 namespace {
 
+/// Starts counting heap allocations and their bytes, on any thread.
+void startCounting() {
+  gNews.store(0);
+  gBytes.store(0);
+  gCounting.store(true);
+}
+
 /// Heap allocations, on any thread, during one predictStream.
 uint64_t allocations(const Engine& e, const ChunkStream& st,
                      par::ThreadPool* pool, StagePlan plan) {
-  gNews.store(0);
-  gCounting.store(true);
+  startCounting();
   const std::vector<StageProbs> out = e.predictStream(st, pool, 0, plan);
   gCounting.store(false);
   EXPECT_EQ(out.size(), st.numVucs());
@@ -164,6 +181,86 @@ TEST(PredictAllocations, EnginesOnOnePoolShareThreadState) {
       }
     }
   }
+}
+
+/// A default-configured stage net (EngineConfig's architecture, Stage 1).
+nn::Sequential makeStageNet() {
+  const EngineConfig cfg;
+  Rng rng(7);
+  return nn::makeCnn({3 * cfg.w2v.dim, 2 * cfg.window + 1}, cfg.conv1,
+                     cfg.conv2, cfg.fcHidden, numClasses(Stage::S1),
+                     cfg.dropout, rng);
+}
+
+TEST(NetAllocations, HoldNoGradientStorage) {
+  // Building or loading a net allocates its parameters plus a little
+  // structure (layers, shapes, offsets); a gradient buffer beside every
+  // parameter would double it.
+  const nn::Sequential reference = makeStageNet();
+  const uint64_t paramBytes = reference.numParams() * sizeof(float);
+  ASSERT_GT(paramBytes, 100000U);
+  const uint64_t bound = paramBytes + paramBytes / 4;
+
+  startCounting();
+  {
+    const nn::Sequential built = makeStageNet();
+    gCounting.store(false);
+    EXPECT_LT(gBytes.load(), bound)
+        << "makeCnn allocated " << gBytes.load() << " bytes for "
+        << paramBytes << " bytes of parameters";
+  }
+
+  std::stringstream saved;
+  reference.save(saved);
+  startCounting();
+  {
+    const nn::Sequential loaded = nn::Sequential::load(saved);
+    gCounting.store(false);
+    EXPECT_EQ(loaded.numParams(), reference.numParams());
+    EXPECT_LT(gBytes.load(), bound)
+        << "Sequential::load allocated " << gBytes.load() << " bytes for "
+        << paramBytes << " bytes of parameters";
+  }
+}
+
+TEST(TrainAllocations, WarmChunkAllocatesNothing) {
+  // One training chunk as the trainer runs it: zero the chunk's slab,
+  // reseed the dropout streams, forward at kTrain, softmax heads, backward
+  // straight into the slab. Once the scratch has seen a full chunk, a full
+  // or a partial chunk allocates nothing.
+  constexpr int kChunk = 8;
+  const nn::Sequential net = makeStageNet();
+  const auto inSize = static_cast<size_t>(net.inShape().size());
+  const auto classes = static_cast<size_t>(net.outShape().size());
+  Rng rng(3);
+  std::vector<float> x(kChunk * inSize);
+  for (float& v : x) v = rng.normal();
+  std::vector<float> slab(net.numParams());
+  std::vector<float> probs(classes);
+  std::vector<float> dLogits(kChunk * classes);
+  nn::Scratch s = net.makeScratch();
+  const auto chunk = [&](int n, uint64_t seed) {
+    const auto m = static_cast<size_t>(n);
+    std::ranges::fill(slab, 0.0F);
+    s.reseed(seed);
+    const auto logits =
+        net.forward(std::span(x).first(m * inSize), n, s, nn::Phase::kTrain);
+    for (size_t k = 0; k < m; ++k) {
+      nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), 1, probs);
+      nn::SoftmaxCE::backward(
+          probs, 1, std::span(dLogits).subspan(k * classes, classes));
+    }
+    net.backward(std::span(dLogits).first(m * classes), n, s, slab);
+  };
+  chunk(kChunk, 1);
+  chunk(kChunk, 2);
+  startCounting();
+  chunk(kChunk, 3);
+  chunk(5, 4);
+  gCounting.store(false);
+  EXPECT_EQ(gNews.load(), 0U) << gBytes.load() << " bytes";
+  EXPECT_TRUE(s.grads().empty())
+      << "a backward into a bound slab sized the scratch's own";
 }
 
 }  // namespace

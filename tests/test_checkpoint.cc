@@ -344,14 +344,15 @@ nn::Sequential tinyNet(uint64_t seed) {
   return nn::makeCnn({2, 6}, 2, 3, 4, 3, 0.0F, rng);
 }
 
-void fillGrads(nn::Sequential& net, float base) {
+/// One gradient slab for `net`, a deterministic sequence from `base`.
+std::vector<float> gradSlab(const nn::Sequential& net, float base) {
+  std::vector<float> slab(net.numParams());
   float x = base;
-  for (nn::Param* p : net.params()) {
-    for (float& g : p->grad) {
-      g = x;
-      x = -x * 0.75F + 0.01F;
-    }
+  for (float& g : slab) {
+    g = x;
+    x = -x * 0.75F + 0.01F;
   }
+  return slab;
 }
 
 std::string paramBytes(nn::Sequential& net) {
@@ -369,10 +370,10 @@ TEST(AdamState, RoundTripContinuesBitIdentically) {
   a.save(clone);
   nn::Sequential b = nn::Sequential::load(clone);
 
+  par::ThreadPool pool(1);
   nn::Adam oa(a.params());
   for (int i = 0; i < 3; ++i) {
-    fillGrads(a, 0.1F * static_cast<float>(i + 1));
-    oa.step();
+    oa.step(gradSlab(a, 0.1F * static_cast<float>(i + 1)), 1.0F, pool);
   }
   std::stringstream state;
   oa.save(state);
@@ -389,19 +390,19 @@ TEST(AdamState, RoundTripContinuesBitIdentically) {
   ob.load(state);
 
   for (int i = 0; i < 2; ++i) {
-    fillGrads(a, -0.05F * static_cast<float>(i + 1));
-    fillGrads(b, -0.05F * static_cast<float>(i + 1));
-    oa.step(0.5F);
-    ob.step(0.5F);
+    const std::vector<float> g =
+        gradSlab(a, -0.05F * static_cast<float>(i + 1));
+    oa.step(g, 0.5F, pool);
+    ob.step(g, 0.5F, pool);
   }
   EXPECT_EQ(paramBytes(a), paramBytes(b));
 }
 
 TEST(AdamState, LoadRejectsShapeMismatch) {
   nn::Sequential a = tinyNet(11);
+  par::ThreadPool pool(1);
   nn::Adam oa(a.params());
-  fillGrads(a, 0.2F);
-  oa.step();
+  oa.step(gradSlab(a, 0.2F), 1.0F, pool);
   std::stringstream state;
   oa.save(state);
 

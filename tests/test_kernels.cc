@@ -723,12 +723,9 @@ TEST(KernelGradients, StageNetGradientBitsArePinned) {
   }
   Scratch s = net.makeScratch();
   net.forward(x, kN, s, Phase::kTrain);
-  net.backward(dOut, kN, s);
-  size_t numParams = 0;
-  for (const Param* p : net.params()) numParams += p->value.size();
-  ASSERT_EQ(numParams, 57447U);
-  std::vector<float> grads(numParams);
-  s.copyGrads(grads);
+  ASSERT_EQ(net.numParams(), 57447U);
+  std::vector<float> grads(net.numParams());
+  net.backward(dOut, kN, s, grads);
   uint64_t h = 1469598103934665603ULL;
   for (const float g : grads) {
     uint32_t bits = 0;
@@ -759,11 +756,11 @@ uint64_t fnvFloats(std::span<const float> floats, uint64_t h) {
 TEST(KernelGradients, AdamUpdateBitsArePinned) {
   // Three params whose lengths leave tails for both vector widths (the
   // middle one spans two of Adam's 4096-element ranges), with
-  // integer-derived values and gradients. Three steps through each entry
-  // point: Param::grad (one slab), and three chunk slabs summed inside the
-  // update at jobs 1 and 3. The FNV-1a of the values and the saved moments
-  // must equal what the historical scalar Adam computed in a Release build
-  // — for the slabs, after the serial chunk merge into Param::grad.
+  // integer-derived values and gradients. Three steps from one slab, and
+  // from three chunk slabs summed inside the update at jobs 1 and 3. The
+  // FNV-1a of the values and the saved moments must equal what the
+  // historical scalar Adam computed in a Release build — for the three
+  // slabs, after a serial chunk merge into one.
   const auto iv = [](uint32_t i, uint32_t salt) {
     const uint32_t h = (i + salt) * 2654435761U;
     return static_cast<float>(static_cast<int>(h >> 21) % 2001 - 1000) /
@@ -793,14 +790,8 @@ TEST(KernelGradients, AdamUpdateBitsArePinned) {
         slabs[i] = iv(static_cast<uint32_t>(i), 100 + 10 * step);
       }
       if (jobs == 0) {
-        // One slab: the first slab's gradients into Param::grad.
-        size_t off = 0;
-        for (Param& p : params) {
-          std::copy_n(slabs.begin() + static_cast<std::ptrdiff_t>(off),
-                      p.grad.size(), p.grad.begin());
-          off += p.grad.size();
-        }
-        adam.step(1.0F / 8.0F);
+        // One slab: the first one alone.
+        adam.step(std::span(slabs).first(numParams), 1.0F / 8.0F, pool);
       } else {
         adam.step(slabs, 1.0F / 24.0F, pool);
       }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -20,14 +21,6 @@
 
 namespace cati::nn {
 namespace {
-
-/// A zeroed gradient slab for `net`: its parameter count of floats, the
-/// length Scratch::copyGrads fills.
-std::vector<float> slabFor(const Sequential& net) {
-  size_t n = 0;
-  for (const Param* p : net.params()) n += p->value.size();
-  return std::vector<float>(n, 0.0F);
-}
 
 TEST(Shapes, CnnPipeline) {
   Rng rng(1);
@@ -124,7 +117,7 @@ TEST(Layers, ReluMasksNegatives) {
   EXPECT_EQ(y[2], 2.0F);
   std::vector<float> dy = {1.0F, 1.0F, 1.0F};
   std::vector<float> dx(3);
-  r.backward(dy, dx, 1, s);
+  r.backward(dy, dx, 1, s, {});
   EXPECT_EQ(dx[0], 0.0F);
   EXPECT_EQ(dx[2], 1.0F);
 }
@@ -141,7 +134,7 @@ TEST(Layers, MaxPoolForwardBackward) {
   EXPECT_EQ(y[2], -1.0F);
   std::vector<float> dy = {1.0F, 1.0F, 1.0F};
   std::vector<float> dx(6);
-  p.backward(dy, dx, 1, s);
+  p.backward(dy, dx, 1, s, {});
   EXPECT_EQ(dx[1], 1.0F);
   EXPECT_EQ(dx[0], 0.0F);
   EXPECT_EQ(dx[4], 1.0F);
@@ -248,18 +241,17 @@ TEST(Adam, LearnsXorLikeSeparation) {
   const int ys[4] = {0, 1, 1, 0};
   std::vector<float> probs(2);
   std::vector<float> d(2);
-  std::vector<float> grads = slabFor(net);
+  std::vector<float> grads(net.numParams());
   double lastLoss = 0.0;
   for (int it = 0; it < 400; ++it) {
     lastLoss = 0.0;
-    s.zeroGrad();
+    std::ranges::fill(grads, 0.0F);
     for (int i = 0; i < 4; ++i) {
       const auto logits = net.forward({xs[i], 2}, 1, s, Phase::kTrain);
       lastLoss += SoftmaxCE::forward(logits, ys[i], probs);
       SoftmaxCE::backward(probs, ys[i], d);
-      net.backward(d, 1, s);
+      net.backward(d, 1, s, grads);
     }
-    s.copyGrads(grads);
     adam.step(grads, 0.25F, pool);
   }
   EXPECT_LT(lastLoss / 4.0, 0.1);
@@ -588,30 +580,79 @@ TEST(Batch, BackwardGradsMatchPerSampleFold) {
   for (float& v : xs) v = rng.normal();
   for (float& v : douts) v = rng.normal();
 
+  // Both destinations, each way round: the batch into a caller slab and
+  // into the scratch's own, and the per-sample fold likewise.
+  std::vector<float> slab(net.numParams());
   Scratch sb = net.makeScratch();
   net.forward(xs, kN, sb, Phase::kEval);
+  net.backward(douts, kN, sb, slab);
+  const std::vector<float> gb = slab;
   net.backward(douts, kN, sb);
-  std::vector<float> gb = slabFor(net);
-  sb.copyGrads(gb);
+  const std::vector<float> gbOwn(sb.grads().begin(), sb.grads().end());
 
   // Per-sample fold on one scratch: gradients accumulate across backward
   // calls in sample order — the historical chunk loop.
+  std::ranges::fill(slab, 0.0F);
   Scratch s1 = net.makeScratch();
   for (int i = 0; i < kN; ++i) {
     net.forward(std::span(xs).subspan(static_cast<size_t>(i) * inSize, inSize),
                 1, s1, Phase::kEval);
-    net.backward(
-        std::span(douts).subspan(static_cast<size_t>(i) * outSize, outSize), 1,
-        s1);
+    const auto dOut =
+        std::span(douts).subspan(static_cast<size_t>(i) * outSize, outSize);
+    net.backward(dOut, 1, s1, slab);
+    net.backward(dOut, 1, s1);
   }
-  std::vector<float> g1 = slabFor(net);
-  s1.copyGrads(g1);
+  const std::vector<float> g1(s1.grads().begin(), s1.grads().end());
 
   ASSERT_FALSE(gb.empty());
   ASSERT_EQ(gb.size(), g1.size());
   for (size_t j = 0; j < gb.size(); ++j) {
     EXPECT_EQ(gb[j], g1[j]) << "grad element " << j;
+    EXPECT_EQ(gbOwn[j], g1[j]) << "scratch slab, grad element " << j;
+    EXPECT_EQ(slab[j], g1[j]) << "caller slab fold, grad element " << j;
   }
+}
+
+TEST(Batch, BackwardIntoCallerSlabMatchesScratchSlab) {
+  // One accumulation, two destinations: a backward into a caller's slab
+  // gives the bits a backward into Scratch::grads() gives, adds onto what
+  // the slab held, and leaves the other destination untouched.
+  Rng rng(24);
+  Sequential net = makeCnn({6, 9}, 4, 4, 8, 3, 0.0F, rng);
+  constexpr int kN = 5;
+  const auto inSize = static_cast<size_t>(net.inShape().size());
+  const auto outSize = static_cast<size_t>(net.outShape().size());
+  std::vector<float> xs(kN * inSize);
+  std::vector<float> douts(kN * outSize);
+  for (float& v : xs) v = rng.normal();
+  for (float& v : douts) v = rng.normal();
+
+  Scratch s = net.makeScratch();
+  net.forward(xs, kN, s, Phase::kEval);
+  std::vector<float> slab(net.numParams());
+  net.backward(douts, kN, s, slab);
+  EXPECT_TRUE(s.grads().empty()) << "a caller-slab backward sized the "
+                                    "scratch's own slab";
+
+  net.backward(douts, kN, s);
+  const std::vector<float> once = slab;
+  ASSERT_EQ(s.grads().size(), slab.size());
+  EXPECT_TRUE(std::ranges::equal(s.grads(), slab));
+
+  // A second pass adds onto each destination alone, the same ops on each.
+  net.backward(douts, kN, s, slab);
+  EXPECT_TRUE(std::ranges::equal(s.grads(), once))
+      << "a caller-slab backward touched the scratch's slab";
+  EXPECT_FALSE(std::ranges::equal(slab, once))
+      << "a second backward did not accumulate";
+  const std::vector<float> twice = slab;
+  net.backward(douts, kN, s);
+  EXPECT_TRUE(std::ranges::equal(s.grads(), twice));
+  EXPECT_TRUE(std::ranges::equal(slab, twice))
+      << "a scratch-slab backward touched the caller's slab";
+
+  std::vector<float> wrong(net.numParams() + 1);
+  EXPECT_THROW(net.backward(douts, kN, s, wrong), std::invalid_argument);
 }
 
 TEST(Batch, DropoutDrawsMatchPerSampleOrder) {

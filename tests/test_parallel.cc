@@ -115,33 +115,6 @@ TEST(Chunking, BoundariesPartitionAndDependOnlyOnSize) {
   }
 }
 
-TEST(OrderedReduction, MatchesSerialFoldForNonCommutativeCombine) {
-  // String concatenation is associative but NOT commutative: any reduction
-  // that combined partials in completion order instead of chunk order would
-  // scramble the result under real scheduling.
-  constexpr size_t kGrain = 5;
-  for (const size_t n :
-       {size_t{0}, size_t{1}, size_t{4}, size_t{103}, size_t{512}}) {
-    std::string serial;
-    for (size_t i = 0; i < n; ++i) serial += std::to_string(i * 7 % 13) + ",";
-
-    for (const int jobs : {1, 2, 7}) {
-      par::ThreadPool pool(jobs);
-      const std::string got = par::parallelMapReduce(
-          pool, n, kGrain, std::string{},
-          [](size_t b, size_t e, size_t) {
-            std::string part;
-            for (size_t i = b; i < e; ++i) {
-              part += std::to_string(i * 7 % 13) + ",";
-            }
-            return part;
-          },
-          [](std::string& acc, std::string part) { acc += part; });
-      EXPECT_EQ(got, serial) << "n=" << n << " jobs=" << jobs;
-    }
-  }
-}
-
 TEST(ResolveBatch, ExplicitEnvAndFallback) {
   EXPECT_EQ(par::resolveBatch(4, 32), 4);  // explicit request wins
   ::setenv("CATI_BATCH", "12", 1);
@@ -269,6 +242,28 @@ TEST(JobsInvariance, ModelPredictionAndVoteBytesIdenticalAcrossJobs) {
   EXPECT_NE(serial.report.find("variables typed"), std::string::npos);
   EXPECT_EQ(serial.report, pooled.report);
   EXPECT_EQ(serial.diags.size(), pooled.diags.size());
+}
+
+TEST(JobsInvariance, TrainedModelBytesIdenticalAtEveryMinibatchSize) {
+  // Each chunk of a minibatch accumulates its gradients straight into its
+  // own Adam slab from whichever pool worker runs it; the slabs are merged
+  // inside the Adam step. At minibatches of one chunk, of full chunks and
+  // of a partial last chunk (20 = 8 + 8 + 4), jobs 4 must train the bytes
+  // jobs 1 trains. Cheap enough for CI to repeat under TSan.
+  const corpus::Dataset ds = testsupport::microDataset();
+  for (const int batch : {8, 20, 32}) {
+    const auto train = [&](int jobs) {
+      EngineConfig cfg = testsupport::microConfig();
+      cfg.batchSize = batch;
+      par::ThreadPool pool(jobs);
+      Engine e(cfg);
+      e.train(ds, &pool);
+      return testsupport::serializeEngine(e);
+    };
+    const std::string ref = train(1);
+    ASSERT_FALSE(ref.empty());
+    EXPECT_TRUE(train(4) == ref) << "model bytes differ at batch " << batch;
+  }
 }
 
 TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {

@@ -104,7 +104,7 @@ TEST(QuantLayers, InferenceOnly) {
   EXPECT_THROW(qconv.forward(x, y, 1, s, nn::Phase::kTrain), std::logic_error);
   EXPECT_THROW(qconv.forward(x, y, 1, s, nn::Phase::kEval), std::logic_error);
   EXPECT_NO_THROW(qconv.forward(x, y, 1, s, nn::Phase::kInfer));
-  EXPECT_THROW(qconv.backward(y, x, 1, s), std::logic_error);
+  EXPECT_THROW(qconv.backward(y, x, 1, s, {}), std::logic_error);
 }
 
 // --- engine-level: container, invariance, accuracy ---------------------------
