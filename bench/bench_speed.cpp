@@ -466,6 +466,41 @@ void BM_StageLayerForward(benchmark::State& state, size_t i) {
   }
 }
 
+// The same Stage 1 net after its conv1 (relu1 through fc2) at 32 samples,
+// as the shared-prefix predict runs it once conv1 ran on the stream: four
+// lane groups, each lane-major from its conv1 columns to its logits
+// (Sequential::forwardLanes). Compare with the sum of the
+// BM_StageLayerForward rows from relu1 on, which pack and unpack around
+// every conv and linear layer.
+void BM_StageNetLanes(benchmark::State& state) {
+  constexpr size_t kFirst = 1;
+  constexpr int kGroups = StageLayers::kBatch / nn::kBatchLane;
+  StageLayers& st = stageLayers();
+  const std::vector<float>& in = st.acts[kFirst];
+  const size_t inSize = in.size() / StageLayers::kBatch;
+  std::vector<float> packs(in.size());
+  for (size_t k = 0; k < StageLayers::kBatch; ++k) {
+    float* pack = packs.data() + k / nn::kBatchLane * inSize * nn::kBatchLane;
+    for (size_t i = 0; i < inSize; ++i) {
+      pack[i * nn::kBatchLane + k % nn::kBatchLane] = in[k * inSize + i];
+    }
+  }
+  nn::Scratch s = st.net.makeScratch();
+  for (auto _ : state) {
+    for (int g = 0; g < kGroups; ++g) {
+      const auto y = st.net.forwardLanes(
+          kFirst,
+          std::span<const float>(packs).subspan(
+              static_cast<size_t>(g) * inSize * nn::kBatchLane,
+              inSize * nn::kBatchLane),
+          s);
+      benchmark::DoNotOptimize(y.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(StageLayers::kBatch * state.iterations());
+}
+
 // One layer's backward at batch 8 — the engine's training chunk
 // (kGradChunk) — after a training forward of the same samples, as
 // Sequential::backward runs it: the first layer skips its input gradient,
@@ -769,6 +804,8 @@ int main(int argc, char** argv) {
         BM_StageLayerForward, i)
         ->Unit(benchmark::kMicrosecond);
   }
+  benchmark::RegisterBenchmark("BM_StageNetLanes", BM_StageNetLanes)
+      ->Unit(benchmark::kMicrosecond);
   for (size_t i = 0; i < st.net.numLayers(); ++i) {
     benchmark::RegisterBenchmark(
         ("BM_StageLayerBackward/" + st.names[i]).c_str(),

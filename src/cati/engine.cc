@@ -512,13 +512,6 @@ constexpr size_t kRoundItems = 12;
 // that a worker's activation arena stays cache-resident.
 constexpr int kDefaultInferBatch = 32;
 
-/// ReLU::forward's select.
-float reluOf(float x) { return x > 0.0F ? x : 0.0F; }
-
-/// MaxPool1d::forward's select over (a, b): b wins only when strictly
-/// greater, so the first max wins ties and NaN never wins.
-float poolOf(float a, float b) { return b > a ? b : a; }
-
 /// The first layer of `net` when the net starts Conv1d(k=3) -> ReLU ->
 /// MaxPool1d(2), else null.
 const nn::Conv1d* sharedConv1(const nn::Sequential& net) {
@@ -567,8 +560,8 @@ struct WorkerState {
   int pairLen = 0;   ///< lane length of `pairs`
   std::vector<float> conv;    ///< conv1 output pack
   std::vector<float> convB;   ///< conv1 output of the pairs
-  std::vector<float> relu;    ///< [c1][packed position] ReLU of conv
-  std::vector<float> pooled;  ///< [m x c1 x w] conv2 input
+  std::vector<float> lanes;   ///< one lane group's conv1 output pack
+  std::vector<size_t> colAt;  ///< per lane: its window columns' offsets
 };
 
 thread_local WorkerState tWorker;
@@ -659,7 +652,8 @@ struct VoteMetrics {
 };
 
 /// True when every stage net of `e` starts Conv1d(k=3) -> ReLU ->
-/// MaxPool1d(2), the prefix predictStream runs once per stream row.
+/// MaxPool1d(2): predictStream runs its conv1 once per stream row, and the
+/// pool drops the one window column the stream cannot give.
 bool sharedPrefix(const Engine& e) {
   for (int s = 0; s < kNumStages; ++s) {
     if (sharedConv1(e.stageNet(static_cast<Stage>(s))) == nullptr) {
@@ -741,9 +735,53 @@ void encodeRange(const embed::VucEncoder& enc, const ChunkStream& st,
   }
 }
 
+/// Writes the conv1 outputs of VUCs [k0, k0 + lanes) of the range encoded
+/// in ws as the lane group ws.lanes, the [c1][2w+1][kLane] input of layer 1.
+/// Window column 0 comes from the VUC's pair; column c > 0, packed position
+/// p = start + c, from the stream in lane (p - 1) / step at time
+/// p - lane * step, the one lane that holds all three of its taps. Column
+/// 2w is +0: it never saw its right tap, and MaxPool1d drops it.
+void gatherLanes(WorkerState& ws, size_t c1, size_t w, size_t k0,
+                 size_t lanes) {
+  constexpr auto kLane = static_cast<size_t>(nn::kBatchLane);
+  const size_t span = 2 * w + 1;
+  const auto step = static_cast<size_t>(ws.step);
+  ws.lanes.resize(c1 * span * kLane);
+  if (lanes < kLane) std::fill(ws.lanes.begin(), ws.lanes.end(), 0.0F);
+  // at[b * 2w + c]: lane b's column c in a conv1 plane, its pair for c = 0.
+  std::vector<size_t>& at = ws.colAt;
+  at.resize(lanes * 2 * w);
+  for (size_t b = 0; b < lanes; ++b) {
+    const size_t k = k0 + b;
+    size_t* a = at.data() + b * 2 * w;
+    a[0] = 2 * (k / kLane) * kLane + k % kLane;
+    size_t lane = ws.start[k] / step;  // column 1's, p = start + 1
+    size_t t = ws.start[k] + 1 - lane * step;
+    for (size_t c = 1; c < 2 * w; ++c, ++t) {
+      if (t > step) {
+        ++lane;
+        t -= step;
+      }
+      a[c] = t * kLane + lane;
+    }
+  }
+  for (size_t o = 0; o < c1; ++o) {
+    const float* y = ws.conv.data() + o * ws.len * kLane;
+    for (size_t b = 0; b < lanes; ++b) {
+      const size_t* a = at.data() + b * 2 * w;
+      float* d = ws.lanes.data() + o * span * kLane + b;
+      d[0] = ws.convB[o * ws.pairLen * kLane + a[0]];
+      for (size_t c = 1; c < 2 * w; ++c) d[c * kLane] = y[a[c]];
+      d[2 * w * kLane] = 0.0F;
+    }
+  }
+}
+
 /// Stage `s` (net `net`) of the VUCs `vucs` encoded in ws, into
-/// out[vucs[k]], in sub-batches of `batch` through the net after its shared
-/// prefix (`shared`) or through the whole net.
+/// out[vucs[k]], in sub-batches of `batch`: on the shared-prefix branch
+/// (`shared`) conv1 once over the range's stream, then the rest of the net
+/// lane-resident per lane group of 8 VUCs, from its gathered conv1 columns
+/// to the logits; otherwise the whole net, sample-major.
 void predictRangeStage(const nn::Sequential& net, Stage s,
                        const ChunkStream& st, std::span<const uint32_t> vucs,
                        int batch, bool shared, const Deadline& deadline,
@@ -751,6 +789,9 @@ void predictRangeStage(const nn::Sequential& net, Stage s,
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
   static obs::Counter& conv1Cols = obs::counter("engine.infer.conv1_cols");
+  static obs::Histogram& prefixNs = obs::timer("engine.infer.prefix_ns");
+  static obs::Histogram& netNs = obs::timer("engine.infer.net_ns");
+  constexpr auto kLane = static_cast<size_t>(nn::kBatchLane);
   const auto si = static_cast<size_t>(s);
   if (ws.scratchLayers != net.numLayers()) {
     ws.scratch = net.makeScratch();
@@ -758,53 +799,22 @@ void predictRangeStage(const nn::Sequential& net, Stage s,
   }
   const size_t m = vucs.size();
   const auto w = static_cast<size_t>(st.window());
-  std::span<const float> x = ws.input;  // layer `first`'s input, all VUCs
-  size_t first = 0;
-  if (shared) {
-    // conv1 once over the packed rows, ReLU per position.
-    const nn::Conv1d& conv = *sharedConv1(net);
-    const auto c1 = static_cast<size_t>(conv.outC());
-    const auto len = static_cast<size_t>(ws.len);
-    const auto step = static_cast<size_t>(ws.step);
-    const size_t total = ws.flatRow.size();
-    ws.conv.resize(c1 * len * nn::kBatchLane);
-    conv.forwardLanes(ws.input.data(), ws.conv.data(), ws.len, ws.len);
-    ws.relu.resize(c1 * total);
-    for (size_t o = 0; o < c1; ++o) {
-      const float* y = ws.conv.data() + o * len * nn::kBatchLane;
-      float* r = ws.relu.data() + o * total;
-      for (size_t l = 0; l < nn::kBatchLane; ++l) {
-        for (size_t t = 1; t + 1 < len && l * step + t < total; ++t) {
-          r[l * step + t] = reluOf(y[t * nn::kBatchLane + l]);
-        }
-      }
-    }
-    const auto pairLen = static_cast<size_t>(ws.pairLen);
-    ws.convB.resize(c1 * pairLen * nn::kBatchLane);
-    conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
-    conv1Cols.add((len + pairLen) * nn::kBatchLane);
-    // Each VUC's pooled [c1][w] map: column j pools window columns 2j and
-    // 2j + 1; column 2w is dropped, as MaxPool1d drops it.
-    const size_t pooled = c1 * w;
-    ws.pooled.resize(m * pooled);
-    for (size_t k = 0; k < m; ++k) {
-      for (size_t o = 0; o < c1; ++o) {
-        const float* r = ws.relu.data() + o * total + ws.start[k];
-        const float col0 =
-            reluOf(ws.convB[(o * pairLen + 2 * (k / nn::kBatchLane)) *
-                                nn::kBatchLane +
-                            k % nn::kBatchLane]);
-        float* d = ws.pooled.data() + k * pooled + o * w;
-        d[0] = poolOf(col0, r[1]);
-        for (size_t j = 1; j < w; ++j) d[j] = poolOf(r[2 * j], r[2 * j + 1]);
-      }
-    }
-    x = ws.pooled;
-    first = 3;
-  }
-  const auto inSize = static_cast<size_t>(net.layerInShape(first).size());
   const auto classes = static_cast<size_t>(numClasses(s));
+  size_t c1 = 0;
+  if (shared) {
+    // conv1 once over the packed rows and once over the border pairs.
+    const obs::ScopedTimer timing(prefixNs);
+    const nn::Conv1d& conv = *sharedConv1(net);
+    c1 = static_cast<size_t>(conv.outC());
+    ws.conv.resize(c1 * static_cast<size_t>(ws.len) * kLane);
+    conv.forwardLanes(ws.input.data(), ws.conv.data(), ws.len, ws.len);
+    ws.convB.resize(c1 * static_cast<size_t>(ws.pairLen) * kLane);
+    conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
+    conv1Cols.add(static_cast<size_t>(ws.len + ws.pairLen) * kLane);
+  }
+  const auto inSize = static_cast<size_t>(net.inShape().size());
   const auto bs = static_cast<size_t>(std::max(1, batch));
+  std::array<float, kMaxClasses> logits{};
   for (size_t sb = 0; sb < m; sb += bs) {
     const size_t nb = std::min(bs, m - sb);
     // Deadline check once per sub-batch of VUCs, in the first stage only,
@@ -812,18 +822,33 @@ void predictRangeStage(const nn::Sequential& net, Stage s,
     // clock read, only when a deadline is set) and bounds how late a
     // timeout fires.
     if (s == Stage::S1) checkDeadline(deadline);
-    if (!shared) {
-      conv1Cols.add(ceilDiv(nb, nn::kBatchLane) * nn::kBatchLane *
-                    (2 * w + 1));
-    }
     samples[si]->add(nb);
-    // Caches skipped (Phase::kInfer).
-    const auto logits =
-        net.forwardFrom(first, x.subspan(sb * inSize, nb * inSize),
-                        static_cast<int>(nb), ws.scratch, nn::Phase::kInfer);
-    for (size_t k = 0; k < nb; ++k) {
-      nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1,
-                             out[vucs[sb + k]].set(s));
+    if (!shared) {
+      conv1Cols.add(ceilDiv(nb, kLane) * kLane * (2 * w + 1));
+      const obs::ScopedTimer timing(netNs);
+      // Caches skipped (Phase::kInfer).
+      const auto y = net.forward(
+          std::span<const float>(ws.input).subspan(sb * inSize, nb * inSize),
+          static_cast<int>(nb), ws.scratch, nn::Phase::kInfer);
+      for (size_t k = 0; k < nb; ++k) {
+        nn::SoftmaxCE::forward(y.subspan(k * classes, classes), -1,
+                               out[vucs[sb + k]].set(s));
+      }
+      continue;
+    }
+    for (size_t k0 = sb; k0 < sb + nb; k0 += kLane) {
+      const size_t lanes = std::min(kLane, sb + nb - k0);
+      {
+        const obs::ScopedTimer timing(prefixNs);
+        gatherLanes(ws, c1, w, k0, lanes);
+      }
+      const obs::ScopedTimer timing(netNs);
+      const auto y = net.forwardLanes(1, ws.lanes, ws.scratch);
+      for (size_t b = 0; b < lanes; ++b) {
+        for (size_t c = 0; c < classes; ++c) logits[c] = y[c * kLane + b];
+        nn::SoftmaxCE::forward(std::span(logits).first(classes), -1,
+                               out[vucs[k0 + b]].set(s));
+      }
     }
   }
 }
@@ -873,6 +898,8 @@ void predictRound(const Engine& e, const ChunkStream& st,
     WorkerState& ws = tWorker;
     const size_t range = item - local % perRange;  // its first item
     if (ws.round != round || ws.range != range) {
+      static obs::Histogram& encodeNs = obs::timer("engine.infer.encode_ns");
+      const obs::ScopedTimer timing(encodeNs);
       encodeRange(e.encoder(), st, vucs, shared, ws);
       ws.round = round;
       ws.range = range;

@@ -214,9 +214,10 @@ class Engine {
   /// on that variable's VUCs — at most three rounds, and out[i] holds just
   /// the stages on its variable's path, all that voteRoute reads. Softmax
   /// writes each evaluated stage in place in out[i].
-  /// When every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2), that
-  /// prefix runs once per stream row for a range of selected VUCs and each
-  /// VUC gathers its pooled map from it (DESIGN.md §7); other nets (int8,
+  /// When every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2), its
+  /// conv1 runs once per stream row for a range of selected VUCs, and each
+  /// lane group of 8 VUCs gathers its conv1 columns from it and runs the
+  /// rest of the net lane-resident (DESIGN.md §7); other nets (int8,
   /// window 0) gather encoded windows from the stream and run whole.
   /// Fan-out is over (VUC range x stage) on the one shared set of weights
   /// with per-thread scratch. The kernels keep every output's op sequence,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,6 +27,10 @@ static_assert(kern::kLane == kBatchLane,
 
 void Layer::saveExtra(std::ostream&) const {}
 void Layer::loadExtra(std::istream&) {}
+
+const float* Layer::inferLanes(Shape, const float*, float*) const {
+  throw std::logic_error(kind() + ": no lane form");
+}
 
 namespace {
 
@@ -81,6 +86,26 @@ void unpackLanes(const float* pack, size_t plane, int m, float* y) {
   }
 }
 
+/// The one forward path of Conv1d and Linear: n rows of shape `in` through
+/// l's lane form, kBatchLane at a time, each group packed into s.laneIn (a
+/// partial last group zero-padded) and unpacked from the output. Lanes
+/// never mix, so batch size never changes a bit of the output (DESIGN.md
+/// §7).
+void forwardInLanes(const Layer& l, Shape in, const float* x, float* y, int n,
+                    LayerScratch& s) {
+  const auto inPlane = static_cast<size_t>(in.size());
+  const auto outPlane = static_cast<size_t>(l.outShape(in).size());
+  s.laneIn.resize(inPlane * kBatchLane);
+  s.laneOut.resize(outPlane * kBatchLane);
+  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
+    const int m = std::min(kBatchLane, n - b0);
+    packLanes(x + static_cast<size_t>(b0) * inPlane, inPlane, m,
+              s.laneIn.data());
+    unpackLanes(l.inferLanes(in, s.laneIn.data(), s.laneOut.data()), outPlane,
+                m, y + static_cast<size_t>(b0) * outPlane);
+  }
+}
+
 }  // namespace
 
 // --- Conv1d ------------------------------------------------------------------
@@ -110,29 +135,15 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
   checkSize(y, static_cast<size_t>(n) * outC_ * len, "Conv1d::forward y");
 
   // Per output element the accumulation order is fixed: bias, then taps in
-  // ascending (c, kk) order, one fused multiply-add per tap (kernels.h).
-  // Every sample takes that one path, batch-transposed kBatchLane at a time:
-  // the input is packed [c][t][lane] so one vector op covers a lane group,
-  // and the last partial group is zero-padded. Lanes never mix, so batch
-  // size never changes a single bit of the output (DESIGN.md §7).
-  const size_t inPlane = static_cast<size_t>(inC_) * len;
-  const size_t outPlane = static_cast<size_t>(outC_) * len;
-  s.laneIn.resize(inPlane * kBatchLane);
-  s.laneOut.resize(outPlane * kBatchLane);
-  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
-    const int m = std::min(kBatchLane, n - b0);
-    packLanes(x.data() + static_cast<size_t>(b0) * inPlane, inPlane, m,
-              s.laneIn.data());
-    forwardLanes(s.laneIn.data(), s.laneOut.data(), len, len);
-    unpackLanes(s.laneOut.data(), outPlane, m,
-                y.data() + static_cast<size_t>(b0) * outPlane);
-  }
+  // ascending (c, kk) order, one fused multiply-add per tap (kernels.h),
+  // over the input packed [c][t][lane] so one vector op covers a lane group.
+  forwardInLanes(*this, {inC_, len}, x.data(), y.data(), n, s);
   // The weight gradient runs along input channels, so backward gets each
   // sample's input time-major ([t][c]).
   if (phase == Phase::kInfer) return;
   s.cache.resize(x.size());
   for (int b = 0; b < n; ++b) {
-    const size_t off = static_cast<size_t>(b) * inPlane;
+    const size_t off = static_cast<size_t>(b) * inC_ * len;
     transposePlane(x.data() + off, inC_, len, s.cache.data() + off);
   }
 }
@@ -140,6 +151,11 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
 void Conv1d::forwardLanes(const float* x, float* y, int len, int seg) const {
   kern::kernels().conv1dLane(w_.value.data(), b_.value.data(), x, y, inC_,
                              outC_, k_, len, seg);
+}
+
+const float* Conv1d::inferLanes(Shape in, const float* x, float* y) const {
+  forwardLanes(x, y, in.l, in.l);
+  return y;
 }
 
 void Conv1d::backward(std::span<const float> dy, std::span<float> dx, int n,
@@ -211,6 +227,12 @@ void ReLU::forward(std::span<const float> x, std::span<float> y, int n,
   }
 }
 
+const float* ReLU::inferLanes(Shape in, const float* x, float* y) const {
+  const size_t n = static_cast<size_t>(in.size()) * kBatchLane;
+  for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0F ? x[i] : 0.0F;
+  return y;
+}
+
 void ReLU::backward(std::span<const float> dy, std::span<float> dx, int n,
                     LayerScratch& s, std::span<float>) const {
   checkBatch(n, "ReLU::backward");
@@ -256,6 +278,32 @@ void MaxPool1d::forward(std::span<const float> x, std::span<float> y, int n,
       if (track) aRow[t] = arg;
     }
   }
+}
+
+const float* MaxPool1d::inferLanes(Shape in, const float* x,
+                                   float* y) const {
+  // forward()'s select on a lane group's 8 lanes at once. GCC 12 leaves a
+  // plain loop over the lanes scalar; a vector type, loaded and stored by
+  // memcpy (no alignment, no aliasing) and never passed by value (that
+  // changes the ABI below AVX), makes it one vmaxps.
+  using Lanes = float __attribute__((vector_size(sizeof(float) * kBatchLane)));
+  const int outL = in.l / k_;
+  for (int c = 0; c < in.c; ++c) {
+    for (int t = 0; t < outL; ++t) {
+      const float* xs =
+          x + (static_cast<size_t>(c) * in.l + t * k_) * kBatchLane;
+      Lanes best;
+      std::memcpy(&best, xs, sizeof best);
+      for (int j = 1; j < k_; ++j) {
+        Lanes v;
+        std::memcpy(&v, xs + static_cast<size_t>(j) * kBatchLane, sizeof v);
+        best = v > best ? v : best;
+      }
+      std::memcpy(y + (static_cast<size_t>(c) * outL + t) * kBatchLane, &best,
+                  sizeof best);
+    }
+  }
+  return y;
 }
 
 void MaxPool1d::backward(std::span<const float> dy, std::span<float> dx,
@@ -315,22 +363,15 @@ void Linear::forward(std::span<const float> x, std::span<float> y, int n,
   checkSize(y, static_cast<size_t>(n) * out_, "Linear::forward y");
   if (phase != Phase::kInfer) s.cache.assign(x.begin(), x.end());
 
-  // One path for every sample, as in Conv1d::forward: lane groups run
-  // through the dispatched dense kernel (kernels.h: mul-then-add head, fused
-  // inF%4 tail), the last partial group zero-padded.
-  const auto inPlane = static_cast<size_t>(in_);
-  const auto outPlane = static_cast<size_t>(out_);
-  s.laneIn.resize(inPlane * kBatchLane);
-  s.laneOut.resize(outPlane * kBatchLane);
-  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
-    const int m = std::min(kBatchLane, n - b0);
-    packLanes(x.data() + static_cast<size_t>(b0) * inPlane, inPlane, m,
-              s.laneIn.data());
-    kern::kernels().denseLane(w_.value.data(), b_.value.data(),
-                              s.laneIn.data(), s.laneOut.data(), in_, out_);
-    unpackLanes(s.laneOut.data(), outPlane, m,
-                y.data() + static_cast<size_t>(b0) * outPlane);
-  }
+  // Lane groups through the dispatched dense kernel (kernels.h:
+  // mul-then-add head, fused inF%4 tail).
+  forwardInLanes(*this, {in_, 1}, x.data(), y.data(), n, s);
+}
+
+const float* Linear::inferLanes(Shape, const float* x, float* y) const {
+  kern::kernels().denseLane(w_.value.data(), b_.value.data(), x, y, in_,
+                            out_);
+  return y;
 }
 
 void Linear::backward(std::span<const float> dy, std::span<float> dx, int n,
@@ -395,6 +436,10 @@ void Dropout::forward(std::span<const float> x, std::span<float> y, int n,
   }
 }
 
+const float* Dropout::inferLanes(Shape, const float* x, float*) const {
+  return x;
+}
+
 void Dropout::backward(std::span<const float> dy, std::span<float> dx, int n,
                        LayerScratch& s, std::span<float>) const {
   checkBatch(n, "Dropout::backward");
@@ -457,9 +502,8 @@ std::span<const float> Sequential::forward(std::span<const float> x, int n,
   return forwardFrom(0, x, n, s, phase);
 }
 
-std::span<const float> Sequential::forwardFrom(size_t first,
-                                               std::span<const float> x, int n,
-                                               Scratch& s, Phase phase) const {
+void Sequential::checkFrom(size_t first, std::span<const float> x, int n,
+                           const Scratch& s) const {
   checkBatch(n, "Sequential::forward");
   if (first > layers_.size()) {
     throw std::invalid_argument("Sequential::forwardFrom: no such layer");
@@ -471,6 +515,12 @@ std::span<const float> Sequential::forwardFrom(size_t first,
         "Sequential::forward: scratch does not match this net "
         "(use makeScratch)");
   }
+}
+
+std::span<const float> Sequential::forwardFrom(size_t first,
+                                               std::span<const float> x, int n,
+                                               Scratch& s, Phase phase) const {
+  checkFrom(first, x, n, s);
   std::span<const float> cur = x;
   for (size_t i = first; i < layers_.size(); ++i) {
     std::vector<float>& act = s.acts_[i];
@@ -479,6 +529,19 @@ std::span<const float> Sequential::forwardFrom(size_t first,
     cur = act;
   }
   return cur;
+}
+
+std::span<const float> Sequential::forwardLanes(size_t first,
+                                                std::span<const float> x,
+                                                Scratch& s) const {
+  checkFrom(first, x, kBatchLane, s);  // a lane group: 8 samples' floats
+  const float* cur = x.data();
+  for (size_t i = first; i < layers_.size(); ++i) {
+    std::vector<float>& act = s.acts_[i];
+    act.resize(static_cast<size_t>(kBatchLane) * shapes_[i].size());
+    cur = layers_[i]->inferLanes(layerInShape(i), cur, act.data());
+  }
+  return {cur, static_cast<size_t>(kBatchLane) * outShape().size()};
 }
 
 void Sequential::backward(std::span<const float> dOut, int n, Scratch& s,

@@ -119,6 +119,12 @@ class Layer {
   virtual void backward(std::span<const float> dy, std::span<float> dx, int n,
                         LayerScratch& s, std::span<float> grads) const = 0;
 
+  /// The Phase::kInfer forward of one lane group, lane-major: `x` is the
+  /// [in.size()][kBatchLane] pack of up to 8 samples, `y` gets the output's.
+  /// Each lane gets forward()'s bits. Returns `y`, or `x` when the layer is
+  /// the identity. Layers without a lane form (int8) throw std::logic_error.
+  virtual const float* inferLanes(Shape in, const float* x, float* y) const;
+
   virtual std::vector<Param*> params() { return {}; }
   std::vector<const Param*> params() const {
     // params() only reads layer state; the const_cast never mutates.
@@ -143,6 +149,7 @@ class Conv1d final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y) const override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string kind() const override { return "conv1d"; }
   void saveExtra(std::ostream& os) const override;
@@ -174,6 +181,7 @@ class ReLU final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y) const override;
   std::string kind() const override { return "relu"; }
 };
 
@@ -189,6 +197,7 @@ class MaxPool1d final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y) const override;
   std::string kind() const override { return "maxpool1d"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -209,6 +218,7 @@ class Linear final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y) const override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string kind() const override { return "linear"; }
   void saveExtra(std::ostream& os) const override;
@@ -237,6 +247,7 @@ class Dropout final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y) const override;
   std::string kind() const override { return "dropout"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -269,7 +280,7 @@ class Scratch {
  private:
   friend class Sequential;
   std::vector<LayerScratch> layers_;
-  std::vector<std::vector<float>> acts_;  // per-layer [n x outSize]
+  std::vector<std::vector<float>> acts_;  // per-layer [n x outSize] or pack
   std::vector<float> dPing_;              // backward ping-pong buffers
   std::vector<float> dPong_;
   std::vector<float> grads_;              // see grads()
@@ -305,6 +316,13 @@ class Sequential {
   std::span<const float> forwardFrom(size_t first, std::span<const float> x,
                                      int n, Scratch& s, Phase phase) const;
 
+  /// forwardFrom(first, ..., Phase::kInfer) of one lane group kept
+  /// lane-major through every layer (Layer::inferLanes): `x` and the result
+  /// (a view into `s`, or `x`) are [size][kBatchLane] packs of the layer
+  /// input and the output; lane b holds forwardFrom's bits for sample b.
+  std::span<const float> forwardLanes(size_t first, std::span<const float> x,
+                                      Scratch& s) const;
+
   /// Batch backward from dL/d(output) [n x outShape]; parameter gradients
   /// accumulate into `grads`, numParams() floats in params() order
   /// (ascending sample order; the caller zeroes it to start a sum). The
@@ -337,6 +355,10 @@ class Sequential {
   static Sequential load(std::istream& is);
 
  private:
+  /// forwardFrom's argument checks (std::invalid_argument).
+  void checkFrom(size_t first, std::span<const float> x, int n,
+                 const Scratch& s) const;
+
   Shape inShape_;
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Shape> shapes_;  // per-layer output shapes

@@ -71,11 +71,12 @@ void startCounting() {
   gCounting.store(true);
 }
 
-/// Heap allocations, on any thread, during one predictStream.
+/// Heap allocations, on any thread, during one predictStream in
+/// sub-batches of `batch` VUCs (0: the default).
 uint64_t allocations(const Engine& e, const ChunkStream& st,
-                     par::ThreadPool* pool, StagePlan plan) {
+                     par::ThreadPool* pool, StagePlan plan, int batch = 0) {
   startCounting();
-  const std::vector<StageProbs> out = e.predictStream(st, pool, 0, plan);
+  const std::vector<StageProbs> out = e.predictStream(st, pool, batch, plan);
   gCounting.store(false);
   EXPECT_EQ(out.size(), st.numVucs());
   return gNews.load();
@@ -109,10 +110,11 @@ Streams microStreams(const Engine& micro) {
   return s;
 }
 
-std::string label(const Engine& e, int jobs, StagePlan plan) {
+std::string label(const Engine& e, int jobs, StagePlan plan, int batch = 0) {
   return std::string(e.quantized() ? "int8" : "fp32") + " jobs " +
          std::to_string(jobs) +
-         (plan == StagePlan::kAll ? " kAll" : " kRouted");
+         (plan == StagePlan::kAll ? " kAll" : " kRouted") + " batch " +
+         std::to_string(batch);
 }
 
 /// Warms `e` on `pool`: the thread states and metric handles reach their
@@ -121,12 +123,12 @@ std::string label(const Engine& e, int jobs, StagePlan plan) {
 /// seen and grow its buffers once: the least of three counts is the steady
 /// state. Returns that count over the base stream.
 uint64_t warmAllocations(const Engine& e, const Streams& s,
-                         par::ThreadPool& pool, StagePlan plan) {
-  (void)e.predictStream(s.longer, &pool, 0, plan);
-  (void)e.predictStream(s.base, &pool, 0, plan);
-  uint64_t once = allocations(e, s.base, &pool, plan);
+                         par::ThreadPool& pool, StagePlan plan, int batch = 0) {
+  (void)e.predictStream(s.longer, &pool, batch, plan);
+  (void)e.predictStream(s.base, &pool, batch, plan);
+  uint64_t once = allocations(e, s.base, &pool, plan, batch);
   for (int rep = 0; rep < 2; ++rep) {
-    once = std::min(once, allocations(e, s.base, &pool, plan));
+    once = std::min(once, allocations(e, s.base, &pool, plan, batch));
   }
   return once;
 }
@@ -144,14 +146,20 @@ TEST(PredictAllocations, DoNotGrowWithVucsTimesStages) {
     for (const int jobs : {1, 4}) {
       par::ThreadPool pool(jobs);
       for (const StagePlan plan : {StagePlan::kAll, StagePlan::kRouted}) {
-        const uint64_t once = warmAllocations(e, s, pool, plan);
-        uint64_t more = allocations(e, s.longer, &pool, plan);
-        for (int rep = 0; rep < 2; ++rep) {
-          more = std::min(more, allocations(e, s.longer, &pool, plan));
+        // Batch 1 too: every lane group of the shared-prefix branch is then
+        // a partial one.
+        for (const int batch : {0, 1}) {
+          const uint64_t once = warmAllocations(e, s, pool, plan, batch);
+          uint64_t more = allocations(e, s.longer, &pool, plan, batch);
+          for (int rep = 0; rep < 2; ++rep) {
+            more =
+                std::min(more, allocations(e, s.longer, &pool, plan, batch));
+          }
+          EXPECT_LT(more, once + s.bound)
+              << label(e, jobs, plan, batch) << ": " << once
+              << " allocations over " << n << " VUCs, " << more << " over "
+              << kTimes * n;
         }
-        EXPECT_LT(more, once + s.bound)
-            << label(e, jobs, plan) << ": " << once << " allocations over "
-            << n << " VUCs, " << more << " over " << kTimes * n;
       }
     }
   }

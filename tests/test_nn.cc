@@ -682,6 +682,119 @@ TEST(Batch, DropoutDrawsMatchPerSampleOrder) {
   }
 }
 
+// --- lane-resident inference: Sequential::forwardLanes keeps one lane group
+// of up to kBatchLane samples lane-major through every layer from `first`
+// on, and must give forwardFrom's bits in every lane.
+
+/// Each of the n samples of `x` ([n x size], sample-major) as a lane of
+/// ceil(n / kBatchLane) back-to-back lane groups ([size][kBatchLane] each).
+/// Lanes past n hold NaN: no lane may read another.
+std::vector<float> packGroups(std::span<const float> x, size_t size, int n) {
+  const int groups = (n + kBatchLane - 1) / kBatchLane;
+  std::vector<float> packs(static_cast<size_t>(groups) * size * kBatchLane,
+                           std::numeric_limits<float>::quiet_NaN());
+  for (int k = 0; k < n; ++k) {
+    float* pack = packs.data() + static_cast<size_t>(k / kBatchLane) * size *
+                                     kBatchLane;
+    for (size_t i = 0; i < size; ++i) {
+      pack[i * kBatchLane + k % kBatchLane] = x[k * size + i];
+    }
+  }
+  return packs;
+}
+
+/// Checks forwardLanes(first) against forwardFrom(first, kInfer) on the n
+/// samples `x`, bit for bit.
+void expectLanesMatch(const Sequential& net, size_t first,
+                      std::span<const float> x, int n,
+                      const std::string& what) {
+  const auto inSize = static_cast<size_t>(net.layerInShape(first).size());
+  const auto outSize = static_cast<size_t>(net.outShape().size());
+  Scratch ref = net.makeScratch();
+  const auto want = net.forwardFrom(first, x, n, ref, Phase::kInfer);
+  const std::vector<float> packs = packGroups(x, inSize, n);
+  Scratch s = net.makeScratch();
+  for (int g = 0; g * kBatchLane < n; ++g) {
+    const auto got = net.forwardLanes(
+        first,
+        std::span(packs).subspan(static_cast<size_t>(g) * inSize * kBatchLane,
+                                 inSize * kBatchLane),
+        s);
+    ASSERT_EQ(got.size(), outSize * kBatchLane) << what;
+    for (int b = 0; b < kBatchLane && g * kBatchLane + b < n; ++b) {
+      const size_t k = static_cast<size_t>(g) * kBatchLane + b;
+      for (size_t j = 0; j < outSize; ++j) {
+        ASSERT_EQ(std::memcmp(&got[j * kBatchLane + b], &want[k * outSize + j],
+                              sizeof(float)),
+                  0)
+            << what << " sample " << k << " output " << j;
+      }
+    }
+  }
+}
+
+TEST(Lanes, StageNetsMatchForwardFromEveryLayer) {
+  // The default stage net (EngineConfig: 96 channels, conv 32-64, FC 128,
+  // dropout 0.3) at windows 10, 2 and 1, whose nets differ in shape: window
+  // 1 has no second pool. From every layer on, at 1..17 samples: full lane
+  // groups, partial ones and both together.
+  for (const int window : {10, 2, 1}) {
+    Rng rng(static_cast<uint64_t>(90 + window));
+    const Sequential net =
+        makeCnn({96, 2 * window + 1}, 32, 64, 128, 5, 0.3F, rng);
+    for (size_t first = 0; first <= net.numLayers(); ++first) {
+      const auto inSize = static_cast<size_t>(net.layerInShape(first).size());
+      for (int n = 1; n <= 2 * kBatchLane + 1; ++n) {
+        std::vector<float> x(static_cast<size_t>(n) * inSize);
+        for (float& v : x) v = rng.normal();
+        expectLanesMatch(net, first, x, n,
+                         "window " + std::to_string(window) + " from layer " +
+                             std::to_string(first) + " n " +
+                             std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(Lanes, ReluAndPoolKeepCompareSemantics) {
+  // NaN never wins a pool and ReLU maps it to +0, -0 and +0 tie (the first
+  // is kept; ReLU gives +0 for both), the first of equal maxima wins: the
+  // lane selects must keep every bit of the scalar ones, pools of 2 and 3.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float special[] = {nan, -0.0F, 0.0F, inf, -inf, 1.0F, 1.0F, -2.0F};
+  Rng rng(43);
+  for (const int k : {2, 3}) {
+    Sequential net({3, 4 * k + 1});
+    net.add(std::make_unique<MaxPool1d>(k));
+    net.add(std::make_unique<ReLU>());
+    net.add(std::make_unique<MaxPool1d>(2));
+    for (size_t first = 0; first < net.numLayers(); ++first) {
+      const auto inSize = static_cast<size_t>(net.layerInShape(first).size());
+      for (const int n : {1, 7, 8, 9, 17}) {
+        std::vector<float> x(static_cast<size_t>(n) * inSize);
+        for (float& v : x) {
+          v = special[rng.uniformInt(0, std::ssize(special) - 1)];
+        }
+        expectLanesMatch(net, first, x, n,
+                         "k " + std::to_string(k) + " from layer " +
+                             std::to_string(first) + " n " +
+                             std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(Lanes, LayersWithoutALaneFormThrow) {
+  Rng rng(44);
+  const Sequential q = quantizeNet(makeCnn({6, 9}, 4, 4, 8, 3, 0.0F, rng));
+  Scratch s = q.makeScratch();
+  std::vector<float> x(static_cast<size_t>(q.inShape().size()) * kBatchLane);
+  EXPECT_THROW(q.forwardLanes(0, x, s), std::logic_error);
+  EXPECT_THROW(q.forwardLanes(0, std::span(x).first(1), s),
+               std::invalid_argument);
+}
+
 TEST(Batch, ScratchMismatchThrows) {
   Rng rng(24);
   Sequential a = makeCnn({6, 9}, 4, 4, 8, 3, 0.0F, rng);

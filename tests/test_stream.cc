@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <span>
 #include <sstream>
@@ -301,6 +302,60 @@ TEST_F(StreamPredictTest, Conv1ColumnsPerVuc) {
   // Per 96-VUC range: 116 rows over 8 lanes overlapping by two, plus one
   // left-border pair per VUC.
   EXPECT_LT(cols.value() - before, kNumStages * 200U * 21 / 4);
+}
+
+TEST_F(StreamPredictTest, PredictLedgerStaysWithinBatchTimeTimesWorkers) {
+  // engine.infer.encode_ns, prefix_ns and net_ns split each predict item's
+  // time into exclusive phases: after a predict with obs on all three have
+  // observations, and together they stay within engine.infer.batch_ns times
+  // the workers. The int8 twin has no shared prefix: encode and net only.
+  // Structural: counts and one inequality, no timing threshold.
+  obs::setEnabled(true);
+  loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
+  loader::strip(img);
+  DiagList diags;
+  ChunkStream st;
+  for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
+    st.append(micro_->streamFunction(fn.insns,
+                                     dataflow::recoverVariables(*fn.graph))
+                  .stream);
+  }
+  ASSERT_GT(st.numVucs(), 96U);
+  const std::array<obs::Histogram*, 4> timers = {
+      &obs::timer("engine.infer.encode_ns"),
+      &obs::timer("engine.infer.prefix_ns"),
+      &obs::timer("engine.infer.net_ns"), &obs::timer("engine.infer.batch_ns")};
+  std::vector<Engine> engines;
+  engines.push_back(testsupport::cachedMicroEngine());
+  engines.push_back(micro_->quantize());
+  for (const Engine& engine : engines) {
+    for (const int jobs : {1, 4}) {
+      par::ThreadPool pool(jobs);
+      for (const StagePlan plan : {StagePlan::kAll, StagePlan::kRouted}) {
+        const std::string what =
+            std::string(engine.quantized() ? "int8" : "fp32") + " jobs " +
+            std::to_string(jobs) +
+            (plan == StagePlan::kAll ? " kAll" : " kRouted");
+        std::array<uint64_t, 4> count0{};
+        std::array<double, 4> sum0{};
+        for (size_t i = 0; i < timers.size(); ++i) {
+          count0[i] = timers[i]->count();
+          sum0[i] = timers[i]->sum();
+        }
+        (void)engine.predictStream(st, &pool, 0, plan);
+        double ledger = 0.0;
+        for (size_t i = 0; i < 3; ++i) {
+          const bool observed = !(engine.quantized() && i == 1);
+          EXPECT_EQ(timers[i]->count() > count0[i], observed)
+              << what << " timer " << i;
+          ledger += timers[i]->sum() - sum0[i];
+        }
+        EXPECT_EQ(timers[3]->count() - count0[3], 1U) << what;
+        EXPECT_GT(ledger, 0.0) << what;
+        EXPECT_LE(ledger, (timers[3]->sum() - sum0[3]) * jobs) << what;
+      }
+    }
+  }
 }
 
 TEST_F(StreamPredictTest, OcclusionEpsilonsMatchZeroedRowForwards) {
