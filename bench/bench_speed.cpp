@@ -249,10 +249,11 @@ BENCHMARK(BM_PredictBatchJobs)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PredictBatchSize(benchmark::State& state) {
-  // Batched inference at jobs=1: isolates the NN batching win (shared-const
-  // weights, per-worker scratch, no per-sample temporaries) from thread
-  // scaling. items_per_second at /8 and /32 vs the /1 row is the batching
-  // speedup; results are bit-identical at every batch size (DESIGN.md §7).
+  // The window adapter at jobs=1 and --batch 1, 8 and 32. Predict runs a
+  // range's VUCs in lane groups of 8 whatever the batch, which sets only
+  // how often a deadline is checked, so the rows should read alike: a
+  // batch that paid for partial lane groups would show here. Results are
+  // bit-identical at every batch size (DESIGN.md §7).
   Engine& e = bundle().engine();
   const corpus::Dataset& test = bundle().testSet();
   par::ThreadPool pool(1);

@@ -492,14 +492,10 @@ void ChunkStream::append(const ChunkStream& other) {
 
 namespace {
 
-// Fan-out grain of the whole-net branch: small enough to balance uneven VUC
-// batches, large enough that chunk dispatch is amortized.
-constexpr size_t kPredictGrain = 16;
-
-// Bounds of the shared-prefix branch's VUC ranges. A full range's rows
-// (about 2.3 per VUC) run through conv1 as one 8-lane call of about 30 time
-// steps, and its left-border pairs as one of exactly 24, two full 12-step
-// AVX-512 tiles; ranges of 32 leave much of each tile empty.
+// Bounds of a round's VUC ranges. A full range's rows (about 2.3 per VUC)
+// run through conv1 as one 8-lane call of about 30 time steps, and its
+// left-border pairs as one of exactly 24, two full 12-step AVX-512 tiles;
+// ranges of 32 leave much of each tile empty.
 constexpr size_t kMinStreamRange = 16;
 constexpr size_t kMaxStreamRange = 96;
 // A round splits into about this many (range, stage) items: a routed
@@ -507,9 +503,8 @@ constexpr size_t kMaxStreamRange = 96;
 // would leave most of a 4-worker pool idle on it.
 constexpr size_t kRoundItems = 12;
 
-// Default inference batch when neither the caller nor CATI_BATCH asks for a
-// specific size: big enough to amortize per-layer dispatch, small enough
-// that a worker's activation arena stays cache-resident.
+// Default inference batch, the Stage 1 VUCs between two deadline checks,
+// when neither the caller nor CATI_BATCH asks for a specific size.
 constexpr int kDefaultInferBatch = 32;
 
 /// The first layer of `net` when the net starts Conv1d(k=3) -> ReLU ->
@@ -526,7 +521,7 @@ const nn::Conv1d* sharedConv1(const nn::Sequential& net) {
 
 size_t ceilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
-/// VUCs per range of a shared-prefix round of `evals` stage evaluations:
+/// VUCs per range of a round of `evals` stage evaluations:
 /// evals / kRoundItems rounded up to whole conv lanes, kept within the
 /// bounds. A function of the round's size alone, never of the job count.
 size_t streamRange(size_t evals) {
@@ -549,19 +544,24 @@ struct WorkerState {
   /// The range `input` holds: (predict round, range index).
   uint64_t round = 0;
   size_t range = 0;
-  /// Shared prefix: the range's rows as the conv lane pack
-  /// [C][len][kLane]. Otherwise: its windows, [m x inputShape].
+  /// The layer the stage nets take the range's lane groups at: 1 when they
+  /// share the conv1 prefix, else 0.
+  size_t first = 0;
+  /// first 1: the range's rows, the conv lane pack [C][len][kLane];
+  /// first 0: its windows, a [C][2w+1][kLane] pack per lane group.
   std::vector<float> input;
+  std::vector<float> step8;     ///< first 0: one time step of a group [8][C]
   std::vector<float> pairs;     ///< left-border pairs [C][2P][kLane]
   std::vector<uint32_t> flatRow;  ///< packed position -> stream row
-  std::vector<uint32_t> start;    ///< per VUC: packed window start
   int len = 0;       ///< lane length of `input`
   int step = 0;      ///< packed positions between lane starts
   int pairLen = 0;   ///< lane length of `pairs`
   std::vector<float> conv;    ///< conv1 output pack
   std::vector<float> convB;   ///< conv1 output of the pairs
   std::vector<float> lanes;   ///< one lane group's conv1 output pack
-  std::vector<size_t> colAt;  ///< per lane: its window columns' offsets
+  /// Per VUC k, at [k * 2w + c]: the offset of its window column c in
+  /// convB (c = 0) or conv (c > 0).
+  std::vector<uint32_t> colAt;
 };
 
 thread_local WorkerState tWorker;
@@ -663,37 +663,64 @@ bool sharedPrefix(const Engine& e) {
   return true;
 }
 
-/// Encodes the VUCs `vucs` (ascending) of `st` into ws (see WorkerState).
-void encodeRange(const embed::VucEncoder& enc, const ChunkStream& st,
-                 std::span<const uint32_t> vucs, bool shared,
-                 WorkerState& ws) {
+/// Encodes the VUCs `vucs` (ascending) of `st` into ws for `e`'s stage
+/// nets (see WorkerState).
+void encodeRange(const Engine& e, const ChunkStream& st,
+                 std::span<const uint32_t> vucs, WorkerState& ws) {
+  constexpr auto kLane = static_cast<size_t>(nn::kBatchLane);
+  const embed::VucEncoder& enc = e.encoder();
   const size_t w = static_cast<size_t>(st.window());
   const size_t span = 2 * w + 1;
   const size_t channels = static_cast<size_t>(enc.cols());
   const size_t m = vucs.size();
   const std::vector<embed::TokenRow>& rows = st.rows();
   const std::vector<uint32_t>& centres = st.centres();
-  if (!shared) {
-    // Each VUC's own window, channel-major, as the net's input.
-    const size_t inSize = channels * span;
-    ws.input.resize(m * inSize);
-    for (size_t k = 0; k < m; ++k) {
-      for (size_t r = 0; r < span; ++r) {
-        enc.encodeRow(rows[centres[vucs[k]] - w + r],
-                      ws.input.data() + k * inSize + r, span);
+  ws.first = sharedPrefix(e) ? 1 : 0;
+  if (ws.first == 0) {
+    // VUC k's window, channel-major, in lane k % 8 of lane group k / 8; the
+    // padding lanes of a partial last group are zero. Each time step of a
+    // group is encoded as 8 rows of ws.step8 and transposed into the pack 8
+    // channels at a time: encoded straight into the lanes, every float of a
+    // row would land on a cache line of its own.
+    const size_t pack = channels * span * kLane;
+    ws.input.resize(ceilDiv(m, kLane) * pack);
+    ws.step8.resize(kLane * channels);
+    for (size_t k0 = 0; k0 < m; k0 += kLane) {
+      const size_t lanes = std::min(kLane, m - k0);
+      std::fill(ws.step8.begin() + static_cast<ptrdiff_t>(lanes * channels),
+                ws.step8.end(), 0.0F);
+      float* dst = ws.input.data() + k0 / kLane * pack;
+      for (size_t r = 0; r < span; ++r, dst += kLane) {
+        for (size_t b = 0; b < lanes; ++b) {
+          enc.encodeRow(rows[centres[vucs[k0 + b]] - w + r],
+                        ws.step8.data() + b * channels, 1);
+        }
+        size_t c = 0;
+        for (; c + kLane <= channels; c += kLane) {
+          nn::transposeBlock(ws.step8.data() + c, channels,
+                             dst + c * span * kLane, span * kLane);
+        }
+        for (; c < channels; ++c) {
+          for (size_t b = 0; b < kLane; ++b) {
+            dst[c * span * kLane + b] = ws.step8[b * channels + c];
+          }
+        }
       }
     }
     return;
   }
   // Packed positions: the union of the range's windows, each run of
-  // overlapping or touching windows once, runs end to end.
+  // overlapping or touching windows once, runs end to end. VUC k's window
+  // starts at packed position colAt[k * 2w + 1] until its columns are laid
+  // out below.
+  const size_t cols = 2 * w;
   ws.flatRow.clear();
-  ws.start.clear();
+  ws.colAt.resize(m * cols);
   size_t runRow = 0;  // stream row and packed position of the run's start
   size_t runPos = 0;
-  for (const uint32_t i : vucs) {
-    const size_t lo = centres[i] - w;
-    const size_t hi = centres[i] + w + 1;
+  for (size_t k = 0; k < m; ++k) {
+    const size_t lo = centres[vucs[k]] - w;
+    const size_t hi = centres[vucs[k]] + w + 1;
     size_t next = ws.flatRow.empty() ? lo : ws.flatRow.back() + 1;
     if (lo > next || ws.flatRow.empty()) {
       runRow = next = lo;
@@ -702,73 +729,66 @@ void encodeRange(const embed::VucEncoder& enc, const ChunkStream& st,
     for (size_t row = next; row < hi; ++row) {
       ws.flatRow.push_back(static_cast<uint32_t>(row));
     }
-    ws.start.push_back(static_cast<uint32_t>(runPos + (lo - runRow)));
+    ws.colAt[k * cols + 1] = static_cast<uint32_t>(runPos + (lo - runRow));
   }
   // Lane l holds packed positions [l*step, l*step + len). The lanes
   // overlap by two rows, so every position but the ends has all three taps
   // in some lane.
   const size_t total = ws.flatRow.size();
-  ws.step = static_cast<int>(ceilDiv(total - 2, nn::kBatchLane));
+  ws.step = static_cast<int>(ceilDiv(total - 2, kLane));
   ws.len = ws.step + 2;
   const auto len = static_cast<size_t>(ws.len);
   const auto step = static_cast<size_t>(ws.step);
-  ws.input.assign(channels * len * nn::kBatchLane, 0.0F);
-  for (size_t l = 0; l < nn::kBatchLane; ++l) {
+  ws.input.assign(channels * len * kLane, 0.0F);
+  for (size_t l = 0; l < kLane; ++l) {
     for (size_t t = 0; t < len && l * step + t < total; ++t) {
       enc.encodeRow(rows[ws.flatRow[l * step + t]],
-                    ws.input.data() + t * nn::kBatchLane + l,
-                    len * nn::kBatchLane);
+                    ws.input.data() + t * kLane + l, len * kLane);
     }
   }
   // A window's first column skips its left tap, which the stream conv does
   // not: it comes from the pair (first row, second row) run with seg = 2.
-  // VUC k's pair sits in lane k % 8 at time step 2 * (k / 8).
-  ws.pairLen = static_cast<int>(2 * ceilDiv(m, nn::kBatchLane));
-  const size_t pairStride = static_cast<size_t>(ws.pairLen) * nn::kBatchLane;
+  // VUC k's pair sits in lane k % 8 at time step 2 * (k / 8). Its column
+  // c > 0, packed position p = start + c, is read from the stream in lane
+  // (p - 1) / step at time p - lane * step, the one lane that holds all
+  // three of its taps. gatherLanes reads these offsets for every stage.
+  ws.pairLen = static_cast<int>(2 * ceilDiv(m, kLane));
+  const size_t pairStride = static_cast<size_t>(ws.pairLen) * kLane;
   ws.pairs.assign(channels * pairStride, 0.0F);
   for (size_t k = 0; k < m; ++k) {
-    float* dst = ws.pairs.data() + 2 * (k / nn::kBatchLane) * nn::kBatchLane +
-                 k % nn::kBatchLane;
-    enc.encodeRow(rows[centres[vucs[k]] - w], dst, pairStride);
-    enc.encodeRow(rows[centres[vucs[k]] - w + 1], dst + nn::kBatchLane,
+    uint32_t* a = ws.colAt.data() + k * cols;
+    a[0] = static_cast<uint32_t>(2 * (k / kLane) * kLane + k % kLane);
+    enc.encodeRow(rows[centres[vucs[k]] - w], ws.pairs.data() + a[0],
                   pairStride);
-  }
-}
-
-/// Writes the conv1 outputs of VUCs [k0, k0 + lanes) of the range encoded
-/// in ws as the lane group ws.lanes, the [c1][2w+1][kLane] input of layer 1.
-/// Window column 0 comes from the VUC's pair; column c > 0, packed position
-/// p = start + c, from the stream in lane (p - 1) / step at time
-/// p - lane * step, the one lane that holds all three of its taps. Column
-/// 2w is +0: it never saw its right tap, and MaxPool1d drops it.
-void gatherLanes(WorkerState& ws, size_t c1, size_t w, size_t k0,
-                 size_t lanes) {
-  constexpr auto kLane = static_cast<size_t>(nn::kBatchLane);
-  const size_t span = 2 * w + 1;
-  const auto step = static_cast<size_t>(ws.step);
-  ws.lanes.resize(c1 * span * kLane);
-  if (lanes < kLane) std::fill(ws.lanes.begin(), ws.lanes.end(), 0.0F);
-  // at[b * 2w + c]: lane b's column c in a conv1 plane, its pair for c = 0.
-  std::vector<size_t>& at = ws.colAt;
-  at.resize(lanes * 2 * w);
-  for (size_t b = 0; b < lanes; ++b) {
-    const size_t k = k0 + b;
-    size_t* a = at.data() + b * 2 * w;
-    a[0] = 2 * (k / kLane) * kLane + k % kLane;
-    size_t lane = ws.start[k] / step;  // column 1's, p = start + 1
-    size_t t = ws.start[k] + 1 - lane * step;
-    for (size_t c = 1; c < 2 * w; ++c, ++t) {
+    enc.encodeRow(rows[centres[vucs[k]] - w + 1],
+                  ws.pairs.data() + a[0] + kLane, pairStride);
+    const size_t start = a[1];
+    size_t lane = start / step;  // column 1's, p = start + 1
+    size_t t = start + 1 - lane * step;
+    for (size_t c = 1; c < cols; ++c, ++t) {
       if (t > step) {
         ++lane;
         t -= step;
       }
-      a[c] = t * kLane + lane;
+      a[c] = static_cast<uint32_t>(t * kLane + lane);
     }
   }
+}
+
+/// Writes the conv1 outputs of VUCs [k0, k0 + lanes) of the range encoded
+/// in ws as the lane group ws.lanes, the [c1][2w+1][kLane] input of layer 1,
+/// from their column offsets ws.colAt. Column 2w is +0: it never saw its
+/// right tap, and MaxPool1d drops it.
+void gatherLanes(WorkerState& ws, size_t c1, size_t w, size_t k0,
+                 size_t lanes) {
+  constexpr auto kLane = static_cast<size_t>(nn::kBatchLane);
+  const size_t span = 2 * w + 1;
+  ws.lanes.resize(c1 * span * kLane);
+  if (lanes < kLane) std::fill(ws.lanes.begin(), ws.lanes.end(), 0.0F);
   for (size_t o = 0; o < c1; ++o) {
     const float* y = ws.conv.data() + o * ws.len * kLane;
     for (size_t b = 0; b < lanes; ++b) {
-      const size_t* a = at.data() + b * 2 * w;
+      const uint32_t* a = ws.colAt.data() + (k0 + b) * 2 * w;
       float* d = ws.lanes.data() + o * span * kLane + b;
       d[0] = ws.convB[o * ws.pairLen * kLane + a[0]];
       for (size_t c = 1; c < 2 * w; ++c) d[c * kLane] = y[a[c]];
@@ -778,14 +798,14 @@ void gatherLanes(WorkerState& ws, size_t c1, size_t w, size_t k0,
 }
 
 /// Stage `s` (net `net`) of the VUCs `vucs` encoded in ws, into
-/// out[vucs[k]], in sub-batches of `batch`: on the shared-prefix branch
-/// (`shared`) conv1 once over the range's stream, then the rest of the net
-/// lane-resident per lane group of 8 VUCs, from its gathered conv1 columns
-/// to the logits; otherwise the whole net, sample-major.
+/// out[vucs[k]]: each lane group of 8 VUCs enters the net at layer
+/// ws.first, its input gathered from conv1, run once over the range's rows
+/// and pairs (first 1), or its window pack (first 0), and runs
+/// lane-resident to the logits.
 void predictRangeStage(const nn::Sequential& net, Stage s,
                        const ChunkStream& st, std::span<const uint32_t> vucs,
-                       int batch, bool shared, const Deadline& deadline,
-                       WorkerState& ws, StageProbs* out) {
+                       int batch, const Deadline& deadline, WorkerState& ws,
+                       StageProbs* out) {
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
   static obs::Counter& conv1Cols = obs::counter("engine.infer.conv1_cols");
@@ -801,7 +821,7 @@ void predictRangeStage(const nn::Sequential& net, Stage s,
   const auto w = static_cast<size_t>(st.window());
   const auto classes = static_cast<size_t>(numClasses(s));
   size_t c1 = 0;
-  if (shared) {
+  if (ws.first == 1) {
     // conv1 once over the packed rows and once over the border pairs.
     const obs::ScopedTimer timing(prefixNs);
     const nn::Conv1d& conv = *sharedConv1(net);
@@ -812,43 +832,35 @@ void predictRangeStage(const nn::Sequential& net, Stage s,
     conv.forwardLanes(ws.pairs.data(), ws.convB.data(), ws.pairLen, 2);
     conv1Cols.add(static_cast<size_t>(ws.len + ws.pairLen) * kLane);
   }
-  const auto inSize = static_cast<size_t>(net.inShape().size());
+  const size_t pack =
+      static_cast<size_t>(net.layerInShape(ws.first).size()) * kLane;
   const auto bs = static_cast<size_t>(std::max(1, batch));
   std::array<float, kMaxClasses> logits{};
-  for (size_t sb = 0; sb < m; sb += bs) {
-    const size_t nb = std::min(bs, m - sb);
-    // Deadline check once per sub-batch of VUCs, in the first stage only,
-    // which every VUC passes and the rest of its path follows: cheap (a
-    // clock read, only when a deadline is set) and bounds how late a
+  for (size_t k0 = 0, check = 0; k0 < m; k0 += kLane) {
+    const size_t lanes = std::min(kLane, m - k0);
+    // Deadline check once per sub-batch of `batch` VUCs, in the first stage
+    // only, which every VUC passes and the rest of its path follows: cheap
+    // (a clock read, only when a deadline is set) and bounds how late a
     // timeout fires.
-    if (s == Stage::S1) checkDeadline(deadline);
-    samples[si]->add(nb);
-    if (!shared) {
-      conv1Cols.add(ceilDiv(nb, kLane) * kLane * (2 * w + 1));
-      const obs::ScopedTimer timing(netNs);
-      // Caches skipped (Phase::kInfer).
-      const auto y = net.forward(
-          std::span<const float>(ws.input).subspan(sb * inSize, nb * inSize),
-          static_cast<int>(nb), ws.scratch, nn::Phase::kInfer);
-      for (size_t k = 0; k < nb; ++k) {
-        nn::SoftmaxCE::forward(y.subspan(k * classes, classes), -1,
-                               out[vucs[sb + k]].set(s));
-      }
-      continue;
+    for (; s == Stage::S1 && check < k0 + lanes; check += bs) {
+      checkDeadline(deadline);
     }
-    for (size_t k0 = sb; k0 < sb + nb; k0 += kLane) {
-      const size_t lanes = std::min(kLane, sb + nb - k0);
-      {
-        const obs::ScopedTimer timing(prefixNs);
-        gatherLanes(ws, c1, w, k0, lanes);
-      }
-      const obs::ScopedTimer timing(netNs);
-      const auto y = net.forwardLanes(1, ws.lanes, ws.scratch);
-      for (size_t b = 0; b < lanes; ++b) {
-        for (size_t c = 0; c < classes; ++c) logits[c] = y[c * kLane + b];
-        nn::SoftmaxCE::forward(std::span(logits).first(classes), -1,
-                               out[vucs[k0 + b]].set(s));
-      }
+    samples[si]->add(lanes);
+    std::span<const float> x;
+    if (ws.first == 1) {
+      const obs::ScopedTimer timing(prefixNs);
+      gatherLanes(ws, c1, w, k0, lanes);
+      x = ws.lanes;
+    } else {
+      conv1Cols.add(kLane * (2 * w + 1));
+      x = std::span<const float>(ws.input).subspan(k0 / kLane * pack, pack);
+    }
+    const obs::ScopedTimer timing(netNs);
+    const auto y = net.forwardLanes(ws.first, x, ws.scratch);
+    for (size_t b = 0; b < lanes; ++b) {
+      for (size_t c = 0; c < classes; ++c) logits[c] = y[c * kLane + b];
+      nn::SoftmaxCE::forward(std::span(logits).first(classes), -1,
+                             out[vucs[k0 + b]].set(s));
     }
   }
 }
@@ -861,35 +873,28 @@ struct RoundPart {
 };
 
 /// Runs one round's parts of `e`'s nets over the pool into out[i] for every
-/// selected i, each item on its thread's WorkerState.
+/// selected i. Items are (VUC range, stage), each on its thread's
+/// WorkerState: a worker encodes a range once and keeps it for the next item
+/// of the same range.
 void predictRound(const Engine& e, const ChunkStream& st,
                   std::span<const RoundPart> parts, par::ThreadPool& tp,
-                  int batch, bool shared, const Deadline& deadline,
-                  StageProbs* out) {
-  // Items are (range, stage) on the shared-prefix branch and whole ranges
-  // through every stage of their part on the other; either way a worker
-  // encodes a range once and keeps it for the next item of the same range.
+                  int batch, const Deadline& deadline, StageProbs* out) {
   size_t evals = 0;
   for (const RoundPart& p : parts) evals += p.vucs.size() * p.stages.size();
-  const size_t grain =
-      shared ? streamRange(evals)
-             : std::max(kPredictGrain, static_cast<size_t>(batch));
-  const auto itemsPerRange = [shared](const RoundPart& p) {
-    return shared ? p.stages.size() : size_t{1};
-  };
+  const size_t grain = streamRange(evals);
   // Part p's items are [firstItem[p], firstItem[p + 1]).
   std::vector<size_t> firstItem(parts.size() + 1, 0);
   for (size_t p = 0; p < parts.size(); ++p) {
-    firstItem[p + 1] = firstItem[p] + par::numChunks(parts[p].vucs.size(),
-                                                     grain) *
-                                          itemsPerRange(parts[p]);
+    firstItem[p + 1] =
+        firstItem[p] +
+        par::numChunks(parts[p].vucs.size(), grain) * parts[p].stages.size();
   }
   const uint64_t round = gPredictRounds.fetch_add(1) + 1;
   tp.run(firstItem.back(), [&](size_t item, int) {
     size_t p = 0;
     while (item >= firstItem[p + 1]) ++p;
     const RoundPart& part = parts[p];
-    const size_t perRange = itemsPerRange(part);
+    const size_t perRange = part.stages.size();
     const size_t local = item - firstItem[p];
     const par::ChunkRange cr =
         par::chunkRange(part.vucs.size(), grain, local / perRange);
@@ -900,20 +905,12 @@ void predictRound(const Engine& e, const ChunkStream& st,
     if (ws.round != round || ws.range != range) {
       static obs::Histogram& encodeNs = obs::timer("engine.infer.encode_ns");
       const obs::ScopedTimer timing(encodeNs);
-      encodeRange(e.encoder(), st, vucs, shared, ws);
+      encodeRange(e, st, vucs, ws);
       ws.round = round;
       ws.range = range;
     }
-    if (shared) {
-      const Stage s = part.stages[local % perRange];
-      predictRangeStage(e.stageNet(s), s, st, vucs, batch, true, deadline, ws,
-                        out);
-      return;
-    }
-    for (const Stage s : part.stages) {
-      predictRangeStage(e.stageNet(s), s, st, vucs, batch, false, deadline,
-                        ws, out);
-    }
+    const Stage s = part.stages[local % perRange];
+    predictRangeStage(e.stageNet(s), s, st, vucs, batch, deadline, ws, out);
   });
 }
 
@@ -956,14 +953,13 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   batch = par::resolveBatch(batch, kDefaultInferBatch);
   par::ThreadPool inlinePool(1);
   par::ThreadPool& tp = pool ? *pool : inlinePool;
-  const bool shared = sharedPrefix(*this);
   std::vector<RoundPart> round(1);
   round[0].vucs.resize(n);
   std::iota(round[0].vucs.begin(), round[0].vucs.end(), 0U);
   if (plan == StagePlan::kAll) {
     round[0].stages = {Stage::S1,   Stage::S2_1, Stage::S2_2,
                        Stage::S3_1, Stage::S3_2, Stage::S3_3};
-    predictRound(*this, st, round, tp, batch, shared, deadline, out.data());
+    predictRound(*this, st, round, tp, batch, deadline, out.data());
     return out;
   }
   // Routed. Variable v's VUCs, ascending: byVar[varBegin[v], varBegin[v+1]).
@@ -982,7 +978,7 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   std::vector<Stage> at(numVars, Stage::S1);
   round[0].stages = {Stage::S1};
   while (!round.empty()) {
-    predictRound(*this, st, round, tp, batch, shared, deadline, out.data());
+    predictRound(*this, st, round, tp, batch, deadline, out.data());
     for (uint32_t v = 0; v < numVars; ++v) {
       if (at[v] == Stage::kCount || varBegin[v] == varBegin[v + 1]) continue;
       const std::span<const uint32_t> vucs(byVar.data() + varBegin[v],

@@ -214,17 +214,17 @@ class Engine {
   /// on that variable's VUCs — at most three rounds, and out[i] holds just
   /// the stages on its variable's path, all that voteRoute reads. Softmax
   /// writes each evaluated stage in place in out[i].
-  /// When every stage net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2), its
-  /// conv1 runs once per stream row for a range of selected VUCs, and each
-  /// lane group of 8 VUCs gathers its conv1 columns from it and runs the
-  /// rest of the net lane-resident (DESIGN.md §7); other nets (int8,
-  /// window 0) gather encoded windows from the stream and run whole.
+  /// Each stage net runs lane groups of 8 of a range's selected VUCs
+  /// lane-resident to the logits (DESIGN.md §7): from layer 1, on conv1
+  /// columns gathered from one conv1 over the range's stream rows, when
+  /// every net starts Conv1d(k=3) -> ReLU -> MaxPool1d(2); otherwise (int8,
+  /// window 0) from layer 0, on the range's encoded windows.
   /// Fan-out is over (VUC range x stage) on the one shared set of weights
   /// with per-thread scratch. The kernels keep every output's op sequence,
   /// so every evaluated stage is bit-identical to a serial per-window
   /// forward at any job count and any batch size. batch <= 0 resolves via
   /// par::resolveBatch (CATI_BATCH env, then a default of 32). With a
-  /// `deadline`, it is checked once per Stage 1 sub-batch (TimeoutError).
+  /// `deadline`, it is checked once per `batch` Stage 1 VUCs (TimeoutError).
   std::vector<StageProbs> predictStream(const ChunkStream& stream,
                                         par::ThreadPool* pool = nullptr,
                                         int batch = 0,
@@ -350,7 +350,8 @@ class Engine {
 
   /// Has no effect: every load reads the file through an ifstream and runs
   /// load(). The name stays only because the benchmark harness still passes
-  /// kMap; it goes once that caller stops naming it (ROADMAP item 8).
+  /// kMap; it goes once that caller stops naming it (ROADMAP item 6(d),
+  /// after the benchmark change of item 2).
   enum class LoadMode { kStream, kMap };
   static Engine loadFile(const std::filesystem::path& p,
                          LoadMode mode = LoadMode::kStream);

@@ -28,10 +28,6 @@ static_assert(kern::kLane == kBatchLane,
 void Layer::saveExtra(std::ostream&) const {}
 void Layer::loadExtra(std::istream&) {}
 
-const float* Layer::inferLanes(Shape, const float*, float*) const {
-  throw std::logic_error(kind() + ": no lane form");
-}
-
 namespace {
 
 void checkSize(std::span<const float> s, size_t expected, const char* what) {
@@ -101,12 +97,51 @@ void forwardInLanes(const Layer& l, Shape in, const float* x, float* y, int n,
     const int m = std::min(kBatchLane, n - b0);
     packLanes(x + static_cast<size_t>(b0) * inPlane, inPlane, m,
               s.laneIn.data());
-    unpackLanes(l.inferLanes(in, s.laneIn.data(), s.laneOut.data()), outPlane,
-                m, y + static_cast<size_t>(b0) * outPlane);
+    unpackLanes(l.inferLanes(in, s.laneIn.data(), s.laneOut.data(), s),
+                outPlane, m, y + static_cast<size_t>(b0) * outPlane);
   }
 }
 
 }  // namespace
+
+void transposeBlock(const float* src, size_t srcStride, float* dst,
+                    size_t dstStride) {
+  static_assert(kBatchLane == 8, "the block is 8 x 8");
+  // As in MaxPool1d::inferLanes: a vector type, loaded and stored by
+  // memcpy and never passed by value.
+  using V = float __attribute__((vector_size(sizeof(float) * kBatchLane)));
+  V r[kBatchLane];
+  // Unrolled, so r lives in registers rather than on the stack.
+#pragma GCC unroll 8
+  for (int i = 0; i < kBatchLane; ++i) {
+    std::memcpy(&r[i], src + i * srcStride, sizeof r[i]);
+  }
+  // Interleave pairs of rows, then pairs of pairs, then the 128-bit
+  // halves: lo and hi end up as columns j and j + 4.
+  V t[kBatchLane];
+  for (int i = 0; i < kBatchLane; i += 2) {
+    t[i] = __builtin_shufflevector(r[i], r[i + 1], 0, 8, 1, 9, 4, 12, 5, 13);
+    t[i + 1] =
+        __builtin_shufflevector(r[i], r[i + 1], 2, 10, 3, 11, 6, 14, 7, 15);
+  }
+  V u[kBatchLane];
+  for (int i = 0; i < kBatchLane; i += 4) {
+    for (int h = 0; h < 2; ++h) {
+      u[i + 2 * h] = __builtin_shufflevector(t[i + h], t[i + h + 2], 0, 1, 8,
+                                             9, 4, 5, 12, 13);
+      u[i + 2 * h + 1] = __builtin_shufflevector(t[i + h], t[i + h + 2], 2, 3,
+                                                 10, 11, 6, 7, 14, 15);
+    }
+  }
+  for (int j = 0; j < kBatchLane / 2; ++j) {
+    const V lo =
+        __builtin_shufflevector(u[j], u[j + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    const V hi =
+        __builtin_shufflevector(u[j], u[j + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+    std::memcpy(dst + j * dstStride, &lo, sizeof lo);
+    std::memcpy(dst + (j + 4) * dstStride, &hi, sizeof hi);
+  }
+}
 
 // --- Conv1d ------------------------------------------------------------------
 
@@ -153,7 +188,8 @@ void Conv1d::forwardLanes(const float* x, float* y, int len, int seg) const {
                              outC_, k_, len, seg);
 }
 
-const float* Conv1d::inferLanes(Shape in, const float* x, float* y) const {
+const float* Conv1d::inferLanes(Shape in, const float* x, float* y,
+                                LayerScratch&) const {
   forwardLanes(x, y, in.l, in.l);
   return y;
 }
@@ -227,7 +263,8 @@ void ReLU::forward(std::span<const float> x, std::span<float> y, int n,
   }
 }
 
-const float* ReLU::inferLanes(Shape in, const float* x, float* y) const {
+const float* ReLU::inferLanes(Shape in, const float* x, float* y,
+                              LayerScratch&) const {
   const size_t n = static_cast<size_t>(in.size()) * kBatchLane;
   for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0F ? x[i] : 0.0F;
   return y;
@@ -280,8 +317,8 @@ void MaxPool1d::forward(std::span<const float> x, std::span<float> y, int n,
   }
 }
 
-const float* MaxPool1d::inferLanes(Shape in, const float* x,
-                                   float* y) const {
+const float* MaxPool1d::inferLanes(Shape in, const float* x, float* y,
+                                   LayerScratch&) const {
   // forward()'s select on a lane group's 8 lanes at once. GCC 12 leaves a
   // plain loop over the lanes scalar; a vector type, loaded and stored by
   // memcpy (no alignment, no aliasing) and never passed by value (that
@@ -368,7 +405,8 @@ void Linear::forward(std::span<const float> x, std::span<float> y, int n,
   forwardInLanes(*this, {in_, 1}, x.data(), y.data(), n, s);
 }
 
-const float* Linear::inferLanes(Shape, const float* x, float* y) const {
+const float* Linear::inferLanes(Shape, const float* x, float* y,
+                                LayerScratch&) const {
   kern::kernels().denseLane(w_.value.data(), b_.value.data(), x, y, in_,
                             out_);
   return y;
@@ -436,7 +474,8 @@ void Dropout::forward(std::span<const float> x, std::span<float> y, int n,
   }
 }
 
-const float* Dropout::inferLanes(Shape, const float* x, float*) const {
+const float* Dropout::inferLanes(Shape, const float* x, float*,
+                                 LayerScratch&) const {
   return x;
 }
 
@@ -539,7 +578,8 @@ std::span<const float> Sequential::forwardLanes(size_t first,
   for (size_t i = first; i < layers_.size(); ++i) {
     std::vector<float>& act = s.acts_[i];
     act.resize(static_cast<size_t>(kBatchLane) * shapes_[i].size());
-    cur = layers_[i]->inferLanes(layerInShape(i), cur, act.data());
+    cur = layers_[i]->inferLanes(layerInShape(i), cur, act.data(),
+                                 s.layers_[i]);
   }
   return {cur, static_cast<size_t>(kBatchLane) * outShape().size()};
 }

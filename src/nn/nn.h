@@ -65,6 +65,13 @@ struct Param {
 /// and its padding lanes dropped, so results never depend on batch size.
 inline constexpr int kBatchLane = 8;
 
+/// dst[j * dstStride + i] = src[i * srcStride + j] for i, j < kBatchLane:
+/// one kBatchLane x kBatchLane block of floats transposed in registers, a
+/// pure permutation. Lane packs and sample rows convert through it a block
+/// at a time; an element-by-element copy scatters every float.
+void transposeBlock(const float* src, size_t srcStride, float* dst,
+                    size_t dstStride);
+
 /// Bound on the layer count of a loaded net. The stage CNNs have at most
 /// ten layers; Sequential::load rejects more with cati::CorruptError
 /// (DESIGN.md §6). Dimensions are bounded by io::kMaxDim.
@@ -85,7 +92,8 @@ struct LayerScratch {
                                ///< copy; Dropout: scale
   std::vector<uint8_t> mask;   ///< ReLU sign mask
   std::vector<int32_t> argmax; ///< pooling argmax indices
-  std::vector<float> laneIn;   ///< Conv1d/Linear: input (Conv1d dx) lane pack
+  std::vector<float> laneIn;   ///< Conv1d/Linear: input (Conv1d dx) lane
+                               ///< pack; Q layers: lanes copied to samples
   std::vector<float> laneOut;  ///< Conv1d/Linear: output (Conv1d dy) lane pack
   std::vector<int8_t> qx;      ///< quantized layers: per-sample int8 input
   std::vector<int8_t> qt;      ///< quantized conv: [t][c] transposed int8
@@ -121,9 +129,11 @@ class Layer {
 
   /// The Phase::kInfer forward of one lane group, lane-major: `x` is the
   /// [in.size()][kBatchLane] pack of up to 8 samples, `y` gets the output's.
-  /// Each lane gets forward()'s bits. Returns `y`, or `x` when the layer is
-  /// the identity. Layers without a lane form (int8) throw std::logic_error.
-  virtual const float* inferLanes(Shape in, const float* x, float* y) const;
+  /// Each lane gets forward()'s bits and reads no other lane, so a padding
+  /// lane, whatever it holds (NaN included), never changes a live one.
+  /// Returns `y`, or `x` when the layer is the identity.
+  virtual const float* inferLanes(Shape in, const float* x, float* y,
+                                  LayerScratch& s) const = 0;
 
   virtual std::vector<Param*> params() { return {}; }
   std::vector<const Param*> params() const {
@@ -149,7 +159,8 @@ class Conv1d final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
-  const float* inferLanes(Shape in, const float* x, float* y) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string kind() const override { return "conv1d"; }
   void saveExtra(std::ostream& os) const override;
@@ -181,7 +192,8 @@ class ReLU final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
-  const float* inferLanes(Shape in, const float* x, float* y) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::string kind() const override { return "relu"; }
 };
 
@@ -197,7 +209,8 @@ class MaxPool1d final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
-  const float* inferLanes(Shape in, const float* x, float* y) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::string kind() const override { return "maxpool1d"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -218,7 +231,8 @@ class Linear final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
-  const float* inferLanes(Shape in, const float* x, float* y) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string kind() const override { return "linear"; }
   void saveExtra(std::ostream& os) const override;
@@ -247,7 +261,8 @@ class Dropout final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
-  const float* inferLanes(Shape in, const float* x, float* y) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::string kind() const override { return "dropout"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;

@@ -57,6 +57,78 @@ QWeights loadQWeights(io::Reader& r, int inF, int outF, int k,
   return q;
 }
 
+/// The int8 forward of n [inF x len] samples, back to back in `x`, through
+/// `q`'s k taps (`same` zero padding; a linear layer is k = len = 1): output
+/// element i of sample b goes to y[b * yStep + i * yStride]. The one int8
+/// arithmetic of QConv1d and QLinear, forward and lane form alike.
+void forwardSamples(const QWeights& q, int inF, int outF, int k, int len,
+                    const float* x, int n, float* y, size_t yStep,
+                    size_t yStride, LayerScratch& s) {
+  const auto& K = kern::kernels();
+  const int groups = kern::qGroups(inF);
+  const int oPad = kern::qOutPad(outF);
+  const int pad = k / 2;
+  const size_t gRow = static_cast<size_t>(groups) * kern::kQGroup;
+  const size_t blockBytes = qBlockBytes(inF, outF);
+
+  s.qx.resize(static_cast<size_t>(inF) * len);
+  s.qacc.resize(static_cast<size_t>(oPad));
+  for (int b = 0; b < n; ++b) {
+    const float* xs = x + static_cast<size_t>(b) * inF * len;
+    float* ys = y + static_cast<size_t>(b) * yStep;
+    const float amax = K.absMax(xs, inF * len);
+    const float invScale = amax > 0.0F ? 127.0F / amax : 0.0F;
+    const float sx = amax / 127.0F;
+    K.quantizeI8(xs, s.qx.data(), inF * len, invScale);
+    // Transpose to [t][c] rows, zero-padded to full groups, so each output
+    // position is one contiguous qgemv per contributing tap.
+    s.qt.assign(static_cast<size_t>(len) * gRow, 0);
+    for (int c = 0; c < inF; ++c) {
+      for (int t = 0; t < len; ++t) {
+        s.qt[static_cast<size_t>(t) * gRow + c] =
+            s.qx[static_cast<size_t>(c) * len + t];
+      }
+    }
+    for (int t = 0; t < len; ++t) {
+      std::memset(s.qacc.data(), 0, static_cast<size_t>(oPad) * sizeof(int32_t));
+      for (int kk = 0; kk < k; ++kk) {
+        const int tt = t + kk - pad;
+        if (tt < 0 || tt >= len) continue;  // `same` zero padding
+        K.qgemvI8(q.w.data() + static_cast<size_t>(kk) * blockBytes,
+                  q.rowSum.data() + static_cast<size_t>(kk) * oPad,
+                  s.qt.data() + static_cast<size_t>(tt) * gRow, s.qacc.data(),
+                  groups, oPad);
+      }
+      for (int o = 0; o < outF; ++o) {
+        ys[(static_cast<size_t>(o) * len + t) * yStride] =
+            q.bias[static_cast<size_t>(o)] +
+            (sx * q.scale[static_cast<size_t>(o)]) *
+                static_cast<float>(s.qacc[static_cast<size_t>(o)]);
+      }
+    }
+  }
+}
+
+/// inferLanes(): the lane group `x` copied out to kBatchLane contiguous
+/// samples, each sample's outputs written back into its lane.
+const float* forwardLanes(const QWeights& q, int inF, int outF, int k,
+                          int len, const float* x, float* y, LayerScratch& s) {
+  const auto plane = static_cast<size_t>(inF) * len;
+  s.laneIn.resize(plane * kBatchLane);
+  size_t i = 0;
+  for (; i + kBatchLane <= plane; i += kBatchLane) {
+    transposeBlock(x + i * kBatchLane, kBatchLane, s.laneIn.data() + i, plane);
+  }
+  for (; i < plane; ++i) {
+    for (int b = 0; b < kBatchLane; ++b) {
+      s.laneIn[static_cast<size_t>(b) * plane + i] = x[i * kBatchLane + b];
+    }
+  }
+  forwardSamples(q, inF, outF, k, len, s.laneIn.data(), kBatchLane, y, 1,
+                 kBatchLane, s);
+  return y;
+}
+
 }  // namespace
 
 size_t qBlockBytes(int inF, int outF) {
@@ -127,49 +199,13 @@ void QConv1d::forward(std::span<const float> x, std::span<float> y, int n,
                       LayerScratch& s, Phase phase) const {
   if (phase != Phase::kInfer) inferenceOnly("QConv1d::forward");
   const int len = static_cast<int>(x.size()) / (n * inC_);
-  const auto& K = kern::kernels();
-  const int groups = kern::qGroups(inC_);
-  const int oPad = kern::qOutPad(outC_);
-  const int pad = k_ / 2;
-  const size_t gRow = static_cast<size_t>(groups) * kern::kQGroup;
-  const size_t blockBytes = qBlockBytes(inC_, outC_);
+  forwardSamples(q_, inC_, outC_, k_, len, x.data(), n, y.data(),
+                 static_cast<size_t>(outC_) * len, 1, s);
+}
 
-  s.qx.resize(static_cast<size_t>(inC_) * len);
-  s.qacc.resize(static_cast<size_t>(oPad));
-  for (int b = 0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * inC_ * len;
-    float* ys = y.data() + static_cast<size_t>(b) * outC_ * len;
-    const float amax = K.absMax(xs, inC_ * len);
-    const float invScale = amax > 0.0F ? 127.0F / amax : 0.0F;
-    const float sx = amax / 127.0F;
-    K.quantizeI8(xs, s.qx.data(), inC_ * len, invScale);
-    // Transpose to [t][c] rows, zero-padded to full groups, so each output
-    // position is one contiguous qgemv per contributing tap.
-    s.qt.assign(static_cast<size_t>(len) * gRow, 0);
-    for (int c = 0; c < inC_; ++c) {
-      for (int t = 0; t < len; ++t) {
-        s.qt[static_cast<size_t>(t) * gRow + c] =
-            s.qx[static_cast<size_t>(c) * len + t];
-      }
-    }
-    for (int t = 0; t < len; ++t) {
-      std::memset(s.qacc.data(), 0, static_cast<size_t>(oPad) * sizeof(int32_t));
-      for (int kk = 0; kk < k_; ++kk) {
-        const int tt = t + kk - pad;
-        if (tt < 0 || tt >= len) continue;  // `same` zero padding
-        K.qgemvI8(q_.w.data() + static_cast<size_t>(kk) * blockBytes,
-                  q_.rowSum.data() + static_cast<size_t>(kk) * oPad,
-                  s.qt.data() + static_cast<size_t>(tt) * gRow, s.qacc.data(),
-                  groups, oPad);
-      }
-      for (int o = 0; o < outC_; ++o) {
-        ys[static_cast<size_t>(o) * len + t] =
-            q_.bias[static_cast<size_t>(o)] +
-            (sx * q_.scale[static_cast<size_t>(o)]) *
-                static_cast<float>(s.qacc[static_cast<size_t>(o)]);
-      }
-    }
-  }
+const float* QConv1d::inferLanes(Shape in, const float* x, float* y,
+                                 LayerScratch& s) const {
+  return forwardLanes(q_, inC_, outC_, k_, in.l, x, y, s);
 }
 
 void QConv1d::backward(std::span<const float>, std::span<float>, int,
@@ -210,29 +246,12 @@ Shape QLinear::outShape(Shape in) const {
 void QLinear::forward(std::span<const float> x, std::span<float> y, int n,
                       LayerScratch& s, Phase phase) const {
   if (phase != Phase::kInfer) inferenceOnly("QLinear::forward");
-  const auto& K = kern::kernels();
-  const int groups = kern::qGroups(in_);
-  const int oPad = kern::qOutPad(out_);
-  const size_t gRow = static_cast<size_t>(groups) * kern::kQGroup;
+  forwardSamples(q_, in_, out_, 1, 1, x.data(), n, y.data(), out_, 1, s);
+}
 
-  s.qacc.resize(static_cast<size_t>(oPad));
-  for (int b = 0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * in_;
-    float* ys = y.data() + static_cast<size_t>(b) * out_;
-    const float amax = K.absMax(xs, in_);
-    const float invScale = amax > 0.0F ? 127.0F / amax : 0.0F;
-    const float sx = amax / 127.0F;
-    s.qx.assign(gRow, 0);  // zero-pad the final partial group
-    K.quantizeI8(xs, s.qx.data(), in_, invScale);
-    std::memset(s.qacc.data(), 0, static_cast<size_t>(oPad) * sizeof(int32_t));
-    K.qgemvI8(q_.w.data(), q_.rowSum.data(), s.qx.data(), s.qacc.data(),
-              groups, oPad);
-    for (int o = 0; o < out_; ++o) {
-      ys[o] = q_.bias[static_cast<size_t>(o)] +
-              (sx * q_.scale[static_cast<size_t>(o)]) *
-                  static_cast<float>(s.qacc[static_cast<size_t>(o)]);
-    }
-  }
+const float* QLinear::inferLanes(Shape, const float* x, float* y,
+                                 LayerScratch& s) const {
+  return forwardLanes(q_, in_, out_, 1, 1, x, y, s);
 }
 
 void QLinear::backward(std::span<const float>, std::span<float>, int,

@@ -22,7 +22,8 @@
 // cost is gated (≤ 0.5 pp) by tests/test_quant.cc and bench harness.
 //
 // Q layers are inference-only: forward outside Phase::kInfer and backward
-// throw. They persist like any layer — Sequential::save writes their kind
+// throw; inferLanes runs forward's per-sample body on each lane. They
+// persist like any layer — Sequential::save writes their kind
 // and saveExtra bytes (dims, scale, bias, the grouped int8 w) into the same
 // CRC-verified engine container as fp32 layers; loadExtra range-checks every
 // count and recomputes the row sums from w.
@@ -68,6 +69,8 @@ class QConv1d final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::string kind() const override { return "qconv1d"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;
@@ -93,6 +96,8 @@ class QLinear final : public Layer {
                LayerScratch& s, Phase phase) const override;
   void backward(std::span<const float> dy, std::span<float> dx, int n,
                 LayerScratch& s, std::span<float> grads) const override;
+  const float* inferLanes(Shape in, const float* x, float* y,
+                          LayerScratch& s) const override;
   std::string kind() const override { return "qlinear"; }
   void saveExtra(std::ostream& os) const override;
   void loadExtra(std::istream& is) override;

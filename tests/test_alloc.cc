@@ -4,10 +4,10 @@
 // thread, so a predict allocates per round and VUC range (index vectors,
 // the result table), never per VUC and stage. The check: a stream k times
 // longer may cost only a few more allocations, far fewer than k times its
-// VUCs — at kAll and kRouted, jobs {1, 4}, on the shared-prefix branch
-// (fp32) and the whole-net one (int8). The predict state belongs to the
-// threads, not to an Engine, so a second engine of the same structure is
-// warm on its first predict on a warm pool.
+// VUCs — at kAll and kRouted, jobs {1, 4}, for nets entered at layer 1
+// (fp32, shared prefix) and at layer 0 (int8). The predict state belongs to
+// the threads, not to an Engine, so a second engine of the same structure
+// is warm on its first predict on a warm pool.
 //
 // Training writes each gradient once, into the slab its chunk hands the
 // backward: a stage net, built or loaded, holds its parameters and no
@@ -71,8 +71,8 @@ void startCounting() {
   gCounting.store(true);
 }
 
-/// Heap allocations, on any thread, during one predictStream in
-/// sub-batches of `batch` VUCs (0: the default).
+/// Heap allocations, on any thread, during one predictStream at `batch`
+/// (0: the default).
 uint64_t allocations(const Engine& e, const ChunkStream& st,
                      par::ThreadPool* pool, StagePlan plan, int batch = 0) {
   startCounting();
@@ -146,8 +146,8 @@ TEST(PredictAllocations, DoNotGrowWithVucsTimesStages) {
     for (const int jobs : {1, 4}) {
       par::ThreadPool pool(jobs);
       for (const StagePlan plan : {StagePlan::kAll, StagePlan::kRouted}) {
-        // Batch 1 too: every lane group of the shared-prefix branch is then
-        // a partial one.
+        // Batch 1 too: lane groups are a range's VUCs 8 at a time whatever
+        // the batch, so it must allocate like the default.
         for (const int batch : {0, 1}) {
           const uint64_t once = warmAllocations(e, s, pool, plan, batch);
           uint64_t more = allocations(e, s.longer, &pool, plan, batch);

@@ -13,6 +13,9 @@
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/errors.h"
 #include "common/parallel.h"
@@ -735,24 +738,38 @@ void expectLanesMatch(const Sequential& net, size_t first,
 
 TEST(Lanes, StageNetsMatchForwardFromEveryLayer) {
   // The default stage net (EngineConfig: 96 channels, conv 32-64, FC 128,
-  // dropout 0.3) at windows 10, 2 and 1, whose nets differ in shape: window
-  // 1 has no second pool. From every layer on, at 1..17 samples: full lane
-  // groups, partial ones and both together.
-  for (const int window : {10, 2, 1}) {
+  // dropout 0.3) at windows 10, 2, 1 and 0, whose nets differ in shape:
+  // window 1 has no second pool, window 0 no pool at all. Each (but window
+  // 0, which no engine quantizes in tests) also as its int8 twin, whose
+  // lanes run forward's per-sample body. From every layer on, at 1..17
+  // samples: full lane groups, partial ones and both together, the padding
+  // lanes NaN.
+  for (const int window : {10, 2, 1, 0}) {
     Rng rng(static_cast<uint64_t>(90 + window));
-    const Sequential net =
-        makeCnn({96, 2 * window + 1}, 32, 64, 128, 5, 0.3F, rng);
-    for (size_t first = 0; first <= net.numLayers(); ++first) {
-      const auto inSize = static_cast<size_t>(net.layerInShape(first).size());
-      for (int n = 1; n <= 2 * kBatchLane + 1; ++n) {
-        std::vector<float> x(static_cast<size_t>(n) * inSize);
-        for (float& v : x) v = rng.normal();
-        expectLanesMatch(net, first, x, n,
-                         "window " + std::to_string(window) + " from layer " +
-                             std::to_string(first) + " n " +
-                             std::to_string(n));
+    std::vector<std::pair<std::string, Sequential>> nets;
+    nets.emplace_back("fp32",
+                      makeCnn({96, 2 * window + 1}, 32, 64, 128, 5, 0.3F, rng));
+    if (window > 0) nets.emplace_back("int8", quantizeNet(nets[0].second));
+    for (const auto& [kind, net] : nets) {
+      for (size_t first = 0; first <= net.numLayers(); ++first) {
+        const auto inSize =
+            static_cast<size_t>(net.layerInShape(first).size());
+        for (int n = 1; n <= 2 * kBatchLane + 1; ++n) {
+          std::vector<float> x(static_cast<size_t>(n) * inSize);
+          for (float& v : x) v = rng.normal();
+          expectLanesMatch(net, first, x, n,
+                           kind + " window " + std::to_string(window) +
+                               " from layer " + std::to_string(first) +
+                               " n " + std::to_string(n));
+        }
       }
     }
+    // A lane group is kBatchLane samples' floats, no fewer.
+    Scratch s = nets.back().second.makeScratch();
+    const std::vector<float> x(
+        static_cast<size_t>(nets.back().second.inShape().size()));
+    EXPECT_THROW(nets.back().second.forwardLanes(0, x, s),
+                 std::invalid_argument);
   }
 }
 
@@ -783,16 +800,6 @@ TEST(Lanes, ReluAndPoolKeepCompareSemantics) {
       }
     }
   }
-}
-
-TEST(Lanes, LayersWithoutALaneFormThrow) {
-  Rng rng(44);
-  const Sequential q = quantizeNet(makeCnn({6, 9}, 4, 4, 8, 3, 0.0F, rng));
-  Scratch s = q.makeScratch();
-  std::vector<float> x(static_cast<size_t>(q.inShape().size()) * kBatchLane);
-  EXPECT_THROW(q.forwardLanes(0, x, s), std::logic_error);
-  EXPECT_THROW(q.forwardLanes(0, std::span(x).first(1), s),
-               std::invalid_argument);
 }
 
 TEST(Batch, ScratchMismatchThrows) {

@@ -1,9 +1,11 @@
 // Differential suite for the shared-context predict path (DESIGN.md §7).
 //
-// Engine::predictStream runs each stage net's Conv1d(k=3) -> ReLU ->
-// MaxPool1d(2) prefix once per row of a chunk stream and gathers every VUC's
-// pooled map from it; nets without that prefix (int8, window 0) gather the
-// encoded windows and run whole. Either way the probabilities must equal,
+// Engine::predictStream runs every stage net on lane groups of 8 VUCs,
+// lane-resident from a first layer to the logits. Nets with the
+// Conv1d(k=3) -> ReLU -> MaxPool1d(2) prefix start at layer 1: conv1 runs
+// once per row of a chunk stream and each group gathers its conv1 columns
+// from it. Nets without it (int8, window 0) start at layer 0, on the
+// groups' encoded windows. Either way the probabilities must equal,
 // bit for bit, a whole-net forward of each VUC's own encoded window at
 // batch 1 — the reference here — at any batch size and job count, and on
 // whichever kernel tier runs: CI repeats this suite under
@@ -196,9 +198,9 @@ class StreamPredictTest : public testing::Test {
 Engine* StreamPredictTest::micro_ = nullptr;
 
 TEST_F(StreamPredictTest, RandomStreamsMatchPerWindowForwards) {
-  // The trained micro model (window 4), its int8 twin (whole-net gather),
-  // and untrained nets at the production window and conv widths, at the
-  // smallest windows, and at window 0 (no pooling: whole-net gather).
+  // The trained micro model (window 4), its int8 twin (window packs from
+  // layer 0), and untrained nets at the production window and conv widths,
+  // at the smallest windows, and at window 0 (no pooling: window packs).
   struct Variant {
     std::string name;
     Engine engine;
@@ -243,8 +245,8 @@ TEST_F(StreamPredictTest, TinyFunctionsPutEveryBoundaryInsidePads) {
 TEST_F(StreamPredictTest, ImageChunkMatchesPerWindowForwards) {
   // A real chunk: prepareFunction over a stripped image's functions, their
   // streams appended as ImageAnalysis appends them. Each worker runs all
-  // six stage nets on its one scratch, on the shared-prefix branch (micro)
-  // and the whole-net one (its int8 twin).
+  // six stage nets on its one scratch, from layer 1 (micro) and from
+  // layer 0 (its int8 twin).
   loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
   loader::strip(img);
   DiagList diags;
@@ -363,7 +365,7 @@ TEST_F(StreamPredictTest, OcclusionEpsilonsMatchZeroedRowForwards) {
   // stream, the occluded row a BLANK token row. The ε must equal, bit for
   // bit, the ratio of whole-net batch-1 forwards of the window with that
   // row zeroed — for the trained micro model, its int8 twin, window 10
-  // (shared prefix) and window 0 (whole-net gather), every k and stage.
+  // (shared prefix) and window 0 (window packs), every k and stage.
   struct Variant {
     std::string name;
     Engine engine;
@@ -428,8 +430,8 @@ Engine withVoting(const Engine& base, float clip, bool clipEnabled) {
 TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
   // StagePlan::kRouted over a real chunk gives every VUC exactly the stages
   // on its variable's voted path — bit-equal to the kAll predict there,
-  // unset elsewhere — at jobs {1, 4} x batch {1, 32}, on the shared-prefix
-  // branch (micro) and the whole-net one (its int8 twin), and with the
+  // unset elsewhere — at jobs {1, 4} x batch {1, 32}, from layer 1 (micro)
+  // and from layer 0 (its int8 twin), and with the
   // routing votes clipped at 0.5 (every Stage 1 winner counts 1.0) and not
   // clipped at all; finishFunction types every variable the same from
   // either. So the engine.infer.samples.<Stage> counters add up to the sum

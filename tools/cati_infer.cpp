@@ -90,8 +90,8 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     return 1;
   }
 
-  // common.batch (or CATI_BATCH) sets the inference batch; results are
-  // identical at any batch size, only throughput changes. The decode cache
+  // common.batch (or CATI_BATCH) sets how many Stage 1 VUCs run between
+  // deadline checks; results are identical at any batch size. The decode cache
   // makes repeat analysis of the same functions (re-runs, shared bodies)
   // skip decode + IR lowering; it never changes output.
   par::ThreadPool pool(par::resolveJobs(jobs));

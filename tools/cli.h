@@ -118,10 +118,11 @@ struct Common {
   bool verbose = false;       ///< --verbose: include Note-severity diagnostics
   bool metrics = false;       ///< --metrics[=FILE]: emit a JSON snapshot
   std::string metricsPath;    ///< empty means stderr
-  /// --batch N: samples per NN forward pass (training minibatch for
-  /// cati-train, inference batch for cati-infer). 0 = unset; resolve with
+  /// --batch N: samples per NN forward pass for cati-train (the training
+  /// minibatch); for cati-infer, Stage 1 VUCs per deadline check (predict
+  /// always runs lane groups of 8). 0 = unset; resolve with
   /// par::resolveBatch, which falls back to CATI_BATCH then a tool default.
-  /// Batch size never changes results, only throughput (DESIGN.md §7).
+  /// Inference results never depend on it (DESIGN.md §7).
   int batch = 0;
 };
 
