@@ -764,12 +764,31 @@ TEST(Lanes, StageNetsMatchForwardFromEveryLayer) {
         }
       }
     }
-    // A lane group is kBatchLane samples' floats, no fewer.
-    Scratch s = nets.back().second.makeScratch();
-    const std::vector<float> x(
-        static_cast<size_t>(nets.back().second.inShape().size()));
-    EXPECT_THROW(nets.back().second.forwardLanes(0, x, s),
+  }
+}
+
+TEST(Lanes, MalformedGroupsThrow) {
+  // A lane group is kBatchLane samples' floats at the first layer's input,
+  // no fewer and no more, on the net's own scratch — for an fp32 net and
+  // its int8 twin alike.
+  Rng rng(44);
+  std::vector<Sequential> nets;
+  nets.push_back(makeCnn({6, 9}, 4, 4, 8, 3, 0.0F, rng));
+  nets.push_back(quantizeNet(nets[0]));
+  const Sequential other({6, 9});  // different layer structure
+  for (const Sequential& q : nets) {
+    Scratch s = q.makeScratch();
+    const auto inSize = static_cast<size_t>(q.inShape().size());
+    std::vector<float> x(inSize * kBatchLane + 1);
+    const std::span group = std::span(x).first(inSize * kBatchLane);
+    EXPECT_NO_THROW(q.forwardLanes(0, group, s));
+    EXPECT_THROW(q.forwardLanes(0, group.first(inSize), s),
                  std::invalid_argument);
+    EXPECT_THROW(q.forwardLanes(0, x, s), std::invalid_argument);
+    EXPECT_THROW(q.forwardLanes(q.numLayers() + 1, group, s),
+                 std::invalid_argument);
+    Scratch foreign = other.makeScratch();
+    EXPECT_THROW(q.forwardLanes(0, group, foreign), std::invalid_argument);
   }
 }
 
