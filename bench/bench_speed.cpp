@@ -101,7 +101,7 @@ void BM_AnalyzeBinaryEndToEnd(benchmark::State& state) {
   loader::strip(img);
   const obs::Snapshot base = bench::metricsBaseline();
   for (auto _ : state) {
-    const serve::AnalyzeResult res = serve::analyzeImage(e, img, nullptr, 0);
+    const serve::AnalyzeResult res = serve::analyzeImage(e, img, nullptr);
     benchmark::DoNotOptimize(res);
   }
   exportMetricsColumns(state, base);
@@ -248,32 +248,6 @@ BENCHMARK(BM_PredictBatchJobs)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_PredictBatchSize(benchmark::State& state) {
-  // The window adapter at jobs=1 and --batch 1, 8 and 32. Predict runs a
-  // range's VUCs in lane groups of 8 whatever the batch, which sets only
-  // how often a deadline is checked, so the rows should read alike: a
-  // batch that paid for partial lane groups would show here. Results are
-  // bit-identical at every batch size (DESIGN.md §7).
-  Engine& e = bundle().engine();
-  const corpus::Dataset& test = bundle().testSet();
-  par::ThreadPool pool(1);
-  const size_t n = std::min<size_t>(test.vucs.size(), 256);
-  const std::span<const corpus::Vuc> vucs(test.vucs.data(), n);
-  const int batch = static_cast<int>(state.range(0));
-  const obs::Snapshot base = bench::metricsBaseline();
-  for (auto _ : state) {
-    const auto out = e.predictVucs(vucs, &pool, batch);
-    benchmark::DoNotOptimize(out);
-  }
-  exportMetricsColumns(state, base);
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_PredictBatchSize)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
 /// The first prediction chunk cati-infer forms on the speed binary, stripped:
 /// whole functions through Engine::prepareFunction until serve::kChunkInsns
 /// instructions, as serve::ImageAnalysis cuts them — once as the chunk
@@ -302,7 +276,7 @@ Chunk speedChunk(Engine& e) {
 }
 
 void BM_PredictChunk(benchmark::State& state) {
-  // One real cati-infer chunk at jobs=1 and the default batch, through the
+  // One real cati-infer chunk at jobs=1, through the
   // window adapter (/0: predictVucs, window adapter = one-VUC functions),
   // the chunk stream (/1: predictStream, conv1 once per stream row,
   // DESIGN.md §7), or the chunk stream by route (/2: StagePlan::kRouted,
@@ -322,7 +296,7 @@ void BM_PredictChunk(benchmark::State& state) {
       case 1:
         return e.predictStream(chunk.stream, &pool);
       default:
-        return e.predictStream(chunk.stream, &pool, 0, StagePlan::kRouted);
+        return e.predictStream(chunk.stream, &pool, StagePlan::kRouted);
     }
   };
   const bool wasEnabled = obs::enabled();
@@ -364,30 +338,25 @@ Engine& quantEngine() {
   return q;
 }
 
-void BM_PredictBatchSizeQuant(benchmark::State& state) {
-  // The int8 twin of BM_PredictBatchSize: same VUCs, same jobs=1 isolation,
-  // quantized engine. items_per_second at /32 vs the fp32 /32 row is the
-  // quantization speedup (the headline lever for the ≥2x target); accuracy
-  // cost is gated at ≤0.5pp by bench_table6_accuracy and test_quant.
+void BM_PredictQuant(benchmark::State& state) {
+  // The int8 twin of BM_PredictBatchJobs/1: same VUCs, same jobs=1
+  // isolation, quantized engine. items_per_second against that row is the
+  // quantization speedup; accuracy cost is gated at <=0.5pp by
+  // bench_table6_accuracy and test_quant.
   Engine& e = quantEngine();
   const corpus::Dataset& test = bundle().testSet();
   par::ThreadPool pool(1);
   const size_t n = std::min<size_t>(test.vucs.size(), 256);
   const std::span<const corpus::Vuc> vucs(test.vucs.data(), n);
-  const int batch = static_cast<int>(state.range(0));
   const obs::Snapshot base = bench::metricsBaseline();
   for (auto _ : state) {
-    const auto out = e.predictVucs(vucs, &pool, batch);
+    const auto out = e.predictVucs(vucs, &pool);
     benchmark::DoNotOptimize(out);
   }
   exportMetricsColumns(state, base);
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
-BENCHMARK(BM_PredictBatchSizeQuant)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictQuant)->Unit(benchmark::kMillisecond);
 
 // One layer of a Stage 1 net shaped like the engine's (makeCnn with the
 // default EngineConfig), forward at batch 32 on one thread, input = the

@@ -49,7 +49,7 @@ int main() {
   // Disassemble the bytes, recover and type every function: the analysis
   // cati-infer runs, returning the report it prints.
   const serve::AnalyzeResult result =
-      serve::analyzeImage(engine, received, /*pool=*/nullptr, /*batch=*/0);
+      serve::analyzeImage(engine, received, /*pool=*/nullptr);
   std::printf("\n%s", result.report.c_str());
   return 0;
 }

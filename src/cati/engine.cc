@@ -503,10 +503,6 @@ constexpr size_t kMaxStreamRange = 96;
 // would leave most of a 4-worker pool idle on it.
 constexpr size_t kRoundItems = 12;
 
-// Default inference batch, the Stage 1 VUCs between two deadline checks,
-// when neither the caller nor CATI_BATCH asks for a specific size.
-constexpr int kDefaultInferBatch = 32;
-
 /// The first layer of `net` when the net starts Conv1d(k=3) -> ReLU ->
 /// MaxPool1d(2), else null.
 const nn::Conv1d* sharedConv1(const nn::Sequential& net) {
@@ -550,7 +546,7 @@ struct WorkerState {
   /// first 1: the range's rows, the conv lane pack [C][len][kLane];
   /// first 0: its windows, a [C][2w+1][kLane] pack per lane group.
   std::vector<float> input;
-  std::vector<float> step8;     ///< first 0: one time step of a group [8][C]
+  std::vector<float> samples;   ///< first 0: one group's windows, [8][C][2w+1]
   std::vector<float> pairs;     ///< left-border pairs [C][2P][kLane]
   std::vector<uint32_t> flatRow;  ///< packed position -> stream row
   int len = 0;       ///< lane length of `input`
@@ -678,34 +674,21 @@ void encodeRange(const Engine& e, const ChunkStream& st,
   ws.first = sharedPrefix(e) ? 1 : 0;
   if (ws.first == 0) {
     // VUC k's window, channel-major, in lane k % 8 of lane group k / 8; the
-    // padding lanes of a partial last group are zero. Each time step of a
-    // group is encoded as 8 rows of ws.step8 and transposed into the pack 8
-    // channels at a time: encoded straight into the lanes, every float of a
-    // row would land on a cache line of its own.
-    const size_t pack = channels * span * kLane;
-    ws.input.resize(ceilDiv(m, kLane) * pack);
-    ws.step8.resize(kLane * channels);
+    // padding lanes of a partial last group are zero. Each group's windows
+    // are encoded as 8 samples in ws.samples, then packed.
+    const size_t plane = channels * span;
+    ws.input.resize(ceilDiv(m, kLane) * plane * kLane);
+    ws.samples.resize(kLane * plane);
     for (size_t k0 = 0; k0 < m; k0 += kLane) {
       const size_t lanes = std::min(kLane, m - k0);
-      std::fill(ws.step8.begin() + static_cast<ptrdiff_t>(lanes * channels),
-                ws.step8.end(), 0.0F);
-      float* dst = ws.input.data() + k0 / kLane * pack;
-      for (size_t r = 0; r < span; ++r, dst += kLane) {
-        for (size_t b = 0; b < lanes; ++b) {
+      for (size_t b = 0; b < lanes; ++b) {
+        for (size_t r = 0; r < span; ++r) {
           enc.encodeRow(rows[centres[vucs[k0 + b]] - w + r],
-                        ws.step8.data() + b * channels, 1);
-        }
-        size_t c = 0;
-        for (; c + kLane <= channels; c += kLane) {
-          nn::transposeBlock(ws.step8.data() + c, channels,
-                             dst + c * span * kLane, span * kLane);
-        }
-        for (; c < channels; ++c) {
-          for (size_t b = 0; b < kLane; ++b) {
-            dst[c * span * kLane + b] = ws.step8[b * channels + c];
-          }
+                        ws.samples.data() + b * plane + r, span);
         }
       }
+      nn::packLanes(ws.samples.data(), plane, static_cast<int>(lanes),
+                    ws.input.data() + k0 * plane);
     }
     return;
   }
@@ -804,7 +787,7 @@ void gatherLanes(WorkerState& ws, size_t c1, size_t w, size_t k0,
 /// lane-resident to the logits.
 void predictRangeStage(const nn::Sequential& net, Stage s,
                        const ChunkStream& st, std::span<const uint32_t> vucs,
-                       int batch, const Deadline& deadline, WorkerState& ws,
+                       const Deadline& deadline, WorkerState& ws,
                        StageProbs* out) {
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
@@ -834,17 +817,14 @@ void predictRangeStage(const nn::Sequential& net, Stage s,
   }
   const size_t pack =
       static_cast<size_t>(net.layerInShape(ws.first).size()) * kLane;
-  const auto bs = static_cast<size_t>(std::max(1, batch));
   std::array<float, kMaxClasses> logits{};
-  for (size_t k0 = 0, check = 0; k0 < m; k0 += kLane) {
+  for (size_t k0 = 0; k0 < m; k0 += kLane) {
     const size_t lanes = std::min(kLane, m - k0);
-    // Deadline check once per sub-batch of `batch` VUCs, in the first stage
-    // only, which every VUC passes and the rest of its path follows: cheap
-    // (a clock read, only when a deadline is set) and bounds how late a
-    // timeout fires.
-    for (; s == Stage::S1 && check < k0 + lanes; check += bs) {
-      checkDeadline(deadline);
-    }
+    // Deadline check once per lane group in the first stage only, which
+    // every VUC passes and the rest of its path follows: cheap (a clock
+    // read, only when a deadline is set) and bounds how late a timeout
+    // fires.
+    if (s == Stage::S1) checkDeadline(deadline);
     samples[si]->add(lanes);
     std::span<const float> x;
     if (ws.first == 1) {
@@ -878,7 +858,7 @@ struct RoundPart {
 /// of the same range.
 void predictRound(const Engine& e, const ChunkStream& st,
                   std::span<const RoundPart> parts, par::ThreadPool& tp,
-                  int batch, const Deadline& deadline, StageProbs* out) {
+                  const Deadline& deadline, StageProbs* out) {
   size_t evals = 0;
   for (const RoundPart& p : parts) evals += p.vucs.size() * p.stages.size();
   const size_t grain = streamRange(evals);
@@ -910,14 +890,14 @@ void predictRound(const Engine& e, const ChunkStream& st,
       ws.range = range;
     }
     const Stage s = part.stages[local % perRange];
-    predictRangeStage(e.stageNet(s), s, st, vucs, batch, deadline, ws, out);
+    predictRangeStage(e.stageNet(s), s, st, vucs, deadline, ws, out);
   });
 }
 
 }  // namespace
 
 std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
-                                              par::ThreadPool* pool, int batch,
+                                              par::ThreadPool* pool,
                                               StagePlan plan,
                                               Deadline deadline) const {
   if (!trained()) throw std::logic_error("Engine::predict: not trained");
@@ -950,7 +930,6 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
       throw std::invalid_argument("Engine: chunk stream centre out of range");
     }
   }
-  batch = par::resolveBatch(batch, kDefaultInferBatch);
   par::ThreadPool inlinePool(1);
   par::ThreadPool& tp = pool ? *pool : inlinePool;
   std::vector<RoundPart> round(1);
@@ -959,7 +938,7 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   if (plan == StagePlan::kAll) {
     round[0].stages = {Stage::S1,   Stage::S2_1, Stage::S2_2,
                        Stage::S3_1, Stage::S3_2, Stage::S3_3};
-    predictRound(*this, st, round, tp, batch, deadline, out.data());
+    predictRound(*this, st, round, tp, deadline, out.data());
     return out;
   }
   // Routed. Variable v's VUCs, ascending: byVar[varBegin[v], varBegin[v+1]).
@@ -978,7 +957,7 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
   std::vector<Stage> at(numVars, Stage::S1);
   round[0].stages = {Stage::S1};
   while (!round.empty()) {
-    predictRound(*this, st, round, tp, batch, deadline, out.data());
+    predictRound(*this, st, round, tp, deadline, out.data());
     for (uint32_t v = 0; v < numVars; ++v) {
       if (at[v] == Stage::kCount || varBegin[v] == varBegin[v + 1]) continue;
       const std::span<const uint32_t> vucs(byVar.data() + varBegin[v],
@@ -1004,7 +983,7 @@ std::vector<StageProbs> Engine::predictStream(const ChunkStream& st,
 
 std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
                                             par::ThreadPool* pool,
-                                            int batch) const {
+                                            int /*batch*/) const {
   if (!trained()) throw std::logic_error("Engine::predictVucs: not trained");
   // Each window as its own one-VUC function: BLANK^w window BLANK^w.
   const std::array<uint32_t, 1> centre{static_cast<uint32_t>(cfg_.window)};
@@ -1012,11 +991,11 @@ std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
   for (const corpus::Vuc& v : vucs) {
     st.append(ChunkStream(cfg_.window, windowRows(v), centre));
   }
-  return predictStream(st, pool, batch);
+  return predictStream(st, pool);
 }
 
 StageProbs Engine::predictVuc(const corpus::Vuc& vuc) const {
-  return predictVucs(std::span(&vuc, 1), nullptr, 1).front();
+  return predictVucs(std::span(&vuc, 1)).front();
 }
 
 TypeLabel Engine::routeVuc(const StageProbs& p) const {

@@ -160,7 +160,7 @@ class ChunkStream {
 };
 
 /// An analysis deadline (--timeout-ms): checked by Engine::admitFunction
-/// per function and by Engine::predictStream per Stage 1 sub-batch, which
+/// per function and by Engine::predictStream per Stage 1 lane group, which
 /// throw cati::TimeoutError once it has passed. nullopt: none.
 using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
@@ -222,17 +222,17 @@ class Engine {
   /// Fan-out is over (VUC range x stage) on the one shared set of weights
   /// with per-thread scratch. The kernels keep every output's op sequence,
   /// so every evaluated stage is bit-identical to a serial per-window
-  /// forward at any job count and any batch size. batch <= 0 resolves via
-  /// par::resolveBatch (CATI_BATCH env, then a default of 32). With a
-  /// `deadline`, it is checked once per `batch` Stage 1 VUCs (TimeoutError).
+  /// forward at any job count. With a `deadline`, it is checked once per
+  /// Stage 1 lane group (TimeoutError).
   std::vector<StageProbs> predictStream(const ChunkStream& stream,
                                         par::ThreadPool* pool = nullptr,
-                                        int batch = 0,
                                         StagePlan plan = StagePlan::kAll,
                                         Deadline deadline = std::nullopt) const;
   /// predictStream over the VUCs' own windows, each laid out as a one-VUC
   /// function (BLANK^w window BLANK^w, centre at its index w); out[i]
-  /// corresponds to vucs[i].
+  /// corresponds to vucs[i]. `batch` has no effect: the name stays only
+  /// because the benchmark harness still passes it; it goes with that
+  /// caller (ROADMAP item 2), as LoadMode does.
   std::vector<StageProbs> predictVucs(std::span<const corpus::Vuc> vucs,
                                       par::ThreadPool* pool = nullptr,
                                       int batch = 0) const;
@@ -330,7 +330,7 @@ class Engine {
   /// quantized symmetric per output channel, activations per sample at run
   /// time (see nn/qnn.h). The twin shares nothing with this engine and is
   /// inference-only — train() on it throws; training always stays fp32.
-  /// Results are bit-identical across kernels, batch sizes and job counts;
+  /// Results are bit-identical across kernels and job counts;
   /// accuracy vs fp32 is gated (≤ 0.5 pp) by tests and the bench harness.
   Engine quantize() const;
   bool quantized() const { return quantized_; }

@@ -49,20 +49,6 @@ float heInit(Rng& rng, int fanIn) {
   return rng.normal(0.0F, std::sqrt(2.0F / static_cast<float>(fanIn)));
 }
 
-/// Packs samples [0, m) of `x` (rows of `plane` floats) into the
-/// batch-transposed lane group `pack` ([i][kBatchLane]). Lanes m.. of a
-/// partial group are zero-filled: the kernel computes them like any other
-/// lane and unpackLanes drops them. A pure permutation, no FP ops. The
-/// pack is written in order, one lane row at a time: a conv1 pack (64 KB)
-/// outgrows L1, and sweeping it once per sample re-fetches every line.
-void packLanes(const float* x, size_t plane, int m, float* pack) {
-  if (m < kBatchLane) std::fill_n(pack, plane * kBatchLane, 0.0F);
-  for (size_t i = 0; i < plane; ++i) {
-    float* dst = pack + i * kBatchLane;
-    for (int b = 0; b < m; ++b) dst[b] = x[static_cast<size_t>(b) * plane + i];
-  }
-}
-
 /// out[t][c] = x[c][t] for one [rows x cols] sample plane. A permutation.
 void transposePlane(const float* x, int rows, int cols, float* out) {
   for (int r = 0; r < rows; ++r) {
@@ -73,37 +59,10 @@ void transposePlane(const float* x, int rows, int cols, float* out) {
   }
 }
 
-/// Copies lanes [0, m) of the lane group `pack` back to sample rows of `y`.
-void unpackLanes(const float* pack, size_t plane, int m, float* y) {
-  for (int b = 0; b < m; ++b) {
-    float* ys = y + static_cast<size_t>(b) * plane;
-    const float* src = pack + b;
-    for (size_t i = 0; i < plane; ++i) ys[i] = src[i * kBatchLane];
-  }
-}
-
-/// The one forward path of Conv1d and Linear: n rows of shape `in` through
-/// l's lane form, kBatchLane at a time, each group packed into s.laneIn (a
-/// partial last group zero-padded) and unpacked from the output. Lanes
-/// never mix, so batch size never changes a bit of the output (DESIGN.md
-/// §7).
-void forwardInLanes(const Layer& l, Shape in, const float* x, float* y, int n,
-                    LayerScratch& s) {
-  const auto inPlane = static_cast<size_t>(in.size());
-  const auto outPlane = static_cast<size_t>(l.outShape(in).size());
-  s.laneIn.resize(inPlane * kBatchLane);
-  s.laneOut.resize(outPlane * kBatchLane);
-  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
-    const int m = std::min(kBatchLane, n - b0);
-    packLanes(x + static_cast<size_t>(b0) * inPlane, inPlane, m,
-              s.laneIn.data());
-    unpackLanes(l.inferLanes(in, s.laneIn.data(), s.laneOut.data(), s),
-                outPlane, m, y + static_cast<size_t>(b0) * outPlane);
-  }
-}
-
-}  // namespace
-
+/// dst[j * dstStride + i] = src[i * srcStride + j] for i, j < kBatchLane:
+/// one kBatchLane x kBatchLane block of floats transposed in registers, a
+/// pure permutation. Element by element, every float of a lane pack lands
+/// on a cache line of its own.
 void transposeBlock(const float* src, size_t srcStride, float* dst,
                     size_t dstStride) {
   static_assert(kBatchLane == 8, "the block is 8 x 8");
@@ -142,6 +101,60 @@ void transposeBlock(const float* src, size_t srcStride, float* dst,
     std::memcpy(dst + (j + 4) * dstStride, &hi, sizeof hi);
   }
 }
+
+}  // namespace
+
+void packLanes(const float* x, size_t plane, int m, float* pack) {
+  size_t i = 0;
+  if (m == kBatchLane) {
+    for (; i + kBatchLane <= plane; i += kBatchLane) {
+      transposeBlock(x + i, plane, pack + i * kBatchLane, kBatchLane);
+    }
+  } else {
+    std::fill_n(pack, plane * kBatchLane, 0.0F);
+  }
+  for (; i < plane; ++i) {
+    float* dst = pack + i * kBatchLane;
+    for (int b = 0; b < m; ++b) dst[b] = x[static_cast<size_t>(b) * plane + i];
+  }
+}
+
+void unpackLanes(const float* pack, size_t plane, int m, float* y) {
+  size_t i = 0;
+  if (m == kBatchLane) {
+    for (; i + kBatchLane <= plane; i += kBatchLane) {
+      transposeBlock(pack + i * kBatchLane, kBatchLane, y + i, plane);
+    }
+  }
+  for (; i < plane; ++i) {
+    const float* src = pack + i * kBatchLane;
+    for (int b = 0; b < m; ++b) y[static_cast<size_t>(b) * plane + i] = src[b];
+  }
+}
+
+namespace {
+
+/// The one forward path of Conv1d and Linear: n rows of shape `in` through
+/// l's lane form, kBatchLane at a time, each group packed into s.laneIn (a
+/// partial last group zero-padded) and unpacked from the output. Lanes
+/// never mix, so batch size never changes a bit of the output (DESIGN.md
+/// §7).
+void forwardInLanes(const Layer& l, Shape in, const float* x, float* y, int n,
+                    LayerScratch& s) {
+  const auto inPlane = static_cast<size_t>(in.size());
+  const auto outPlane = static_cast<size_t>(l.outShape(in).size());
+  s.laneIn.resize(inPlane * kBatchLane);
+  s.laneOut.resize(outPlane * kBatchLane);
+  for (int b0 = 0; b0 < n; b0 += kBatchLane) {
+    const int m = std::min(kBatchLane, n - b0);
+    packLanes(x + static_cast<size_t>(b0) * inPlane, inPlane, m,
+              s.laneIn.data());
+    unpackLanes(l.inferLanes(in, s.laneIn.data(), s.laneOut.data(), s),
+                outPlane, m, y + static_cast<size_t>(b0) * outPlane);
+  }
+}
+
+}  // namespace
 
 // --- Conv1d ------------------------------------------------------------------
 

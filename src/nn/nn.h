@@ -65,12 +65,16 @@ struct Param {
 /// and its padding lanes dropped, so results never depend on batch size.
 inline constexpr int kBatchLane = 8;
 
-/// dst[j * dstStride + i] = src[i * srcStride + j] for i, j < kBatchLane:
-/// one kBatchLane x kBatchLane block of floats transposed in registers, a
-/// pure permutation. Lane packs and sample rows convert through it a block
-/// at a time; an element-by-element copy scatters every float.
-void transposeBlock(const float* src, size_t srcStride, float* dst,
-                    size_t dstStride);
+/// Packs samples [0, m) of `x` (rows of `plane` floats) into the
+/// batch-transposed lane group `pack` ([plane][kBatchLane]). Lanes m.. of a
+/// partial group are zero-filled: a lane form computes them like any other
+/// lane and unpackLanes drops them. A pure permutation, no FP ops; a full
+/// group moves in 8 x 8 register blocks.
+void packLanes(const float* x, size_t plane, int m, float* pack);
+
+/// Copies lanes [0, m) of the lane group `pack` back to sample rows of
+/// `y`; packLanes' inverse.
+void unpackLanes(const float* pack, size_t plane, int m, float* y);
 
 /// Bound on the layer count of a loaded net. The stage CNNs have at most
 /// ten layers; Sequential::load rejects more with cati::CorruptError

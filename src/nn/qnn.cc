@@ -115,15 +115,7 @@ const float* forwardLanes(const QWeights& q, int inF, int outF, int k,
                           int len, const float* x, float* y, LayerScratch& s) {
   const auto plane = static_cast<size_t>(inF) * len;
   s.laneIn.resize(plane * kBatchLane);
-  size_t i = 0;
-  for (; i + kBatchLane <= plane; i += kBatchLane) {
-    transposeBlock(x + i * kBatchLane, kBatchLane, s.laneIn.data() + i, plane);
-  }
-  for (; i < plane; ++i) {
-    for (int b = 0; b < kBatchLane; ++b) {
-      s.laneIn[static_cast<size_t>(b) * plane + i] = x[i * kBatchLane + b];
-    }
-  }
+  unpackLanes(x, plane, kBatchLane, s.laneIn.data());
   forwardSamples(q, inF, outF, k, len, s.laneIn.data(), kBatchLane, y, 1,
                  kBatchLane, s);
   return y;

@@ -74,7 +74,7 @@ void forEach(par::ThreadPool* pool, size_t n,
 }  // namespace
 
 AnalyzeResult analyzeImage(const Engine& engine, const loader::Image& img,
-                           par::ThreadPool* pool, int batch,
+                           par::ThreadPool* pool,
                            const AnalyzeOptions& opts) {
   Deadline deadline;
   if (opts.timeoutMs > 0) {
@@ -89,8 +89,8 @@ AnalyzeResult analyzeImage(const Engine& engine, const loader::Image& img,
       analysis.finishChunk(engine, stream.numVucs() == 0
                                        ? std::vector<StageProbs>{}
                                        : engine.predictStream(
-                                             stream, pool, batch,
-                                             StagePlan::kRouted, deadline));
+                                             stream, pool, StagePlan::kRouted,
+                                             deadline));
     }
   } catch (const TimeoutError&) {
     // Clean partial output: every finished chunk stays in the report.

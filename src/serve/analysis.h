@@ -72,8 +72,17 @@ struct AnalyzeResult {
 /// every finished chunk, closes with the TIMEOUT summary and carries a
 /// Warning diag.
 AnalyzeResult analyzeImage(const Engine& engine, const loader::Image& img,
-                           par::ThreadPool* pool, int batch,
+                           par::ThreadPool* pool,
                            const AnalyzeOptions& opts = {});
+
+/// analyzeImage; `batch` has no effect. Kept only because the benchmark
+/// harness still passes one; it goes with that caller (ROADMAP item 2).
+inline AnalyzeResult analyzeImage(const Engine& engine,
+                                  const loader::Image& img,
+                                  par::ThreadPool* pool, int /*batch*/,
+                                  const AnalyzeOptions& opts = {}) {
+  return analyzeImage(engine, img, pool, opts);
+}
 
 class ImageAnalysis {
  public:

@@ -405,7 +405,7 @@ void Server::processGroup(std::vector<Job>& group) {
   std::vector<StageProbs> probs;
   if (all.numVucs() > 0) {
     coalescedVucs.add(all.numVucs());
-    probs = engine_.predictStream(all, &pool_, cfg_.batch, StagePlan::kRouted);
+    probs = engine_.predictStream(all, &pool_, StagePlan::kRouted);
   }
 
   // Phase 3 per miss: vote, render, cache, reply.

@@ -58,7 +58,9 @@ namespace cati::serve {
 struct ServerConfig {
   sock::Address listen;
   int jobs = 0;   ///< pool size; 0 = CATI_JOBS / hardware concurrency
-  int batch = 0;  ///< NN batch lanes; 0 = CATI_BATCH / default
+  /// Has no effect: the benchmark harness still sets it; it goes with
+  /// that caller (ROADMAP item 2).
+  int batch = 0;
   size_t maxQueue = 64;     ///< admission bound (queued analyze jobs)
   size_t maxGroup = 16;     ///< max requests coalesced per predict pass
   size_t maxOutbound = 64;  ///< per-connection reply bound before drop

@@ -71,12 +71,11 @@ void startCounting() {
   gCounting.store(true);
 }
 
-/// Heap allocations, on any thread, during one predictStream at `batch`
-/// (0: the default).
+/// Heap allocations, on any thread, during one predictStream.
 uint64_t allocations(const Engine& e, const ChunkStream& st,
-                     par::ThreadPool* pool, StagePlan plan, int batch = 0) {
+                     par::ThreadPool* pool, StagePlan plan) {
   startCounting();
-  const std::vector<StageProbs> out = e.predictStream(st, pool, batch, plan);
+  const std::vector<StageProbs> out = e.predictStream(st, pool, plan);
   gCounting.store(false);
   EXPECT_EQ(out.size(), st.numVucs());
   return gNews.load();
@@ -110,11 +109,10 @@ Streams microStreams(const Engine& micro) {
   return s;
 }
 
-std::string label(const Engine& e, int jobs, StagePlan plan, int batch = 0) {
+std::string label(const Engine& e, int jobs, StagePlan plan) {
   return std::string(e.quantized() ? "int8" : "fp32") + " jobs " +
          std::to_string(jobs) +
-         (plan == StagePlan::kAll ? " kAll" : " kRouted") + " batch " +
-         std::to_string(batch);
+         (plan == StagePlan::kAll ? " kAll" : " kRouted");
 }
 
 /// Warms `e` on `pool`: the thread states and metric handles reach their
@@ -123,12 +121,12 @@ std::string label(const Engine& e, int jobs, StagePlan plan, int batch = 0) {
 /// seen and grow its buffers once: the least of three counts is the steady
 /// state. Returns that count over the base stream.
 uint64_t warmAllocations(const Engine& e, const Streams& s,
-                         par::ThreadPool& pool, StagePlan plan, int batch = 0) {
-  (void)e.predictStream(s.longer, &pool, batch, plan);
-  (void)e.predictStream(s.base, &pool, batch, plan);
-  uint64_t once = allocations(e, s.base, &pool, plan, batch);
+                         par::ThreadPool& pool, StagePlan plan) {
+  (void)e.predictStream(s.longer, &pool, plan);
+  (void)e.predictStream(s.base, &pool, plan);
+  uint64_t once = allocations(e, s.base, &pool, plan);
   for (int rep = 0; rep < 2; ++rep) {
-    once = std::min(once, allocations(e, s.base, &pool, plan, batch));
+    once = std::min(once, allocations(e, s.base, &pool, plan));
   }
   return once;
 }
@@ -146,20 +144,15 @@ TEST(PredictAllocations, DoNotGrowWithVucsTimesStages) {
     for (const int jobs : {1, 4}) {
       par::ThreadPool pool(jobs);
       for (const StagePlan plan : {StagePlan::kAll, StagePlan::kRouted}) {
-        // Batch 1 too: lane groups are a range's VUCs 8 at a time whatever
-        // the batch, so it must allocate like the default.
-        for (const int batch : {0, 1}) {
-          const uint64_t once = warmAllocations(e, s, pool, plan, batch);
-          uint64_t more = allocations(e, s.longer, &pool, plan, batch);
-          for (int rep = 0; rep < 2; ++rep) {
-            more =
-                std::min(more, allocations(e, s.longer, &pool, plan, batch));
-          }
-          EXPECT_LT(more, once + s.bound)
-              << label(e, jobs, plan, batch) << ": " << once
-              << " allocations over " << n << " VUCs, " << more << " over "
-              << kTimes * n;
+        const uint64_t once = warmAllocations(e, s, pool, plan);
+        uint64_t more = allocations(e, s.longer, &pool, plan);
+        for (int rep = 0; rep < 2; ++rep) {
+          more = std::min(more, allocations(e, s.longer, &pool, plan));
         }
+        EXPECT_LT(more, once + s.bound)
+            << label(e, jobs, plan) << ": " << once
+            << " allocations over " << n << " VUCs, " << more << " over "
+            << kTimes * n;
       }
     }
   }

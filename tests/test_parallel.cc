@@ -268,9 +268,9 @@ TEST(JobsInvariance, TrainedModelBytesIdenticalAtEveryMinibatchSize) {
 
 TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
   // The batching half of the §7 contract at the engine level: predictVucs
-  // at any batch size (and any job count) must reproduce the serial
-  // per-sample predictVuc loop bit-for-bit. Batch only changes how many
-  // windows share one NN forward pass, never the numbers.
+  // over calls of any size (and at any job count) must reproduce the serial
+  // per-sample predictVuc loop bit-for-bit. The call size only changes how
+  // many windows share lane groups and VUC ranges, never the numbers.
   Engine engine = testsupport::cachedMicroEngine();
   const corpus::Dataset ds = testsupport::microDataset();
   ASSERT_FALSE(ds.vucs.empty());
@@ -279,11 +279,16 @@ TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
   ref.reserve(ds.vucs.size());
   for (const corpus::Vuc& v : ds.vucs) ref.push_back(engine.predictVuc(v));
 
+  const std::span<const corpus::Vuc> all(ds.vucs);
   for (const int jobs : {1, 5}) {
     par::ThreadPool pool(jobs);
-    for (const int batch : {1, 3, 8, 64}) {
-      const std::vector<StageProbs> got =
-          engine.predictVucs(ds.vucs, &pool, batch);
+    for (const size_t batch : {size_t{3}, size_t{8}, size_t{64}, all.size()}) {
+      std::vector<StageProbs> got;
+      for (size_t at = 0; at < all.size(); at += batch) {
+        const auto part = engine.predictVucs(
+            all.subspan(at, std::min(batch, all.size() - at)), &pool);
+        got.insert(got.end(), part.begin(), part.end());
+      }
       ASSERT_EQ(got.size(), ref.size());
       for (size_t i = 0; i < ref.size(); ++i) {
         for (int s = 0; s < kNumStages; ++s) {
@@ -298,31 +303,18 @@ TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
     }
   }
 
-  // CATI_BATCH routes through the same resolution as --batch.
-  ::setenv("CATI_BATCH", "3", 1);
-  const std::vector<StageProbs> viaEnv = engine.predictVucs(ds.vucs);
-  ::unsetenv("CATI_BATCH");
-  ASSERT_EQ(viaEnv.size(), ref.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    for (int s = 0; s < kNumStages; ++s) {
-      const auto st = static_cast<Stage>(s);
-      EXPECT_TRUE(std::ranges::equal(ref[i].stage(st), viaEnv[i].stage(st)))
-          << "vuc " << i << " stage " << s << " via CATI_BATCH";
-    }
-  }
-
-  // Non-timing inference metrics (including the batch-padding counter) are
-  // jobs-invariant: they depend only on (n, batch), never on scheduling.
+  // Non-timing inference metrics are jobs-invariant: they depend only on
+  // the VUCs, never on scheduling.
   obs::setEnabled(true);
-  const auto inferMetrics = [&](int jobs, int batch) {
+  const auto inferMetrics = [&](int jobs) {
     obs::Registry::global().reset();
     par::ThreadPool pool(jobs);
-    engine.predictVucs(ds.vucs, &pool, batch);
+    engine.predictVucs(ds.vucs, &pool);
     return obs::Registry::global().snapshot().withoutTimings();
   };
-  const auto serial = inferMetrics(1, 8);
-  EXPECT_EQ(inferMetrics(5, 8), serial)
-      << "inference metrics differ across job counts at batch=8";
+  const auto serial = inferMetrics(1);
+  EXPECT_EQ(inferMetrics(5), serial)
+      << "inference metrics differ across job counts";
 }
 
 }  // namespace

@@ -131,12 +131,18 @@ class QuantEngineTest : public testing::Test {
     return std::move(os).str();
   }
 
-  /// Serialized per-stage probability bytes for the first `n` VUCs.
+  /// Serialized per-stage probability bytes for the first `n` VUCs,
+  /// predicted `batch` VUCs per predictVucs call.
   static std::string probeBytes(Engine& e, size_t n, par::ThreadPool* pool,
-                                int batch) {
+                                size_t batch) {
     const std::span<const corpus::Vuc> vucs(ds_->vucs.data(),
                                             std::min(n, ds_->vucs.size()));
-    const auto probs = e.predictVucs(vucs, pool, batch);
+    std::vector<StageProbs> probs;
+    for (size_t at = 0; at < vucs.size(); at += batch) {
+      const auto part = e.predictVucs(
+          vucs.subspan(at, std::min(batch, vucs.size() - at)), pool);
+      probs.insert(probs.end(), part.begin(), part.end());
+    }
     std::string bytes;
     for (const auto& sp : probs) {
       for (int s = 0; s < kNumStages; ++s) {
@@ -246,7 +252,7 @@ TEST_F(QuantEngineTest, PredictionsInvariantAcrossJobsAndBatch) {
   const std::string ref = probeBytes(*quant_, 64, nullptr, 1);
   for (const int jobs : {1, 2}) {
     par::ThreadPool pool(jobs);
-    for (const int batch : {1, 8, 32}) {
+    for (const size_t batch : {8, 32, 64}) {
       EXPECT_EQ(probeBytes(*quant_, 64, &pool, batch), ref)
           << "jobs=" << jobs << " batch=" << batch;
     }

@@ -79,7 +79,7 @@ struct Expected {
 };
 
 Expected offlineExpected(Engine& engine, const std::string& imageBytes,
-                         float confMin = 0.0F, int batch = 0, int jobs = 1) {
+                         float confMin = 0.0F, int jobs = 1) {
   DiagList imgDiags;
   std::istringstream is(imageBytes);
   const auto img = loader::tryRead(is, imgDiags);
@@ -87,7 +87,7 @@ Expected offlineExpected(Engine& engine, const std::string& imageBytes,
   par::ThreadPool pool(jobs);
   AnalyzeOptions opts;
   opts.confMin = confMin;
-  const AnalyzeResult r = analyzeImage(engine, *img, &pool, batch, opts);
+  const AnalyzeResult r = analyzeImage(engine, *img, &pool, opts);
   Expected e;
   e.report = r.report;
   std::ostringstream ds;
@@ -403,7 +403,7 @@ TEST_F(ServeTest, DiskCacheRecoverySkipsCorruptAndStaleTemp) {
 TEST_F(ServeTest, CoalescedPredictMatchesIsolated) {
   // The theorem the daemon's cross-request batching rests on: predicting a
   // concatenation of many requests' VUCs yields bit-identical per-VUC
-  // probabilities to predicting each request alone, at any batch size.
+  // probabilities to predicting each request alone.
   Engine engine = testsupport::cachedMicroEngine();
   const corpus::Dataset ds = testsupport::microDataset();
   ASSERT_GE(ds.vucs.size(), 8U);
@@ -411,19 +411,17 @@ TEST_F(ServeTest, CoalescedPredictMatchesIsolated) {
   const size_t cut = ds.vucs.size() / 3;
 
   par::ThreadPool pool(2);
-  for (const int batch : {1, 8}) {
-    const auto coalesced = engine.predictVucs(all, &pool, batch);
-    const auto partA = engine.predictVucs(all.subspan(0, cut), &pool, batch);
-    const auto partB = engine.predictVucs(all.subspan(cut), &pool, batch);
-    ASSERT_EQ(coalesced.size(), partA.size() + partB.size());
-    for (size_t i = 0; i < coalesced.size(); ++i) {
-      const StageProbs& split = i < cut ? partA[i] : partB[i - cut];
-      for (int s = 0; s < kNumStages; ++s) {
-        const auto a = coalesced[i].stage(static_cast<Stage>(s));
-        const auto b = split.stage(static_cast<Stage>(s));
-        ASSERT_TRUE(std::ranges::equal(a, b))
-            << "vuc " << i << " stage " << s << " batch " << batch;
-      }
+  const auto coalesced = engine.predictVucs(all, &pool);
+  const auto partA = engine.predictVucs(all.subspan(0, cut), &pool);
+  const auto partB = engine.predictVucs(all.subspan(cut), &pool);
+  ASSERT_EQ(coalesced.size(), partA.size() + partB.size());
+  for (size_t i = 0; i < coalesced.size(); ++i) {
+    const StageProbs& split = i < cut ? partA[i] : partB[i - cut];
+    for (int s = 0; s < kNumStages; ++s) {
+      const auto a = coalesced[i].stage(static_cast<Stage>(s));
+      const auto b = split.stage(static_cast<Stage>(s));
+      ASSERT_TRUE(std::ranges::equal(a, b))
+          << "vuc " << i << " stage " << s;
     }
   }
 }
@@ -462,7 +460,6 @@ TEST_F(ServeTest, ServerMatchesOfflineAndCachesByteIdentically) {
   ServerConfig cfg;
   cfg.listen = unixAddr();
   cfg.jobs = 2;
-  cfg.batch = 8;
   cfg.cacheBytes = 1 << 20;
   Server server(engine, cfg);
   server.start();
@@ -830,7 +827,7 @@ void expectDeadlineCutsAtWholeFunctions(par::ThreadPool* pool) {
   const loader::Image img = chunkedImage();
   DiagList scratch;
   const size_t fnsTotal = loader::disassemble(img, scratch).size();
-  const AnalyzeResult full = analyzeImage(engine, img, pool, 32);
+  const AnalyzeResult full = analyzeImage(engine, img, pool);
   const ReportParts fullParts = splitReport(full.report);
   const std::string cutSuffix =
       "/" + std::to_string(fnsTotal) + " functions analyzed";
@@ -846,7 +843,7 @@ void expectDeadlineCutsAtWholeFunctions(par::ThreadPool* pool) {
     const uint64_t fired0 = counterValue("fault.injected");
     const uint64_t degraded0 = counterValue("engine.analyze.degraded");
     const uint64_t predicted0 = counterValue("engine.infer.vucs");
-    const AnalyzeResult r = analyzeImage(engine, img, pool, 32, opts);
+    const AnalyzeResult r = analyzeImage(engine, img, pool, opts);
     EXPECT_EQ(counterValue("engine.analyze.degraded"), degraded0) << "n=" << n;
     for (const Diag& d : r.diags) {
       EXPECT_EQ(d.message.find("degraded"), std::string::npos)
@@ -940,7 +937,7 @@ void expectPrepareFaultDegradesOneFunction(Engine& offline,
                                            const std::string& bytes, int jobs,
                                            size_t nth, Expected* faulted) {
   fault::configureForTest("");
-  const Expected clean = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+  const Expected clean = offlineExpected(offline, bytes, 0.0F, jobs);
 
   DiagList scratch;
   std::istringstream is(bytes);
@@ -956,7 +953,7 @@ void expectPrepareFaultDegradesOneFunction(Engine& offline,
   const uint64_t degraded0 = counterValue("engine.analyze.degraded");
   {
     const OrderedSiteProbe probe("engine.prepare");
-    *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+    *faulted = offlineExpected(offline, bytes, 0.0F, jobs);
     EXPECT_EQ(probe.hits(), fns.size()) << "jobs " << jobs;
     EXPECT_EQ(probe.inTask(), 0U) << "jobs " << jobs;
   }
@@ -989,7 +986,6 @@ TEST_F(ServeTest, PrepareFaultDegradesOneFunctionOfflineAndServed) {
   ServerConfig cfg;
   cfg.listen = unixAddr();
   cfg.jobs = 2;
-  cfg.batch = 8;
   Server server(engine, cfg);
   server.start();
   fault::configureForTest("fail@engine.prepare:2");
@@ -1026,7 +1022,7 @@ void expectVoteFaultDegradesOneVariable(Engine& offline,
                                         const std::string& bytes, int jobs,
                                         size_t nth, Expected* faulted) {
   fault::configureForTest("");
-  const Expected clean = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+  const Expected clean = offlineExpected(offline, bytes, 0.0F, jobs);
 
   // The Nth variable with VUCs, in function order.
   DiagList scratch;
@@ -1052,7 +1048,7 @@ void expectVoteFaultDegradesOneVariable(Engine& offline,
   const uint64_t degraded0 = counterValue("engine.analyze.degraded");
   {
     const OrderedSiteProbe probe("engine.vote");
-    *faulted = offlineExpected(offline, bytes, 0.0F, 0, jobs);
+    *faulted = offlineExpected(offline, bytes, 0.0F, jobs);
     EXPECT_EQ(probe.hits(), votedTotal) << "jobs " << jobs;
     EXPECT_EQ(probe.inTask(), 0U) << "jobs " << jobs;
   }
@@ -1100,7 +1096,6 @@ TEST_F(ServeTest, VoteFaultDegradesOneVariableOfflineAndServed) {
   ServerConfig cfg;
   cfg.listen = unixAddr();
   cfg.jobs = 2;
-  cfg.batch = 8;
   Server server(engine, cfg);
   server.start();
   fault::configureForTest("fail@engine.vote:2");
@@ -1172,8 +1167,8 @@ std::string sixStageReport(Engine& engine, const loader::Image& img) {
 TEST_F(ServeTest, RoutedReportsMatchSixStageVoting) {
   // analyzeImage predicts by route — Stage 1 on every VUC, then per variable
   // only the stages its votes lead to — and must print exactly the report
-  // of all six stages on every VUC voted by voteVariable, at jobs {1, 4} x
-  // batch {1, 32}, on a one-chunk and a multi-chunk image.
+  // of all six stages on every VUC voted by voteVariable, at jobs {1, 4},
+  // on a one-chunk and a multi-chunk image.
   Engine engine = testsupport::cachedMicroEngine();
   loader::Image small = loader::buildImage(testsupport::microBinaries().at(0));
   loader::strip(small);
@@ -1181,10 +1176,8 @@ TEST_F(ServeTest, RoutedReportsMatchSixStageVoting) {
     const std::string want = sixStageReport(engine, img);
     for (const int jobs : {1, 4}) {
       par::ThreadPool pool(jobs);
-      for (const int batch : {1, 32}) {
-        EXPECT_EQ(analyzeImage(engine, img, &pool, batch).report, want)
-            << "jobs " << jobs << " batch " << batch;
-      }
+      EXPECT_EQ(analyzeImage(engine, img, &pool).report, want)
+          << "jobs " << jobs;
     }
   }
 }
@@ -1220,9 +1213,9 @@ TEST_F(ServeTest, ConcurrentInferenceOnOneConstEngine) {
     ImageAnalysis whole(img, nullptr, 0.0F);
     ASSERT_TRUE(whole.prepareChunk(*engine));
     const ChunkStream& stream = whole.stream();
-    const std::string wantReport = analyzeImage(*engine, img, nullptr, 0).report;
+    const std::string wantReport = analyzeImage(*engine, img, nullptr).report;
     const std::vector<StageProbs> wantProbs =
-        engine->predictStream(stream, nullptr, 0, StagePlan::kRouted);
+        engine->predictStream(stream, nullptr, StagePlan::kRouted);
 
     constexpr int kThreads = 2;
     constexpr int kReps = 2;
@@ -1234,11 +1227,11 @@ TEST_F(ServeTest, ConcurrentInferenceOnOneConstEngine) {
         par::ThreadPool pool(t + 1);
         for (int rep = 0; rep < kReps; ++rep) {
           const auto report = [&] {
-            reports[t][rep] = analyzeImage(*engine, img, &pool, 0).report;
+            reports[t][rep] = analyzeImage(*engine, img, &pool).report;
           };
           const auto predict = [&] {
             probs[t][rep] =
-                engine->predictStream(stream, &pool, 0, StagePlan::kRouted);
+                engine->predictStream(stream, &pool, StagePlan::kRouted);
           };
           if (t == 0) {
             report();
@@ -1329,7 +1322,7 @@ AnalyzeResult analyzeInChunks(Engine& engine, const loader::Image& img,
     chunks->push_back({stream.rows().size(), stream.numVucs()});
     analysis.finishChunk(engine, stream.numVucs() == 0
                                      ? std::vector<StageProbs>{}
-                                     : engine.predictStream(stream, pool, 8));
+                                     : engine.predictStream(stream, pool));
   }
   EXPECT_FALSE(analysis.prepareChunk(engine, maxInsns))
       << "an exhausted analysis prepared another chunk";
@@ -1418,7 +1411,7 @@ TEST_F(ServeTest, PhaseTimersFireOncePerChunkWithinWall) {
       sum0[i] = phases[i]->sum();
     }
     const auto start = std::chrono::steady_clock::now();
-    (void)analyzeImage(engine, img, &pool, 32);
+    (void)analyzeImage(engine, img, &pool);
     const auto wallNs = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
@@ -1448,7 +1441,7 @@ TEST_F(ServeTest, ChunkBoundariesNeverChangeTheReport) {
   const loader::Image unstripped =
       loader::buildImage(testsupport::microBinaries().at(0));
   for (const loader::Image& img : {chunkedImage(), unstripped}) {
-    const AnalyzeResult ref = analyzeImage(engine, img, nullptr, 8);
+    const AnalyzeResult ref = analyzeImage(engine, img, nullptr);
     ASSERT_FALSE(ref.report.empty());
     std::ostringstream want;
     print(ref.diags, want);
@@ -1638,14 +1631,14 @@ TEST_F(ServeTest, InferTimeoutKeepsWholeFunctionsAndExitsZero) {
     loader::write(chunkedImage(), os);
   }
   const std::string cmd = toolPath("cati-infer") + " " + model + " " +
-                          imgFile + " --jobs 1 --batch 32";
+                          imgFile + " --jobs 1";
   const ToolRun full = runCapture(cmd, dir_ / "full.err");
   ASSERT_EQ(full.exitCode, 0) << full.err;
   EXPECT_EQ(full.out.find("TIMEOUT"), std::string::npos);
   const ReportParts fullParts = splitReport(full.out);
 
   bool sawPartial = false;
-  for (const int n : {1, 40, 70}) {
+  for (const int n : {1, 150, 200}) {
     const ToolRun cut = runCapture(
         "CATI_FAULT_SPEC=fail@engine.deadline:" + std::to_string(n) + " " +
             cmd + " --timeout-ms 600000",

@@ -1,8 +1,8 @@
 // The differential stress layer for cati-serve (DESIGN.md §10): seeded
 // multi-client sweeps across server configurations, proving every reply the
 // daemon produces is byte-identical to offline inference — whatever the
-// interleaving, the client count, --jobs/--batch, the cache state, injected
-// cache faults, or a storm of mid-request disconnects.
+// interleaving, the client count, --jobs, the coalesced group size, the
+// cache state, injected cache faults, or a storm of mid-request disconnects.
 //
 // gtest assertions are not thread-safe, so client threads record mismatches
 // into a mutex-guarded list that the main thread asserts on after joining.
@@ -62,7 +62,7 @@ std::vector<Variant> makeVariants() {
       const auto reread = loader::tryRead(is, imgDiags);
       EXPECT_TRUE(reread.has_value());
       par::ThreadPool pool(1);
-      const AnalyzeResult r = analyzeImage(engine, *reread, &pool, 0, {});
+      const AnalyzeResult r = analyzeImage(engine, *reread, &pool);
       v.report = r.report;
       std::ostringstream ds;
       print(imgDiags, ds);
@@ -154,7 +154,8 @@ class ServeStressTest : public ::testing::Test {
   stdfs::path dir_;
 };
 
-// The headline sweep: client counts {1,4,16} x jobs {1,2} x batch {1,8},
+// The headline sweep: client counts {1,4,16} x jobs {1,2} x batch-loop
+// group size {1,16} (every request predicted alone, or coalesced),
 // seeded request mixes, every reply compared byte-for-byte to the offline
 // reference. Covers cache cold/warm (the first request per image is a miss,
 // repeats are hits) in the same pass.
@@ -164,14 +165,14 @@ TEST_F(ServeStressTest, SweepClientsJobsBatch) {
 
   int cfgIdx = 0;
   for (const int jobs : {1, 2}) {
-    for (const int batch : {1, 8}) {
+    for (const int group : {1, 16}) {
       std::string sockName = "s";
       sockName += std::to_string(cfgIdx);
       sockName += ".sock";
       ServerConfig cfg;
       cfg.listen = unixAddr(sockName);
       cfg.jobs = jobs;
-      cfg.batch = batch;
+      cfg.maxGroup = static_cast<size_t>(group);
       cfg.maxQueue = 256;
       cfg.cacheBytes = 1 << 20;
       Server server(engine, cfg);
@@ -191,7 +192,7 @@ TEST_F(ServeStressTest, SweepClientsJobsBatch) {
         }
         for (auto& t : threads) t.join();
         EXPECT_TRUE(failures.empty())
-            << "jobs=" << jobs << " batch=" << batch
+            << "jobs=" << jobs << " group=" << group
             << " clients=" << clients << "\n"
             << failures.summary();
       }

@@ -7,7 +7,7 @@
 // from it. Nets without it (int8, window 0) start at layer 0, on the
 // groups' encoded windows. Either way the probabilities must equal,
 // bit for bit, a whole-net forward of each VUC's own encoded window at
-// batch 1 — the reference here — at any batch size and job count, and on
+// batch 1 — the reference here — at any job count, and on
 // whichever kernel tier runs: CI repeats this suite under
 // CATI_KERNEL=scalar and CATI_KERNEL=avx2, next to the native dispatch of
 // the tier-1 run. The window adapter (predictVucs) and occlusion ε
@@ -166,20 +166,18 @@ Engine framedEngine(const Engine& base, int window, int conv1, int conv2,
   return Engine::load(is);
 }
 
-/// predictStream over `st` (and predictVucs over its windows) at batch
-/// {1, 8, 32} x jobs {1, 4} against the per-window reference.
+/// predictStream over `st` (and predictVucs over its windows) at jobs
+/// {1, 4} against the per-window reference.
 void expectStreamMatchesWindows(Engine& e, const ChunkStream& st,
                                 const std::string& what) {
   const std::vector<corpus::Vuc> vucs = windowsOf(st, e.encoder().vocab());
   const std::vector<StageProbs> want = perWindow(e, vucs);
   for (const int jobs : {1, 4}) {
     par::ThreadPool pool(jobs);
-    for (const int batch : {1, 8, 32}) {
-      EXPECT_TRUE(sameBits(e.predictStream(st, &pool, batch), want))
-          << what << ": stream, jobs " << jobs << " batch " << batch;
-      EXPECT_TRUE(sameBits(e.predictVucs(vucs, &pool, batch), want))
-          << what << ": windows, jobs " << jobs << " batch " << batch;
-    }
+    EXPECT_TRUE(sameBits(e.predictStream(st, &pool), want))
+        << what << ": stream, jobs " << jobs;
+    EXPECT_TRUE(sameBits(e.predictVucs(vucs, &pool), want))
+        << what << ": windows, jobs " << jobs;
   }
 }
 
@@ -270,10 +268,8 @@ TEST_F(StreamPredictTest, ImageChunkMatchesPerWindowForwards) {
     const std::vector<StageProbs> want = perWindow(engine, windows);
     for (const int jobs : {1, 4}) {
       par::ThreadPool pool(jobs);
-      for (const int batch : {1, 8, 32}) {
-        EXPECT_TRUE(sameBits(engine.predictStream(st, &pool, batch), want))
-            << what << " jobs " << jobs << " batch " << batch;
-      }
+      EXPECT_TRUE(sameBits(engine.predictStream(st, &pool), want))
+          << what << " jobs " << jobs;
     }
   }
 }
@@ -344,7 +340,7 @@ TEST_F(StreamPredictTest, PredictLedgerStaysWithinBatchTimeTimesWorkers) {
           count0[i] = timers[i]->count();
           sum0[i] = timers[i]->sum();
         }
-        (void)engine.predictStream(st, &pool, 0, plan);
+        (void)engine.predictStream(st, &pool, plan);
         double ledger = 0.0;
         for (size_t i = 0; i < 3; ++i) {
           const bool observed = !(engine.quantized() && i == 1);
@@ -430,7 +426,7 @@ Engine withVoting(const Engine& base, float clip, bool clipEnabled) {
 TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
   // StagePlan::kRouted over a real chunk gives every VUC exactly the stages
   // on its variable's voted path — bit-equal to the kAll predict there,
-  // unset elsewhere — at jobs {1, 4} x batch {1, 32}, from layer 1 (micro)
+  // unset elsewhere — at jobs {1, 4}, from layer 1 (micro)
   // and from layer 0 (its int8 twin), and with the
   // routing votes clipped at 0.5 (every Stage 1 winner counts 1.0) and not
   // clipped at all; finishFunction types every variable the same from
@@ -465,66 +461,63 @@ TEST_F(StreamPredictTest, RoutedPredictRunsOnlyOnPathStages) {
     const std::vector<StageProbs> full = e.predictStream(st);
     for (const int jobs : {1, 4}) {
       par::ThreadPool pool(jobs);
-      for (const int batch : {1, 32}) {
-        const std::string what =
-            std::string(e.quantized() ? "int8" : "fp32") + " clip " +
-            (e.config().clipEnabled ? std::to_string(e.config().voteClip)
-                                    : "off") +
-            " jobs " + std::to_string(jobs) + " batch " +
-            std::to_string(batch);
-        const uint64_t samples0 = stageSamples();
-        const uint64_t vucs0 = inferVucs.value();
-        const std::vector<StageProbs> routed =
-            e.predictStream(st, &pool, batch, StagePlan::kRouted);
-        EXPECT_EQ(inferVucs.value() - vucs0, st.numVucs()) << what;
-        ASSERT_EQ(routed.size(), full.size());
-        uint64_t evals = 0;
-        size_t base = 0;
-        for (const Engine::FunctionWork& work : works) {
-          const size_t n = work.ds.vucs.size();
-          const std::vector<AnalyzedVariable> want = e.finishFunction(
-              work, std::span(full).subspan(base, n));
-          const std::vector<AnalyzedVariable> got = e.finishFunction(
-              work, std::span(routed).subspan(base, n));
-          ASSERT_EQ(got.size(), want.size()) << what;
-          size_t k = 0;
-          for (const std::vector<uint32_t>& vucs : work.ds.vucsByVar()) {
-            if (vucs.empty()) continue;
-            EXPECT_EQ(got[k].type, want[k].type) << what;
-            EXPECT_EQ(std::memcmp(&got[k].confidence, &want[k].confidence,
-                                  sizeof(float)),
-                      0)
-                << what;
-            const StagePath path = pathOf(want[k].type);
-            evals += static_cast<uint64_t>(path.length) * vucs.size();
-            for (const uint32_t i : vucs) {
-              for (int s = 0; s < kNumStages; ++s) {
-                const auto st = static_cast<Stage>(s);
-                const std::span<const float> r = routed[base + i].stage(st);
-                const std::span<const float> f = full[base + i].stage(st);
-                const bool onPath =
-                    std::find(path.stages.begin(),
-                              path.stages.begin() + path.length,
-                              st) != path.stages.begin() + path.length;
-                if (!onPath) {
-                  EXPECT_TRUE(r.empty()) << what << " stage " << s;
-                } else {
-                  ASSERT_EQ(f.size(), static_cast<size_t>(numClasses(st)));
-                  EXPECT_TRUE(r.size() == f.size() &&
-                              std::memcmp(r.data(), f.data(),
-                                          r.size() * sizeof(float)) == 0)
-                      << what << " stage " << s;
-                }
+      const std::string what =
+          std::string(e.quantized() ? "int8" : "fp32") + " clip " +
+          (e.config().clipEnabled ? std::to_string(e.config().voteClip)
+                                  : "off") +
+          " jobs " + std::to_string(jobs);
+      const uint64_t samples0 = stageSamples();
+      const uint64_t vucs0 = inferVucs.value();
+      const std::vector<StageProbs> routed =
+          e.predictStream(st, &pool, StagePlan::kRouted);
+      EXPECT_EQ(inferVucs.value() - vucs0, st.numVucs()) << what;
+      ASSERT_EQ(routed.size(), full.size());
+      uint64_t evals = 0;
+      size_t base = 0;
+      for (const Engine::FunctionWork& work : works) {
+        const size_t n = work.ds.vucs.size();
+        const std::vector<AnalyzedVariable> want = e.finishFunction(
+            work, std::span(full).subspan(base, n));
+        const std::vector<AnalyzedVariable> got = e.finishFunction(
+            work, std::span(routed).subspan(base, n));
+        ASSERT_EQ(got.size(), want.size()) << what;
+        size_t k = 0;
+        for (const std::vector<uint32_t>& vucs : work.ds.vucsByVar()) {
+          if (vucs.empty()) continue;
+          EXPECT_EQ(got[k].type, want[k].type) << what;
+          EXPECT_EQ(std::memcmp(&got[k].confidence, &want[k].confidence,
+                                sizeof(float)),
+                    0)
+              << what;
+          const StagePath path = pathOf(want[k].type);
+          evals += static_cast<uint64_t>(path.length) * vucs.size();
+          for (const uint32_t i : vucs) {
+            for (int s = 0; s < kNumStages; ++s) {
+              const auto st = static_cast<Stage>(s);
+              const std::span<const float> r = routed[base + i].stage(st);
+              const std::span<const float> f = full[base + i].stage(st);
+              const bool onPath =
+                  std::find(path.stages.begin(),
+                            path.stages.begin() + path.length,
+                            st) != path.stages.begin() + path.length;
+              if (!onPath) {
+                EXPECT_TRUE(r.empty()) << what << " stage " << s;
+              } else {
+                ASSERT_EQ(f.size(), static_cast<size_t>(numClasses(st)));
+                EXPECT_TRUE(r.size() == f.size() &&
+                            std::memcmp(r.data(), f.data(),
+                                        r.size() * sizeof(float)) == 0)
+                    << what << " stage " << s;
               }
             }
-            ++k;
           }
-          base += n;
+          ++k;
         }
-        EXPECT_EQ(stageSamples() - samples0, evals) << what;
-        EXPECT_GE(evals, 2 * st.numVucs()) << what;
-        EXPECT_LT(evals, 3 * st.numVucs()) << what;
+        base += n;
       }
+      EXPECT_EQ(stageSamples() - samples0, evals) << what;
+      EXPECT_GE(evals, 2 * st.numVucs()) << what;
+      EXPECT_LT(evals, 3 * st.numVucs()) << what;
     }
   }
 }
@@ -554,7 +547,7 @@ TEST_F(StreamPredictTest, FinishFunctionNeedsNoWindows) {
     EXPECT_EQ(streamed.stream.centres(), filled.stream.centres()) << fn.name;
     EXPECT_EQ(streamed.stream.vars(), filled.stream.vars()) << fn.name;
     const std::vector<StageProbs> probs =
-        engine.predictStream(filled.stream, nullptr, 0, StagePlan::kRouted);
+        engine.predictStream(filled.stream, nullptr, StagePlan::kRouted);
     const std::vector<AnalyzedVariable> want =
         engine.finishFunction(filled, probs);
     for (const Engine::FunctionWork* work : {&emptied, &streamed}) {

@@ -90,15 +90,13 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     return 1;
   }
 
-  // common.batch (or CATI_BATCH) sets how many Stage 1 VUCs run between
-  // deadline checks; results are identical at any batch size. The decode cache
-  // makes repeat analysis of the same functions (re-runs, shared bodies)
-  // skip decode + IR lowering; it never changes output.
+  // The decode cache makes repeat analysis of the same functions (re-runs,
+  // shared bodies) skip decode + IR lowering; it never changes output.
   par::ThreadPool pool(par::resolveJobs(jobs));
   loader::DecodeCache decodeCache;
   opts.cache = &decodeCache;
   const serve::AnalyzeResult result =
-      serve::analyzeImage(engine, *img, &pool, common.batch, opts);
+      serve::analyzeImage(engine, *img, &pool, opts);
   std::fputs(result.report.c_str(), stdout);
   diags.insert(diags.end(), result.diags.begin(), result.diags.end());
   cli::printDiags(diags, common);

@@ -5,7 +5,7 @@
 //
 // The serving contract: every kReport reply is byte-identical to what
 // `cati-infer MODEL IMAGE` prints for the same image and options, whatever
-// the interleaving of clients, the --jobs/--batch setting, or the cache
+// the interleaving of clients, the --jobs setting, or the cache
 // state — proven by the differential suite in tests/test_serve*.cc.
 //
 // SIGINT/SIGTERM (or --max-requests N) trigger a graceful drain: queued
@@ -41,14 +41,13 @@ std::string usageLine() {
 volatile std::sig_atomic_t gSignal = 0;
 void onSignal(int) { gSignal = 1; }
 
-int run(int argc, char** argv, const cati::cli::Common& common) {
+int run(int argc, char** argv, const cati::cli::Common& /*common*/) {
   using namespace cati;
   if (argc < 2) {
     std::fputs(usageLine().c_str(), stderr);
     return 2;
   }
   serve::ServerConfig cfg;
-  cfg.batch = common.batch;
   bool haveListen = false;
   bool quant = false;
   cli::SeenFlags seen;

@@ -20,7 +20,7 @@
 // Usage: cati-train MODEL.bin [--apps N] [--funcs K] [--dialect gcc|clang]
 //                   [--corpus-dir DIR] [--max-resident SIZE]
 //                   [--epochs E] [--cap C] [--hidden H] [--window W]
-//                   [--dim D] [--seed S] [--quiet] [--jobs N]
+//                   [--dim D] [--seed S] [--quiet] [--jobs N] [--batch B]
 //                   [--checkpoint DIR] [--checkpoint-every N] [--resume]
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +42,7 @@ constexpr const char* kUsagePrefix =
     "usage: cati-train MODEL.bin [--apps N] [--funcs K] "
     "[--dialect gcc|clang] [--corpus-dir DIR] [--max-resident SIZE] "
     "[--epochs E] [--cap C] [--hidden H] "
-    "[--window W] [--dim D] [--seed S] [--quiet] [--jobs N] "
+    "[--window W] [--dim D] [--seed S] [--quiet] [--jobs N] [--batch B] "
     "[--checkpoint DIR] [--checkpoint-every N] [--resume] "
     "[--quantize FILE]";
 
@@ -50,7 +50,7 @@ std::string usageLine() {
   return std::string(kUsagePrefix) + cati::cli::kCommonUsage + "\n";
 }
 
-int run(int argc, char** argv, const cati::cli::Common& common) {
+int run(int argc, char** argv, const cati::cli::Common& /*common*/) {
   using namespace cati;
   // A flag in the MODEL.bin slot (--help, a misplaced option) is a usage
   // error, not a file name to train into.
@@ -68,7 +68,8 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   cfg.maxTrainPerStage = 10000;
   cfg.fcHidden = 96;
   uint64_t seed = 2026;
-  int jobs = 0;  // 0: CATI_JOBS env or hardware concurrency
+  int jobs = 0;   // 0: CATI_JOBS env or hardware concurrency
+  int batch = 0;  // 0: CATI_BATCH env or cfg.batchSize
   TrainCheckpointing ckpt;
   std::string quantizeOut;
   std::string corpusDir;
@@ -130,6 +131,9 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     } else if (arg == "--jobs") {
       seen.note(arg);
       jobs = static_cast<int>(cli::parseInt(arg, next()));
+    } else if (arg == "--batch") {
+      seen.note(arg);
+      batch = static_cast<int>(cli::parseInt(arg, next()));
     } else if (arg == "--checkpoint") {
       seen.note(arg);
       ckpt.dir = next();
@@ -162,8 +166,8 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   }
 
   // --batch / CATI_BATCH override the training minibatch size (a documented
-  // hyperparameter: it changes the trained model, unlike inference batching).
-  cfg.batchSize = par::resolveBatch(common.batch, cfg.batchSize);
+  // hyperparameter: it changes the trained model).
+  cfg.batchSize = par::resolveBatch(batch, cfg.batchSize);
 
   if (!ckpt.dir.empty() && std::filesystem::exists(ckpt.dir)) {
     // Sweep temps a crashed previous writer may have left next to the

@@ -1,5 +1,5 @@
 // Shared command-line plumbing for the six cati tools: the flags every
-// tool accepts (--verbose, --metrics[=FILE], --batch), severity-filtered
+// tool accepts (--verbose, --metrics[=FILE], --kernel), severity-filtered
 // diagnostic printing, metrics emission, duplicate/unknown-flag rejection,
 // strict value parsers (parseInt, parseSize for the daemon's byte-sized
 // flags), and the one-line stderr error wrapper that backs the robustness
@@ -118,12 +118,6 @@ struct Common {
   bool verbose = false;       ///< --verbose: include Note-severity diagnostics
   bool metrics = false;       ///< --metrics[=FILE]: emit a JSON snapshot
   std::string metricsPath;    ///< empty means stderr
-  /// --batch N: samples per NN forward pass for cati-train (the training
-  /// minibatch); for cati-infer, Stage 1 VUCs per deadline check (predict
-  /// always runs lane groups of 8). 0 = unset; resolve with
-  /// par::resolveBatch, which falls back to CATI_BATCH then a tool default.
-  /// Inference results never depend on it (DESIGN.md §7).
-  int batch = 0;
 };
 
 /// Applies `--kernel ISA` (scalar | avx2 | avx512): forces the NN kernel
@@ -159,16 +153,6 @@ inline Common extractCommon(int& argc, char** argv) {
         c.metricsPath =
             std::string(arg.substr(std::string_view("--metrics=").size()));
       }
-    } else if (arg == "--batch") {
-      seen.note(arg);
-      if (i + 1 >= argc) throw UsageError("--batch: missing value");
-      c.batch = static_cast<int>(parseInt("--batch", argv[++i]));
-    } else if (arg.starts_with("--batch=")) {
-      seen.note("--batch");
-      c.batch = static_cast<int>(parseInt(
-          "--batch",
-          std::string(arg.substr(std::string_view("--batch=").size()))
-              .c_str()));
     } else if (arg == "--kernel") {
       seen.note(arg);
       if (i + 1 >= argc) throw UsageError("--kernel: missing value");
@@ -193,7 +177,7 @@ inline Common extractCommon(int& argc, char** argv) {
 
 /// Usage-string suffix so every tool advertises the shared flags.
 inline constexpr const char* kCommonUsage =
-    " [--verbose] [--metrics[=FILE]] [--batch N] [--kernel ISA]";
+    " [--verbose] [--metrics[=FILE]] [--kernel ISA]";
 
 /// Diagnostics to stderr: warnings and errors always, notes only with
 /// --verbose (the passthrough cati-objdump/cati-strip previously lacked).
